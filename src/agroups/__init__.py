@@ -29,7 +29,7 @@ from .census import (
     enumerate_variety_groups,
 )
 from .construct import PrimitiveSpec, primitive_aqar_group, semidirect_product, verify_theorem_b
-from .gf import FieldElem, FieldSpec, element_order, field_make, multiplicative_order
+from .gf import FieldElem, FieldSpec, field_make, multiplicative_order
 from .matgrp import (
     Mat,
     MatGroup,
@@ -72,7 +72,6 @@ __all__ = [
     "closure",
     "compare_count",
     "conjugate_in_gl",
-    "element_order",
     "enumerate_primitive_ar_classes",
     "enumerate_primitive_classes",
     "enumerate_transitive_classes",

@@ -105,14 +105,9 @@ def primitive_aqar_group(
             images.append(index[tuple(w)])
         gens.append(Perm(images))
 
+    # over a prime field the element indices are the residues themselves
     linear = singer_generator(beta, field) ** ((q**beta - 1) // r)
-    felems = field.elements()
-    images = []
-    for v in vectors:
-        vec = tuple(felems[c] for c in v)
-        image = linear.apply(vec)
-        images.append(index[tuple(e.index for e in image)])
-    gens.append(Perm(images))
+    gens.append(Perm([index[linear.apply(v)] for v in vectors]))
 
     spec = PrimitiveSpec(q, r, CASE_AFFINE, n, beta)
     return spec, PermGroup(n, gens)
@@ -229,7 +224,7 @@ def semidirect_product(
     for m in mats:
         if m.alpha != dim or m.spec != field:
             raise NotHomomorphism("action matrices have the wrong shape or field")
-        if m.det().is_zero():
+        if m.det() == 0:
             raise NotHomomorphism("action matrices must be invertible")
     for x in range(acting.order):
         for y in range(acting.order):
@@ -240,27 +235,17 @@ def semidirect_product(
     if order > TABLE_LIMIT:
         raise LimitExceeded(f"product order {order} exceeds the table limit")
 
-    felems = field.elements()
-    vectors = sorted(itertools.product(range(u), repeat=dim))
+    vectors = list(itertools.product(range(u), repeat=dim))  # element indices, sorted
     vec_index = {v: i for i, v in enumerate(vectors)}
     h_count = acting.order
+    vsum = [[vec_index[tuple((a + b) % u for a, b in zip(v, w))] for w in vectors] for v in vectors]
+    # conjugation acts on the right: v^h = v * mat(h); products need mat(h)^-1,
+    # applied once per (h, vector) rather than once per table cell
+    moved = [[vec_index[mats[acting.inv(h)].apply(v)] for v in vectors] for h in range(h_count)]
 
-    # conjugation acts on the right: v^h = v * mat(h); products need mat(h)^-1
-    inv_mats = [mats[acting.inv(h)] for h in range(h_count)]
-
-    def act(v: tuple[int, ...], m: Mat) -> tuple[int, ...]:
-        image = m.apply(tuple(felems[c] for c in v))
-        return tuple(e.index for e in image)
-
-    size = len(vectors) * h_count
     table = []
-    for i in range(size):
-        v1, h1 = vectors[i // h_count], i % h_count
-        row = []
-        for j in range(size):
-            v2, h2 = vectors[j // h_count], j % h_count
-            moved = act(v2, inv_mats[h1])
-            vsum = tuple((a + b) % u for a, b in zip(v1, moved))
-            row.append(vec_index[vsum] * h_count + acting.mul(h1, h2))
-        table.append(tuple(row))
+    for v1 in range(len(vectors)):
+        for h1, h_row in enumerate(acting.table):
+            shifts = [vsum[v1][w] * h_count for w in moved[h1]]
+            table.append(tuple(shift + h for shift in shifts for h in h_row))
     return CayleyGroup(tuple(table), acting.identity)

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BadModulus,
@@ -29,6 +32,8 @@ from .errors import (
 )
 
 FIELD_SIZE_LIMIT = 10_000
+# matrix work runs on s x s index tables, about 26 MB in all at this size
+FIELD_TABLE_LIMIT = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -147,6 +152,11 @@ class FieldSpec:
         """All s field elements in canonical order."""
         return [self.from_index(i) for i in range(self.s)]
 
+    @property
+    def tables(self) -> "FieldTables":
+        """Arithmetic on element indices; built on first use, once per field."""
+        return _field_tables(self)
+
     def to_json(self) -> dict:
         return {"t": self.t, "k": self.k, "modulus": list(self.modulus)}
 
@@ -246,6 +256,38 @@ class FieldElem:
         return f"FieldElem{self.coeffs}"
 
 
+class FieldTables(NamedTuple):
+    """GF(s) arithmetic on element indices: index 0 is zero, index 1 is one.
+    add/sub/mul are s x s; inv[0] is 0 and stands for no inverse."""
+
+    add: tuple[tuple[int, ...], ...]
+    sub: tuple[tuple[int, ...], ...]
+    mul: tuple[tuple[int, ...], ...]
+    neg: tuple[int, ...]
+    inv: tuple[int, ...]
+
+
+@lru_cache(maxsize=8)
+def _field_tables(spec: FieldSpec) -> FieldTables:
+    # read off the polynomial arithmetic once; the engine only looks these up
+    if spec.s > FIELD_TABLE_LIMIT:
+        raise LimitExceeded(f"s = {spec.s} exceeds the field table limit {FIELD_TABLE_LIMIT}")
+    elems = spec.elements()
+    ids = tuple(range(spec.s))  # one int object per index, shared by all rows
+
+    def table(op):
+        return tuple(tuple(ids[op(a, b).index] for b in elems) for a in elems)
+
+    mul = table(operator.mul)
+    return FieldTables(
+        add=table(operator.add),
+        sub=table(operator.sub),
+        mul=mul,
+        neg=tuple((-a).index for a in elems),
+        inv=tuple(row.index(1) if i else 0 for i, row in enumerate(mul)),
+    )
+
+
 def field_make(t: int, k: int) -> FieldSpec:
     """Build GF(t^k) with the canonical (lexicographically least) modulus."""
     if not is_prime(t):
@@ -262,7 +304,3 @@ def field_make(t: int, k: int) -> FieldSpec:
         if _is_irreducible_int(poly, t):
             return FieldSpec(t, k, poly)
     raise AssertionError("no irreducible polynomial found; unreachable for prime t")
-
-
-def element_order(x: FieldElem) -> int:
-    return x.order()

@@ -10,6 +10,7 @@ instead of grinding.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .errors import (
     NotPrime,
     SingularGenerator,
 )
-from .gf import FieldElem, FieldSpec, is_prime, multiplicative_order
+from .gf import FieldSpec, is_prime, multiplicative_order, prime_factors
 
 GL_BRUTE_LIMIT = 1_000_000
 SPIN_LIMIT = 10_000
@@ -30,49 +31,52 @@ CLOSURE_LIMIT = 100_000
 
 @dataclass(frozen=True)
 class Mat:
-    """Square matrix over a FieldSpec; rows of FieldElem, row-vector action v*M."""
+    """Square matrix over a FieldSpec, row-vector action v*M. The entries are
+    field-element indices (FieldSpec.from_index), flat in row-major order."""
 
     spec: FieldSpec
-    rows: tuple[tuple[FieldElem, ...], ...]
+    entries: tuple[int, ...]
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def alpha(self) -> int:
-        return len(self.rows)
+        return math.isqrt(len(self.entries))
 
     @staticmethod
     def identity(alpha: int, spec: FieldSpec) -> "Mat":
-        one, zero = spec.one(), spec.zero()
-        return Mat(spec, tuple(tuple(one if i == j else zero for j in range(alpha)) for i in range(alpha)))
+        return Mat(spec, _identity_entries(alpha))
 
     @staticmethod
     def from_ints(spec: FieldSpec, entries) -> "Mat":
-        """Entries as ints (k = 1) or as coefficient lists."""
-        rows = []
-        for row in entries:
-            out = []
-            for e in row:
-                if isinstance(e, int):
-                    out.append(spec.element((e,) + (0,) * (spec.k - 1)))
-                else:
-                    out.append(spec.element(tuple(e)))
-            rows.append(tuple(out))
-        return Mat(spec, tuple(rows))
+        """Rows of entries, each an int (k = 1) or a coefficient list."""
+        rows = [list(row) for row in entries]
+        if any(len(row) != len(rows) for row in rows):
+            raise DegreeMismatch("matrix rows must have one entry per row")
+        flat = []
+        for e in itertools.chain.from_iterable(rows):
+            coeffs = (e,) + (0,) * (spec.k - 1) if isinstance(e, int) else tuple(e)
+            flat.append(spec.element(coeffs).index)
+        return Mat(spec, tuple(flat))
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.spec != other.spec:
             raise FieldMismatch("matrices over different fields")
-        if self.alpha != other.alpha:
+        if len(self.entries) != len(other.entries):
             raise DegreeMismatch("matrix dimensions differ")
-        cols = list(zip(*other.rows))
+        tab = self.spec.tables
+        add, mul = tab.add, tab.mul
+        n = self.alpha
+        a, cols = self.entries, [other.entries[j::n] for j in range(n)]
         out = []
-        for row in self.rows:
-            new_row = []
+        for i in range(0, n * n, n):
+            row = [mul[x] for x in a[i : i + n]]
             for col in cols:
-                acc = self.spec.zero()
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                new_row.append(acc)
-            out.append(tuple(new_row))
+                acc = 0
+                for mx, y in zip(row, col):
+                    acc = add[acc][mx[y]]
+                out.append(acc)
         return Mat(self.spec, tuple(out))
 
     def __pow__(self, e: int) -> "Mat":
@@ -87,57 +91,64 @@ class Mat:
             e >>= 1
         return result
 
-    def apply(self, vec: tuple[FieldElem, ...]) -> tuple[FieldElem, ...]:
-        """Row vector image v * M."""
-        out = [self.spec.zero()] * self.alpha
-        for vi, row in zip(vec, self.rows):
-            if not vi.is_zero():
-                out = [acc + vi * rj for acc, rj in zip(out, row)]
+    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """Row vector image v * M, on element indices."""
+        tab = self.spec.tables
+        n = len(vec)
+        out = [0] * n
+        for i, v in enumerate(vec):
+            if v:
+                mv = tab.mul[v]
+                out = [tab.add[o][mv[x]] for o, x in zip(out, self.entries[i * n : i * n + n])]
         return tuple(out)
 
-    def det(self) -> FieldElem:
-        work = [list(row) for row in self.rows]
+    def _rows(self) -> list[list[int]]:
         n = self.alpha
-        det = self.spec.one()
+        return [list(self.entries[i : i + n]) for i in range(0, n * n, n)]
+
+    def det(self) -> int:
+        """Determinant as an element index; 0 exactly when singular."""
+        tab = self.spec.tables
+        work = self._rows()
+        n = len(work)
+        det = 1
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
-                return self.spec.zero()
+                return 0
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
+                det = tab.neg[det]
+            det = tab.mul[det][work[col][col]]
+            inv = tab.inv[work[col][col]]
             for r in range(col + 1, n):
-                factor = work[r][col] * inv
-                if not factor.is_zero():
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                factor = tab.mul[work[r][col]][inv]
+                if factor:
+                    work[r] = _row_sub(tab, work[r], factor, work[col])
         return det
 
     def inverse(self) -> "Mat":
+        tab = self.spec.tables
         n = self.alpha
-        one, zero = self.spec.one(), self.spec.zero()
-        work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(self.rows)]
+        work = [a + b for a, b in zip(self._rows(), Mat.identity(n, self.spec)._rows())]
         for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
                 raise SingularGenerator("matrix is not invertible")
             work[col], work[pivot] = work[pivot], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [a * inv for a in work[col]]
+            inv = tab.mul[tab.inv[work[col][col]]]
+            work[col] = [inv[a] for a in work[col]]
             for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Mat(self.spec, tuple(tuple(row[n:]) for row in work))
+                if r != col and work[r][col]:
+                    work[r] = _row_sub(tab, work[r], work[r][col], work[col])
+        return Mat(self.spec, tuple(e for row in work for e in row[n:]))
 
     def is_identity(self) -> bool:
-        return self == Mat.identity(self.alpha, self.spec)
+        return self.entries == _identity_entries(self.alpha)
 
     def order(self) -> int:
-        ident = Mat.identity(self.alpha, self.spec)
         e, x = 1, self
-        while x != ident:
+        while not x.is_identity():
             x = x * self
             e += 1
             if e > GL_BRUTE_LIMIT:
@@ -146,10 +157,21 @@ class Mat:
 
     def key(self) -> tuple:
         """Row-major entry indices; the canonical total order on matrices."""
-        return tuple(e.index for row in self.rows for e in row)
+        return self.entries
 
     def to_json(self) -> list:
-        return [[list(e.coeffs) for e in row] for row in self.rows]
+        return [[list(self.spec.from_index(e).coeffs) for e in row] for row in self._rows()]
+
+
+@lru_cache(maxsize=None)
+def _identity_entries(alpha: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(alpha) for j in range(alpha))
+
+
+def _row_sub(tab, row, factor, other) -> list[int]:
+    """row - factor * other, entrywise on element indices."""
+    mf = tab.mul[factor]
+    return [tab.sub[a][mf[b]] for a, b in zip(row, other)]
 
 
 @dataclass(frozen=True)
@@ -167,9 +189,6 @@ class MatGroup:
 
     def element_set(self) -> frozenset[Mat]:
         return frozenset(self.elements)
-
-    def key(self) -> tuple:
-        return tuple(m.key() for m in self.elements)
 
 
 def gl_order(alpha: int, spec: FieldSpec) -> int:
@@ -193,7 +212,7 @@ def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
             raise FieldMismatch("generators over different fields")
         if g.alpha != alpha:
             raise DegreeMismatch("generators of different dimensions")
-        if g.det().is_zero():
+        if g.det() == 0:
             raise SingularGenerator("generator is singular")
     ident = Mat.identity(alpha, spec)
     active = [g for g in dict.fromkeys(gens) if not g.is_identity()]
@@ -257,59 +276,48 @@ def group_from_mats(alpha: int, spec: FieldSpec, elems) -> MatGroup:
 
 
 @lru_cache(maxsize=32)
-def _gl_elements_cached(alpha: int, spec: FieldSpec, limit: int) -> tuple[Mat, ...]:
+def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[Mat, ...]:
+    """All of GL(alpha, s) in row-major entry order (cached)."""
     if gl_order(alpha, spec) > limit:
         raise LimitExceeded(
             f"|GL({alpha}, {spec.s})| = {gl_order(alpha, spec)} exceeds brute-force limit {limit}"
         )
-    field_elems = spec.elements()
-    out = []
-    for flat in itertools.product(range(spec.s), repeat=alpha * alpha):
-        rows = tuple(
-            tuple(field_elems[flat[i * alpha + j]] for j in range(alpha)) for i in range(alpha)
-        )
-        m = Mat(spec, rows)
-        if not m.det().is_zero():
-            out.append(m)
-    return tuple(out)
-
-
-def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[Mat, ...]:
-    """All of GL(alpha, s) in row-major entry order (cached)."""
-    return _gl_elements_cached(alpha, spec, limit)
+    candidates = (Mat(spec, flat) for flat in itertools.product(range(spec.s), repeat=alpha * alpha))
+    return tuple(m for m in candidates if m.det())
 
 
 # ---------------------------------------------------------------------------
-# subspaces and irreducibility
+# subspaces and irreducibility; vectors are tuples of element indices
 
 
-def _reduce_against(basis: list[tuple[FieldElem, ...]], vec):
+def _lead(vec) -> int:
+    return next(i for i, e in enumerate(vec) if e)
+
+
+def _reduce_against(basis: list[tuple[int, ...]], vec, tab):
     """Reduce vec against an echelonised basis; returns the residue."""
     v = list(vec)
     for b in basis:
-        lead = next(i for i, e in enumerate(b) if not e.is_zero())
-        if not v[lead].is_zero():
-            factor = v[lead] * b[lead].inverse()
-            v = [a - factor * c for a, c in zip(v, b)]
+        lead = _lead(b)
+        if v[lead]:
+            v = _row_sub(tab, v, tab.mul[v[lead]][tab.inv[b[lead]]], b)
     return tuple(v)
 
 
-def _basis_insert(basis: list, vec) -> bool:
-    res = _reduce_against(basis, vec)
-    if all(e.is_zero() for e in res):
+def _basis_insert(basis: list, vec, tab) -> bool:
+    res = _reduce_against(basis, vec, tab)
+    if not any(res):
         return False
     basis.append(res)
-    basis.sort(key=lambda b: next(i for i, e in enumerate(b) if not e.is_zero()))
+    basis.sort(key=_lead)
     return True
 
 
 def _lines(alpha: int, spec: FieldSpec):
     """One representative per 1-dimensional subspace: first nonzero entry is 1."""
-    elems = spec.elements()
-    one = spec.one()
     for lead in range(alpha):
-        prefix = (spec.zero(),) * lead + (one,)
-        for tail in itertools.product(elems, repeat=alpha - lead - 1):
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(range(spec.s), repeat=alpha - lead - 1):
             yield prefix + tail
 
 
@@ -319,15 +327,16 @@ def is_irreducible(G: MatGroup, spin_limit: int = SPIN_LIMIT) -> bool:
         raise LimitExceeded(f"s^alpha = {G.spec.s ** G.alpha} exceeds spin limit {spin_limit}")
     if G.alpha == 1:
         return True
+    tab = G.spec.tables
     for line in _lines(G.alpha, G.spec):
         basis: list = []
-        _basis_insert(basis, line)
+        _basis_insert(basis, line, tab)
         queue = [line]
         while queue and len(basis) < G.alpha:
             v = queue.pop()
             for g in G.generators:
                 w = g.apply(v)
-                if _basis_insert(basis, w):
+                if _basis_insert(basis, w, tab):
                     queue.append(w)
         if len(basis) < G.alpha:
             return False
@@ -335,51 +344,39 @@ def is_irreducible(G: MatGroup, spin_limit: int = SPIN_LIMIT) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Singer subgroups: multiplication by a generator of GF(s^alpha)*
+# Singer subgroups: multiplication by a generator of GF(s^alpha)*.
+# Polynomials over GF(s) are tuples of element indices, ascending degree.
 
 
-def _ext_poly_mul(a, b, modulus, spec):
-    k = len(a)
-    prod = [spec.zero()] * (2 * k - 1)
+def _ext_poly_mul(a, b, modulus, tab):
+    prod = [0] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
-        if not ai.is_zero():
+        if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = prod[i + j] + ai * bj
-    # reduce by the monic modulus
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if not c.is_zero():
-            for j in range(k + 1):
-                prod[i - k + j] = prod[i - k + j] - c * modulus[j]
-    return tuple(prod[:k])
+                prod[i + j] = tab.add[prod[i + j]][tab.mul[ai][bj]]
+    return _ext_rem(prod, modulus, tab)
 
 
-def _ext_divides(div, poly, spec) -> bool:
-    num = list(poly)
-    dd = len(div) - 1
+def _ext_rem(num, div, tab) -> tuple[int, ...]:
+    """Remainder of num modulo the monic div, with deg div coefficients."""
+    num, dd = list(num), len(div) - 1
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if not c.is_zero():
-            for j in range(dd + 1):
-                num[i - dd + j] = num[i - dd + j] - c * div[j]
-    return all(e.is_zero() for e in num[:dd])
+        if num[i]:
+            num[i - dd : i + 1] = _row_sub(tab, num[i - dd : i + 1], num[i], div)
+    return tuple(num[:dd])
 
 
 @lru_cache(maxsize=32)
 def _ext_modulus(spec: FieldSpec, degree: int):
     """Least monic irreducible degree-d polynomial over GF(s), high-to-low order."""
-    elems = spec.elements()
+    tab = spec.tables
     for high_to_low in itertools.product(range(spec.s), repeat=degree):
-        poly = tuple(elems[i] for i in reversed(high_to_low)) + (spec.one(),)
-        reducible = False
-        for d in range(1, degree // 2 + 1):
-            for lower in itertools.product(elems, repeat=d):
-                if _ext_divides(tuple(lower) + (spec.one(),), poly, spec):
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
+        poly = high_to_low[::-1] + (1,)
+        if not any(
+            not any(_ext_rem(poly, lower + (1,), tab))
+            for d in range(1, degree // 2 + 1)
+            for lower in itertools.product(range(spec.s), repeat=d)
+        ):
             return poly
     raise AssertionError("no irreducible polynomial over the base field; unreachable")
 
@@ -392,46 +389,40 @@ def singer_generator(alpha: int, spec: FieldSpec, spin_limit: int = SPIN_LIMIT) 
         raise LimitExceeded(f"s^alpha = {size} exceeds limit {spin_limit}")
     if alpha == 1:
         # GL(1, s): first generator of the multiplicative group
-        for cand in spec.elements()[1:]:
-            if cand.order() == spec.s - 1:
-                return Mat(spec, ((cand,),))
+        for c in range(1, spec.s):
+            if Mat(spec, (c,)).order() == spec.s - 1:
+                return Mat(spec, (c,))
         raise AssertionError("multiplicative group of a field is cyclic; unreachable")
+    tab = spec.tables
     modulus = _ext_modulus(spec, alpha)
-    zero, one = spec.zero(), spec.one()
     order = size - 1
-    from .gf import prime_factors
-
     crit = [order // u for u in prime_factors(order)]
-    ident = (one,) + (zero,) * (alpha - 1)
+    ident = (1,) + (0,) * (alpha - 1)
 
     def ext_pow(g, e):
         result = ident
         base = g
         while e:
             if e & 1:
-                result = _ext_poly_mul(result, base, modulus, spec)
-            base = _ext_poly_mul(base, base, modulus, spec)
+                result = _ext_poly_mul(result, base, modulus, tab)
+            base = _ext_poly_mul(base, base, modulus, tab)
             e >>= 1
         return result
 
-    elems = spec.elements()
     gen = None
-    for flat in itertools.product(range(spec.s), repeat=alpha):
-        cand = tuple(elems[i] for i in flat)
-        if all(e.is_zero() for e in cand):
-            continue
-        if all(ext_pow(cand, c) != ident for c in crit):
+    for cand in itertools.product(range(spec.s), repeat=alpha):
+        if any(cand) and all(ext_pow(cand, c) != ident for c in crit):
             gen = cand
             break
     assert gen is not None
     # row i is the coordinate vector of basis_i * gen
-    rows = []
+    entries = []
     basis_elem = ident
-    x = (zero, one) + (zero,) * (alpha - 2)
+    x = (0, 1) + (0,) * (alpha - 2)
     for _ in range(alpha):
-        rows.append(_ext_poly_mul(basis_elem, gen, modulus, spec))
-        basis_elem = _ext_poly_mul(basis_elem, x, modulus, spec)
-    return Mat(spec, tuple(rows))
+        entries += _ext_poly_mul(basis_elem, gen, modulus, tab)
+        basis_elem = _ext_poly_mul(basis_elem, x, modulus, tab)
+    return Mat(spec, tuple(entries))
 
 
 def singer_subgroup(alpha: int, spec: FieldSpec, spin_limit: int = SPIN_LIMIT) -> MatGroup:
@@ -444,14 +435,12 @@ def singer_subgroup(alpha: int, spec: FieldSpec, spin_limit: int = SPIN_LIMIT) -
 
 def _embed_block(block: Mat, position: int, alpha: int) -> Mat:
     """Identity matrix with `block` placed on the diagonal at the position."""
-    spec = block.spec
     d = block.alpha
-    ident = Mat.identity(alpha, spec)
-    rows = [list(row) for row in ident.rows]
+    entries = list(_identity_entries(alpha))
     for i in range(d):
-        for j in range(d):
-            rows[position + i][position + j] = block.rows[i][j]
-    return Mat(spec, tuple(tuple(row) for row in rows))
+        start = (position + i) * alpha + position
+        entries[start : start + d] = block.entries[i * d : i * d + d]
+    return Mat(block.spec, tuple(entries))
 
 
 def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
@@ -493,29 +482,26 @@ def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Ma
     return None
 
 
-def elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int = GL_BRUTE_LIMIT):
+def _powers(x: Mat) -> list[Mat]:
+    out, y = [Mat.identity(x.alpha, x.spec)], x
+    while not y.is_identity():
+        out.append(y)
+        y = y * x
+    return out
+
+
+@lru_cache(maxsize=8)
+def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
     """All elementary abelian r-subgroups of GL(alpha, s), plus which are
-    maximal among such. Returns (all_subgroups, maximal_subgroups) as lists of
-    frozensets of Mat."""
+    maximal among such: (all_subgroups, maximal_subgroups) as sorted tuples
+    of frozensets of Mat. Cached: both classifications read the same scan."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
     if r == spec.t:
         raise CharacteristicConflict(f"r = {r} equals the field characteristic")
-    gl = gl_elements(alpha, spec, limit)
-    ident = Mat.identity(alpha, spec)
-    order_r = [m for m in gl if m.order() == r]
-    seen: dict[frozenset, bool] = {}
-    frontier: list[frozenset] = []
-    for x in order_r:
-        powers = [ident]
-        y = x
-        while not y.is_identity():
-            powers.append(y)
-            y = y * x
-        h = frozenset(powers)
-        if h not in seen:
-            seen[h] = True
-            frontier.append(h)
+    order_r = [m for m in gl_elements(alpha, spec, limit) if m.order() == r]
+    seen = dict.fromkeys(frozenset(_powers(x)) for x in order_r)
+    frontier = list(seen)
     maximal = []
     while frontier:
         new_frontier = []
@@ -527,35 +513,34 @@ def elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int = G
                 maximal.append(h)
                 continue
             for y in extensions:
-                powers = [ident]
-                z = y
-                while not z.is_identity():
-                    powers.append(z)
-                    z = z * y
-                bigger = frozenset(a * b for a in h for b in powers)
+                bigger = frozenset(a * b for a in h for b in _powers(y))
                 if bigger not in seen:
-                    seen[bigger] = True
+                    seen[bigger] = None
                     new_frontier.append(bigger)
         frontier = new_frontier
-    all_subs = sorted(seen, key=lambda s: tuple(sorted(m.key() for m in s)))
-    maximal = sorted(set(maximal), key=lambda s: tuple(sorted(m.key() for m in s)))
-    return all_subs, maximal
+
+    def subgroup_key(sub):
+        return tuple(sorted(m.key() for m in sub))
+
+    return tuple(sorted(seen, key=subgroup_key)), tuple(sorted(set(maximal), key=subgroup_key))
 
 
-def _classes_of(subgroup_sets, alpha, spec, limit) -> list[list[MatGroup]]:
-    """Group subgroup element-sets into GL-conjugacy classes."""
+def _class_reps(groups, limit) -> list[MatGroup]:
+    """One representative per GL-conjugacy class, canonically ordered."""
     classes: list[list[MatGroup]] = []
-    for elems in subgroup_sets:
-        grp = group_from_mats(alpha, spec, elems)
-        placed = False
-        for cls in classes:
-            if conjugate_in_gl(cls[0], grp, limit) is not None:
-                cls.append(grp)
-                placed = True
-                break
-        if not placed:
+    for grp in groups:
+        cls = next((c for c in classes if conjugate_in_gl(c[0], grp, limit) is not None), None)
+        if cls is None:
             classes.append([grp])
-    return classes
+        else:
+            cls.append(grp)
+
+    def gens_key(g):
+        return tuple(m.key() for m in g.generators)
+
+    reps = [min(cls, key=gens_key) for cls in classes]
+    reps.sort(key=lambda g: (g.order, gens_key(g)))
+    return reps
 
 
 def classify_elem_abelian_r(
@@ -563,14 +548,8 @@ def classify_elem_abelian_r(
 ) -> list[MatGroup]:
     """One representative per conjugacy class of subgroups maximal among the
     elementary abelian r-subgroups of GL(alpha, s), canonically ordered."""
-    _, maximal = elem_abelian_r_subgroups(alpha, spec, r, limit)
-    classes = _classes_of(maximal, alpha, spec, limit)
-    reps = []
-    for cls in classes:
-        rep = min(cls, key=lambda g: tuple(m.key() for m in g.generators))
-        reps.append(rep)
-    reps.sort(key=lambda g: (g.order, tuple(m.key() for m in g.generators)))
-    return reps
+    _, maximal = _elem_abelian_r_subgroups(alpha, spec, r, limit)
+    return _class_reps((group_from_mats(alpha, spec, s) for s in maximal), limit)
 
 
 def irreducible_elem_abelian_r_classes(
@@ -578,12 +557,9 @@ def irreducible_elem_abelian_r_classes(
 ) -> list[MatGroup]:
     """Conjugacy classes of nontrivial irreducible elementary abelian
     r-subgroups (the single-class claim oracle)."""
-    all_subs, _ = elem_abelian_r_subgroups(alpha, spec, r, limit)
-    irr = [s for s in all_subs if is_irreducible(group_from_mats(alpha, spec, s))]
-    classes = _classes_of(irr, alpha, spec, limit)
-    reps = [min(cls, key=lambda g: tuple(m.key() for m in g.generators)) for cls in classes]
-    reps.sort(key=lambda g: (g.order, tuple(m.key() for m in g.generators)))
-    return reps
+    all_subs, _ = _elem_abelian_r_subgroups(alpha, spec, r, limit)
+    groups = (group_from_mats(alpha, spec, s) for s in all_subs)
+    return _class_reps((g for g in groups if is_irreducible(g)), limit)
 
 
 # ---------------------------------------------------------------------------

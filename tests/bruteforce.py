@@ -145,3 +145,70 @@ def naive_irreducible_quadratics(t):
             if not poly_has_root(poly, t):
                 out.append(poly)
     return out
+
+
+# -- square matrices as rows of FieldElem ---------------------------------------
+
+
+def naive_mat_mul(a, b):
+    """Row-by-column product, every entry a sum of FieldElem products."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def naive_det(a):
+    """Leibniz formula: the signed sum over all permutations."""
+    n = len(a)
+    total = a[0][0] - a[0][0]
+    for perm in itertools.permutations(range(n)):
+        term = a[0][perm[0]]
+        for i in range(1, n):
+            term = term * a[i][perm[i]]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+# -- loops: Latin squares with an identity ---------------------------------------
+
+
+def naive_is_associative(table):
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def reduced_latin_squares(n, rnd=None):
+    """Every Latin square whose first row and column read 0..n-1, that is
+    every loop of order n with identity 0, by cell-by-cell backtracking.
+    With a random.Random, candidates are tried in shuffled order."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in rows)
+            return
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        candidates = [x for x in range(n) if x not in used]
+        if rnd is not None:
+            rnd.shuffle(candidates)
+        for x in candidates:
+            rows[i][j] = x
+            yield from fill(k + 1)
+
+    yield from fill(0)

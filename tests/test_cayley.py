@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroups import cayley, matgrp
 from agroups.cayley import (
@@ -20,6 +24,8 @@ from agroups.cayley import (
 from agroups.errors import InvalidParams, LimitExceeded, NotNormal
 from agroups.gf import field_make
 from agroups.perm import PermGroup, parse_cycles
+
+from bruteforce import naive_is_associative, reduced_latin_squares
 
 
 def pgroup(degree, *texts):
@@ -68,6 +74,71 @@ def test_validation_rejects_bad_tables():
     )
     with pytest.raises(InvalidParams):
         CayleyGroup(rows, 0)
+
+
+def accepts(table, identity):
+    try:
+        CayleyGroup(table, identity)
+    except InvalidParams:
+        return False
+    return True
+
+
+def test_rejects_switched_intercalate_at_order_256():
+    # (C2)^8 with one 2 x 2 subsquare switched: still a Latin square with
+    # identity 0, but 4,048 of its triples are not associative
+    rows = [[i ^ j for j in range(256)] for i in range(256)]
+    for i in (1, 5):
+        rows[i][2], rows[i][6] = rows[i][6], rows[i][2]
+    with pytest.raises(InvalidParams, match="associativity"):
+        CayleyGroup(tuple(tuple(r) for r in rows), 0)
+
+
+def test_rejects_loop_whose_first_generator_associates():
+    # Q x C2 for the order-5 non-associative loop Q, element (q, c) at index
+    # 2q + c: index 1 = (e, 1) is in the nucleus, so the defect only shows
+    # at a later generator
+    q = (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    )
+    table = tuple(
+        tuple(2 * q[a // 2][b // 2] + (a + b) % 2 for b in range(10)) for a in range(10)
+    )
+    assert not naive_is_associative(table)
+    assert not accepts(table, 0)
+
+
+def test_light_matches_exhaustive_on_every_loop_up_to_order_5():
+    seen = 0
+    for n in range(1, 6):
+        for table in reduced_latin_squares(n):
+            assert accepts(table, 0) == naive_is_associative(table)
+            seen += 1
+    assert seen == 1 + 1 + 1 + 4 + 56  # reduced Latin squares of orders 1..5
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32))
+def test_light_matches_exhaustive_on_random_loops(n, from_group, seed):
+    # a random loop, or a cyclic group, under a random relabelling that also
+    # moves the identity
+    rnd = random.Random(seed)
+    if from_group:
+        table = cyclic_table(n).table
+    else:
+        table = next(reduced_latin_squares(n, rnd))
+    relabel = list(range(n))
+    rnd.shuffle(relabel)
+    moved = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            moved[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    moved = tuple(tuple(r) for r in moved)
+    assert accepts(moved, relabel[0]) == naive_is_associative(moved)
 
 
 def test_fingerprint_fields():

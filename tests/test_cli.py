@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,39 @@ def test_census_byte_identical(capsys):
     code2, out2 = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# stdout SHA-256 digests recorded before the integer field and matrix kernel
+# replaced FieldElem matrices; any change in a report changes its digest
+GOLDEN_STDOUT = [
+    pytest.param(
+        ["classify-gl", "--alpha", "2", "--s", "3", "--r", "2"],
+        "66009ad625b994de3ee462d4afcc998c7c1c2e8c54588e84500b67b445b4bd70",
+        id="gl-2.3-r2",
+    ),
+    pytest.param(
+        ["classify-gl", "--alpha", "3", "--s", "2", "--r", "7"],
+        "a4ab1fe31bc6878f42a5d1626ffef7c9a9f184db9cb3c3ac0b6dd49b862d302e",
+        id="gl-3.2-r7",
+    ),
+    pytest.param(
+        ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--beta", "1", "--gamma", "1"],
+        "6950c215b421a7c18f96c8b248a3c0c4524c80c0cb338e3d1e0dd6e4a52958e6",
+        id="census-2.3.5-2.1.1",
+    ),
+    pytest.param(
+        ["construct-primitive", "--q", "2", "--r", "7"],
+        "97d04cf039fd83256842e1d21d9becc86cb5cf0abfe953b81e5241ceefe33186",
+        id="construct-8",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT)
+def test_stdout_matches_recorded_digest(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_primitive(capsys):
@@ -129,6 +163,13 @@ def test_invalid_params_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "InvalidParams" in captured.err
+
+
+def test_classify_gl_field_above_table_limit_fails_fast(capsys):
+    code = cli.main(["classify-gl", "--alpha", "1", "--s", "1031", "--r", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "LimitExceeded" in captured.err and "field table limit" in captured.err
 
 
 def test_text_format(capsys):

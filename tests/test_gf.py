@@ -89,6 +89,65 @@ def test_gf3_inverse():
     assert two.inverse() == two  # 2 * 2 = 4 = 1
 
 
+SMALL_FIELDS = [(t, k) for t in range(2, 33) if gf.is_prime(t) for k in range(1, 6) if t**k <= 32]
+
+
+def test_field_tables_satisfy_the_axioms():
+    # exhaustive over every field with s <= 32, read through the tables only
+    assert len(SMALL_FIELDS) == 18
+    for t, k in SMALL_FIELDS:
+        spec = gf.field_make(t, k)
+        tab = spec.tables
+        add, mul, elems = tab.add, tab.mul, range(spec.s)
+        for a in elems:
+            assert add[0][a] == a and mul[1][a] == a and mul[0][a] == 0
+            assert add[a][tab.neg[a]] == 0
+            assert a == 0 or mul[a][tab.inv[a]] == 1
+            for b in elems:
+                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+                assert tab.sub[a][b] == add[a][tab.neg[b]]
+                for c in elems:
+                    assert add[add[a][b]][c] == add[a][add[b][c]]
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
+def test_prime_field_tables_are_residue_arithmetic():
+    for t, k in SMALL_FIELDS:
+        if k != 1:
+            continue
+        tab = gf.field_make(t, 1).tables
+        for a in range(t):
+            assert tab.neg[a] == -a % t
+            assert a == 0 or tab.inv[a] == pow(a, t - 2, t)
+            for b in range(t):
+                assert tab.add[a][b] == (a + b) % t
+                assert tab.sub[a][b] == (a - b) % t
+                assert tab.mul[a][b] == a * b % t
+
+
+def test_field_tables_limit():
+    big = gf.field_make(1031, 1)
+    assert big.s > gf.FIELD_TABLE_LIMIT
+    assert (big.one() + big.one()).index == 2  # element arithmetic still works
+    with pytest.raises(LimitExceeded):
+        big.tables
+
+
+def test_field_tables_are_not_built_at_import():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gf.__file__).parents[1]))
+    code = "import agroups, agroups.gf as g; print(g._field_tables.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "0"
+
+
 def test_element_order_examples():
     gf4 = gf.field_make(2, 2)
     assert gf4.element((0, 1)).order() == 3

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from agroups import matgrp
@@ -8,6 +10,8 @@ from agroups.errors import (
 )
 from agroups.gf import field_make
 from agroups.matgrp import Mat, closure, gl_elements, gl_order
+
+from bruteforce import naive_det, naive_mat_mul
 
 
 GF2 = field_make(2, 1)
@@ -34,9 +38,9 @@ def test_gl_order_examples():
 def test_matrix_inverse_and_det():
     m = M3((1, 1), (0, 1))
     assert (m * m.inverse()).is_identity()
-    assert not m.det().is_zero()
+    assert m.det() != 0
     singular = M3((1, 2), (2, 4))
-    assert singular.det().is_zero()
+    assert singular.det() == 0
     with pytest.raises(SingularGenerator):
         singular.inverse()
 
@@ -71,6 +75,62 @@ def test_gl_elements_complete_and_deterministic():
     assert closure(list(elems)).order == 6
 
 
+# -- the integer kernel against FieldElem arithmetic ----------------------------
+
+
+def as_elems(m):
+    """The matrix as rows of FieldElem."""
+    n = m.alpha
+    return [[m.spec.from_index(e) for e in m.entries[i * n : i * n + n]] for i in range(n)]
+
+
+def indices(rows):
+    return tuple(e.index for row in rows for e in row)
+
+
+@pytest.mark.parametrize("alpha, s", [(2, 2), (2, 3), (3, 2)])
+def test_products_match_naive_on_all_pairs(alpha, s):
+    gl = gl_elements(alpha, field_make(s, 1))
+    rows = {m: as_elems(m) for m in gl}
+    for a in gl:
+        for b in gl:
+            assert (a * b).entries == indices(naive_mat_mul(rows[a], rows[b]))
+
+
+@pytest.mark.parametrize("alpha, t, k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 5, 1)])
+def test_det_matches_leibniz_on_every_matrix(alpha, t, k):
+    spec = field_make(t, k)
+    invertible = []
+    for flat in itertools.product(range(spec.s), repeat=alpha * alpha):
+        m = Mat(spec, flat)
+        d = naive_det(as_elems(m)).index
+        assert m.det() == d
+        if d:
+            invertible.append(m)
+    assert list(gl_elements(alpha, spec)) == invertible
+    assert len(invertible) == gl_order(alpha, spec)
+
+
+@pytest.mark.parametrize("t, k", [(2, 2), (5, 1)])
+def test_kernel_matches_naive_on_generator_pairs(t, k):
+    spec = field_make(t, k)
+    gens = [
+        matgrp.singer_generator(2, spec),
+        Mat.from_ints(spec, ((1, 1), (0, 1))),
+        Mat.from_ints(spec, ((0, 1), (1, 0))),
+    ]
+    zero = spec.zero()
+    for m in gl_elements(2, spec):
+        assert (m * m.inverse()).is_identity()
+        for g in gens:
+            assert (m * g).entries == indices(naive_mat_mul(as_elems(m), as_elems(g)))
+            assert (g * m).entries == indices(naive_mat_mul(as_elems(g), as_elems(m)))
+    for v in itertools.product(range(spec.s), repeat=2):
+        as_row = [[spec.from_index(c) for c in v], [zero, zero]]
+        for g in gens:
+            assert g.apply(v) == indices(naive_mat_mul(as_row, as_elems(g))[:1])
+
+
 # -- irreducibility -------------------------------------------------------------
 
 
@@ -91,10 +151,10 @@ def test_irreducibility_matches_invariant_line_scan_gl23():
         has_invariant_line = False
         for v in lines:
             img = mat.apply(v)
-            # img parallel to v?
+            # img parallel to v? (GF(3) element indices are residues)
             a, b = v
             c, d = img
-            if (a * d - b * c).is_zero():
+            if (a * d - b * c) % 3 == 0:
                 has_invariant_line = True
                 break
         assert matgrp.is_irreducible(G) == (not has_invariant_line)
@@ -137,7 +197,7 @@ def test_maximal_ar_examples():
     assert H is not None and H.order == 4
     # diagonal +-1 type: every generator is diagonal
     for g in H.generators:
-        assert g.rows[0][1].is_zero() and g.rows[1][0].is_zero()
+        assert g.entries[1] == 0 and g.entries[2] == 0
 
     K = matgrp.maximal_ar_subgroup(3, GF2, 3)
     assert K is not None and K.order == 3  # d = 2, k = 1, identity block
