@@ -17,7 +17,6 @@ from .cayley import (
     cayley_from,
     in_variety,
     quotient,
-    sylow_system,
     verbal_ar_subgroup,
 )
 from .census import (
@@ -46,9 +45,7 @@ from .perm import (
     PermGroup,
     fitting_subgroup,
     minimal_normal_subgroups,
-    o_coprime,
     subgroup_conjugate,
-    sylow_subgroup,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +81,6 @@ __all__ = [
     "maximal_ar_subgroup",
     "minimal_normal_subgroups",
     "multiplicative_order",
-    "o_coprime",
     "primitive_aqar_group",
     "prop41_bound",
     "quotient",
@@ -94,8 +90,6 @@ __all__ = [
     "singer_subgroup",
     "soluble_sn_bound",
     "subgroup_conjugate",
-    "sylow_subgroup",
-    "sylow_system",
     "theorem_a_bound",
     "verbal_ar_subgroup",
     "verify_theorem_b",

@@ -1,9 +1,12 @@
 """Abstract finite groups as multiplication tables.
 
-Subgroups of a table group are frozensets of element indices; use
-subgroup_table to materialise one as its own CayleyGroup. Isomorphism testing
-is fingerprint comparison followed by generator-image backtracking, and the
-same backtracking engine enumerates homomorphisms into matrix groups for the
+Subgroups of a table group are frozensets of element indices. The subgroup
+kernel here (closure, coset extension, greedy generators, normal closure,
+verbal subgroups, lattice scan, Fitting subgroup) runs on any group given by
+a product, an identity and an inverse, so the permutation and matrix layers
+bind it instead of keeping copies. Isomorphism testing is fingerprint
+comparison followed by generator-image backtracking, and the same
+backtracking engine enumerates homomorphisms into matrix groups for the
 census oracle.
 """
 
@@ -11,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import InvalidParams, LimitExceeded, NoSystemFound, NotNormal
+from .errors import InvalidParams, LimitExceeded, NotNormal
 from .gf import is_prime, prime_factors
 
 TABLE_LIMIT = 400
@@ -43,25 +46,26 @@ class CayleyGroup:
         ):
             raise InvalidParams("identity index does not act as identity")
         # Light's test: the g with (x g) y = x (g y) for all x, y are closed
-        # under products, so a generating set read off the table suffices.
+        # under products, so a generating set read off the table suffices
+        # (coset extension only ever multiplies elements already reached).
         # Inverses exist already: every row is a permutation, so it holds e.
         t = self.table
-        reached, gens = {e}, []
-        for x in range(n):
-            if x in reached:
-                continue
-            gens.append(x)
-            frontier = list(reached)
-            while frontier:
-                new = {t[c][g] for c in frontier for g in gens} - reached
-                reached |= new
-                frontier = list(new)
-        for g in gens:
+        for g in self.generators:
             for x, row in enumerate(t):
                 left, right = t[row[g]], tuple(map(row.__getitem__, t[g]))
                 if left != right:
                     y = next(y for y in range(n) if left[y] != right[y])
                     raise InvalidParams(f"associativity fails at ({x}, {g}, {y})")
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy generators in index order: Light's test and every normal
+        closure in the table run on these."""
+        return tuple(greedy_generators(self, range(len(self.table))))
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        return tuple(row.index(self.identity) for row in self.table)
 
     @property
     def order(self) -> int:
@@ -71,7 +75,7 @@ class CayleyGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self.table[a].index(self.identity)
+        return self.inverses[a]
 
     def conj(self, a: int, by: int) -> int:
         return self.mul(self.mul(self.inv(by), a), by)
@@ -84,14 +88,7 @@ class CayleyGroup:
         return e
 
     def elem_pow(self, a: int, e: int) -> int:
-        result = self.identity
-        x = a
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return result
+        return _power(self, a, e)
 
     def exponent(self) -> int:
         return math.lcm(*(self.elem_order(a) for a in range(self.order)))
@@ -187,139 +184,220 @@ def cayley_from(source, limit: int = TABLE_LIMIT) -> CayleyGroup:
 
 
 # ---------------------------------------------------------------------------
-# subgroups as index sets
+# the subgroup kernel
+#
+# Every function here takes a group G given by G.mul(a, b), G.identity and,
+# where conjugates are needed, G.inv(a): a CayleyGroup on element indices, or
+# the permutation and matrix interfaces perm.perm_ops and matgrp.mat_ops.
+# Subgroups are frozensets of elements.
 
 
-def subgroup_closure(G: CayleyGroup, seed) -> frozenset[int]:
-    """Subgroup generated by the seed indices (word closure; finiteness
-    supplies inverses)."""
-    gens = sorted(set(seed) - {G.identity})
-    elems = {G.identity}
-    frontier = [G.identity]
+def _power(G, a, e: int):
+    result, mul = G.identity, G.mul
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def subgroup_closure(G, seed, cap: int | None = None) -> frozenset | None:
+    """Subgroup generated by the seed elements (word closure; finiteness
+    supplies inverses). With a cap, None once it exceeds cap elements."""
+    mul, e = G.mul, G.identity
+    gens = [g for g in dict.fromkeys(seed) if g != e]
+    elems, frontier = {e, *gens}, gens
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = G.mul(x, g)
+                y = mul(x, g)
                 if y not in elems:
                     elems.add(y)
                     new.append(y)
+                    if cap is not None and len(elems) > cap:
+                        return None
         frontier = new
-    return frozenset(elems)
+    return frozenset(elems) if cap is None or len(elems) <= cap else None
 
 
-def extend_subgroup(G: CayleyGroup, sub: frozenset[int], gens, new: int) -> frozenset[int]:
-    """<sub, new> by coset BFS over the table."""
+def extend_subgroup(G, sub, gens, new, cap: int | None = None) -> frozenset | None:
+    """<sub, new> for sub = <gens>, by coset BFS so cost scales with output.
+
+    With a cap, returns None as soon as the result exceeds it (cheap
+    rejection for lattice scans that only want bounded subgroups).
+    """
     if new in sub:
-        return sub
-    mults = list(gens) + [new]
+        return frozenset(sub)
+    mul = G.mul
+    mults = [*gens, new]
     out = set(sub)
     reps = [G.identity]
-    i = 0
-    while i < len(reps):
-        u = reps[i]
-        i += 1
+    for u in reps:  # reps grows by one coset representative per new coset
         for m in mults:
-            v = G.mul(u, m)
+            v = mul(u, m)
             if v not in out:
-                out.update(G.mul(h, v) for h in sub)
+                out.update([mul(h, v) for h in sub])
                 reps.append(v)
+                if cap is not None and len(out) > cap:
+                    return None
     return frozenset(out)
 
 
-def greedy_subgroup_generators(G: CayleyGroup, sub: frozenset[int]) -> list[int]:
-    ordered = sorted(sub, key=lambda a: (-G.elem_order(a), a))
-    gens: list[int] = []
-    have: frozenset[int] = frozenset({G.identity})
-    for x in ordered:
-        if x in have:
-            continue
-        have = extend_subgroup(G, have, gens, x)
-        gens.append(x)
-        if len(have) == len(sub):
+def greedy_generators(G, elems, key=None) -> list:
+    """Small canonical generating list of the subgroup elems: scan it in key
+    order, keeping each element that the earlier ones do not generate."""
+    gens: list = []
+    have = frozenset({G.identity})
+    total = len(set(elems))
+    for x in sorted(elems, key=key):
+        if len(have) == total:
             break
+        if x not in have:
+            have = extend_subgroup(G, have, gens, x)
+            gens.append(x)
     return gens
 
 
-def all_subgroups(G: CayleyGroup) -> list[frozenset[int]]:
-    """Every subgroup, by breadth-first closure extension."""
+def normal_closure(G, seeds, ambient_gens) -> tuple[frozenset, list]:
+    """Smallest subgroup containing the seeds and normalised by ambient_gens,
+    with the generators it was built from. Only generators are conjugated,
+    and only by the ambient generators: a subgroup whose generators' conjugates
+    lie in it is normal in the finite group they generate."""
+    mul, inv = G.mul, G.inv
+    conjugators = [(inv(g), g) for g in ambient_gens]
+    sub, gens = frozenset({G.identity}), []
+    pending = list(seeds)
+    while pending:
+        x = pending.pop()
+        if x not in sub:
+            sub = extend_subgroup(G, sub, gens, x)
+            gens.append(x)
+            pending += [mul(mul(gi, x), g) for gi, g in conjugators]
+    return sub, gens
+
+
+def verbal_subgroup(G, gens, r: int) -> tuple[frozenset, list]:
+    """The A_r-verbal subgroup of <gens>: the smallest normal subgroup with
+    quotient abelian of exponent dividing r (r = 0: the derived subgroup).
+    It is the normal closure of the generator commutators and r-th powers,
+    since commuting generators of order dividing r make the quotient abelian
+    of that exponent. Returns it with its generators, like normal_closure."""
+    mul, inv = G.mul, G.inv
+    seeds = [
+        mul(mul(inv(x), inv(y)), mul(x, y)) for i, x in enumerate(gens) for y in gens[i + 1 :]
+    ]
+    if r:
+        seeds += [_power(G, x, r) for x in gens]
+    return normal_closure(G, seeds, gens)
+
+
+def subgroup_lattice(G, universe, cap: int | None = None, keep=None) -> dict:
+    """Every subgroup generated by universe elements, breadth first: each
+    subgroup found is extended by every universe element outside it. Maps
+    each subgroup to the generators that built it, in discovery order.
+
+    Subgroups above cap elements, or rejected by keep(subgroup), are neither
+    recorded nor extended further.
+    """
     trivial = frozenset({G.identity})
-    seen: dict[frozenset[int], list[int]] = {trivial: []}
+    seen: dict[frozenset, tuple] = {trivial: ()}
     frontier = [trivial]
     while frontier:
         new_frontier = []
         for sub in frontier:
             gens = seen[sub]
-            for x in range(G.order):
+            if cap is not None and 2 * len(sub) > cap:
+                continue  # any proper extension at least doubles the order
+            for x in universe:
                 if x in sub:
                     continue
-                bigger = extend_subgroup(G, sub, gens, x)
-                if bigger not in seen:
-                    seen[bigger] = gens + [x]
-                    new_frontier.append(bigger)
+                bigger = extend_subgroup(G, sub, gens, x, cap)
+                if bigger is None or bigger in seen or (keep is not None and not keep(bigger)):
+                    continue
+                seen[bigger] = gens + (x,)
+                new_frontier.append(bigger)
         frontier = new_frontier
-    return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
+    return seen
 
 
-def is_normal(G: CayleyGroup, sub: frozenset[int]) -> bool:
-    return all(G.conj(a, g) in sub for a in sub for g in range(G.order))
-
-
-def normal_closure(G: CayleyGroup, seed) -> frozenset[int]:
-    current = subgroup_closure(G, seed)
-    gens = list(seed)
-    changed = True
-    while changed:
-        changed = False
-        for g in range(G.order):
-            for h in list(gens):
-                c = G.conj(h, g)
-                if c not in current:
-                    current = extend_subgroup(G, current, gens, c)
-                    gens.append(c)
-                    changed = True
-    return current
-
-
-def derived_subgroup(G: CayleyGroup) -> frozenset[int]:
-    comms = {
-        G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-        for a in range(G.order)
-        for b in range(G.order)
-    }
-    return subgroup_closure(G, comms)
-
-
-def fitting_indices(G: CayleyGroup) -> frozenset[int]:
-    """Largest nilpotent normal subgroup: join of the normal u-radicals,
-    where an element belongs to the u-radical iff its normal closure is a
-    u-group."""
-    join: frozenset[int] = frozenset({G.identity})
-    gens: list[int] = []
-    for u in sorted(prime_factors(G.order)) if G.order > 1 else []:
-        for x in range(G.order):
-            o = G.elem_order(x)
-            while o % u == 0:
-                o //= u
-            if o != 1 or x in join:
+def fitting_subgroup(G, elems, gens) -> frozenset:
+    """Largest nilpotent normal subgroup of the group elems = <gens>: the join
+    of the normal u-radicals, where a u-element lies in the u-radical iff its
+    normal closure is a u-group."""
+    elems = list(elems)
+    e = G.identity
+    join: frozenset = frozenset({e})
+    join_gens: list = []
+    for u, k in sorted(prime_factors(len(elems)).items()) if len(elems) > 1 else []:
+        part = u**k
+        for x in elems:
+            if x in join or _power(G, x, part) != e:
                 continue
-            ncl = normal_closure(G, {x})
-            size = len(ncl)
-            while size % u == 0:
-                size //= u
-            if size != 1:
-                continue
-            join = extend_subgroup(G, join, gens, x)
-            gens.append(x)
+            if part % len(normal_closure(G, [x], gens)[0]) == 0:
+                join = extend_subgroup(G, join, join_gens, x)
+                join_gens.append(x)
     return join
 
 
-def subgroup_table(G: CayleyGroup, sub: frozenset[int]) -> CayleyGroup:
-    """The subgroup as its own CayleyGroup, indices in sorted order."""
-    members = sorted(sub)
-    index = {m: i for i, m in enumerate(members)}
-    table = tuple(tuple(index[G.mul(a, b)] for b in members) for a in members)
-    return CayleyGroup(table, index[G.identity])
+def _abelian_of_exponent(G, gens, u: int) -> bool:
+    """<gens> is abelian of exponent dividing u (any generating set will do,
+    the whole subgroup included)."""
+    gens = list(gens)
+    mul = G.mul
+    return all(_power(G, a, u) == G.identity for a in gens) and all(
+        mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
+    )
+
+
+def in_variety(G, chain, gens=None) -> bool:
+    """Membership of <gens> (default: the whole table group G) in the product
+    variety given by a chain of 1 to 3 primes.
+
+    [u]: abelian of exponent dividing u. [q, r]: the commutator/r-th-power
+    verbal subgroup must be abelian of exponent dividing q. [p, q, r]: iterate
+    once more inside that subgroup (a verbal subgroup of a normal subgroup is
+    normal in the whole group, so the chain needs no further closure).
+    """
+    chain = list(chain)
+    if not 1 <= len(chain) <= 3:
+        raise InvalidParams("variety chains have length 1 to 3")
+    for u in chain:
+        if not is_prime(u):
+            raise InvalidParams(f"{u} is not prime")
+    if gens is None:
+        if G.order > TABLE_LIMIT:
+            raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
+        gens = G.generators
+    for u in reversed(chain[1:]):
+        gens = verbal_subgroup(G, list(gens), u)[1]
+    return _abelian_of_exponent(G, gens, chain[0])
+
+
+# ---------------------------------------------------------------------------
+# table subgroups
+
+
+def all_subgroups(G: CayleyGroup) -> list[frozenset[int]]:
+    """Every subgroup, by breadth-first closure extension."""
+    return sorted(subgroup_lattice(G, range(G.order)), key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def is_normal(G: CayleyGroup, sub: frozenset[int]) -> bool:
+    return all(G.conj(a, g) in sub for a in sub for g in G.generators)
+
+
+def derived_subgroup(G: CayleyGroup) -> frozenset[int]:
+    return verbal_subgroup(G, G.generators, 0)[0]
+
+
+def verbal_ar_subgroup(G: CayleyGroup, r: int) -> frozenset[int]:
+    """Subgroup generated by all commutators and r-th powers: the smallest
+    normal subgroup with quotient abelian of exponent dividing r."""
+    if G.order > TABLE_LIMIT:
+        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
+    return verbal_subgroup(G, G.generators, r)[0]
 
 
 def quotient(G: CayleyGroup, N: frozenset[int]) -> CayleyGroup:
@@ -344,71 +422,6 @@ def quotient(G: CayleyGroup, N: frozenset[int]) -> CayleyGroup:
     return CayleyGroup(table, coset_of[G.identity])
 
 
-# ---------------------------------------------------------------------------
-# varieties via verbal subgroups
-
-
-def verbal_ar_subgroup(G: CayleyGroup, r: int) -> frozenset[int]:
-    """Subgroup generated by all commutators and r-th powers: the smallest
-    normal subgroup with quotient abelian of exponent dividing r."""
-    if G.order > TABLE_LIMIT:
-        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
-    values = {
-        G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-        for a in range(G.order)
-        for b in range(G.order)
-    }
-    values |= {G.elem_pow(z, r) for z in range(G.order)}
-    return subgroup_closure(G, values)
-
-
-def _verbal_in_subgroup(G: CayleyGroup, sub: frozenset[int], u: int) -> frozenset[int]:
-    values = {
-        G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) for a in sub for b in sub
-    }
-    values |= {G.elem_pow(a, u) for a in sub}
-    return subgroup_closure(G, values)
-
-
-def _abelian_of_exponent(G: CayleyGroup, sub: frozenset[int], u: int) -> bool:
-    members = sorted(sub)
-    for i, a in enumerate(members):
-        if G.elem_pow(a, u) != G.identity:
-            return False
-        for b in members[i + 1 :]:
-            if G.mul(a, b) != G.mul(b, a):
-                return False
-    return True
-
-
-def in_variety(G: CayleyGroup, chain) -> bool:
-    """Membership in the product variety given by a chain of 1 to 3 primes.
-
-    [u]: abelian of exponent dividing u. [q, r]: the commutator/r-th-power
-    verbal subgroup must be abelian of exponent dividing q. [p, q, r]: iterate
-    once more inside that subgroup.
-    """
-    chain = list(chain)
-    if not 1 <= len(chain) <= 3:
-        raise InvalidParams("variety chains have length 1 to 3")
-    for u in chain:
-        if not is_prime(u):
-            raise InvalidParams(f"{u} is not prime")
-    if G.order > TABLE_LIMIT:
-        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
-    if len(chain) == 1:
-        return _abelian_of_exponent(G, frozenset(range(G.order)), chain[0])
-    if len(chain) == 2:
-        q, r = chain
-        K = verbal_ar_subgroup(G, r)
-        return _abelian_of_exponent(G, K, q)
-    p, q, r = chain
-    K = verbal_ar_subgroup(G, r)
-    V = _verbal_in_subgroup(G, K, q)
-    V = normal_closure(G, V)
-    return _abelian_of_exponent(G, V, p)
-
-
 def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:
     """Definitional test: search all normal subgroups for a witness chain.
 
@@ -417,7 +430,7 @@ def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:
     """
     chain = list(chain)
     if len(chain) == 1:
-        return _abelian_of_exponent(G, frozenset(range(G.order)), chain[0])
+        return _abelian_of_exponent(G, range(G.order), chain[0])
     head, tail = chain[0], chain[1:]
     for N in all_subgroups(G):
         if not is_normal(G, N):
@@ -430,97 +443,11 @@ def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sylow subgroups and Sylow systems
-
-
-def _prime_power_part(n: int, u: int) -> int:
-    part = 1
-    while n % u == 0:
-        part *= u
-        n //= u
-    return part
-
-
-def sylow_subgroup_indices(G: CayleyGroup, u: int) -> frozenset[int]:
-    """One Sylow u-subgroup, grown through normalisers (deterministic)."""
-    target = _prime_power_part(G.order, u)
-    current: frozenset[int] = frozenset({G.identity})
-    gens: list[int] = []
-    while len(current) < target:
-        if gens:
-            normalizer = [
-                g
-                for g in range(G.order)
-                if all(G.conj(h, g) in current for h in gens)
-            ]
-        else:
-            normalizer = list(range(G.order))
-        grown = False
-        for x in normalizer:
-            if x in current:
-                continue
-            o = G.elem_order(x)
-            while o % u == 0:
-                o //= u
-            if o != 1:
-                continue
-            bigger = extend_subgroup(G, current, gens, x)
-            n_b = len(bigger)
-            while n_b % u == 0:
-                n_b //= u
-            if n_b == 1:
-                current = bigger
-                gens.append(x)
-                grown = True
-                break
-        if not grown:
-            raise AssertionError("Sylow growth stalled; should be impossible")
-    return current
-
-
-def _set_product(G: CayleyGroup, A: frozenset[int], B: frozenset[int]) -> frozenset[int]:
-    return frozenset(G.mul(a, b) for a in A for b in B)
-
-
-def sylow_system(G: CayleyGroup, seed: int = 0) -> list[frozenset[int]]:
-    """Pairwise permutable Sylow subgroups, one per prime divisor.
-
-    Searches combinations of conjugates of independently computed Sylow
-    subgroups in canonical order (seed shuffles the candidate order only).
-    """
-    if G.order > TABLE_LIMIT:
-        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
-    primes = sorted(prime_factors(G.order)) if G.order > 1 else []
-    if not primes:
-        return []
-    conjugate_lists = []
-    for u in primes:
-        base = sylow_subgroup_indices(G, u)
-        conjugates = {frozenset(G.conj(a, g) for a in base) for g in range(G.order)}
-        ordered = sorted(conjugates, key=lambda s: tuple(sorted(s)))
-        if seed:
-            random.Random(seed).shuffle(ordered)
-        conjugate_lists.append(ordered)
-    for combo in itertools.product(*conjugate_lists):
-        ok = True
-        for i in range(len(combo)):
-            for j in range(i + 1, len(combo)):
-                if _set_product(G, combo[i], combo[j]) != _set_product(G, combo[j], combo[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return list(combo)
-    raise NoSystemFound("no pairwise permutable Sylow family; input not soluble?")
-
-
-# ---------------------------------------------------------------------------
 # isomorphism and homomorphism search
 
 
 def minimal_generating_sequence(G: CayleyGroup) -> list[int]:
-    return greedy_subgroup_generators(G, frozenset(range(G.order)))
+    return greedy_generators(G, range(G.order), key=lambda a: (-G.elem_order(a), a))
 
 
 def _extend_map(G: CayleyGroup, mapping: dict, new_elem: int, image, mul, injective: bool):

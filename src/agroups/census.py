@@ -28,21 +28,22 @@ from .cayley import (
     cayley_from,
     cyclic_table,
     elementary_abelian_table,
+    fitting_subgroup,
     homomorphisms_to_mats,
     in_variety,
-    subgroup_table,
+    subgroup_lattice,
 )
-from .construct import semidirect_product
-from .errors import DegreeLimit, LimitExceeded, NotPrime, SamePrime
+from .construct import _check_pair, semidirect_product
+from .errors import DegreeLimit, LimitExceeded, NotPrime
 from .gf import FieldSpec, field_make, is_prime, prime_factors
-from .matgrp import gl_elements
+from .matgrp import Mat, closure, gl_elements, is_irreducible
 from .perm import (
     Perm,
     PermGroup,
-    close_set,
     extend_set,
     greedy_generators,
     group_from_set,
+    perm_ops,
     permgroup_to_json,
     set_key,
     subgroup_conjugate,
@@ -132,31 +133,10 @@ def _scan_cached(n, primes, order_cap, fpf_only):
         for g in sn_elements(n)
         if g.order() in primes and (not fpf_only or _fixed_point_free(g))
     ]
-    ident = Perm.identity(n)
-    trivial = frozenset({ident})
-    seen: dict[frozenset, tuple[Perm, ...]] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        new_frontier = []
-        for sub in frontier:
-            gens = seen[sub]
-            if order_cap is not None and 2 * len(sub) > order_cap:
-                continue  # any proper extension at least doubles the order
-            for x in universe:
-                if x in sub:
-                    continue
-                bigger = extend_set(n, set(sub), list(gens), x, cap=order_cap)
-                if bigger is None:
-                    continue
-                key = frozenset(bigger)
-                if key in seen:
-                    continue
-                if not _divides_primes(len(key), primes):
-                    continue
-                seen[key] = gens + (x,)
-                new_frontier.append(key)
-        frontier = new_frontier
-    return tuple(seen.items())
+    lattice = subgroup_lattice(
+        perm_ops(n), universe, order_cap, keep=lambda sub: _divides_primes(len(sub), primes)
+    )
+    return tuple(lattice.items())
 
 
 def _subgroup_scan(n, primes, order_bound_sq=None, max_order=None, fpf_only=False):
@@ -180,45 +160,6 @@ def _orbit_of_point(n, gens, point=1):
                 orbit.add(q)
                 queue.append(q)
     return orbit
-
-
-def _two_prime_variety_set(n, elems, gens, q, r) -> bool:
-    """Membership of a subgroup (as an element set) in the two-prime variety,
-    computed on permutations: the commutator/r-th-power verbal subgroup must
-    be abelian of exponent dividing q."""
-    qr = q * r
-    for g in elems:
-        if qr % g.order() != 0:
-            return False
-    seeds = set()
-    for x in gens:
-        for y in gens:
-            seeds.add(x.inverse() * y.inverse() * x * y)
-    for z in elems:
-        seeds.add(z**r)
-    seeds.discard(Perm.identity(n))
-    # normal closure under the subgroup's generators, then product closure
-    verbal = close_set(n, seeds)
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            gi = g.inverse()
-            for h in list(verbal):
-                c = gi * h * g
-                if c not in verbal:
-                    verbal = extend_set(n, verbal, list(seeds), c)
-                    seeds.add(c)
-                    changed = True
-    ident = Perm.identity(n)
-    members = sorted(verbal, key=lambda p: p.images)
-    for i, a in enumerate(members):
-        if a**q != ident:
-            return False
-        for b in members[i + 1 :]:
-            if a * b != b * a:
-                return False
-    return True
 
 
 def _dedup_conjugacy(n, candidates) -> list[list[PermGroup]]:
@@ -267,7 +208,7 @@ def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
             continue  # transitive needs n | order
         if len(_orbit_of_point(n, gens)) != n:
             continue
-        if not _two_prime_variety_set(n, elems, list(gens) or [Perm.identity(n)], q, r):
+        if not in_variety(perm_ops(n), [q, r], gens):
             continue
         members.append(elems)
     return _build_inventory(n, q, r, members, f"transitive, variety [{q}, {r}]")
@@ -293,7 +234,7 @@ def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
             continue
         if len(_orbit_of_point(n, gens)) != n:
             continue
-        if not _two_prime_variety_set(n, elems, list(gens) or [Perm.identity(n)], q, r):
+        if not in_variety(perm_ops(n), [q, r], gens):
             continue
         grp = group_from_set(n, elems)
         if not grp.is_primitive():
@@ -342,14 +283,6 @@ def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
         for e in inv.classes
     )
     return ClassInventory(inv.context, n, inv.filter_desc, entries)
-
-
-def _check_pair(q, r):
-    for u in (q, r):
-        if not is_prime(u):
-            raise NotPrime(f"{u} is not prime")
-    if q == r:
-        raise SamePrime("q and r must be distinct")
 
 
 def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
@@ -425,7 +358,7 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
         grp = group_from_set(n, g_elems)
         if not grp.is_transitive() or not grp.is_primitive():
             continue
-        if not _two_prime_variety_set(n, frozenset(g_elems), gens, q, r):
+        if not in_variety(perm_ops(n), [q, r], gens):
             continue
         members.append(frozenset(g_elems))
     return _build_inventory(n, q, r, members, f"primitive, variety [{q}, {r}]")
@@ -437,42 +370,29 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
 
 @lru_cache(maxsize=8)
 def _gl_lattice(alpha: int, spec: FieldSpec):
-    from .matgrp import closure
-
+    """GL(alpha, s), its table, and its subgroups with their generators."""
     full = closure(list(gl_elements(alpha, spec)))
     table = cayley_from(full)
-    return full, table, tuple(all_subgroups(table))
-
-
-def enumerate_gl_variety_subgroups(alpha: int, spec: FieldSpec, q: int, r: int):
-    """All subgroups of GL(alpha, s) in the two-prime variety, as orders.
-
-    Exhaustive over the subgroup lattice of the full linear group; usable
-    whenever |GL| fits in a multiplication table.
-    """
-    return sorted(d["order"] for d in gl_variety_subgroup_details(alpha, spec, q, r))
+    lattice = subgroup_lattice(table, range(table.order))
+    return full, table, sorted(lattice.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
 
 
 def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
     """Order, irreducibility and Fitting-subgroup order of every two-prime-
-    variety subgroup of GL(alpha, s)."""
+    variety subgroup of GL(alpha, s), exhaustively over the subgroup lattice
+    of the full linear group."""
     _check_pair(q, r)
-    from .cayley import fitting_indices
-    from .matgrp import group_from_mats, is_irreducible
-
-    full, table, subgroups = _gl_lattice(alpha, spec)
+    full, table, lattice = _gl_lattice(alpha, spec)
     out = []
-    for sub in subgroups:
-        H = subgroup_table(table, sub)
-        if not in_variety(H, [q, r]):
+    for sub, gens in lattice:
+        if not in_variety(table, [q, r], gens):
             continue
-        mats = [full.elements[i] for i in sorted(sub)]
-        matgroup = group_from_mats(alpha, spec, mats)
+        mats = [full.elements[i] for i in gens] or [Mat.identity(alpha, spec)]
         out.append(
             {
-                "order": H.order,
-                "irreducible": is_irreducible(matgroup),
-                "fitting_order": len(fitting_indices(H)),
+                "order": len(sub),
+                "irreducible": is_irreducible(closure(mats)),
+                "fitting_order": len(fitting_subgroup(table, sub, gens)),
             }
         )
     return out

@@ -317,8 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--timing", action="store_true", help="record wall-clock seconds")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count (results are identical for any value)")
-    parser.add_argument("--seed", type=int, default=0, help="search-order seed for the Sylow-system search")
     parser.add_argument("--max-order", type=int, default=matgrp.GL_BRUTE_LIMIT)
     parser.add_argument("--max-degree", type=int, default=construct.DEGREE_LIMIT_DEFAULT)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -57,10 +57,6 @@ class NotNormal(EngineError):
     pass
 
 
-class NoSystemFound(EngineError):
-    pass
-
-
 class DegreeLimit(EngineError):
     pass
 

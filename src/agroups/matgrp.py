@@ -1,7 +1,8 @@
 """Matrix groups over GF(s).
 
 Everything here is an exhaustive desk-scale oracle: closures materialise the
-full element set, irreducibility is decided by spinning every line, and the
+full element set (through the subgroup kernel in cayley, bound to Mat
+products by mat_ops), irreducibility is decided by spinning every line, and the
 conjugacy/classification routines scan all of GL(alpha, s) in a fixed
 deterministic order. Limits guard each entry point so a bad input fails fast
 instead of grinding.
@@ -13,7 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
+from .cayley import greedy_generators, subgroup_closure
 from .errors import (
     CharacteristicConflict,
     DegreeMismatch,
@@ -214,58 +217,22 @@ def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
             raise DegreeMismatch("generators of different dimensions")
         if g.det() == 0:
             raise SingularGenerator("generator is singular")
-    ident = Mat.identity(alpha, spec)
-    active = [g for g in dict.fromkeys(gens) if not g.is_identity()]
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in active:
-                y = x * g
-                if y not in elems:
-                    if len(elems) >= limit:
-                        raise LimitExceeded(f"closure exceeds {limit} elements")
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
+    elems = subgroup_closure(mat_ops(alpha, spec), gens, cap=limit)
+    if elems is None:
+        raise LimitExceeded(f"closure exceeds {limit} elements")
     ordered = tuple(sorted(elems, key=Mat.key))
     canon_gens = tuple(sorted(dict.fromkeys(gens), key=Mat.key))
     return MatGroup(spec, alpha, canon_gens, ordered)
 
 
-def mat_extend_set(elems: set[Mat], gens, new_gen: Mat) -> set[Mat]:
-    """Element set of <elems, new_gen> by coset BFS."""
-    if new_gen in elems:
-        return set(elems)
-    mults = list(gens) + [new_gen]
-    out = set(elems)
-    reps = [Mat.identity(new_gen.alpha, new_gen.spec)]
-    i = 0
-    while i < len(reps):
-        u = reps[i]
-        i += 1
-        for m in mults:
-            v = u * m
-            if v not in out:
-                out.update(h * v for h in elems)
-                reps.append(v)
-    return out
+def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
+    """Product, identity and inverse of GL(alpha, s), as the subgroup kernel
+    in cayley takes them (read off Mat on each call, like perm.perm_ops)."""
+    return SimpleNamespace(mul=Mat.__mul__, identity=Mat.identity(alpha, spec), inv=Mat.inverse)
 
 
 def mat_greedy_generators(alpha: int, spec: FieldSpec, elems) -> list[Mat]:
-    ordered = sorted(elems, key=lambda m: (-m.order(), m.key()))
-    gens: list[Mat] = []
-    have: set[Mat] = {Mat.identity(alpha, spec)}
-    total = len(set(elems))
-    for x in ordered:
-        if x in have:
-            continue
-        have = mat_extend_set(have, gens, x)
-        gens.append(x)
-        if len(have) == total:
-            break
-    return gens
+    return greedy_generators(mat_ops(alpha, spec), elems, key=lambda m: (-m.order(), m.key()))
 
 
 def group_from_mats(alpha: int, spec: FieldSpec, elems) -> MatGroup:
@@ -482,14 +449,6 @@ def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Ma
     return None
 
 
-def _powers(x: Mat) -> list[Mat]:
-    out, y = [Mat.identity(x.alpha, x.spec)], x
-    while not y.is_identity():
-        out.append(y)
-        y = y * x
-    return out
-
-
 @lru_cache(maxsize=8)
 def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
     """All elementary abelian r-subgroups of GL(alpha, s), plus which are
@@ -500,7 +459,8 @@ def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
     if r == spec.t:
         raise CharacteristicConflict(f"r = {r} equals the field characteristic")
     order_r = [m for m in gl_elements(alpha, spec, limit) if m.order() == r]
-    seen = dict.fromkeys(frozenset(_powers(x)) for x in order_r)
+    ops = mat_ops(alpha, spec)
+    seen = dict.fromkeys(subgroup_closure(ops, [x]) for x in order_r)
     frontier = list(seen)
     maximal = []
     while frontier:
@@ -513,7 +473,7 @@ def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
                 maximal.append(h)
                 continue
             for y in extensions:
-                bigger = frozenset(a * b for a in h for b in _powers(y))
+                bigger = frozenset(a * b for a in h for b in subgroup_closure(ops, [y]))
                 if bigger not in seen:
                     seen[bigger] = None
                     new_frontier.append(bigger)

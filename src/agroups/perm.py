@@ -5,11 +5,12 @@ x to b(a(x)), so x^(ab) = (x^a)^b.
 
 Groups carry a base and strong generating set built with a deterministic
 incremental Schreier-Sims, which gives exact orders and membership without
-listing elements. The normal-structure operators (minimal normal subgroups,
-Fitting subgroup, Sylow and coprime radicals) deliberately work on exhaustive
-element lists instead: they are oracles, and at desk scale certainty beats
-sophistication. An exhaustive closure cross-check of the chain order is part
-of the test suite, not of construction.
+listing elements. Element-set work (closures, extensions, generators, normal
+closures, the Fitting subgroup) runs on the subgroup kernel in cayley, bound
+to Perm products by perm_ops; the normal-structure operators deliberately
+work on exhaustive element lists: they are oracles, and at desk scale
+certainty beats sophistication. An exhaustive closure cross-check of the
+chain order is part of the test suite, not of construction.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import itertools
 import math
 import re
 from functools import reduce
+from types import SimpleNamespace
 
+from . import cayley
 from .errors import DegreeMismatch, LimitExceeded, NotTransitive
-from .gf import is_prime, prime_factors
+from .gf import is_prime
 
 EXHAUSTIVE_ORDER_LIMIT = 20160
 EXHAUSTIVE_DEGREE_LIMIT = 10
@@ -383,69 +386,32 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# element-set helpers (exhaustive, desk scale)
+# element sets, through the subgroup kernel (exhaustive, desk scale)
 
 
-def close_set(degree: int, seeds) -> set[Perm]:
+def perm_ops(degree: int) -> SimpleNamespace:
+    """Product, identity and inverse of S_degree, as the subgroup kernel in
+    cayley takes them (read off Perm on each call, so a rebound method is
+    seen)."""
+    return SimpleNamespace(mul=Perm.__mul__, identity=Perm.identity(degree), inv=Perm.inverse)
+
+
+def close_set(degree: int, seeds) -> frozenset[Perm]:
     """Subgroup generated by the seeds, as an element set."""
-    ident = Perm.identity(degree)
-    gens = [g for g in seeds if not g.is_identity()]
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return elems
+    return cayley.subgroup_closure(perm_ops(degree), seeds)
 
 
 def extend_set(
-    degree: int, elems: set[Perm], gens, new_gen: Perm, cap: int | None = None
-) -> set[Perm] | None:
-    """Element set of <elems, new_gen>; coset BFS so cost scales with output.
-
-    With a cap, returns None as soon as the closure exceeds it (cheap
-    rejection for lattice scans that only want bounded subgroups).
-    """
-    if new_gen in elems:
-        return set(elems)
-    ident = Perm.identity(degree)
-    mults = list(gens) + [new_gen]
-    out = set(elems)
-    reps = [ident]
-    i = 0
-    while i < len(reps):
-        u = reps[i]
-        i += 1
-        for m in mults:
-            v = u * m
-            if v not in out:
-                out.update(h * v for h in elems)
-                reps.append(v)
-                if cap is not None and len(out) > cap:
-                    return None
-    return out
+    degree: int, elems, gens, new_gen: Perm, cap: int | None = None
+) -> frozenset[Perm] | None:
+    """Element set of <elems, new_gen> for elems = <gens>; None once it
+    exceeds a given cap."""
+    return cayley.extend_subgroup(perm_ops(degree), elems, gens, new_gen, cap)
 
 
 def greedy_generators(degree: int, elems) -> list[Perm]:
     """Small canonical generating list: scan elements by decreasing order."""
-    ordered = sorted(elems, key=lambda g: (-g.order(), g.images))
-    gens: list[Perm] = []
-    have: set[Perm] = {Perm.identity(degree)}
-    total = len(set(elems))
-    for x in ordered:
-        if x in have:
-            continue
-        have = extend_set(degree, have, gens, x)
-        gens.append(x)
-        if len(have) == total:
-            break
-    return gens
+    return cayley.greedy_generators(perm_ops(degree), elems, key=lambda g: (-g.order(), g.images))
 
 
 def group_from_set(degree: int, elems) -> PermGroup:
@@ -454,27 +420,6 @@ def group_from_set(degree: int, elems) -> PermGroup:
 
 def set_key(elems) -> tuple:
     return tuple(sorted(g.images for g in elems))
-
-
-def normal_closure_set(degree: int, ambient: list[Perm], seeds) -> set[Perm]:
-    """Smallest ambient-invariant subgroup containing the seeds.
-
-    ambient must be the full element list of the enclosing group.
-    """
-    elems = close_set(degree, seeds)
-    gens = list(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for g in ambient:
-            gi = g.inverse()
-            for h in list(gens):
-                c = gi * h * g
-                if c not in elems:
-                    elems = extend_set(degree, elems, gens, c)
-                    gens.append(c)
-                    changed = True
-    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +494,7 @@ def minimal_normal_subgroups(
     for g in elems:
         if g.is_identity() or not _is_prime_order(g):
             continue
-        clo = normal_closure_set(G.degree, elems, [g])
+        clo = cayley.normal_closure(perm_ops(G.degree), [g], G.generators)[0]
         closures[set_key(clo)] = clo
     minimal = []
     for key, clo in closures.items():
@@ -567,90 +512,8 @@ def _is_prime_order(g: Perm) -> bool:
 def fitting_subgroup(G: PermGroup, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> PermGroup:
     """Largest nilpotent normal subgroup: join of the normal u-radicals."""
     _check_exhaustive(G, limit)
-    elems = G.elements(limit)
-    degree = G.degree
-    join: set[Perm] = {Perm.identity(degree)}
-    join_gens: list[Perm] = []
-    closure_cache: dict[Perm, set[Perm]] = {}
-    for u in sorted(prime_factors(G.order)) if G.order > 1 else []:
-        for g in elems:
-            o = g.order()
-            if o == 1 or _prime_power_of(o, u) is None:
-                continue
-            clo = closure_cache.get(g)
-            if clo is None:
-                clo = normal_closure_set(degree, elems, [g])
-                closure_cache[g] = clo
-            if _prime_power_of(len(clo), u) is None:
-                continue
-            if g not in join:
-                join = extend_set(degree, join, join_gens, g)
-                join_gens.append(g)
-    return group_from_set(degree, join)
-
-
-def _prime_power_of(n: int, u: int) -> int | None:
-    """e with n = u^e, or None."""
-    e = 0
-    while n % u == 0:
-        n //= u
-        e += 1
-    return e if n == 1 else None
-
-
-def sylow_subgroup(G: PermGroup, u: int, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> PermGroup:
-    """A Sylow u-subgroup, grown through normalisers (deterministic)."""
-    _check_exhaustive(G, limit)
-    elems = G.elements(limit)
-    degree = G.degree
-    target = u ** prime_factors(G.order).get(u, 0)
-    current: set[Perm] = {Perm.identity(degree)}
-    gens: list[Perm] = []
-    while len(current) < target:
-        normalizer = [
-            g for g in elems if all((g.inverse() * h * g) in current for h in gens)
-        ] if gens else elems
-        grown = False
-        for x in sorted(normalizer, key=lambda g: g.images):
-            if x in current:
-                continue
-            o = x.order()
-            if _prime_power_of(o, u) is None:
-                continue
-            bigger = extend_set(degree, current, gens, x)
-            if _prime_power_of(len(bigger), u) is not None:
-                current = bigger
-                gens.append(x)
-                grown = True
-                break
-        if not grown:
-            raise AssertionError("Sylow growth stalled; should be impossible")
-    return group_from_set(degree, current)
-
-
-def o_coprime(G: PermGroup, u: int, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> PermGroup:
-    """O_{u'}(G): largest normal subgroup of order coprime to u.
-
-    Fixpoint of joining normal closures of u'-elements whose closure stays a
-    u'-group.
-    """
-    _check_exhaustive(G, limit)
-    elems = G.elements(limit)
-    degree = G.degree
-    result: set[Perm] = {Perm.identity(degree)}
-    gens: list[Perm] = []
-    for g in elems:
-        if g.is_identity() or g.order() % u == 0 or g in result:
-            continue
-        clo = normal_closure_set(degree, elems, [g])
-        if len(clo) % u == 0:
-            continue
-        for x in sorted(clo, key=lambda p: p.images):
-            if x not in result:
-                result = extend_set(degree, result, gens, x)
-                gens.append(x)
-    assert len(result) % u != 0, "joined closures must stay coprime to u"
-    return group_from_set(degree, result)
+    ops = perm_ops(G.degree)
+    return group_from_set(G.degree, cayley.fitting_subgroup(ops, G.elements(limit), G.generators))
 
 
 # ---------------------------------------------------------------------------

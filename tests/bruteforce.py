@@ -89,6 +89,29 @@ def naive_normal_subgroups(degree, elements):
     return out
 
 
+def naive_is_nilpotent(elements):
+    """A finite group is nilpotent iff each Sylow subgroup is normal, iff for
+    every prime p the elements of p-power order number exactly the p-part of
+    the group order."""
+    n = len(elements)
+    for p in range(2, n + 1):
+        if n % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        part = 1
+        while n % (part * p) == 0:
+            part *= p
+        if sum(1 for g in elements if part % perm_order(g) == 0) != part:
+            return False
+    return True
+
+
+def naive_fitting_subgroup(degree, elements):
+    """The Fitting subgroup: the largest nilpotent normal subgroup (it
+    contains every other one)."""
+    nilpotent = [N for N in naive_normal_subgroups(degree, elements) if naive_is_nilpotent(N)]
+    return max(nilpotent, key=len)
+
+
 def all_subgroups_of(degree, elements):
     """Every subgroup of the element set, by closure extension."""
     ident = tuple(range(1, degree + 1))

@@ -18,13 +18,13 @@ from agroups.cayley import (
     in_variety_exhaustive,
     quotient,
     subgroup_closure,
-    sylow_system,
     verbal_ar_subgroup,
 )
 from agroups.errors import InvalidParams, LimitExceeded, NotNormal
 from agroups.gf import field_make
 from agroups.perm import PermGroup, parse_cycles
 
+import bruteforce as bf
 from bruteforce import naive_is_associative, reduced_latin_squares
 
 
@@ -280,64 +280,24 @@ def test_quotient_rejects_nonnormal():
         quotient(S3, two)
 
 
-# -- Sylow machinery -----------------------------------------------------------------
-
-
-def test_sylow_system_examples():
-    sys_s3 = sylow_system(S3)
-    assert sorted(len(s) for s in sys_s3) == [2, 3]
-    sys_c6 = sylow_system(C6)
-    assert sorted(len(s) for s in sys_c6) == [2, 3]
-    A4xC5 = direct_product_table(A4, cyclic_table(5))
-    system = sylow_system(A4xC5)
-    assert sorted(len(s) for s in system) == [3, 4, 5]
-
-
-def test_sylow_system_pairwise_permutable_with_product_sizes():
-    for G in [S3, C6, A4, direct_product_table(A4, cyclic_table(5)), direct_product_table(S3, cyclic_table(5))]:
-        system = sylow_system(G)
-        for i, A in enumerate(system):
-            for B in system[i + 1 :]:
-                AB = {G.mul(a, b) for a in A for b in B}
-                BA = {G.mul(b, a) for a in A for b in B}
-                assert AB == BA
-                assert len(AB) == len(A) * len(B) // len(A & B)
-
-
-def test_sylow_system_full_u_part():
-    G = direct_product_table(A4, cyclic_table(5))
-    system = sylow_system(G)
-    sizes = sorted(len(s) for s in system)
-    assert sizes == [3, 4, 5]
-    # u-parts of |G| = 60
-    assert 60 % 4 == 0 and 60 % 8 != 0
-
-
-def test_sylow_system_seeded_search_still_valid():
-    G = direct_product_table(A4, cyclic_table(5))
-    for seed in (0, 7, 1234):
-        system = sylow_system(G, seed=seed)
-        assert sorted(len(s) for s in system) == [3, 4, 5]
-        for i, A in enumerate(system):
-            for B in system[i + 1 :]:
-                AB = {G.mul(a, b) for a in A for b in B}
-                BA = {G.mul(b, a) for a in A for b in B}
-                assert AB == BA
+# -- Fitting subgroup ----------------------------------------------------------------
 
 
 def test_fitting_indices_matches_permutation_route():
-    # dual route: table-level Fitting subgroup vs the permutation engine's
-    from agroups.cayley import fitting_indices
-    from agroups.perm import fitting_subgroup
-
+    # the table-level Fitting subgroup, read back on the permutations, equals
+    # the brute-force largest nilpotent normal subgroup of the permutations
     for G in [
         pgroup(3, "(1 2 3)", "(1 2)"),
         pgroup(4, "(1 2 3)", "(2 3 4)"),
         pgroup(4, "(1 2 3 4)", "(1 3)"),
         pgroup(6, "(1 2 3 4 5 6)", "(2 6)(3 5)"),
+        pgroup(4, "(1 2 3 4)", "(1 2)"),
     ]:
         table = cayley_from(G)
-        assert len(fitting_indices(table)) == fitting_subgroup(G).order
+        elems = G.elements()
+        F = cayley.fitting_subgroup(table, range(table.order), table.generators)
+        expected = bf.naive_fitting_subgroup(G.degree, {g.images for g in elems})
+        assert {elems[i].images for i in F} == expected
 
 
 # -- variety parameters -----------------------------------------------------------------

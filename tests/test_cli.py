@@ -1,5 +1,8 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +245,19 @@ def test_claim_registry_integrity():
         report.claim("no-such-claim", report.STATUS_VERIFIED)
     with pytest.raises(ValueError):
         report.claim("census-count-bound", report.STATUS_VIOLATED)  # no witness
+
+
+def test_readme_synopsis_lists_exactly_the_global_options():
+    # a flag that does nothing should not survive in the parser, and one
+    # removed from the parser should not survive in the documentation
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = set(re.findall(r"\[(--[\w-]+)", synopsis))
+    parser = cli._build_parser()
+    actual = {
+        option
+        for action in parser._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        for option in action.option_strings
+    }
+    assert documented == actual
