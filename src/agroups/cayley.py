@@ -99,9 +99,9 @@ class CayleyGroup:
         return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
 
     def center(self) -> frozenset[int]:
-        n = self.order
+        t = self.table
         return frozenset(
-            a for a in range(n) if all(self.mul(a, b) == self.mul(b, a) for b in range(n))
+            a for a in range(self.order) if all(t[a][g] == t[g][a] for g in self.generators)
         )
 
     def fingerprint(self) -> dict:
@@ -293,32 +293,69 @@ def verbal_subgroup(G, gens, r: int) -> tuple[frozenset, list]:
     return normal_closure(G, seeds, gens)
 
 
+def _coset_class(G, sub, x, index) -> int:
+    """Bitmask of the universe positions (index maps element -> position) of
+    elements y with <sub, y> = <sub, x> that are visible without search:
+    sub x^k for k prime to m, the least exponent with x^m in sub (x is then a
+    power of x^k modulo sub)."""
+    mul = G.mul
+    powers = [x]
+    while (p := mul(powers[-1], x)) not in sub:
+        powers.append(p)
+    m = len(powers) + 1
+    twins = [xk for k, xk in enumerate(powers, 1) if math.gcd(k, m) == 1]
+    positions = {index.get(mul(h, xk)) for xk in twins for h in sub}
+    positions.discard(None)
+    return sum(1 << i for i in positions)
+
+
 def subgroup_lattice(G, universe, cap: int | None = None, keep=None) -> dict:
-    """Every subgroup generated by universe elements, breadth first: each
-    subgroup found is extended by every universe element outside it. Maps
+    """Every subgroup generated by universe elements, breadth first. Maps
     each subgroup to the generators that built it, in discovery order.
 
     Subgroups above cap elements, or rejected by keep(subgroup), are neither
-    recorded nor extended further.
+    recorded nor extended further. Rejection by keep must be upward-closed,
+    as rejection by the cap is: every overgroup of a rejected subgroup is
+    rejected too.
+
+    A subgroup H is extended by universe elements x outside it, in universe
+    order, skipping those whose outcome is known: the coset class of an x
+    already tried (same <H, x>), and any x with <L, x> rejected for a
+    subgroup L that H was built from by extensions (<H, x> contains <L, x>,
+    so it is rejected too). The skipped extensions would have changed
+    nothing, so the result is that of extending by every universe element.
     """
+    index = {x: i for i, x in enumerate(universe)}
     trivial = frozenset({G.identity})
     seen: dict[frozenset, tuple] = {trivial: ()}
-    frontier = [trivial]
+    # subgroup -> bitmask of the universe positions whose extension of it is
+    # known to be rejected
+    frontier: dict[frozenset, int] = {trivial: 0}
     while frontier:
-        new_frontier = []
-        for sub in frontier:
-            gens = seen[sub]
+        below: dict[frozenset, int] = {}
+        for sub, rejected in frontier.items():
             if cap is not None and 2 * len(sub) > cap:
                 continue  # any proper extension at least doubles the order
-            for x in universe:
-                if x in sub:
+            gens, tried, reached = seen[sub], 0, []
+            for i, x in enumerate(universe):
+                if (tried | rejected) >> i & 1 or x in sub:
                     continue
+                twins = _coset_class(G, sub, x, index)
                 bigger = extend_subgroup(G, sub, gens, x, cap)
-                if bigger is None or bigger in seen or (keep is not None and not keep(bigger)):
+                if bigger is None or (
+                    bigger not in seen and keep is not None and not keep(bigger)
+                ):
+                    rejected |= twins
                     continue
-                seen[bigger] = gens + (x,)
-                new_frontier.append(bigger)
-        frontier = new_frontier
+                tried |= twins
+                if bigger not in seen:
+                    seen[bigger] = gens + (x,)
+                    below[bigger] = 0
+                if bigger in below:  # not extended yet: it inherits rejections
+                    reached.append(bigger)
+            for bigger in reached:
+                below[bigger] |= rejected
+        frontier = below
     return seen
 
 

@@ -123,19 +123,39 @@ def _fixed_point_free(g: Perm) -> bool:
     return all(g.apply(p) != p for p in range(1, g.degree + 1))
 
 
+def _scan_keep(primes, fpf_only):
+    """The keep of a census lattice scan. Its rejection is upward-closed, as
+    subgroup_lattice requires: by Lagrange, an overgroup of a subgroup whose
+    order is not primes-smooth is not either; and with fpf_only (keep the
+    abelian subgroups whose nontrivial elements are fixed-point free of a
+    prime order in primes: elementary abelian ones), an overgroup keeps the
+    offending element or noncommuting pair."""
+    if not fpf_only:
+        return lambda sub: _divides_primes(len(sub), primes)
+
+    def keep(sub):
+        members = [g for g in sub if not g.is_identity()]
+        return all(g.order() in primes and _fixed_point_free(g) for g in members) and all(
+            x * y == y * x for i, x in enumerate(members) for y in members[i + 1 :]
+        )
+
+    return keep
+
+
 @lru_cache(maxsize=64)
 def _scan_cached(n, primes, order_cap, fpf_only):
-    """All subgroups of S_n generated by elements of the given prime orders,
-    with orders that are primes-smooth and at most order_cap. Returns a tuple
-    of (element frozenset, generator tuple) pairs."""
+    """All subgroups of S_n generated by elements of the given prime orders
+    that _scan_keep(primes, fpf_only) keeps, of order at most order_cap (with
+    fpf_only, only fixed-point-free elements generate). The keep must reject
+    upward-closed sets: the scan never tries an element over an overgroup of
+    a subgroup it was rejected over. Returns a tuple of (element frozenset,
+    generator tuple) pairs."""
     universe = [
         g
         for g in sn_elements(n)
         if g.order() in primes and (not fpf_only or _fixed_point_free(g))
     ]
-    lattice = subgroup_lattice(
-        perm_ops(n), universe, order_cap, keep=lambda sub: _divides_primes(len(sub), primes)
-    )
+    lattice = subgroup_lattice(perm_ops(n), universe, order_cap, _scan_keep(primes, fpf_only))
     return tuple(lattice.items())
 
 
@@ -247,19 +267,7 @@ def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple[Per
     """All elementary abelian r-subgroups of S_n of order <= n whose
     nontrivial elements are fixed-point free (the candidates that can be
     transitive: transitive abelian groups are regular)."""
-    subs = _subgroup_scan(n, (r,), max_order=n, fpf_only=True)
-    # keep elementary abelian all-fixed-point-free subgroups only: generators
-    # of order r may also span nonabelian or exponent-r^2 groups
-    out = {}
-    for elems, gens in subs.items():
-        if not all(g.is_identity() or (g.order() == r and _fixed_point_free(g)) for g in elems):
-            continue
-        members = sorted(elems, key=lambda p: p.images)
-        if all(
-            x * y == y * x for i, x in enumerate(members) for y in members[i + 1 :]
-        ):
-            out[elems] = gens
-    return out
+    return _subgroup_scan(n, (r,), max_order=n, fpf_only=True)
 
 
 def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:

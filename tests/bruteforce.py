@@ -136,6 +136,47 @@ def naive_closure_from(degree, seed):
     return naive_closure(degree, list(seed))
 
 
+def naive_subgroup_lattice(G, universe, cap=None, keep=None):
+    """cayley.subgroup_lattice without pruning: every subgroup found is
+    extended by every universe element outside it, by a word closure under
+    G.mul that gives up above cap elements."""
+
+    def closure(gens):
+        elems, frontier = {G.identity}, [G.identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for g in gens:
+                    y = G.mul(x, g)
+                    if y not in elems:
+                        elems.add(y)
+                        new.append(y)
+                        if cap is not None and len(elems) > cap:
+                            return None
+            frontier = new
+        return frozenset(elems)
+
+    trivial = frozenset({G.identity})
+    seen = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        new_frontier = []
+        for sub in frontier:
+            gens = seen[sub]
+            if cap is not None and 2 * len(sub) > cap:
+                continue
+            for x in universe:
+                if x in sub:
+                    continue
+                bigger = closure(gens + (x,))
+                if bigger is None or bigger in seen or (keep is not None and not keep(bigger)):
+                    continue
+                seen[bigger] = gens + (x,)
+                new_frontier.append(bigger)
+        frontier = new_frontier
+    return seen
+
+
 # -- small number theory ------------------------------------------------------
 
 

@@ -149,6 +149,16 @@ def test_fingerprint_fields():
     assert fp["exponent"] == 6
 
 
+def test_center_matches_all_pairs_definition():
+    D4 = cayley_from(pgroup(4, "(1 2 3 4)", "(1 3)"))
+    C2xA4 = direct_product_table(cyclic_table(2), A4)
+    for G in (S3, A4, C6, D4, C2xA4, direct_product_table(cyclic_table(4), S3)):
+        n = G.order
+        expected = {a for a in range(n) if all(G.mul(a, b) == G.mul(b, a) for b in range(n))}
+        assert G.center() == expected
+    assert len(D4.center()) == 2
+
+
 # -- isomorphism ------------------------------------------------------------------
 
 

@@ -1,0 +1,105 @@
+"""The pruned subgroup-lattice scan against the unpruned one.
+
+cayley.subgroup_lattice skips extensions whose outcome is known (the coset
+class of an element already tried, and elements whose extension of a smaller
+subgroup was rejected). bruteforce.naive_subgroup_lattice tries every
+extension; both must return the same subgroups with the same generators in
+the same order. The skipping is exact only when rejection by keep is
+upward-closed, so every keep the census scans use is checked for that too.
+"""
+
+import pytest
+
+from agroups import cayley, census
+from agroups.perm import Perm, PermGroup, perm_ops
+
+import bruteforce as bf
+
+
+def symmetric_group(n):
+    cycle = Perm.from_cycles(n, [list(range(1, n + 1))])
+    return PermGroup(n, [cycle, Perm.from_cycles(n, [[1, 2]])])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_table_lattice_matches_unpruned_scan(n):
+    table = cayley.cayley_from(symmetric_group(n))
+    pruned = list(cayley.subgroup_lattice(table, range(table.order)).items())
+    assert pruned == list(bf.naive_subgroup_lattice(table, range(table.order)).items())
+    assert len(pruned) == {4: 30, 5: 156}[n]
+
+
+@pytest.mark.parametrize(
+    "n, primes, cap, smooth",
+    [
+        (4, (2, 3), None, True),
+        (5, (2, 3), 12, True),
+        (5, (2, 5), 36, False),
+        (5, (3,), None, False),
+        (6, (2, 3), 8, True),
+        (6, (2,), 8, False),
+        (6, (3,), 9, True),
+    ],
+)
+def test_prime_order_perm_lattice_matches_unpruned_scan(n, primes, cap, smooth):
+    universe = [g for g in census.sn_elements(n) if g.order() in primes]
+    keep = census._scan_keep(primes, False) if smooth else None
+    pruned = cayley.subgroup_lattice(perm_ops(n), universe, cap, keep)
+    assert list(pruned.items()) == list(
+        bf.naive_subgroup_lattice(perm_ops(n), universe, cap, keep).items()
+    )
+
+
+def old_regular_post_filter(subs, r):
+    """The filter elementary_abelian_regular_scan applied after an unfiltered
+    scan: every nontrivial element fixed-point free of order r, and abelian."""
+    out = {}
+    for elems, gens in subs.items():
+        if not all(
+            g.is_identity() or (g.order() == r and census._fixed_point_free(g)) for g in elems
+        ):
+            continue
+        members = sorted(elems, key=lambda p: p.images)
+        if all(x * y == y * x for i, x in enumerate(members) for y in members[i + 1 :]):
+            out[elems] = gens
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_regular_scan_matches_unpruned_scan_then_filter(n):
+    for r in (2, 3, 5):
+        if r > n:
+            continue
+        universe = [
+            g for g in census.sn_elements(n) if g.order() == r and census._fixed_point_free(g)
+        ]
+        naive = bf.naive_subgroup_lattice(
+            perm_ops(n), universe, n, lambda sub: census._divides_primes(len(sub), (r,))
+        )
+        expected = list(old_regular_post_filter(naive, r).items())
+        assert list(census.elementary_abelian_regular_scan(n, r).items()) == expected
+
+
+# (primes, fpf_only) for every scan the census runs: the smooth keep of one
+# prime or a pair, and the elementary abelian fixed-point-free keep of one
+CENSUS_KEEPS = [
+    *(((u,), fpf_only) for u in (2, 3, 5) for fpf_only in (False, True)),
+    *(((q, r), False) for q, r in ((2, 3), (2, 5), (3, 5))),
+]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_census_keeps_are_upward_closed(n):
+    Sn = symmetric_group(n)
+    elems = Sn.elements()
+    table = cayley.cayley_from(Sn)
+    subgroups = [frozenset(elems[i] for i in sub) for sub in cayley.all_subgroups(table)]
+    rejections = 0
+    for primes, fpf_only in CENSUS_KEEPS:
+        keep = census._scan_keep(primes, fpf_only)
+        rejected = [H for H in subgroups if not keep(H)]
+        kept = [K for K in subgroups if keep(K)]
+        for H in rejected:
+            assert not any(H < K for K in kept), (primes, fpf_only, len(H))
+        rejections += len(rejected)
+    assert rejections
