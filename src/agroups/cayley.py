@@ -162,25 +162,28 @@ def direct_product_table(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
 def cayley_from(source, limit: int = TABLE_LIMIT) -> CayleyGroup:
     """Multiplication table of a PermGroup or MatGroup over its canonical
     element list; index 0..order-1 in canonical element order."""
-    from .matgrp import MatGroup
-    from .perm import PermGroup
+    from .matgrp import MatGroup, mat_ops
+    from .perm import PermGroup, perm_ops
 
     if isinstance(source, PermGroup):
         if source.order > limit:
             raise LimitExceeded(f"order {source.order} exceeds table limit {limit}")
-        elems = source.elements(max(source.order, 1))
-        labels = tuple(str(g.images) for g in elems)
+        perms = source.elements(max(source.order, 1))
+        labels = tuple(str(g.images) for g in perms)
+        elems = [g.code() for g in perms]
+        ops = perm_ops(source.degree)
     elif isinstance(source, MatGroup):
         if source.order > limit:
             raise LimitExceeded(f"order {source.order} exceeds table limit {limit}")
         elems = list(source.elements)
         labels = tuple(str(m.key()) for m in elems)
+        ops = mat_ops(source.alpha, source.spec)
     else:
         raise TypeError(f"cannot build a table from {type(source).__name__}")
     index = {e: i for i, e in enumerate(elems)}
-    table = tuple(tuple(index[a * b] for b in elems) for a in elems)
-    ident = elems[0] * elems[0].inverse()
-    return CayleyGroup(table, index[ident], labels)
+    mul = ops.mul
+    table = tuple(tuple(index[mul(a, b)] for b in elems) for a in elems)
+    return CayleyGroup(table, index[ops.identity], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def cayley_from(source, limit: int = TABLE_LIMIT) -> CayleyGroup:
 #
 # Every function here takes a group G given by G.mul(a, b), G.identity and,
 # where conjugates are needed, G.inv(a): a CayleyGroup on element indices, or
-# the permutation and matrix interfaces perm.perm_ops and matgrp.mat_ops.
+# the permutation codes of perm.perm_ops and the matrices of matgrp.mat_ops.
 # Subgroups are frozensets of elements.
 
 

@@ -38,9 +38,10 @@ from .errors import DegreeLimit, LimitExceeded, NotPrime
 from .gf import FieldSpec, field_make, is_prime, prime_factors
 from .matgrp import Mat, closure, gl_elements, is_irreducible
 from .perm import (
-    Perm,
     PermGroup,
+    code_order,
     extend_set,
+    fixed_point_free,
     greedy_generators,
     group_from_set,
     perm_ops,
@@ -107,11 +108,6 @@ class VarietyCensus:
         }
 
 
-@lru_cache(maxsize=4)
-def sn_elements(n: int) -> tuple[Perm, ...]:
-    return tuple(Perm(images) for images in itertools.permutations(range(1, n + 1)))
-
-
 def _divides_primes(order: int, primes) -> bool:
     for u in primes:
         while order % u == 0:
@@ -119,24 +115,22 @@ def _divides_primes(order: int, primes) -> bool:
     return order == 1
 
 
-def _fixed_point_free(g: Perm) -> bool:
-    return all(g.apply(p) != p for p in range(1, g.degree + 1))
-
-
-def _scan_keep(primes, fpf_only):
-    """The keep of a census lattice scan. Its rejection is upward-closed, as
-    subgroup_lattice requires: by Lagrange, an overgroup of a subgroup whose
-    order is not primes-smooth is not either; and with fpf_only (keep the
-    abelian subgroups whose nontrivial elements are fixed-point free of a
-    prime order in primes: elementary abelian ones), an overgroup keeps the
-    offending element or noncommuting pair."""
+def _scan_keep(n, primes, fpf_only):
+    """The keep of a census lattice scan of S_n. Its rejection is
+    upward-closed, as subgroup_lattice requires: by Lagrange, an overgroup of
+    a subgroup whose order is not primes-smooth is not either; and with
+    fpf_only (keep the abelian subgroups whose nontrivial elements are
+    fixed-point free of a prime order in primes: elementary abelian ones), an
+    overgroup keeps the offending element or noncommuting pair."""
     if not fpf_only:
         return lambda sub: _divides_primes(len(sub), primes)
+    ops = perm_ops(n)
+    mul, identity = ops.mul, ops.identity
 
     def keep(sub):
-        members = [g for g in sub if not g.is_identity()]
-        return all(g.order() in primes and _fixed_point_free(g) for g in members) and all(
-            x * y == y * x for i, x in enumerate(members) for y in members[i + 1 :]
+        members = [g for g in sub if g != identity]
+        return all(code_order(g) in primes and fixed_point_free(g) for g in members) and all(
+            mul(x, y) == mul(y, x) for i, x in enumerate(members) for y in members[i + 1 :]
         )
 
     return keep
@@ -145,17 +139,18 @@ def _scan_keep(primes, fpf_only):
 @lru_cache(maxsize=64)
 def _scan_cached(n, primes, order_cap, fpf_only):
     """All subgroups of S_n generated by elements of the given prime orders
-    that _scan_keep(primes, fpf_only) keeps, of order at most order_cap (with
-    fpf_only, only fixed-point-free elements generate). The keep must reject
-    upward-closed sets: the scan never tries an element over an overgroup of
-    a subgroup it was rejected over. Returns a tuple of (element frozenset,
-    generator tuple) pairs."""
+    that _scan_keep(n, primes, fpf_only) keeps, of order at most order_cap
+    (with fpf_only, only fixed-point-free elements generate). The keep must
+    reject upward-closed sets: the scan never tries an element over an
+    overgroup of a subgroup it was rejected over. Returns a tuple of (code
+    frozenset, generator tuple) pairs; the universe is S_n as codes in
+    lexicographic order."""
     universe = [
         g
-        for g in sn_elements(n)
-        if g.order() in primes and (not fpf_only or _fixed_point_free(g))
+        for g in itertools.permutations(range(n))
+        if (not fpf_only or fixed_point_free(g)) and code_order(g) in primes
     ]
-    lattice = subgroup_lattice(perm_ops(n), universe, order_cap, _scan_keep(primes, fpf_only))
+    lattice = subgroup_lattice(perm_ops(n), universe, order_cap, _scan_keep(n, primes, fpf_only))
     return tuple(lattice.items())
 
 
@@ -169,13 +164,13 @@ def _subgroup_scan(n, primes, order_bound_sq=None, max_order=None, fpf_only=Fals
     return dict(_scan_cached(n, tuple(sorted(set(primes))), cap, fpf_only))
 
 
-def _orbit_of_point(n, gens, point=1):
+def _orbit_of_point(gens, point=0):
     orbit = {point}
     queue = [point]
     while queue:
         p = queue.pop()
         for g in gens:
-            q = g.apply(p)
+            q = g[p]
             if q not in orbit:
                 orbit.add(q)
                 queue.append(q)
@@ -207,7 +202,7 @@ def _build_inventory(n, q, r, members, filter_desc) -> ClassInventory:
     classes = _dedup_conjugacy(n, groups)
     entries = []
     for cls in classes:
-        rep = min(cls, key=lambda g: set_key(g.elements()))
+        rep = cls[0]  # each class keeps the set_key order of groups
         entries.append(
             ClassEntry(rep, rep.order, _signature(rep.order, q, r), len(cls))
         )
@@ -222,13 +217,14 @@ def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
         raise DegreeLimit(f"degree {n} exceeds the transitive scan limit")
     bound_sq = 6 ** (n - 1)  # soluble order bound, squared comparison
     subs = _subgroup_scan(n, (q, r), order_bound_sq=bound_sq)
+    ops = perm_ops(n)
     members = []
     for elems, gens in subs.items():
         if len(elems) % n != 0:
             continue  # transitive needs n | order
-        if len(_orbit_of_point(n, gens)) != n:
+        if len(_orbit_of_point(gens)) != n:
             continue
-        if not in_variety(perm_ops(n), [q, r], gens):
+        if not in_variety(ops, [q, r], gens):
             continue
         members.append(elems)
     return _build_inventory(n, q, r, members, f"transitive, variety [{q}, {r}]")
@@ -248,13 +244,14 @@ def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
         return _primitive_regular_normal(n, q, r)
     bound_sq = 6 ** (n - 1)
     subs = _subgroup_scan(n, (q, r), order_bound_sq=bound_sq)
+    ops = perm_ops(n)
     members = []
     for elems, gens in subs.items():
         if len(elems) % n != 0:
             continue
-        if len(_orbit_of_point(n, gens)) != n:
+        if len(_orbit_of_point(gens)) != n:
             continue
-        if not in_variety(perm_ops(n), [q, r], gens):
+        if not in_variety(ops, [q, r], gens):
             continue
         grp = group_from_set(n, elems)
         if not grp.is_primitive():
@@ -263,10 +260,11 @@ def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
     return _build_inventory(n, q, r, members, f"primitive, variety [{q}, {r}]")
 
 
-def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple[Perm, ...]]:
+def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple[tuple, ...]]:
     """All elementary abelian r-subgroups of S_n of order <= n whose
     nontrivial elements are fixed-point free (the candidates that can be
-    transitive: transitive abelian groups are regular)."""
+    transitive: transitive abelian groups are regular), as code sets with
+    their generators."""
     return _subgroup_scan(n, (r,), max_order=n, fpf_only=True)
 
 
@@ -316,17 +314,18 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
         return empty
     regular_keys = {set_key(e) for e in regulars}
     T_elems = min(regulars, key=set_key)
-    t_set = frozenset(T_elems)
+    ops = perm_ops(n)
+    mul, inv = ops.mul, ops.inv
 
     # verify the conjugation action of S_n is transitive on the regular copies
-    sn_gens = [Perm.from_cycles(n, [list(range(1, n + 1))]), Perm.from_cycles(n, [[1, 2]])]
+    sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]  # (1 2 .. n), (1 2)
     orbit = {set_key(T_elems): T_elems}
     queue = [T_elems]
     while queue:
         current = queue.pop()
         for g in sn_gens:
-            gi = g.inverse()
-            image = frozenset(gi * h * g for h in current)
+            gi = inv(g)
+            image = frozenset(mul(mul(gi, h), g) for h in current)
             key = set_key(image)
             if key not in orbit:
                 orbit[key] = image
@@ -337,23 +336,20 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     # normalizer of T in S_n and its point stabiliser
     t_gens = greedy_generators(n, T_elems)
     norm_elems = []
-    for images in itertools.permutations(range(1, n + 1)):
-        g = Perm(images)
-        gi = g.inverse()
-        if all((gi * h * g) in t_set for h in t_gens):
+    for g in itertools.permutations(range(n)):
+        gi = inv(g)
+        if all(mul(mul(gi, h), g) in T_elems for h in t_gens):
             norm_elems.append(g)
-    normalizer = group_from_set(n, set(norm_elems))
+    normalizer = group_from_set(n, norm_elems)
     stab = normalizer.point_stabilizer(1)
-    stab_elems = stab.elements()
+    stab_codes = stab.codes()
     stab_table = cayley_from(stab)
 
     members = []
     seen: set[tuple] = set()
     for sub in all_subgroups(stab_table):
-        s_perms = {stab_elems[i] for i in sub}
-        g_elems = set(T_elems)
-        gens = list(t_gens)
-        for x in sorted(s_perms, key=lambda p: p.images):
+        g_elems, gens = T_elems, list(t_gens)
+        for x in sorted(stab_codes[i] for i in sub):
             if x not in g_elems:
                 g_elems = extend_set(n, g_elems, gens, x)
                 gens.append(x)
@@ -366,9 +362,9 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
         grp = group_from_set(n, g_elems)
         if not grp.is_transitive() or not grp.is_primitive():
             continue
-        if not in_variety(perm_ops(n), [q, r], gens):
+        if not in_variety(ops, [q, r], gens):
             continue
-        members.append(frozenset(g_elems))
+        members.append(g_elems)
     return _build_inventory(n, q, r, members, f"primitive, variety [{q}, {r}]")
 
 

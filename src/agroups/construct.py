@@ -30,7 +30,6 @@ from .perm import (
     PermGroup,
     fitting_subgroup,
     minimal_normal_subgroups,
-    set_key,
 )
 
 CASE_CYCLIC_R = "cyclic-r"
@@ -151,7 +150,7 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
     F = fitting_subgroup(G)
     check(
         "minimal-normal-equals-fitting",
-        set_key(M.elements()) == set_key(F.elements()),
+        M.elements() == F.elements(),
         f"|M| = {M.order}, |F(G)| = {F.order}",
     )
     check("minimal-normal-regular", M.order == n, f"|M| = {M.order}, n = {n}")

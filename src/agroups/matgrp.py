@@ -227,7 +227,8 @@ def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
 
 def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
     """Product, identity and inverse of GL(alpha, s), as the subgroup kernel
-    in cayley takes them (read off Mat on each call, like perm.perm_ops)."""
+    in cayley takes them (read off Mat on each call, so a rebound method is
+    seen)."""
     return SimpleNamespace(mul=Mat.__mul__, identity=Mat.identity(alpha, spec), inv=Mat.inverse)
 
 

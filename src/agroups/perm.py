@@ -4,10 +4,15 @@ Points are labelled 1..n. Products compose left to right: ``(a * b)`` sends
 x to b(a(x)), so x^(ab) = (x^a)^b.
 
 Groups carry a base and strong generating set built with a deterministic
-incremental Schreier-Sims, which gives exact orders and membership without
-listing elements. Element-set work (closures, extensions, generators, normal
-closures, the Fitting subgroup) runs on the subgroup kernel in cayley, bound
-to Perm products by perm_ops; the normal-structure operators deliberately
+incremental Schreier-Sims on Perm objects, which gives exact orders and
+membership without listing elements. Element-set work (closures, extensions,
+generators, normal closures, the Fitting subgroup, the census lattice scans)
+runs on the subgroup kernel in cayley over codes: a permutation as the tuple
+of its 0-based point images, multiplied by one C-level map and hashed and
+compared as a plain tuple. perm_ops binds the kernel to codes. A code sorts
+exactly as its Perm's 1-based images do, so every canonical order is the same
+in both forms; Perm and PermGroup appear only at the edges (stabiliser
+chains, JSON, cycle notation). The normal-structure operators deliberately
 work on exhaustive element lists: they are oracles, and at desk scale
 certainty beats sophistication. An exhaustive closure cross-check of the
 chain order is part of the test suite, not of construction.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from functools import reduce
 from types import SimpleNamespace
@@ -51,6 +57,16 @@ class Perm:
     @staticmethod
     def identity(degree: int) -> "Perm":
         return Perm._raw(tuple(range(1, degree + 1)))
+
+    @staticmethod
+    def from_code(code) -> "Perm":
+        """The Perm of a code (0-based images), which is a permutation by
+        construction."""
+        return Perm._raw(tuple(i + 1 for i in code))
+
+    def code(self) -> tuple[int, ...]:
+        """The 0-based image tuple the subgroup kernel works on."""
+        return tuple(i - 1 for i in self.images)
 
     @staticmethod
     def from_cycles(degree: int, cycles) -> "Perm":
@@ -314,6 +330,10 @@ class PermGroup:
             self._elements = elems
         return list(self._elements)
 
+    def codes(self, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> list[tuple[int, ...]]:
+        """The elements as codes, in the same canonical order."""
+        return [g.code() for g in self.elements(limit)]
+
     # -- orbits, blocks ----------------------------------------------------
 
     def orbits(self) -> list[tuple[int, ...]]:
@@ -386,40 +406,69 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# element sets, through the subgroup kernel (exhaustive, desk scale)
+# element sets as codes, through the subgroup kernel (exhaustive, desk scale)
+
+
+def _code_mul(a, b):
+    return tuple(map(b.__getitem__, a))
+
+
+def _code_inv(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
 def perm_ops(degree: int) -> SimpleNamespace:
-    """Product, identity and inverse of S_degree, as the subgroup kernel in
-    cayley takes them (read off Perm on each call, so a rebound method is
-    seen)."""
-    return SimpleNamespace(mul=Perm.__mul__, identity=Perm.identity(degree), inv=Perm.inverse)
+    """Product, identity and inverse of S_degree on codes, as the subgroup
+    kernel in cayley takes them. Products compose left to right, as Perm's
+    do: mul(a, b) sends x to b[a[x]]."""
+    return SimpleNamespace(mul=_code_mul, identity=tuple(range(degree)), inv=_code_inv)
 
 
-def close_set(degree: int, seeds) -> frozenset[Perm]:
-    """Subgroup generated by the seeds, as an element set."""
+def code_order(code) -> int:
+    """Order of a code: the lcm of its cycle lengths."""
+    order, seen = 1, bytearray(len(code))
+    for start in range(len(code)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            x = code[x]
+            length += 1
+        if length > 1:
+            order = math.lcm(order, length)
+    return order
+
+
+def fixed_point_free(code) -> bool:
+    return all(map(operator.ne, code, range(len(code))))
+
+
+def close_set(degree: int, seeds) -> frozenset[tuple]:
+    """Subgroup generated by the seed codes, as a code set."""
     return cayley.subgroup_closure(perm_ops(degree), seeds)
 
 
 def extend_set(
-    degree: int, elems, gens, new_gen: Perm, cap: int | None = None
-) -> frozenset[Perm] | None:
-    """Element set of <elems, new_gen> for elems = <gens>; None once it
-    exceeds a given cap."""
+    degree: int, elems, gens, new_gen: tuple, cap: int | None = None
+) -> frozenset[tuple] | None:
+    """Code set of <elems, new_gen> for elems = <gens>; None once it exceeds
+    a given cap."""
     return cayley.extend_subgroup(perm_ops(degree), elems, gens, new_gen, cap)
 
 
-def greedy_generators(degree: int, elems) -> list[Perm]:
-    """Small canonical generating list: scan elements by decreasing order."""
-    return cayley.greedy_generators(perm_ops(degree), elems, key=lambda g: (-g.order(), g.images))
+def greedy_generators(degree: int, elems) -> list[tuple]:
+    """Small canonical generating list of a code set: scan it by decreasing
+    order."""
+    return cayley.greedy_generators(perm_ops(degree), elems, key=lambda c: (-code_order(c), c))
 
 
 def group_from_set(degree: int, elems) -> PermGroup:
-    return PermGroup(degree, greedy_generators(degree, elems))
+    """The PermGroup of a code set, on its greedy generators."""
+    return PermGroup(degree, [Perm.from_code(c) for c in greedy_generators(degree, elems)])
 
 
 def set_key(elems) -> tuple:
-    return tuple(sorted(g.images for g in elems))
+    """Canonical key of a code set."""
+    return tuple(sorted(elems))
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +495,15 @@ def subgroup_conjugate(
     b_elems = B.elements()
     if sorted(g.cycle_type() for g in a_elems) != sorted(g.cycle_type() for g in b_elems):
         return None
-    b_images = {g.images for g in b_elems}
-    gens = greedy_generators(n, a_elems)
+    b_codes = set(B.codes())
+    gens = greedy_generators(n, A.codes())
     if not gens:
         return Perm.identity(n)
-    gen_images = [g.images for g in gens]
-    for candidate in itertools.permutations(range(1, n + 1)):
-        inv = [0] * n
-        for i, j in enumerate(candidate):
-            inv[j - 1] = i + 1
-        ok = True
-        for gi in gen_images:
-            # conjugate = x^-1 * g * x, computed on raw image tuples
-            conj = tuple(candidate[gi[inv[p] - 1] - 1] for p in range(n))
-            if conj not in b_images:
-                ok = False
-                break
-        if ok:
-            return Perm(candidate)
+    for x in itertools.permutations(range(n)):
+        xi = _code_inv(x)
+        # the conjugate x^-1 g x sends x[p] to x[g[p]]
+        if all(_code_mul(_code_mul(xi, g), x) in b_codes for g in gens):
+            return Perm.from_code(x)
     return None
 
 
@@ -489,12 +529,13 @@ def minimal_normal_subgroups(
     normal subgroup contains one), reduced to the minimal members.
     """
     _check_exhaustive(G, limit)
-    elems = G.elements(limit)
-    closures: dict[tuple, set[Perm]] = {}
-    for g in elems:
-        if g.is_identity() or not _is_prime_order(g):
+    ops = perm_ops(G.degree)
+    gens = [g.code() for g in G.generators]
+    closures: dict[tuple, frozenset] = {}
+    for g in G.codes(limit):
+        if g == ops.identity or not is_prime(code_order(g)):
             continue
-        clo = cayley.normal_closure(perm_ops(G.degree), [g], G.generators)[0]
+        clo = cayley.normal_closure(ops, [g], gens)[0]
         closures[set_key(clo)] = clo
     minimal = []
     for key, clo in closures.items():
@@ -505,15 +546,12 @@ def minimal_normal_subgroups(
     return [group_from_set(G.degree, m) for m in minimal]
 
 
-def _is_prime_order(g: Perm) -> bool:
-    return is_prime(g.order())
-
-
 def fitting_subgroup(G: PermGroup, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> PermGroup:
     """Largest nilpotent normal subgroup: join of the normal u-radicals."""
     _check_exhaustive(G, limit)
-    ops = perm_ops(G.degree)
-    return group_from_set(G.degree, cayley.fitting_subgroup(ops, G.elements(limit), G.generators))
+    gens = [g.code() for g in G.generators]
+    fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(limit), gens)
+    return group_from_set(G.degree, fitting)
 
 
 # ---------------------------------------------------------------------------

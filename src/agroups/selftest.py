@@ -304,7 +304,7 @@ def criterion_engine_properties() -> CriterionOutcome:
             rng.shuffle(images)
             gens.append(Perm(images))
         G = PermGroup(6, gens)
-        closure = perm.close_set(6, gens)
+        closure = perm.close_set(6, [g.code() for g in gens])
         if G.order != len(closure):
             out.fail(f"random subgroup {i}: chain order {G.order} != closure {len(closure)}")
     out.note("30 seeded random subgroups of S6: chain order == closure size")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from agroups import census, perm
@@ -16,6 +19,33 @@ from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
 
 def pgroup(degree, *texts):
     return PermGroup(degree, [parse_cycles(t, degree) for t in texts])
+
+
+# -- recorded inventories ---------------------------------------------------------
+
+# SHA-256 of the sorted-key JSON line of each inventory, recorded while the
+# lattice scans still ran on Perm objects; any change in a class list, order,
+# signature, class size or generator changes its digest
+GOLDEN_INVENTORIES = [
+    pytest.param(
+        enumerate_transitive_classes,
+        (6, 3, 5),
+        "eb58bfa438d2674ee6321d453626c7bb73aaa6161c087a66f07fdb68723b3848",
+        id="transitive-6.3.5",
+    ),
+    pytest.param(
+        enumerate_primitive_classes,
+        (8, 2, 7),
+        "e61dbd70bdd92d42caf1b5da9d7c18267ba66ebcc86e8383ae01a511fc54da31",
+        id="primitive-8.2.7",
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, args, digest", GOLDEN_INVENTORIES)
+def test_inventory_matches_recorded_digest(fn, args, digest):
+    line = json.dumps(fn(*args).to_json(), sort_keys=True) + "\n"
+    assert hashlib.sha256(line.encode()).hexdigest() == digest
 
 
 # -- transitive inventories -----------------------------------------------------

@@ -1,10 +1,10 @@
 """Differential checks of the subgroup kernel in cayley.
 
-The kernel's closure, normal closure and derived subgroup on permutations
-are compared with sympy.combinatorics (test-only; Schreier-Sims there), and
-its two-prime variety verdict on the permutations of every subgroup of S4
-and S5 is compared with the definitional witness search on the subgroup's
-own table.
+The kernel's closure, normal closure and derived subgroup on permutation
+codes are compared with sympy.combinatorics (test-only; Schreier-Sims
+there), and its two-prime variety verdict on the permutations of every
+subgroup of S4 and S5 is compared with the definitional witness search on
+the subgroup's own table.
 """
 
 import pytest
@@ -21,14 +21,12 @@ from agroups.perm import Perm, PermGroup, perm_ops  # noqa: E402
 def perm_gens(draw):
     n = draw(st.integers(2, 7))
     count = draw(st.integers(1, 3))
-    gens = [Perm(draw(st.permutations(range(1, n + 1)))) for _ in range(count)]
+    gens = [tuple(draw(st.permutations(range(n)))) for _ in range(count)]
     return n, gens
 
 
 def to_sympy(gens):
-    return combinatorics.PermutationGroup(
-        [combinatorics.Permutation([i - 1 for i in g.images]) for g in gens]
-    )
+    return combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
 
 
 @settings(max_examples=60, deadline=None)
@@ -39,9 +37,9 @@ def test_kernel_orders_match_sympy(case, word):
     G = to_sympy(gens)
     assert len(cayley.subgroup_closure(ops, gens)) == G.order()
     # a seed inside <gens>: a word in the generators
-    seed = Perm.identity(n)
+    seed = ops.identity
     for i in word:
-        seed = seed * gens[i % len(gens)]
+        seed = ops.mul(seed, gens[i % len(gens)])
     ncl = cayley.normal_closure(ops, [seed], gens)[0]
     assert len(ncl) == G.normal_closure(to_sympy([seed])).order()
     derived = cayley.verbal_subgroup(ops, gens, 0)[0]
@@ -62,7 +60,7 @@ def test_variety_verdicts_match_witness_search_on_every_subgroup(n):
         perms = [elems[i] for i in gens]
         table = cayley.cayley_from(PermGroup(n, perms))
         for chain in CHAINS:
-            fast = cayley.in_variety(perm_ops(n), chain, perms)
+            fast = cayley.in_variety(perm_ops(n), chain, [g.code() for g in perms])
             assert fast == cayley.in_variety_exhaustive(table, chain), (table.order, chain)
             verdicts.add(fast)
     assert verdicts == {True, False}

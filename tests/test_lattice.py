@@ -8,12 +8,18 @@ the same order. The skipping is exact only when rejection by keep is
 upward-closed, so every keep the census scans use is checked for that too.
 """
 
+import itertools
+
 import pytest
 
 from agroups import cayley, census
-from agroups.perm import Perm, PermGroup, perm_ops
+from agroups.perm import Perm, PermGroup, code_order, fixed_point_free, perm_ops
 
 import bruteforce as bf
+
+
+def sn_codes(n):
+    return list(itertools.permutations(range(n)))
 
 
 def symmetric_group(n):
@@ -42,25 +48,28 @@ def test_table_lattice_matches_unpruned_scan(n):
     ],
 )
 def test_prime_order_perm_lattice_matches_unpruned_scan(n, primes, cap, smooth):
-    universe = [g for g in census.sn_elements(n) if g.order() in primes]
-    keep = census._scan_keep(primes, False) if smooth else None
+    universe = [g for g in sn_codes(n) if code_order(g) in primes]
+    keep = census._scan_keep(n, primes, False) if smooth else None
     pruned = cayley.subgroup_lattice(perm_ops(n), universe, cap, keep)
     assert list(pruned.items()) == list(
         bf.naive_subgroup_lattice(perm_ops(n), universe, cap, keep).items()
     )
 
 
-def old_regular_post_filter(subs, r):
+def old_regular_post_filter(n, subs, r):
     """The filter elementary_abelian_regular_scan applied after an unfiltered
     scan: every nontrivial element fixed-point free of order r, and abelian."""
+    ops = perm_ops(n)
     out = {}
     for elems, gens in subs.items():
         if not all(
-            g.is_identity() or (g.order() == r and census._fixed_point_free(g)) for g in elems
+            g == ops.identity or (code_order(g) == r and fixed_point_free(g)) for g in elems
         ):
             continue
-        members = sorted(elems, key=lambda p: p.images)
-        if all(x * y == y * x for i, x in enumerate(members) for y in members[i + 1 :]):
+        members = sorted(elems)
+        if all(
+            ops.mul(x, y) == ops.mul(y, x) for i, x in enumerate(members) for y in members[i + 1 :]
+        ):
             out[elems] = gens
     return out
 
@@ -70,13 +79,11 @@ def test_regular_scan_matches_unpruned_scan_then_filter(n):
     for r in (2, 3, 5):
         if r > n:
             continue
-        universe = [
-            g for g in census.sn_elements(n) if g.order() == r and census._fixed_point_free(g)
-        ]
+        universe = [g for g in sn_codes(n) if code_order(g) == r and fixed_point_free(g)]
         naive = bf.naive_subgroup_lattice(
             perm_ops(n), universe, n, lambda sub: census._divides_primes(len(sub), (r,))
         )
-        expected = list(old_regular_post_filter(naive, r).items())
+        expected = list(old_regular_post_filter(n, naive, r).items())
         assert list(census.elementary_abelian_regular_scan(n, r).items()) == expected
 
 
@@ -91,12 +98,12 @@ CENSUS_KEEPS = [
 @pytest.mark.parametrize("n", [4, 5])
 def test_census_keeps_are_upward_closed(n):
     Sn = symmetric_group(n)
-    elems = Sn.elements()
+    elems = Sn.codes()
     table = cayley.cayley_from(Sn)
     subgroups = [frozenset(elems[i] for i in sub) for sub in cayley.all_subgroups(table)]
     rejections = 0
     for primes, fpf_only in CENSUS_KEEPS:
-        keep = census._scan_keep(primes, fpf_only)
+        keep = census._scan_keep(n, primes, fpf_only)
         rejected = [H for H in subgroups if not keep(H)]
         kept = [K for K in subgroups if keep(K)]
         for H in rejected:
