@@ -2,12 +2,12 @@
 
 Subgroups of a table group are frozensets of element indices. The subgroup
 kernel here (closure, coset extension, greedy generators, normal closure,
-verbal subgroups, lattice scan, Fitting subgroup) runs on any group given by
-a product, an identity and an inverse, so the permutation and matrix layers
-bind it instead of keeping copies. Isomorphism testing is fingerprint
-comparison followed by generator-image backtracking, and the same
-backtracking engine enumerates homomorphisms into matrix groups for the
-census oracle.
+verbal subgroups, lattice scan, conjugation orbits, Fitting subgroup) runs
+on any group given by a product, an identity and an inverse, so the
+permutation and matrix layers bind it instead of keeping copies.
+Isomorphism testing is fingerprint comparison followed by generator-image
+backtracking, and the same backtracking engine enumerates homomorphisms
+into matrix groups for the census oracle.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def cayley_from(source, limit: int = TABLE_LIMIT) -> CayleyGroup:
     elif isinstance(source, MatGroup):
         if source.order > limit:
             raise LimitExceeded(f"order {source.order} exceeds table limit {limit}")
-        elems = list(source.elements)
-        labels = tuple(str(m.key()) for m in elems)
+        elems = [m.entries for m in source.elements]
+        labels = tuple(map(str, elems))
         ops = mat_ops(source.alpha, source.spec)
     else:
         raise TypeError(f"cannot build a table from {type(source).__name__}")
@@ -191,7 +191,7 @@ def cayley_from(source, limit: int = TABLE_LIMIT) -> CayleyGroup:
 #
 # Every function here takes a group G given by G.mul(a, b), G.identity and,
 # where conjugates are needed, G.inv(a): a CayleyGroup on element indices, or
-# the permutation codes of perm.perm_ops and the matrices of matgrp.mat_ops.
+# the permutation codes of perm.perm_ops and the matrix codes of matgrp.mat_ops.
 # Subgroups are frozensets of elements.
 
 
@@ -294,6 +294,23 @@ def verbal_subgroup(G, gens, r: int) -> tuple[frozenset, list]:
     if r:
         seeds += [_power(G, x, r) for x in gens]
     return normal_closure(G, seeds, gens)
+
+
+def conjugation_orbit(G, sub, gens) -> list[frozenset]:
+    """The conjugates of the subgroup sub under the group generated by gens,
+    in breadth-first order from sub: each found conjugate is conjugated by
+    every generator, so no element of <gens> is enumerated."""
+    mul, inv = G.mul, G.inv
+    conjugators = [(inv(g), g) for g in gens]
+    orbit = [frozenset(sub)]
+    seen = set(orbit)
+    for current in orbit:  # orbit grows by each new conjugate
+        for gi, g in conjugators:
+            image = frozenset([mul(mul(gi, h), g) for h in current])
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def _coset_class(G, sub, x, index) -> int:

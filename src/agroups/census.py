@@ -26,6 +26,7 @@ from .cayley import (
     all_subgroups,
     are_isomorphic,
     cayley_from,
+    conjugation_orbit,
     cyclic_table,
     elementary_abelian_table,
     fitting_subgroup,
@@ -210,23 +211,29 @@ def _build_inventory(n, q, r, members, filter_desc) -> ClassInventory:
     return ClassInventory(f"S{n}", n, filter_desc, tuple(entries))
 
 
+def _transitive_variety_subgroups(n: int, q: int, r: int) -> list[frozenset]:
+    """The transitive subgroups of S_n in the variety [q, r], as code sets.
+    A transitive group's order is divisible by n, and the scan keeps only
+    {q, r}-smooth orders: unless n is {q, r}-smooth there is none to scan for."""
+    if not _divides_primes(n, (q, r)):
+        return []
+    bound_sq = 6 ** (n - 1)  # soluble order bound, squared comparison
+    ops = perm_ops(n)
+    return [
+        elems
+        for elems, gens in _subgroup_scan(n, (q, r), order_bound_sq=bound_sq).items()
+        if len(elems) % n == 0  # transitive needs n | order
+        and len(_orbit_of_point(gens)) == n
+        and in_variety(ops, [q, r], gens)
+    ]
+
+
 def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of transitive two-prime-variety subgroups of S_n."""
     _check_pair(q, r)
     if n > TRANSITIVE_DEGREE_LIMIT:
         raise DegreeLimit(f"degree {n} exceeds the transitive scan limit")
-    bound_sq = 6 ** (n - 1)  # soluble order bound, squared comparison
-    subs = _subgroup_scan(n, (q, r), order_bound_sq=bound_sq)
-    ops = perm_ops(n)
-    members = []
-    for elems, gens in subs.items():
-        if len(elems) % n != 0:
-            continue  # transitive needs n | order
-        if len(_orbit_of_point(gens)) != n:
-            continue
-        if not in_variety(ops, [q, r], gens):
-            continue
-        members.append(elems)
+    members = _transitive_variety_subgroups(n, q, r)
     return _build_inventory(n, q, r, members, f"transitive, variety [{q}, {r}]")
 
 
@@ -242,21 +249,11 @@ def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
         raise DegreeLimit(f"degree {n} exceeds the primitive scan limit")
     if n in (7, 8):
         return _primitive_regular_normal(n, q, r)
-    bound_sq = 6 ** (n - 1)
-    subs = _subgroup_scan(n, (q, r), order_bound_sq=bound_sq)
-    ops = perm_ops(n)
-    members = []
-    for elems, gens in subs.items():
-        if len(elems) % n != 0:
-            continue
-        if len(_orbit_of_point(gens)) != n:
-            continue
-        if not in_variety(ops, [q, r], gens):
-            continue
-        grp = group_from_set(n, elems)
-        if not grp.is_primitive():
-            continue
-        members.append(elems)
+    members = [
+        elems
+        for elems in _transitive_variety_subgroups(n, q, r)
+        if group_from_set(n, elems).is_primitive()
+    ]
     return _build_inventory(n, q, r, members, f"primitive, variety [{q}, {r}]")
 
 
@@ -312,25 +309,13 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     ]
     if not regulars:
         return empty
-    regular_keys = {set_key(e) for e in regulars}
     T_elems = min(regulars, key=set_key)
     ops = perm_ops(n)
     mul, inv = ops.mul, ops.inv
 
     # verify the conjugation action of S_n is transitive on the regular copies
     sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]  # (1 2 .. n), (1 2)
-    orbit = {set_key(T_elems): T_elems}
-    queue = [T_elems]
-    while queue:
-        current = queue.pop()
-        for g in sn_gens:
-            gi = inv(g)
-            image = frozenset(mul(mul(gi, h), g) for h in current)
-            key = set_key(image)
-            if key not in orbit:
-                orbit[key] = image
-                queue.append(image)
-    if set(orbit) != regular_keys:
+    if set(conjugation_orbit(ops, T_elems, sn_gens)) != set(regulars):
         raise AssertionError("regular elementary abelian copies are not a single class")
 
     # normalizer of T in S_n and its point stabiliser

@@ -1,11 +1,12 @@
 """Matrix groups over GF(s).
 
-Everything here is an exhaustive desk-scale oracle: closures materialise the
-full element set (through the subgroup kernel in cayley, bound to Mat
-products by mat_ops), irreducibility is decided by spinning every line, and the
-conjugacy/classification routines scan all of GL(alpha, s) in a fixed
-deterministic order. Limits guard each entry point so a bad input fails fast
-instead of grinding.
+Everything here is an exhaustive desk-scale oracle. mat_ops binds the subgroup
+kernel in cayley to matrix codes, the entry tuples of Mat: closures
+materialise the full element set, and the elementary abelian classification
+is one lattice scan, with conjugacy classes taken as orbits under GL's
+generators. Irreducibility is decided by spinning every line; conjugate_in_gl,
+the independent conjugacy check, scans all of GL(alpha, s) in a fixed order.
+Limits guard each entry point so a bad input fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .cayley import greedy_generators, subgroup_closure
+from .cayley import (
+    _abelian_of_exponent,
+    _power,
+    conjugation_orbit,
+    greedy_generators,
+    subgroup_closure,
+    subgroup_lattice,
+)
 from .errors import (
     CharacteristicConflict,
     DegreeMismatch,
@@ -68,31 +76,12 @@ class Mat:
             raise FieldMismatch("matrices over different fields")
         if len(self.entries) != len(other.entries):
             raise DegreeMismatch("matrix dimensions differ")
-        tab = self.spec.tables
-        add, mul = tab.add, tab.mul
-        n = self.alpha
-        a, cols = self.entries, [other.entries[j::n] for j in range(n)]
-        out = []
-        for i in range(0, n * n, n):
-            row = [mul[x] for x in a[i : i + n]]
-            for col in cols:
-                acc = 0
-                for mx, y in zip(row, col):
-                    acc = add[acc][mx[y]]
-                out.append(acc)
-        return Mat(self.spec, tuple(out))
+        return Mat(self.spec, mat_ops(self.alpha, self.spec).mul(self.entries, other.entries))
 
     def __pow__(self, e: int) -> "Mat":
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.alpha, self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return Mat(self.spec, _power(mat_ops(self.alpha, self.spec), self.entries, e))
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Row vector image v * M, on element indices."""
@@ -150,17 +139,7 @@ class Mat:
         return self.entries == _identity_entries(self.alpha)
 
     def order(self) -> int:
-        e, x = 1, self
-        while not x.is_identity():
-            x = x * self
-            e += 1
-            if e > GL_BRUTE_LIMIT:
-                raise LimitExceeded("element order exceeds scan limit")
-        return e
-
-    def key(self) -> tuple:
-        """Row-major entry indices; the canonical total order on matrices."""
-        return self.entries
+        return _code_order(mat_ops(self.alpha, self.spec), self.entries)
 
     def to_json(self) -> list:
         return [[list(self.spec.from_index(e).coeffs) for e in row] for row in self._rows()]
@@ -190,9 +169,6 @@ class MatGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_set(self) -> frozenset[Mat]:
-        return frozenset(self.elements)
-
 
 def gl_order(alpha: int, spec: FieldSpec) -> int:
     if alpha < 1:
@@ -217,30 +193,54 @@ def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
             raise DegreeMismatch("generators of different dimensions")
         if g.det() == 0:
             raise SingularGenerator("generator is singular")
-    elems = subgroup_closure(mat_ops(alpha, spec), gens, cap=limit)
+    elems = subgroup_closure(mat_ops(alpha, spec), [g.entries for g in gens], cap=limit)
     if elems is None:
         raise LimitExceeded(f"closure exceeds {limit} elements")
-    ordered = tuple(sorted(elems, key=Mat.key))
-    canon_gens = tuple(sorted(dict.fromkeys(gens), key=Mat.key))
+    ordered = tuple(Mat(spec, c) for c in sorted(elems))
+    canon_gens = tuple(sorted(dict.fromkeys(gens), key=lambda m: m.entries))
     return MatGroup(spec, alpha, canon_gens, ordered)
 
 
+@lru_cache(maxsize=None)
 def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
-    """Product, identity and inverse of GL(alpha, s), as the subgroup kernel
-    in cayley takes them (read off Mat on each call, so a rebound method is
-    seen)."""
-    return SimpleNamespace(mul=Mat.__mul__, identity=Mat.identity(alpha, spec), inv=Mat.inverse)
+    """Product, identity and inverse of GL(alpha, s) on matrix codes, the
+    entry tuples of Mat, as the subgroup kernel in cayley takes them. The
+    product is the one Mat.__mul__ runs."""
+    add, mul = spec.tables.add, spec.tables.mul
+    # terms[k] lists, for each entry (i, j) of a product in row-major order,
+    # the positions of a[i][k] and b[k][j] in the codes a and b
+    idx = range(alpha)
+    terms = [[(i * alpha + k, k * alpha + j) for i in idx for j in idx] for k in idx]
+
+    def product(a, b):
+        times_a = [mul[x] for x in a]  # the multiplication-table row of each entry
+        out = [times_a[p][b[q]] for p, q in terms[0]]
+        for term in terms[1:]:
+            out = [add[acc][times_a[p][b[q]]] for acc, (p, q) in zip(out, term)]
+        return tuple(out)
+
+    def inverse(code):
+        return Mat(spec, code).inverse().entries
+
+    return SimpleNamespace(mul=product, identity=_identity_entries(alpha), inv=inverse)
 
 
-def mat_greedy_generators(alpha: int, spec: FieldSpec, elems) -> list[Mat]:
-    return greedy_generators(mat_ops(alpha, spec), elems, key=lambda m: (-m.order(), m.key()))
+def _code_order(ops, code) -> int:
+    e, x = 1, code
+    while x != ops.identity:
+        x = ops.mul(x, code)
+        e += 1
+        if e > GL_BRUTE_LIMIT:
+            raise LimitExceeded("element order exceeds scan limit")
+    return e
 
 
-def group_from_mats(alpha: int, spec: FieldSpec, elems) -> MatGroup:
-    gens = mat_greedy_generators(alpha, spec, elems)
-    if not gens:
-        gens = [Mat.identity(alpha, spec)]
-    return closure(gens)
+def group_from_mats(alpha: int, spec: FieldSpec, codes) -> MatGroup:
+    """The subgroup with the given matrix codes, generated by greedy
+    generators taken in order of decreasing element order."""
+    ops = mat_ops(alpha, spec)
+    gens = greedy_generators(ops, codes, key=lambda c: (-_code_order(ops, c), c))
+    return closure([Mat(spec, c) for c in gens] or [Mat.identity(alpha, spec)])
 
 
 @lru_cache(maxsize=32)
@@ -439,67 +439,61 @@ def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Ma
         raise DegreeMismatch("groups of different dimensions")
     if A.order != B.order:
         return None
-    b_set = B.element_set()
-    gens = mat_greedy_generators(A.alpha, A.spec, A.elements)
-    if not gens:
-        return Mat.identity(A.alpha, A.spec)
+    b_set = set(B.elements)
     for x in gl_elements(A.alpha, A.spec, limit):
         xinv = x.inverse()
-        if all((xinv * g * x) in b_set for g in gens):
+        if all((xinv * g * x) in b_set for g in A.generators):
             return x
     return None
 
 
 @lru_cache(maxsize=8)
 def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
-    """All elementary abelian r-subgroups of GL(alpha, s), plus which are
-    maximal among such: (all_subgroups, maximal_subgroups) as sorted tuples
-    of frozensets of Mat. Cached: both classifications read the same scan."""
+    """The nontrivial elementary abelian r-subgroups of GL(alpha, s), as a
+    dict from matrix-code frozensets to the generators the lattice scan built
+    them from, and the list of those maximal among them. Cached: both
+    classifications read the same scan."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
     if r == spec.t:
         raise CharacteristicConflict(f"r = {r} equals the field characteristic")
-    order_r = [m for m in gl_elements(alpha, spec, limit) if m.order() == r]
     ops = mat_ops(alpha, spec)
-    seen = dict.fromkeys(subgroup_closure(ops, [x]) for x in order_r)
-    frontier = list(seen)
-    maximal = []
-    while frontier:
-        new_frontier = []
-        for h in frontier:
-            extensions = [
-                y for y in order_r if y not in h and all(y * m == m * y for m in h)
-            ]
-            if not extensions:
-                maximal.append(h)
-                continue
-            for y in extensions:
-                bigger = frozenset(a * b for a in h for b in subgroup_closure(ops, [y]))
-                if bigger not in seen:
-                    seen[bigger] = None
-                    new_frontier.append(bigger)
-        frontier = new_frontier
-
-    def subgroup_key(sub):
-        return tuple(sorted(m.key() for m in sub))
-
-    return tuple(sorted(seen, key=subgroup_key)), tuple(sorted(set(maximal), key=subgroup_key))
+    mul, ident = ops.mul, ops.identity
+    codes = (m.entries for m in gl_elements(alpha, spec, limit))
+    order_r = [c for c in codes if c != ident and _power(ops, c, r) == ident]
+    # an r-subgroup has at most the r-part of |GL| elements (Lagrange); a
+    # nonabelian subgroup has only nonabelian overgroups
+    r_part = r ** prime_factors(gl_order(alpha, spec)).get(r, 0)
+    lattice = subgroup_lattice(ops, order_r, r_part, lambda sub: _abelian_of_exponent(ops, sub, r))
+    del lattice[frozenset({ident})]
+    # maximal iff no order-r element outside commutes with the generators
+    maximal = [
+        sub
+        for sub, gens in lattice.items()
+        if not any(
+            y not in sub and all(mul(y, g) == mul(g, y) for g in gens) for y in order_r
+        )
+    ]
+    return lattice, maximal
 
 
-def _class_reps(groups, limit) -> list[MatGroup]:
-    """One representative per GL-conjugacy class, canonically ordered."""
-    classes: list[list[MatGroup]] = []
-    for grp in groups:
-        cls = next((c for c in classes if conjugate_in_gl(c[0], grp, limit) is not None), None)
-        if cls is None:
-            classes.append([grp])
-        else:
-            cls.append(grp)
+def _class_reps(alpha: int, spec: FieldSpec, subgroups, limit: int) -> list[MatGroup]:
+    """One representative per GL-conjugacy class of the given subgroups
+    (matrix-code frozensets, a union of classes), canonically ordered. Each
+    class is the orbit of one member under conjugation by GL's generators,
+    and its representative the least member by generators."""
+    ops = mat_ops(alpha, spec)
+    gl_gens = greedy_generators(ops, [m.entries for m in gl_elements(alpha, spec, limit)])
 
     def gens_key(g):
-        return tuple(m.key() for m in g.generators)
+        return tuple(m.entries for m in g.generators)
 
-    reps = [min(cls, key=gens_key) for cls in classes]
+    reps, pending = [], set(subgroups)
+    for sub in subgroups:
+        if sub in pending:
+            orbit = conjugation_orbit(ops, sub, gl_gens)
+            pending.difference_update(orbit)
+            reps.append(min((group_from_mats(alpha, spec, s) for s in orbit), key=gens_key))
     reps.sort(key=lambda g: (g.order, gens_key(g)))
     return reps
 
@@ -510,17 +504,17 @@ def classify_elem_abelian_r(
     """One representative per conjugacy class of subgroups maximal among the
     elementary abelian r-subgroups of GL(alpha, s), canonically ordered."""
     _, maximal = _elem_abelian_r_subgroups(alpha, spec, r, limit)
-    return _class_reps((group_from_mats(alpha, spec, s) for s in maximal), limit)
+    return _class_reps(alpha, spec, maximal, limit)
 
 
 def irreducible_elem_abelian_r_classes(
     alpha: int, spec: FieldSpec, r: int, limit: int = GL_BRUTE_LIMIT
 ) -> list[MatGroup]:
     """Conjugacy classes of nontrivial irreducible elementary abelian
-    r-subgroups (the single-class claim oracle)."""
-    all_subs, _ = _elem_abelian_r_subgroups(alpha, spec, r, limit)
-    groups = (group_from_mats(alpha, spec, s) for s in all_subs)
-    return _class_reps((g for g in groups if is_irreducible(g)), limit)
+    r-subgroups (the single-class claim oracle). Irreducibility is a class
+    invariant, so one test per class suffices."""
+    lattice, _ = _elem_abelian_r_subgroups(alpha, spec, r, limit)
+    return [g for g in _class_reps(alpha, spec, lattice, limit) if is_irreducible(g)]
 
 
 # ---------------------------------------------------------------------------

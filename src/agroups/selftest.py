@@ -265,7 +265,8 @@ def criterion_order_bounds() -> CriterionOutcome:
 # -- criterion 6: engine property suites ----------------------------------------------
 
 
-def _equal_size_partitions(points, size):
+def equal_size_partitions(points, size):
+    """All partitions of the point list into blocks of the given size."""
     points = list(points)
     if not points:
         yield []
@@ -274,17 +275,19 @@ def _equal_size_partitions(points, size):
     for rest in itertools.combinations(points[1:], size - 1):
         block = (first,) + rest
         remaining = [p for p in points[1:] if p not in rest]
-        for tail in _equal_size_partitions(remaining, size):
+        for tail in equal_size_partitions(remaining, size):
             yield [block] + tail
 
 
-def _naive_is_primitive(G: PermGroup) -> bool:
-    n = G.degree
-    gens = [g.images for g in G.generators] or [tuple(range(1, n + 1))]
-    for size in range(2, n):
-        if n % size:
+def naive_is_primitive(degree: int, gens) -> bool:
+    """A transitive group, given by 1-based image tuples, is primitive iff no
+    partition into equal blocks of size strictly between 1 and the degree is
+    invariant. The brute-force oracle for PermGroup's block search, with which
+    it shares no code; the tests import it too."""
+    for size in range(2, degree):
+        if degree % size:
             continue
-        for partition in _equal_size_partitions(range(1, n + 1), size):
+        for partition in equal_size_partitions(range(1, degree + 1), size):
             blocks = {frozenset(b) for b in partition}
             if all(frozenset(g[p - 1] for p in b) in blocks for b in blocks for g in gens):
                 return False
@@ -315,14 +318,14 @@ def criterion_engine_properties() -> CriterionOutcome:
         inv = census.enumerate_transitive_classes(n, 2, 3)
         for entry in inv.classes:
             G = entry.representative
-            if G.is_primitive() != _naive_is_primitive(G):
+            if G.is_primitive() != naive_is_primitive(G.degree, [g.images for g in G.generators]):
                 out.fail(f"S{n}: primitivity mismatch on order-{G.order} group")
             checked += 1
     for q, r in [(5, 2), (3, 2)]:
         inv = census.enumerate_transitive_classes(5, q, r)
         for entry in inv.classes:
             G = entry.representative
-            if G.is_primitive() != _naive_is_primitive(G):
+            if G.is_primitive() != naive_is_primitive(G.degree, [g.images for g in G.generators]):
                 out.fail(f"S5 ({q},{r}): primitivity mismatch on order-{G.order} group")
             checked += 1
     out.note(f"primitivity cross-checked against block enumeration on {checked} transitive groups")

@@ -2,9 +2,13 @@
 
 Nothing here imports the package's search machinery; these are the slow,
 obviously-correct reference computations the engine is checked against.
+The block-partition brute force lives in agroups.selftest, whose criteria
+run it too; it shares no code with the block search it checks.
 """
 
 import itertools
+
+from agroups.selftest import naive_is_primitive  # noqa: F401
 
 
 # -- permutations as raw image tuples (1-based) ------------------------------
@@ -45,37 +49,6 @@ def perm_order(a):
         x = mul(x, a)
         e += 1
     return e
-
-
-def equal_size_partitions(points, size):
-    """All partitions of the point list into blocks of the given size."""
-    points = list(points)
-    if not points:
-        yield []
-        return
-    first = points[0]
-    for rest in itertools.combinations(points[1:], size - 1):
-        block = (first,) + rest
-        remaining = [p for p in points[1:] if p not in rest]
-        for tail in equal_size_partitions(remaining, size):
-            yield [block] + tail
-
-
-def naive_is_primitive(degree, gens):
-    """Transitive group primitive iff no invariant partition into equal
-    blocks of size strictly between 1 and n."""
-    n = degree
-    for size in range(2, n):
-        if n % size:
-            continue
-        for partition in equal_size_partitions(range(1, n + 1), size):
-            blocks = [frozenset(b) for b in partition]
-            block_set = set(blocks)
-            if all(
-                frozenset(g[p - 1] for p in b) in block_set for b in blocks for g in gens
-            ):
-                return False
-    return True
 
 
 def naive_normal_subgroups(degree, elements):
@@ -175,6 +148,28 @@ def naive_subgroup_lattice(G, universe, cap=None, keep=None):
                 new_frontier.append(bigger)
         frontier = new_frontier
     return seen
+
+
+def pairwise_class_reps(groups, conjugate):
+    """One representative per conjugacy class of the groups, found by testing
+    each group against the first member of every class so far with
+    conjugate(a, b) (an x with a^x = b, or None). Each representative is the
+    least member of its class by generators; ordered by order, then
+    generators."""
+    classes = []
+    for grp in groups:
+        cls = next((c for c in classes if conjugate(c[0], grp) is not None), None)
+        if cls is None:
+            classes.append([grp])
+        else:
+            cls.append(grp)
+
+    def gens_key(g):
+        return tuple(m.entries for m in g.generators)
+
+    reps = [min(cls, key=gens_key) for cls in classes]
+    reps.sort(key=lambda g: (g.order, gens_key(g)))
+    return reps
 
 
 # -- small number theory ------------------------------------------------------

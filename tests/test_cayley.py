@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from agroups.cayley import (
 )
 from agroups.errors import InvalidParams, LimitExceeded, NotNormal
 from agroups.gf import field_make
-from agroups.perm import PermGroup, parse_cycles
+from agroups.perm import PermGroup, parse_cycles, perm_ops
 
 import bruteforce as bf
 from bruteforce import naive_is_associative, reduced_latin_squares
@@ -204,6 +205,20 @@ def test_isomorphism_is_equivalence_on_sample():
 def test_all_subgroups_s3():
     subs = all_subgroups(S3)
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 3, 6]
+
+
+def test_conjugation_orbit_is_the_class_under_every_element():
+    ops = perm_ops(4)
+    s4 = list(itertools.permutations(range(4)))
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]  # (1 2 3 4), (1 2)
+    subgroups = bf.naive_subgroup_lattice(ops, s4)
+    assert len(subgroups) == 30
+    for sub in subgroups:
+        # h^g sends g[x] to g[h[x]]
+        every = {frozenset(tuple(g[h[g.index(x)]] for x in range(4)) for h in sub) for g in s4}
+        orbit = cayley.conjugation_orbit(ops, sub, gens)
+        assert orbit[0] == sub and len(orbit) == len(every)
+        assert set(orbit) == every
 
 
 def test_verbal_examples():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -95,6 +96,22 @@ def test_transitive_degree_limit():
 
 
 # -- primitive inventories ---------------------------------------------------------
+
+
+def test_degree_precut_drops_no_transitive_subgroup():
+    # the inventories are empty without a scan when n is not {q, r}-smooth;
+    # the uncut scan holds no subgroup of order divisible by n there
+    cut = 0
+    for n in range(2, 7):
+        for q, r in itertools.permutations((2, 3, 5, 7), 2):
+            if census._divides_primes(n, (q, r)):
+                continue
+            cut += 1
+            scan = census._subgroup_scan(n, (q, r), order_bound_sq=6 ** (n - 1))
+            assert all(len(elems) % n for elems in scan), (n, q, r)
+            assert enumerate_transitive_classes(n, q, r).count == 0
+            assert enumerate_primitive_classes(n, q, r).count == 0
+    assert cut == 34
 
 
 def test_primitive_4_2_3_single_class_order_12():

@@ -5,7 +5,8 @@ class of an element already tried, and elements whose extension of a smaller
 subgroup was rejected). bruteforce.naive_subgroup_lattice tries every
 extension; both must return the same subgroups with the same generators in
 the same order. The skipping is exact only when rejection by keep is
-upward-closed, so every keep the census scans use is checked for that too.
+upward-closed, so every keep the census and GL scans use is checked for
+that too.
 """
 
 import itertools
@@ -13,6 +14,8 @@ import itertools
 import pytest
 
 from agroups import cayley, census
+from agroups.gf import field_make
+from agroups.matgrp import gl_elements, mat_ops
 from agroups.perm import Perm, PermGroup, code_order, fixed_point_free, perm_ops
 
 import bruteforce as bf
@@ -110,3 +113,18 @@ def test_census_keeps_are_upward_closed(n):
             assert not any(H < K for K in kept), (primes, fpf_only, len(H))
         rejections += len(rejected)
     assert rejections
+
+
+def test_gl_abelian_keep_is_upward_closed_on_gl23():
+    # the keep of matgrp's elementary abelian scan, on every subgroup of GL(2, 3)
+    spec = field_make(3, 1)
+    ops = mat_ops(2, spec)
+    codes = [m.entries for m in gl_elements(2, spec)]
+    subgroups = list(bf.naive_subgroup_lattice(ops, codes))
+    assert len(subgroups) == 55
+    for r in (2, 3):
+        rejected = [H for H in subgroups if not cayley._abelian_of_exponent(ops, H, r)]
+        kept = [K for K in subgroups if cayley._abelian_of_exponent(ops, K, r)]
+        for H in rejected:
+            assert not any(H < K for K in kept), (r, len(H))
+        assert rejected and kept

@@ -9,8 +9,9 @@ from agroups.errors import (
     SingularGenerator,
 )
 from agroups.gf import field_make
-from agroups.matgrp import Mat, closure, gl_elements, gl_order
+from agroups.matgrp import Mat, closure, gl_elements, gl_order, mat_ops
 
+import bruteforce as bf
 from bruteforce import naive_det, naive_mat_mul
 
 
@@ -68,9 +69,9 @@ def test_closure_limit():
 def test_gl_elements_complete_and_deterministic():
     elems = gl_elements(2, GF2)
     assert len(elems) == 6
-    assert list(elems) == sorted(elems, key=Mat.key)
+    assert list(elems) == sorted(elems, key=lambda m: m.entries)
     again = gl_elements(2, GF2)
-    assert [m.key() for m in again] == [m.key() for m in elems]
+    assert [m.entries for m in again] == [m.entries for m in elems]
     # closure of the full list is the whole group
     assert closure(list(elems)).order == 6
 
@@ -90,11 +91,15 @@ def indices(rows):
 
 @pytest.mark.parametrize("alpha, s", [(2, 2), (2, 3), (3, 2)])
 def test_products_match_naive_on_all_pairs(alpha, s):
-    gl = gl_elements(alpha, field_make(s, 1))
+    spec = field_make(s, 1)
+    gl = gl_elements(alpha, spec)
+    code_mul = mat_ops(alpha, spec).mul
     rows = {m: as_elems(m) for m in gl}
     for a in gl:
         for b in gl:
-            assert (a * b).entries == indices(naive_mat_mul(rows[a], rows[b]))
+            naive = indices(naive_mat_mul(rows[a], rows[b]))
+            assert (a * b).entries == naive
+            assert code_mul(a.entries, b.entries) == naive
 
 
 @pytest.mark.parametrize("alpha, t, k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 5, 1)])
@@ -222,7 +227,7 @@ def test_conjugate_in_gl_examples():
     conj = matgrp.conjugate_in_gl(S1, S2)
     assert conj is not None
     ci = conj.inverse()
-    assert all((ci * g * conj) in S2.element_set() for g in S1.generators)
+    assert all((ci * g * conj) in S2.elements for g in S1.generators)
 
     minus_i = closure([M3((2, 0), (0, 2))])
     diag = closure([M3((1, 0), (0, 2))])
@@ -290,6 +295,64 @@ def test_irreducible_class_exists_iff_dimension_matches():
             assert reps == []
 
 
+# -- the classification on the subgroup kernel, against unpruned oracles ------------
+
+# (alpha, t, k, r): GL(alpha, t^k) and the prime r
+GL_CASES = [
+    (2, 2, 1, 3),
+    (2, 3, 1, 2),
+    (2, 2, 2, 3),
+    (3, 2, 1, 3),
+    (3, 2, 1, 7),
+    (2, 5, 1, 2),
+    (2, 5, 1, 3),
+]
+
+
+def order_r_codes(ops, codes, r):
+    def power(x, e):
+        out = ops.identity
+        for _ in range(e):
+            out = ops.mul(out, x)
+        return out
+
+    return [c for c in codes if c != ops.identity and power(c, r) == ops.identity]
+
+
+@pytest.mark.parametrize("alpha, t, k, r", GL_CASES)
+def test_elem_abelian_scan_matches_unpruned_lattice(alpha, t, k, r):
+    spec = field_make(t, k)
+    ops = mat_ops(alpha, spec)
+    gl = [m.entries for m in gl_elements(alpha, spec)]
+    r_part = max(r**e for e in range(len(gl).bit_length()) if len(gl) % r**e == 0)
+
+    def commute(sub):
+        return all(ops.mul(a, b) == ops.mul(b, a) for a in sub for b in sub)
+
+    naive = set(bf.naive_subgroup_lattice(ops, order_r_codes(ops, gl, r), r_part, commute))
+    naive.discard(frozenset({ops.identity}))
+    lattice, maximal = matgrp._elem_abelian_r_subgroups(alpha, spec, r, matgrp.GL_BRUTE_LIMIT)
+    assert set(lattice) == naive
+    assert sorted(maximal, key=sorted) == sorted(
+        (h for h in naive if not any(h < big for big in naive)), key=sorted
+    )
+
+
+@pytest.mark.parametrize("alpha, t, k, r", GL_CASES)
+def test_classes_match_pairwise_conjugacy_partition(alpha, t, k, r):
+    spec = field_make(t, k)
+    lattice, maximal = matgrp._elem_abelian_r_subgroups(alpha, spec, r, matgrp.GL_BRUTE_LIMIT)
+    groups = [matgrp.group_from_mats(alpha, spec, sub) for sub in lattice]
+    maximal_groups = [matgrp.group_from_mats(alpha, spec, sub) for sub in maximal]
+    irreducible = [g for g in groups if matgrp.is_irreducible(g)]
+    assert matgrp.classify_elem_abelian_r(alpha, spec, r) == bf.pairwise_class_reps(
+        maximal_groups, matgrp.conjugate_in_gl
+    )
+    assert matgrp.irreducible_elem_abelian_r_classes(alpha, spec, r) == bf.pairwise_class_reps(
+        irreducible, matgrp.conjugate_in_gl
+    )
+
+
 def test_gl_brute_force_limit():
     gf5 = field_make(5, 1)
     with pytest.raises(LimitExceeded):
@@ -301,4 +364,4 @@ def test_json_roundtrip():
     data = matgrp.matgroup_to_json(G)
     H = matgrp.matgroup_from_json(data)
     assert H.order == G.order
-    assert H.element_set() == G.element_set()
+    assert set(H.elements) == set(G.elements)
