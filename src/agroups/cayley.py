@@ -7,11 +7,15 @@ on any group given by a product, an identity and an inverse, so the
 permutation and matrix layers bind it instead of keeping copies.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
-into matrix groups for the census oracle.
+into matrix groups for the census oracle. Each backtracking level extends
+the map by breadth-first search over the Cayley graph on the generators
+mapped so far, checking one product per graph edge. A table computes its
+element orders and fingerprint once and caches them.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,18 +84,19 @@ class CayleyGroup:
     def conj(self, a: int, by: int) -> int:
         return self.mul(self.mul(self.inv(by), a), by)
 
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of every element, by index."""
+        return tuple(_element_orders(self, range(len(self.table))))
+
     def elem_order(self, a: int) -> int:
-        e, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            e += 1
-        return e
+        return self.element_orders[a]
 
     def elem_pow(self, a: int, e: int) -> int:
         return _power(self, a, e)
 
     def exponent(self) -> int:
-        return math.lcm(*(self.elem_order(a) for a in range(self.order)))
+        return math.lcm(*self.element_orders)
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -104,21 +109,31 @@ class CayleyGroup:
             a for a in range(self.order) if all(t[a][g] == t[g][a] for g in self.generators)
         )
 
-    def fingerprint(self) -> dict:
-        """Cheap isomorphism invariants, also the report wire format."""
-        orders = sorted(self.elem_order(a) for a in range(self.order))
-        histogram: dict[int, int] = {}
-        for o in orders:
-            histogram[o] = histogram.get(o, 0) + 1
+    @cached_property
+    def invariants(self) -> tuple:
+        """Cheap isomorphism invariants, computed once per table, as a
+        hashable tuple: the element-order histogram, the orders of the
+        centre and the derived subgroup, the exponent and the sorted element
+        orders of the abelianisation."""
+        histogram = collections.Counter(self.element_orders)
         derived = derived_subgroup(self)
-        abelianization = quotient(self, derived)
-        ab_orders = sorted(abelianization.elem_order(a) for a in range(abelianization.order))
+        return (
+            tuple(sorted(histogram.items())),
+            len(self.center()),
+            len(derived),
+            self.exponent(),
+            tuple(sorted(quotient(self, derived).element_orders)),
+        )
+
+    def fingerprint(self) -> dict:
+        """The invariants in the report wire format, as a fresh dict."""
+        histogram, center, derived, exponent, ab_orders = self.invariants
         return {
-            "order_histogram": {str(k): v for k, v in sorted(histogram.items())},
-            "center": len(self.center()),
-            "derived": len(derived),
-            "exponent": self.exponent(),
-            "abelianization_orders": ab_orders,
+            "order_histogram": {str(k): v for k, v in histogram},
+            "center": center,
+            "derived": derived,
+            "exponent": exponent,
+            "abelianization_orders": list(ab_orders),
         }
 
     def to_json(self) -> dict:
@@ -203,6 +218,23 @@ def _power(G, a, e: int):
         a = mul(a, a)
         e >>= 1
     return result
+
+
+def _element_orders(G, elems) -> list[int]:
+    """The orders of elems, a set closed under powers. The powers of each
+    element are walked once and give the order of every power: k / gcd(j, k)
+    for the j-th power of an element of order k."""
+    mul, e = G.mul, G.identity
+    order: dict = {}
+    for x in elems:
+        if x not in order:
+            powers = [x]
+            while powers[-1] != e:
+                powers.append(mul(powers[-1], x))
+            k = len(powers)
+            for j, y in enumerate(powers, 1):
+                order.setdefault(y, k // math.gcd(j, k))
+    return [order[x] for x in elems]
 
 
 def subgroup_closure(G, seed, cap: int | None = None) -> frozenset | None:
@@ -296,17 +328,21 @@ def verbal_subgroup(G, gens, r: int) -> tuple[frozenset, list]:
     return normal_closure(G, seeds, gens)
 
 
-def conjugation_orbit(G, sub, gens) -> list[frozenset]:
-    """The conjugates of the subgroup sub under the group generated by gens,
-    in breadth-first order from sub: each found conjugate is conjugated by
-    every generator, so no element of <gens> is enumerated."""
+def conjugation_orbit(G, sub, gens) -> list:
+    """The conjugates of sub under the group generated by gens, in
+    breadth-first order from sub: each found conjugate is conjugated by every
+    generator, so no element of <gens> is enumerated. sub is a subgroup (any
+    set of elements, conjugates are frozensets) or a tuple of elements
+    conjugated simultaneously, such as the generator images of a
+    homomorphism (conjugates are tuples)."""
     mul, inv = G.mul, G.inv
     conjugators = [(inv(g), g) for g in gens]
-    orbit = [frozenset(sub)]
+    kind = tuple if isinstance(sub, tuple) else frozenset
+    orbit = [kind(sub)]
     seen = set(orbit)
     for current in orbit:  # orbit grows by each new conjugate
         for gi, g in conjugators:
-            image = frozenset([mul(mul(gi, h), g) for h in current])
+            image = kind([mul(mul(gi, h), g) for h in current])
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
@@ -504,73 +540,96 @@ def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:
 
 
 def minimal_generating_sequence(G: CayleyGroup) -> list[int]:
-    return greedy_generators(G, range(G.order), key=lambda a: (-G.elem_order(a), a))
-
-
-def _extend_map(G: CayleyGroup, mapping: dict, new_elem: int, image, mul, injective: bool):
-    """Extend a partial multiplicative map of a subgroup by one generator.
-
-    mapping covers a subgroup of G; returns the extended mapping covering
-    <domain, new_elem>, or None on inconsistency. Codomain elements only need
-    mul and hashability.
-    """
-    if new_elem in mapping:
-        return mapping if mapping[new_elem] == image else None
-    out = dict(mapping)
-    out[new_elem] = image
-    queue = [new_elem]
-    while queue:
-        x = queue.pop()
-        fx = out[x]
-        for y in list(out):
-            fy = out[y]
-            for ab, fab in ((G.mul(x, y), mul(fx, fy)), (G.mul(y, x), mul(fy, fx))):
-                if ab in out:
-                    if out[ab] != fab:
-                        return None
-                else:
-                    out[ab] = fab
-                    queue.append(ab)
-    if injective and len(set(out.values())) != len(out):
-        return None
-    return out
+    orders = G.element_orders
+    return greedy_generators(G, range(G.order), key=lambda a: (-orders[a], a))
 
 
 def _hom_search(G, gens, candidates_per_gen, mul, identity_image, injective, find_all):
+    """Homomorphisms f from G = <gens> with f(gens[k]) in candidates_per_gen[k]
+    (injective ones only, with injective), depth first in candidate order;
+    only the first unless find_all. Each is a list of images by element index.
+
+    A level extends f from K = <gens[:k]> to <K, g>, g = gens[k], by breadth-
+    first search over the Cayley graph on gens[:k + 1]: each newly reached
+    element takes its image along the edge that reached it, and every other
+    edge x -> x h is checked, f(x h) = f(x) f(h). Elements of K need only the
+    edge by g (earlier levels checked the rest). Consistency on every edge of
+    a generating set makes f multiplicative, f(x w) = f(x) f(w) for each word
+    w by induction on its length; a homomorphism is injective iff nothing but
+    the identity maps to the identity. Codomain elements only need mul and
+    equality.
+    """
+    t = G.table
     results = []
 
-    def recurse(level, mapping):
+    def extend(f, domain, level, image):
+        g = gens[level]
+        if f[g] is not None:  # g already in K
+            return (f, domain) if f[g] == image else None
+        f = f.copy()
+        # K g is a new coset: x g lies outside K for every x in K
+        new = [t[x][g] for x in domain]
+        for x, xg in zip(domain, new):
+            f[xg] = mul(f[x], image)
+        edges = [(h, f[h]) for h in gens[: level + 1]]
+        for x in new:  # new grows by each newly reached element
+            fx, row = f[x], t[x]
+            for h, fh in edges:
+                y, fy = row[h], mul(fx, fh)
+                if f[y] is None:
+                    f[y] = fy
+                    new.append(y)
+                elif f[y] != fy:
+                    return None
+        if injective and identity_image in (f[x] for x in new):
+            return None
+        return f, domain + new
+
+    def recurse(level, f, domain):
         if level == len(gens):
-            results.append(mapping)
+            results.append(f)
             return not find_all
         for image in candidates_per_gen[level]:
-            extended = _extend_map(G, mapping, gens[level], image, mul, injective)
-            if extended is not None:
-                if recurse(level + 1, extended):
-                    return True
+            extended = extend(f, domain, level, image)
+            if extended is not None and recurse(level + 1, *extended):
+                return True
         return False
 
-    recurse(0, {G.identity: identity_image})
+    f = [None] * G.order
+    f[G.identity] = identity_image
+    recurse(0, f, [G.identity])
     return results
 
 
 def are_isomorphic(G: CayleyGroup, H: CayleyGroup) -> bool:
-    """Table isomorphism: invariant fingerprints, then backtracking."""
+    """Table isomorphism: invariant fingerprints, then _embeds."""
     if G.order != H.order:
         return False
     if max(G.order, H.order) > TABLE_LIMIT:
         raise LimitExceeded("orders exceed the table limit")
-    if G.fingerprint() != H.fingerprint():
-        return False
-    gens = minimal_generating_sequence(G)
+    return G.invariants == H.invariants and _embeds(G, H)
+
+
+def _embeds(G: CayleyGroup, H: CayleyGroup) -> bool:
+    """Whether an injective homomorphism G -> H exists (an isomorphism when
+    the orders agree), searched from each generator of G to the elements of
+    H of its order. A conjugate of an embedding by an element of H is one
+    too, so the first generator tries one image per conjugacy class of H."""
     h_by_order: dict[int, list[int]] = {}
-    for a in range(H.order):
-        h_by_order.setdefault(H.elem_order(a), []).append(a)
-    candidates = [h_by_order.get(G.elem_order(g), []) for g in gens]
-    results = _hom_search(
-        G, gens, candidates, H.mul, H.identity, injective=True, find_all=False
+    for a, o in enumerate(H.element_orders):
+        h_by_order.setdefault(o, []).append(a)
+    gens = minimal_generating_sequence(G)
+    candidates = [h_by_order.get(G.element_orders[g], []) for g in gens]
+    if gens:
+        first, classes = [], set()
+        for y in candidates[0]:
+            if y not in classes:
+                first.append(y)
+                classes.update(x for (x,) in conjugation_orbit(H, (y,), H.generators))
+        candidates[0] = first
+    return bool(
+        _hom_search(G, gens, candidates, H.mul, H.identity, injective=True, find_all=False)
     )
-    return any(len(m) == G.order for m in results)
 
 
 def homomorphisms_to_mats(G: CayleyGroup, codomain_mats) -> list[dict]:
@@ -578,25 +637,22 @@ def homomorphisms_to_mats(G: CayleyGroup, codomain_mats) -> list[dict]:
 
     Returns complete mappings {element index: Mat}. Deterministic order.
     """
-    gens = minimal_generating_sequence(G)
-    ident = None
-    for m in codomain_mats:
-        if m.is_identity():
-            ident = m
-            break
+    from .matgrp import Mat, mat_ops
+
+    codomain_mats = list(codomain_mats)
+    ident = next((m for m in codomain_mats if m.is_identity()), None)
     if ident is None:
         raise InvalidParams("codomain has no identity")
-    by_div: list[list] = []
-    for g in gens:
-        o = G.elem_order(g)
-        by_div.append([m for m in codomain_mats if o % m.order() == 0])
-    complete = []
-    for mapping in _hom_search(
-        G, gens, by_div, lambda a, b: a * b, ident, injective=False, find_all=True
-    ):
-        if len(mapping) == G.order:
-            complete.append(mapping)
-    return complete
+    spec = ident.spec
+    ops = mat_ops(ident.alpha, spec)
+    codes = [m.entries for m in codomain_mats]
+    orders = _element_orders(ops, codes)
+    gens = minimal_generating_sequence(G)
+    by_div = [
+        [c for c, o in zip(codes, orders) if G.element_orders[g] % o == 0] for g in gens
+    ]
+    maps = _hom_search(G, gens, by_div, ops.mul, ops.identity, injective=False, find_all=True)
+    return [{x: Mat(spec, c) for x, c in enumerate(f)} for f in maps]
 
 
 # ---------------------------------------------------------------------------

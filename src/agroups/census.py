@@ -9,8 +9,10 @@ conjugation is transitive on them, so fixing one copy loses nothing.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
 variety as an iterated split extension P x| (Q x| R) with elementary abelian
-layers, enumerating all action homomorphisms and deduplicating by table
-isomorphism.
+layers, enumerating the action homomorphisms up to GL-conjugacy (conjugate
+actions give isomorphic extensions, so one per orbit under GL's generators is
+complete) and deduplicating the tables by isomorphism within buckets of equal
+invariants.
 """
 
 from __future__ import annotations
@@ -37,7 +39,15 @@ from .cayley import (
 from .construct import _check_pair, semidirect_product
 from .errors import DegreeLimit, LimitExceeded, NotPrime
 from .gf import FieldSpec, field_make, is_prime, prime_factors
-from .matgrp import Mat, closure, gl_elements, is_irreducible
+from .matgrp import (
+    GL_BRUTE_LIMIT,
+    Mat,
+    closure,
+    gl_elements,
+    gl_generators,
+    is_irreducible,
+    mat_ops,
+)
 from .perm import (
     PermGroup,
     code_order,
@@ -391,14 +401,29 @@ def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
 # the three-prime census
 
 
-def _elementary_homomorphism_targets(group: CayleyGroup, dim: int, u: int):
-    """All action homomorphisms group -> GL(dim, u) as matrix lists."""
+def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
+    """One action homomorphism group -> GL(dim, u) per GL-conjugacy class, as
+    matrix lists: the first of each class in homomorphisms_to_mats order.
+
+    An action is keyed by its images of group.generators (which determine
+    it), and each kept action drops its whole class: the orbit of its key
+    under simultaneous conjugation by the generators of GL (conjugates of a
+    homomorphism are homomorphisms, so the orbit holds exactly the conjugate
+    actions).
+    """
     field = field_make(u, 1)
     if dim == 0:
         return [None]
-    mats = list(gl_elements(dim, field))
-    maps = homomorphisms_to_mats(group, mats)
-    return [[m[i] for i in range(group.order)] for m in maps]
+    # one cached GL for both calls: lru_cache keys on the arguments as passed
+    gl = gl_elements(dim, field, GL_BRUTE_LIMIT)
+    ops, gl_gens = mat_ops(dim, field), gl_generators(dim, field, GL_BRUTE_LIMIT)
+    reps, conjugate_keys = [], set()
+    for hom in homomorphisms_to_mats(group, gl):
+        key = tuple(hom[x].entries for x in group.generators)
+        if key not in conjugate_keys:
+            conjugate_keys.update(conjugation_orbit(ops, key, gl_gens))
+            reps.append([hom[i] for i in range(group.order)])
+    return reps
 
 
 def _split_extension(u: int, dim: int, action, acting: CayleyGroup) -> CayleyGroup:
@@ -408,9 +433,15 @@ def _split_extension(u: int, dim: int, action, acting: CayleyGroup) -> CayleyGro
 
 
 def _dedup_isomorphism(groups) -> list[CayleyGroup]:
+    """The first group of each isomorphism class, in input order. Only groups
+    with equal invariants can be isomorphic, so each is tested against the
+    kept groups in its invariant bucket."""
     reps: list[CayleyGroup] = []
+    buckets: dict[tuple, list[CayleyGroup]] = {}
     for g in groups:
-        if not any(are_isomorphic(g, h) for h in reps):
+        bucket = buckets.setdefault(g.invariants, [])
+        if not any(are_isomorphic(g, h) for h in bucket):
+            bucket.append(g)
             reps.append(g)
     return reps
 
@@ -423,8 +454,13 @@ def enumerate_variety_groups(
     Every member splits as P x| (Q x| R) with elementary abelian layers of
     orders p^alpha, q^beta, r^gamma (the head of each chain is the full Sylow
     subgroup and is normal), so enumerating all action homomorphisms is
-    complete. traversal="reverse" walks the candidate lists backwards; the
-    census must not change.
+    complete. Actions are taken up to GL-conjugacy, which loses no group:
+    conjugate actions A and A^x give isomorphic split extensions, by
+    (v, h) -> (v x, h). The first action of each class in its acting group's
+    block stands for the class, and the deduplication sees each block in that
+    order, so the first table of every isomorphism class is one it would
+    have seen without the reduction. traversal="reverse" walks the blocks
+    backwards; the census must not change.
     """
     if traversal not in ("forward", "reverse"):
         raise ValueError("traversal must be 'forward' or 'reverse'")
@@ -442,7 +478,7 @@ def enumerate_variety_groups(
     if b == 0:
         h_candidates.append(R)
     else:
-        for action in maybe_reverse(_elementary_homomorphism_targets(R, b, q)):
+        for action in maybe_reverse(_action_orbit_reps(R, b, q)):
             h_candidates.append(_split_extension(q, b, action, R))
     h_reps = _dedup_isomorphism(maybe_reverse(h_candidates))
 
@@ -451,8 +487,8 @@ def enumerate_variety_groups(
         if a == 0:
             g_candidates.append(H)
             continue
-        for action in maybe_reverse(_elementary_homomorphism_targets(H, a, p)):
+        for action in maybe_reverse(_action_orbit_reps(H, a, p)):
             g_candidates.append(_split_extension(p, a, action, H))
     reps = _dedup_isomorphism(maybe_reverse(g_candidates))
-    reps.sort(key=lambda t: sorted(t.elem_order(i) for i in range(t.order)))
+    reps.sort(key=lambda t: sorted(t.element_orders))
     return VarietyCensus(params, tuple(reps))

@@ -254,6 +254,14 @@ def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tup
     return tuple(m for m in candidates if m.det())
 
 
+@lru_cache(maxsize=32)
+def gl_generators(alpha: int, spec: FieldSpec, limit: int) -> tuple:
+    """Greedy generators of GL(alpha, s) as matrix codes, in entry order:
+    orbits under conjugation by GL are orbits under these (cached)."""
+    codes = [m.entries for m in gl_elements(alpha, spec, limit)]
+    return tuple(greedy_generators(mat_ops(alpha, spec), codes))
+
+
 # ---------------------------------------------------------------------------
 # subspaces and irreducibility; vectors are tuples of element indices
 
@@ -483,7 +491,7 @@ def _class_reps(alpha: int, spec: FieldSpec, subgroups, limit: int) -> list[MatG
     class is the orbit of one member under conjugation by GL's generators,
     and its representative the least member by generators."""
     ops = mat_ops(alpha, spec)
-    gl_gens = greedy_generators(ops, [m.entries for m in gl_elements(alpha, spec, limit)])
+    gl_gens = gl_generators(alpha, spec, limit)
 
     def gens_key(g):
         return tuple(m.entries for m in g.generators)

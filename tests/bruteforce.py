@@ -3,7 +3,9 @@
 Nothing here imports the package's search machinery; these are the slow,
 obviously-correct reference computations the engine is checked against.
 The block-partition brute force lives in agroups.selftest, whose criteria
-run it too; it shares no code with the block search it checks.
+run it too; it shares no code with the block search it checks. The one
+exception is unreduced_census, which builds the census from every action
+with the engine's tables: it checks the census's reductions, not its parts.
 """
 
 import itertools
@@ -271,3 +273,186 @@ def reduced_latin_squares(n, rnd=None):
             yield from fill(k + 1)
 
     yield from fill(0)
+
+
+# -- isomorphism and homomorphism search on multiplication tables ----------------
+
+
+def naive_element_order(table, identity, x):
+    k, y = 1, x
+    while y != identity:
+        y = table[y][x]
+        k += 1
+    return k
+
+
+def naive_words(table, identity):
+    """A generating list of the table group, greedy by decreasing element order
+    then index, and a word in it for every element (indices into the list),
+    read off a breadth-first spanning tree of the Cayley graph."""
+    n = len(table)
+    orders = [naive_element_order(table, identity, x) for x in range(n)]
+    gens, words = [], {identity: ()}
+    for x in sorted(range(n), key=lambda x: (-orders[x], x)):
+        if x in words:
+            continue
+        gens.append(x)
+        frontier = list(words)
+        while frontier:
+            new = []
+            for y in frontier:
+                for k, g in enumerate(gens):
+                    z = table[y][g]
+                    if z not in words:
+                        words[z] = words[y] + (k,)
+                        new.append(z)
+            frontier = new
+    return gens, words
+
+
+def naive_are_isomorphic(G, H):
+    """Isomorphism of two table groups by trying every assignment of
+    same-order images to a generating set of G: each element's image is the
+    product of its word's images, and the map must be a bijection that
+    respects the whole n x n table."""
+    a, b = G.table, H.table
+    n = len(a)
+    if len(b) != n:
+        return False
+    gens, words = naive_words(a, G.identity)
+    h_orders = [naive_element_order(b, H.identity, y) for y in range(n)]
+    choices = [
+        [y for y in range(n) if h_orders[y] == naive_element_order(a, G.identity, g)]
+        for g in gens
+    ]
+    for images in itertools.product(*choices):
+        f = {}
+        for x, word in words.items():
+            y = H.identity
+            for k in word:
+                y = b[y][images[k]]
+            f[x] = y
+        if len(set(f.values())) == n and all(
+            f[a[x][y]] == b[f[x]][f[y]] for x in range(n) for y in range(n)
+        ):
+            return True
+    return False
+
+
+def allpairs_extend_map(G, mapping, new_elem, image, mul, injective):
+    """Extend a partial multiplicative map of a subgroup by one generator, by
+    multiplying every new element with every mapped one in both orders until
+    nothing new appears; None on an inconsistency."""
+    if new_elem in mapping:
+        return mapping if mapping[new_elem] == image else None
+    out = dict(mapping)
+    out[new_elem] = image
+    queue = [new_elem]
+    while queue:
+        x = queue.pop()
+        fx = out[x]
+        for y in list(out):
+            fy = out[y]
+            for ab, fab in ((G.table[x][y], mul(fx, fy)), (G.table[y][x], mul(fy, fx))):
+                if ab in out:
+                    if out[ab] != fab:
+                        return None
+                else:
+                    out[ab] = fab
+                    queue.append(ab)
+    if injective and len(set(out.values())) != len(out):
+        return None
+    return out
+
+
+def allpairs_hom_search(G, gens, candidates_per_gen, mul, identity_image, injective, find_all):
+    """Every (injective) homomorphism from G with gens[k] sent into
+    candidates_per_gen[k], depth first in candidate order, as complete dicts;
+    only the first unless find_all. Closes each level with
+    allpairs_extend_map."""
+    results = []
+
+    def recurse(level, mapping):
+        if level == len(gens):
+            results.append(mapping)
+            return not find_all
+        for image in candidates_per_gen[level]:
+            extended = allpairs_extend_map(G, mapping, gens[level], image, mul, injective)
+            if extended is not None and recurse(level + 1, extended):
+                return True
+        return False
+
+    recurse(0, {G.identity: identity_image})
+    return [m for m in results if len(m) == len(G.table)]
+
+
+def allpairs_are_isomorphic(G, H):
+    """Isomorphism by allpairs_hom_search from naive_words's generators into
+    same-order elements, with no invariant filter."""
+    if len(G.table) != len(H.table):
+        return False
+    gens, _ = naive_words(G.table, G.identity)
+    h_orders = [naive_element_order(H.table, H.identity, y) for y in range(len(H.table))]
+    candidates = [
+        [y for y, o in enumerate(h_orders) if o == naive_element_order(G.table, G.identity, g)]
+        for g in gens
+    ]
+    found = allpairs_hom_search(
+        G, gens, candidates, lambda x, y: H.table[x][y], H.identity, True, False
+    )
+    return bool(found)
+
+
+def allpairs_homomorphisms_to_mats(G, gens, codomain_mats):
+    """Every homomorphism from G into the matrices, by allpairs_hom_search
+    from the given generators into the matrices of dividing order."""
+    ident = next(m for m in codomain_mats if m.is_identity())
+    candidates = [
+        [m for m in codomain_mats if naive_element_order(G.table, G.identity, g) % m.order() == 0]
+        for g in gens
+    ]
+    return allpairs_hom_search(G, gens, candidates, lambda x, y: x * y, ident, False, True)
+
+
+# -- the census without its reductions ------------------------------------------------
+
+
+def unreduced_census(params, traversal="forward"):
+    """The three-prime census from every action homomorphism (no orbit
+    reduction), each table compared with every kept one (no invariant
+    buckets), in the traversal order enumerate_variety_groups documents."""
+    from agroups.cayley import cyclic_table, elementary_abelian_table, minimal_generating_sequence
+    from agroups.census import VarietyCensus
+    from agroups.construct import semidirect_product
+    from agroups.gf import field_make
+    from agroups.matgrp import gl_elements
+
+    def maybe_reverse(xs):
+        return xs[::-1] if traversal == "reverse" else list(xs)
+
+    def extensions(H, u, dim):
+        if dim == 0:
+            return [H]
+        mats = list(gl_elements(dim, field_make(u, 1)))
+        homs = allpairs_homomorphisms_to_mats(H, minimal_generating_sequence(H), mats)
+        actions = maybe_reverse([[m[i] for i in range(len(H.table))] for m in homs])
+        return [semidirect_product(u, dim, action, H) for action in actions]
+
+    def dedup(groups):
+        reps = []
+        for g in groups:
+            if not any(
+                g.fingerprint() == h.fingerprint() and allpairs_are_isomorphic(g, h) for h in reps
+            ):
+                reps.append(g)
+        return reps
+
+    p, q, r = params.p, params.q, params.r
+    R = elementary_abelian_table(r, params.gamma) if params.gamma else cyclic_table(1)
+    h_reps = dedup(maybe_reverse(extensions(R, q, params.beta)))
+    candidates = [G for H in h_reps for G in extensions(H, p, params.alpha)]
+    reps = dedup(maybe_reverse(candidates))
+    reps.sort(
+        key=lambda t: sorted(naive_element_order(t.table, t.identity, x) for x in range(len(t.table)))
+    )
+    return VarietyCensus(params, tuple(reps))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -122,6 +123,15 @@ def test_light_matches_exhaustive_on_every_loop_up_to_order_5():
     assert seen == 1 + 1 + 1 + 4 + 56  # reduced Latin squares of orders 1..5
 
 
+def relabelled_table(table, relabel):
+    """The table with each element a renamed relabel[a]."""
+    moved = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            moved[relabel[a]][relabel[b]] = relabel[ab]
+    return tuple(map(tuple, moved))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32))
 def test_light_matches_exhaustive_on_random_loops(n, from_group, seed):
@@ -134,11 +144,7 @@ def test_light_matches_exhaustive_on_random_loops(n, from_group, seed):
         table = next(reduced_latin_squares(n, rnd))
     relabel = list(range(n))
     rnd.shuffle(relabel)
-    moved = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            moved[relabel[a]][relabel[b]] = relabel[table[a][b]]
-    moved = tuple(tuple(r) for r in moved)
+    moved = relabelled_table(table, relabel)
     assert accepts(moved, relabel[0]) == naive_is_associative(moved)
 
 
@@ -190,6 +196,97 @@ def test_isomorphism_large_elementary_abelian():
     assert not are_isomorphic(a, c)
 
 
+def small_tables():
+    """Tables of order <= 24: the census groups of the selftest cases and
+    direct products, with several isomorphic pairs under different labels."""
+    from agroups.census import enumerate_variety_groups
+    from agroups.selftest import CENSUS_CASES
+
+    D4 = cayley_from(pgroup(4, "(1 2 3 4)", "(1 3)"))
+    Q8 = cayley_from(pgroup(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"))
+    C, X = cyclic_table, direct_product_table
+    # C4 x| C4, b inverting a: <a> is normal and <b> is not, so its elements
+    # of order 4 fall into several automorphism classes
+    c4c4 = CayleyGroup(
+        tuple(
+            tuple(4 * ((i + (-1) ** j * k) % 4) + (j + m) % 4 for k in range(4) for m in range(4))
+            for i in range(4)
+            for j in range(4)
+        ),
+        0,
+    )
+    tables = [
+        t for params, _ in CENSUS_CASES for t in enumerate_variety_groups(params).groups
+        if t.order <= 24
+    ]
+    return tables + [
+        X(C(2), C(3)), X(C(3), C(2)), X(C(2), S3), X(S3, C(2)), X(C(3), S3), X(C(2), A4),
+        X(C(4), C(6)), X(C(2), C(12)), X(C(4), S3), X(elementary_abelian_table(2, 3), C(3)),
+        X(D4, C(2)), X(Q8, C(2)), X(C(4), C(4)), X(C(2), C(8)), X(D4, C(3)), X(Q8, C(3)),
+        c4c4,
+    ]
+
+
+def test_are_isomorphic_agrees_with_both_oracles():
+    tables = small_tables()
+    agree = {True: 0, False: 0}
+    for G, H in itertools.product(tables, repeat=2):
+        if G.order != H.order:
+            continue
+        expected = bf.naive_are_isomorphic(G, H)
+        assert bf.allpairs_are_isomorphic(G, H) == expected
+        assert are_isomorphic(G, H) == expected
+        # the search alone, without the invariant filter in front of it
+        assert cayley._embeds(G, H) == expected
+        agree[expected] += 1
+    assert agree[True] > len(tables) and agree[False] > 20
+    assert cayley._embeds(cyclic_table(3), S3) and cayley._embeds(elementary_abelian_table(2, 2), A4)
+    assert not cayley._embeds(cyclic_table(4), A4) and not cayley._embeds(C6, A4)
+
+
+def test_are_isomorphic_finds_relabelled_copies():
+    # wherever the first generator's candidates start, the search reaches a
+    # conjugacy class that extends to an isomorphism
+    rng = random.Random(7)
+    for G in small_tables():
+        for _ in range(12):
+            relabel = list(range(G.order))
+            rng.shuffle(relabel)
+            H = CayleyGroup(relabelled_table(G.table, relabel), relabel[G.identity])
+            assert are_isomorphic(G, H) and are_isomorphic(H, G)
+
+
+def test_homomorphisms_to_mats_match_the_allpairs_search():
+    from agroups.cayley import homomorphisms_to_mats, minimal_generating_sequence
+
+    V4 = elementary_abelian_table(2, 2)
+    for u in (2, 3):
+        mats = list(matgrp.gl_elements(2, field_make(u, 1)))
+        for G in (cyclic_table(2), cyclic_table(3), V4, S3):
+            expected = bf.allpairs_homomorphisms_to_mats(G, minimal_generating_sequence(G), mats)
+            found = homomorphisms_to_mats(G, mats)
+            assert found == expected and found, (u, G.order)
+            assert all(len(f) == G.order for f in found)
+
+
+def test_element_orders_cached_and_exact():
+    for G in small_tables():
+        naive = [bf.naive_element_order(G.table, G.identity, x) for x in range(G.order)]
+        assert list(G.element_orders) == naive
+        assert G.element_orders is G.element_orders
+        assert [G.elem_order(x) for x in range(G.order)] == naive
+
+
+def test_fingerprint_is_fresh_each_call():
+    G = direct_product_table(cyclic_table(2), A4)
+    fp = G.fingerprint()
+    expected = copy.deepcopy(fp)
+    fp["order_histogram"]["1"] = 99
+    fp["abelianization_orders"].append(7)
+    fp["center"] = -1
+    assert G.fingerprint() == expected
+
+
 def test_isomorphism_is_equivalence_on_sample():
     sample = [S3, C6, A4, elementary_abelian_table(2, 2), cyclic_table(4)]
     for G in sample:
@@ -218,6 +315,17 @@ def test_conjugation_orbit_is_the_class_under_every_element():
         every = {frozenset(tuple(g[h[g.index(x)]] for x in range(4)) for h in sub) for g in s4}
         orbit = cayley.conjugation_orbit(ops, sub, gens)
         assert orbit[0] == sub and len(orbit) == len(every)
+        assert set(orbit) == every
+
+
+def test_conjugation_orbit_of_a_tuple_is_simultaneous_conjugation():
+    ops = perm_ops(4)
+    s4 = list(itertools.permutations(range(4)))
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]  # (1 2 3 4), (1 2)
+    for key in [((1, 0, 2, 3), (0, 1, 3, 2)), ((1, 2, 0, 3), (1, 0, 2, 3)), ((1, 2, 3, 0),)]:
+        every = {tuple(tuple(g[h[g.index(x)]] for x in range(4)) for h in key) for g in s4}
+        orbit = cayley.conjugation_orbit(ops, key, gens)
+        assert orbit[0] == key and len(orbit) == len(every)
         assert set(orbit) == every
 
 

@@ -12,10 +12,15 @@ from agroups.census import (
     enumerate_transitive_classes,
     enumerate_variety_groups,
 )
+from agroups.cayley import homomorphisms_to_mats
 from agroups.construct import primitive_aqar_group
 from agroups.errors import DegreeLimit
 from agroups.gf import field_make
+from agroups.matgrp import gl_elements
 from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
+from agroups.selftest import CENSUS_CASES
+
+import bruteforce as bf
 
 
 def pgroup(degree, *texts):
@@ -311,6 +316,44 @@ def test_census_traversal_invariance():
         # same census up to isomorphism
         for t in fwd.groups:
             assert any(are_isomorphic(t, u) for u in rev.groups)
+
+
+# the five selftest cases and the four census-split benchmark inputs
+ORACLE_CENSUS_PARAMS = [params for params, _ in CENSUS_CASES] + [
+    VarietyParams(2, 3, 5, 2, 1, 1),
+    VarietyParams(3, 2, 5, 2, 1, 1),
+    VarietyParams(5, 3, 2, 1, 2, 1),
+    VarietyParams(3, 2, 5, 1, 2, 1),
+]
+
+
+@pytest.mark.parametrize("traversal", ["forward", "reverse"])
+@pytest.mark.parametrize("params", ORACLE_CENSUS_PARAMS, ids=lambda p: "-".join(map(str, p.to_json().values())))
+def test_census_matches_unreduced_oracle(params, traversal):
+    expected = bf.unreduced_census(params, traversal).to_json()
+    assert enumerate_variety_groups(params, traversal).to_json() == expected
+
+
+def test_action_orbit_reps_are_the_gl_classes():
+    # every action is GL-conjugate to exactly one kept action, found by
+    # trying every element of GL on the generator images
+    S3 = cayley_from(pgroup(3, "(1 2 3)", "(1 2)"))
+    V4 = elementary_abelian_table(2, 2)
+    # V4: unordered pairs of its four characters; C7: trivial and two faithful
+    for H, dim, u, expected in [(S3, 2, 3, 5), (V4, 2, 3, 10), (cyclic_table(7), 3, 2, 3)]:
+        field = field_make(u, 1)
+        gl = gl_elements(dim, field)
+        reps = census._action_orbit_reps(H, dim, u)
+        assert len(reps) == expected
+        rep_keys = [tuple(a[x] for x in H.generators) for a in reps]
+        firsts = []
+        for hom in homomorphisms_to_mats(H, gl):
+            key = tuple(hom[x] for x in H.generators)
+            conjugates = {tuple(x.inverse() * m * x for m in key) for x in gl}
+            assert sum(k in conjugates for k in rep_keys) == 1
+            if not any(k in conjugates for k in firsts):
+                firsts.append(key)
+        assert firsts == rep_keys  # each kept action is the first of its class
 
 
 def test_census_trivial_order():

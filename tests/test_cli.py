@@ -58,6 +58,12 @@ GOLDEN_STDOUT = [
         "6950c215b421a7c18f96c8b248a3c0c4524c80c0cb338e3d1e0dd6e4a52958e6",
         id="census-2.3.5-2.1.1",
     ),
+    # recorded while the census still built one table per action
+    pytest.param(
+        ["census", "--p", "2", "--q", "7", "--r", "3", "--alpha", "3", "--beta", "1", "--gamma", "1"],
+        "e3dd4ca268ff69242121877ccdb0d81387cb961b3041f9997f89923d0432194e",
+        id="census-2.7.3-3.1.1",
+    ),
     pytest.param(
         ["construct-primitive", "--q", "2", "--r", "7"],
         "97d04cf039fd83256842e1d21d9becc86cb5cf0abfe953b81e5241ceefe33186",
