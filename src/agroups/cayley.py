@@ -365,7 +365,7 @@ def _coset_class(G, sub, x, index) -> int:
     return sum(1 << i for i in positions)
 
 
-def subgroup_lattice(G, universe, cap: int | None = None, keep=None) -> dict:
+def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators=None) -> dict:
     """Every subgroup generated by universe elements, breadth first. Maps
     each subgroup to the generators that built it, in discovery order.
 
@@ -380,10 +380,19 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None) -> dict:
     subgroup L that H was built from by extensions (<H, x> contains <L, x>,
     so it is rejected too). The skipped extensions would have changed
     nothing, so the result is that of extending by every universe element.
+
+    Given conjugators (a possibly empty list), the scan runs up to conjugacy
+    under the group they generate, which must leave the universe and keep
+    invariant: only the first subgroup found in each class is recorded and
+    extended, and it maps to (generators, its class as a conjugation_orbit).
+    This misses no class: if K = <H^g, x>, then K^(g^-1) = <H, x^(g^-1)> is
+    an extension of H by a universe element.
     """
     index = {x: i for i, x in enumerate(universe)}
     trivial = frozenset({G.identity})
     seen: dict[frozenset, tuple] = {trivial: ()}
+    orbits = {trivial: [trivial]}
+    found = {trivial}  # every subgroup in a recorded class
     # subgroup -> bitmask of the universe positions whose extension of it is
     # known to be rejected
     frontier: dict[frozenset, int] = {trivial: 0}
@@ -399,20 +408,27 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None) -> dict:
                 twins = _coset_class(G, sub, x, index)
                 bigger = extend_subgroup(G, sub, gens, x, cap)
                 if bigger is None or (
-                    bigger not in seen and keep is not None and not keep(bigger)
+                    bigger not in found and keep is not None and not keep(bigger)
                 ):
                     rejected |= twins
                     continue
                 tried |= twins
-                if bigger not in seen:
+                if bigger not in found:
                     seen[bigger] = gens + (x,)
                     below[bigger] = 0
-                if bigger in below:  # not extended yet: it inherits rejections
-                    reached.append(bigger)
+                    if conjugators is None:
+                        found.add(bigger)
+                    else:
+                        orbits[bigger] = conjugation_orbit(G, bigger, conjugators)
+                        found.update(orbits[bigger])
+                if bigger in below:  # a class representative not extended yet
+                    reached.append(bigger)  # it inherits rejections
             for bigger in reached:
                 below[bigger] |= rejected
         frontier = below
-    return seen
+    if conjugators is None:
+        return seen
+    return {sub: (gens, orbits[sub]) for sub, gens in seen.items()}
 
 
 def fitting_subgroup(G, elems, gens) -> frozenset:

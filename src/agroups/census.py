@@ -1,11 +1,15 @@
 """Independent brute-force oracles.
 
 Subgroup inventories of small symmetric groups are produced by closing sets
-of prime-order generators upward through the subgroup lattice, pruned only by
-facts that cannot exclude a target (order divisibility, the soluble order
-bound). Degree 8 uses the holomorph of one canonical regular (C2)^3: the scan
-first enumerates every regular elementary abelian subgroup and checks that
-conjugation is transitive on them, so fixing one copy loses nothing.
+of prime-order generators upward through the subgroup lattice up to
+S_n-conjugacy, pruned only by facts that cannot exclude a target (order
+divisibility, the soluble order bound). One representative per class is
+extended, its class is its orbit under the generators (1 2 ... n) and (1 2),
+and the filters, all invariant under conjugation, read representatives only.
+Degrees 7 and 8 go through the normalizer of one regular elementary abelian
+subgroup T, whose copies the class scan finds to be one class: the targets
+are the T.S for the subgroups S of the normalizer's point stabiliser, taken
+up to conjugacy there.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
 variety as an iterated split extension P x| (Q x| R) with elementary abelian
@@ -25,7 +29,6 @@ from functools import lru_cache
 from .cayley import (
     CayleyGroup,
     VarietyParams,
-    all_subgroups,
     are_isomorphic,
     cayley_from,
     conjugation_orbit,
@@ -37,7 +40,7 @@ from .cayley import (
     subgroup_lattice,
 )
 from .construct import _check_pair, semidirect_product
-from .errors import DegreeLimit, LimitExceeded, NotPrime
+from .errors import DegreeLimit, InvalidParams, LimitExceeded, NotPrime
 from .gf import FieldSpec, field_make, is_prime, prime_factors
 from .matgrp import (
     GL_BRUTE_LIMIT,
@@ -58,7 +61,6 @@ from .perm import (
     perm_ops,
     permgroup_to_json,
     set_key,
-    subgroup_conjugate,
 )
 
 TRANSITIVE_DEGREE_LIMIT = 6
@@ -147,22 +149,30 @@ def _scan_keep(n, primes, fpf_only):
     return keep
 
 
+def _sn_generators(n) -> tuple:
+    """(1 2 ... n) and (1 2) as codes, generators of S_n; none at n = 1."""
+    if n < 2:
+        return ()
+    return tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))
+
+
 @lru_cache(maxsize=64)
 def _scan_cached(n, primes, order_cap, fpf_only):
-    """All subgroups of S_n generated by elements of the given prime orders
-    that _scan_keep(n, primes, fpf_only) keeps, of order at most order_cap
-    (with fpf_only, only fixed-point-free elements generate). The keep must
-    reject upward-closed sets: the scan never tries an element over an
-    overgroup of a subgroup it was rejected over. Returns a tuple of (code
-    frozenset, generator tuple) pairs; the universe is S_n as codes in
-    lexicographic order."""
+    """The S_n-classes of subgroups of S_n generated by elements of the given
+    prime orders that _scan_keep(n, primes, fpf_only) keeps, of order at most
+    order_cap (with fpf_only, only fixed-point-free elements generate). The
+    keep must reject upward-closed sets and be invariant under conjugation,
+    as subgroup_lattice requires. Returns a tuple of (representative,
+    (generators, class)) pairs, code frozensets; the universe is S_n as codes
+    in lexicographic order."""
     universe = [
         g
         for g in itertools.permutations(range(n))
         if (not fpf_only or fixed_point_free(g)) and code_order(g) in primes
     ]
-    lattice = subgroup_lattice(perm_ops(n), universe, order_cap, _scan_keep(n, primes, fpf_only))
-    return tuple(lattice.items())
+    keep = _scan_keep(n, primes, fpf_only)
+    classes = subgroup_lattice(perm_ops(n), universe, order_cap, keep, _sn_generators(n))
+    return tuple(classes.items())
 
 
 def _subgroup_scan(n, primes, order_bound_sq=None, max_order=None, fpf_only=False):
@@ -175,65 +185,45 @@ def _subgroup_scan(n, primes, order_bound_sq=None, max_order=None, fpf_only=Fals
     return dict(_scan_cached(n, tuple(sorted(set(primes))), cap, fpf_only))
 
 
-def _orbit_of_point(gens, point=0):
-    orbit = {point}
-    queue = [point]
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = g[p]
-            if q not in orbit:
-                orbit.add(q)
-                queue.append(q)
-    return orbit
-
-
-def _dedup_conjugacy(n, candidates) -> list[list[PermGroup]]:
-    """Partition candidate subgroups into S_n-conjugacy classes."""
-    classes: list[list[PermGroup]] = []
-    for grp in candidates:
-        placed = False
-        for cls in classes:
-            if grp.order == cls[0].order and subgroup_conjugate(cls[0], grp) is not None:
-                cls.append(grp)
-                placed = True
-                break
-        if not placed:
-            classes.append([grp])
-    return classes
-
-
 def _signature(order: int, q: int, r: int) -> tuple[int, int]:
     factors = prime_factors(order) if order > 1 else {}
     return factors.get(q, 0), factors.get(r, 0)
 
 
-def _build_inventory(n, q, r, members, filter_desc) -> ClassInventory:
-    groups = [group_from_set(n, m) for m in sorted(members, key=set_key)]
-    classes = _dedup_conjugacy(n, groups)
+def _check_degree(n: int, limit: int, scan: str):
+    if n < 1:
+        raise InvalidParams(f"degree {n} is not positive")
+    if n > limit:
+        raise DegreeLimit(f"degree {n} exceeds the {scan} scan limit")
+
+
+def _build_inventory(n, q, r, classes, filter_desc) -> ClassInventory:
+    """The entries of the given S_n-classes (lists of code sets): each is
+    represented by its least member by set_key and sized by its length. The
+    entries are in order of representative, then stably by signature and
+    order."""
     entries = []
-    for cls in classes:
-        rep = cls[0]  # each class keeps the set_key order of groups
-        entries.append(
-            ClassEntry(rep, rep.order, _signature(rep.order, q, r), len(cls))
-        )
+    for key, size in sorted((min(map(set_key, cls)), len(cls)) for cls in classes):
+        rep = group_from_set(n, key)
+        entries.append(ClassEntry(rep, rep.order, _signature(rep.order, q, r), size))
     entries.sort(key=lambda e: (e.signature, e.order))
     return ClassInventory(f"S{n}", n, filter_desc, tuple(entries))
 
 
-def _transitive_variety_subgroups(n: int, q: int, r: int) -> list[frozenset]:
-    """The transitive subgroups of S_n in the variety [q, r], as code sets.
-    A transitive group's order is divisible by n, and the scan keeps only
-    {q, r}-smooth orders: unless n is {q, r}-smooth there is none to scan for."""
+def _transitive_variety_classes(n: int, q: int, r: int) -> list[list[frozenset]]:
+    """The S_n-classes of transitive subgroups of S_n in the variety [q, r],
+    as lists of code sets. A transitive group's order is divisible by n, and
+    the scan keeps only {q, r}-smooth orders: unless n is {q, r}-smooth there
+    is none to scan for."""
     if not _divides_primes(n, (q, r)):
         return []
     bound_sq = 6 ** (n - 1)  # soluble order bound, squared comparison
     ops = perm_ops(n)
     return [
-        elems
-        for elems, gens in _subgroup_scan(n, (q, r), order_bound_sq=bound_sq).items()
+        cls
+        for elems, (gens, cls) in _subgroup_scan(n, (q, r), order_bound_sq=bound_sq).items()
         if len(elems) % n == 0  # transitive needs n | order
-        and len(_orbit_of_point(gens)) == n
+        and len({g[0] for g in elems}) == n  # the orbit of point 0
         and in_variety(ops, [q, r], gens)
     ]
 
@@ -241,37 +231,39 @@ def _transitive_variety_subgroups(n: int, q: int, r: int) -> list[frozenset]:
 def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of transitive two-prime-variety subgroups of S_n."""
     _check_pair(q, r)
-    if n > TRANSITIVE_DEGREE_LIMIT:
-        raise DegreeLimit(f"degree {n} exceeds the transitive scan limit")
-    members = _transitive_variety_subgroups(n, q, r)
-    return _build_inventory(n, q, r, members, f"transitive, variety [{q}, {r}]")
+    _check_degree(n, TRANSITIVE_DEGREE_LIMIT, "transitive")
+    classes = _transitive_variety_classes(n, q, r)
+    return _build_inventory(n, q, r, classes, f"transitive, variety [{q}, {r}]")
 
 
 def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of primitive two-prime-variety subgroups of S_n.
 
-    Degrees up to 6 run the generic lattice scan; 7 and 8 go through the
-    normalizer of one regular elementary abelian subgroup (the generic scan
-    is exhaustive but impractical there).
+    Degrees up to 6 run the generic class scan, and a class size is the
+    length of the S_n-class. Degrees 7 and 8 go through the normalizer of one
+    regular elementary abelian subgroup T, and a class size counts the class
+    members that contain T. (At degree 7 the generic scan finds the same
+    classes, in under a second.)
     """
     _check_pair(q, r)
-    if n > PRIMITIVE_DEGREE_LIMIT:
-        raise DegreeLimit(f"degree {n} exceeds the primitive scan limit")
+    _check_degree(n, PRIMITIVE_DEGREE_LIMIT, "primitive")
     if n in (7, 8):
         return _primitive_regular_normal(n, q, r)
-    members = [
-        elems
-        for elems in _transitive_variety_subgroups(n, q, r)
-        if group_from_set(n, elems).is_primitive()
-    ]
-    return _build_inventory(n, q, r, members, f"primitive, variety [{q}, {r}]")
+    return _generic_primitive_classes(n, q, r)
 
 
-def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple[tuple, ...]]:
-    """All elementary abelian r-subgroups of S_n of order <= n whose
-    nontrivial elements are fixed-point free (the candidates that can be
-    transitive: transitive abelian groups are regular), as code sets with
-    their generators."""
+def _generic_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
+    """The primitive inventory from the transitive class scan, at any degree."""
+    classes = _transitive_variety_classes(n, q, r)
+    classes = [cls for cls in classes if group_from_set(n, cls[0]).is_primitive()]
+    return _build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
+
+
+def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple]:
+    """The S_n-classes of elementary abelian r-subgroups of S_n of order <= n
+    whose nontrivial elements are fixed-point free (the candidates that can
+    be transitive: transitive abelian groups are regular), as a dict from
+    each class representative to (its generators, its class), code sets."""
     return _subgroup_scan(n, (r,), max_order=n, fpf_only=True)
 
 
@@ -279,23 +271,16 @@ def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
     """Primitive single-prime-variety (elementary abelian r) subgroups of S_n."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
-    if n > PRIMITIVE_DEGREE_LIMIT:
-        raise DegreeLimit(f"degree {n} exceeds the primitive scan limit")
-    subs = elementary_abelian_regular_scan(n, r)
-    members = []
-    for elems, gens in subs.items():
+    _check_degree(n, PRIMITIVE_DEGREE_LIMIT, "primitive")
+    classes = []
+    for elems, (gens, cls) in elementary_abelian_regular_scan(n, r).items():
         if len(elems) != n:
             continue  # transitive abelian means regular
         grp = group_from_set(n, elems)
         if grp.is_transitive() and grp.is_primitive():
-            members.append(elems)
-    inv = _build_inventory(n, r, r, members, f"primitive, variety [{r}]")
-    # signature in the single-prime case: r-exponent only
-    entries = tuple(
-        ClassEntry(e.representative, e.order, (0, prime_factors(e.order).get(r, 0)), e.class_size)
-        for e in inv.classes
-    )
-    return ClassInventory(inv.context, n, inv.filter_desc, entries)
+            classes.append(cls)
+    # q = 1 gives the single-prime signature (0, r-exponent)
+    return _build_inventory(n, 1, r, classes, f"primitive, variety [{r}]")
 
 
 def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
@@ -303,9 +288,17 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
 
     A primitive soluble group of prime-power degree has a regular elementary
     abelian minimal normal subgroup of order n = u^k, so u must be one of the
-    two primes; otherwise the inventory is empty. Fix one regular copy T (the
-    run verifies all of them are conjugate), and every target is T . S for a
-    subgroup S of the point stabiliser of N(T).
+    two primes; otherwise the inventory is empty. The regular copies must form
+    one S_n-class; fix its least member T, and every target is conjugate to
+    T.S for a subgroup S of N(T)_0, the point stabiliser of the normalizer.
+
+    S is taken up to N(T)_0-conjugacy: g in N(T)_0 maps T.S to T.S^g, and S
+    is the point stabiliser of T.S, so each N(T)_0-class of S gives a class
+    of targets T.S of the same length. No two such classes are conjugate in
+    S_n: T is the only minimal normal subgroup of a primitive T.S (another
+    would centralise T, which is its own centraliser), so a conjugation
+    between targets fixes T, lies in N(T) = T.N(T)_0 and conjugates the S
+    in N(T)_0. A class size counts the T.S in the class.
     """
     empty = ClassInventory(f"S{n}", n, f"primitive, variety [{q}, {r}]", ())
     factors = prime_factors(n)
@@ -314,53 +307,37 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     u = next(iter(factors))
     if u not in (q, r):
         return empty
-    regulars = [
-        elems for elems in elementary_abelian_regular_scan(n, u) if len(elems) == n
-    ]
-    if not regulars:
-        return empty
-    T_elems = min(regulars, key=set_key)
+    scan = elementary_abelian_regular_scan(n, u)
+    regulars = [cls for elems, (_, cls) in scan.items() if len(elems) == n]
+    if len(regulars) != 1:
+        raise AssertionError("regular elementary abelian copies are not a single class")
+    T_elems = min(regulars[0], key=set_key)
     ops = perm_ops(n)
     mul, inv = ops.mul, ops.inv
 
-    # verify the conjugation action of S_n is transitive on the regular copies
-    sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]  # (1 2 .. n), (1 2)
-    if set(conjugation_orbit(ops, T_elems, sn_gens)) != set(regulars):
-        raise AssertionError("regular elementary abelian copies are not a single class")
-
-    # normalizer of T in S_n and its point stabiliser
+    # N(T)_0: the elements fixing point 0 that normalize T
     t_gens = greedy_generators(n, T_elems)
-    norm_elems = []
-    for g in itertools.permutations(range(n)):
+    stab = []
+    for rest in itertools.permutations(range(1, n)):
+        g = (0, *rest)
         gi = inv(g)
         if all(mul(mul(gi, h), g) in T_elems for h in t_gens):
-            norm_elems.append(g)
-    normalizer = group_from_set(n, norm_elems)
-    stab = normalizer.point_stabilizer(1)
-    stab_codes = stab.codes()
-    stab_table = cayley_from(stab)
+            stab.append(g)
+    stab_gens = greedy_generators(n, stab)
 
-    members = []
-    seen: set[tuple] = set()
-    for sub in all_subgroups(stab_table):
+    classes = []
+    for s_gens, _ in subgroup_lattice(ops, stab, conjugators=stab_gens).values():
         g_elems, gens = T_elems, list(t_gens)
-        for x in sorted(stab_codes[i] for i in sub):
-            if x not in g_elems:
-                g_elems = extend_set(n, g_elems, gens, x)
-                gens.append(x)
-        key = set_key(g_elems)
-        if key in seen:
+        for x in s_gens:
+            g_elems = extend_set(n, g_elems, gens, x)
+            gens.append(x)
+        if not _divides_primes(len(g_elems), (q, r)):
             continue
-        seen.add(key)
-        if not _divides_primes(len(g_elems), {q, r}):
+        grp = group_from_set(n, g_elems)  # transitive: it contains T
+        if not grp.is_primitive() or not in_variety(ops, [q, r], gens):
             continue
-        grp = group_from_set(n, g_elems)
-        if not grp.is_transitive() or not grp.is_primitive():
-            continue
-        if not in_variety(ops, [q, r], gens):
-            continue
-        members.append(g_elems)
-    return _build_inventory(n, q, r, members, f"primitive, variety [{q}, {r}]")
+        classes.append(conjugation_orbit(ops, g_elems, stab_gens))
+    return _build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
 
 
 # ---------------------------------------------------------------------------

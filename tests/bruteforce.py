@@ -3,12 +3,16 @@
 Nothing here imports the package's search machinery; these are the slow,
 obviously-correct reference computations the engine is checked against.
 The block-partition brute force lives in agroups.selftest, whose criteria
-run it too; it shares no code with the block search it checks. The one
-exception is unreduced_census, which builds the census from every action
-with the engine's tables: it checks the census's reductions, not its parts.
+run it too; it shares no code with the block search it checks. The two
+exceptions check an engine reduction, not its parts: unreduced_census builds
+the census from every action with the engine's tables, and pairwise_inventory
+builds the S_n inventories from every subgroup with the engine's lattice scan
+(no conjugators) and filters.
 """
 
+import functools
 import itertools
+import math
 
 from agroups.selftest import naive_is_primitive  # noqa: F401
 
@@ -456,3 +460,130 @@ def unreduced_census(params, traversal="forward"):
         key=lambda t: sorted(naive_element_order(t.table, t.identity, x) for x in range(len(t.table)))
     )
     return VarietyCensus(params, tuple(reps))
+
+
+# -- the S_n inventories without the class scan ------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def full_sn_scan(n, primes, cap, fpf_only):
+    """Every subgroup of S_n generated by elements of the given prime orders
+    that census._scan_keep keeps, of order at most cap, with the generators
+    that built it: the lattice scan without conjugators."""
+    from agroups import census
+    from agroups.cayley import subgroup_lattice
+    from agroups.perm import code_order, fixed_point_free, perm_ops
+
+    universe = [
+        g
+        for g in itertools.permutations(range(n))
+        if (not fpf_only or fixed_point_free(g)) and code_order(g) in primes
+    ]
+    keep = census._scan_keep(n, primes, fpf_only)
+    return tuple(subgroup_lattice(perm_ops(n), universe, cap, keep).items())
+
+
+@functools.lru_cache(maxsize=None)
+def regular_normal_candidates(n):
+    """The T.S of the degree-7 and 8 primitive route, with their generators:
+    T the least regular elementary abelian subgroup (all of them checked
+    conjugate), S every subgroup of the point stabiliser of N(T), found from
+    a scan of all of S_n and the stabiliser's multiplication table."""
+    from agroups.cayley import all_subgroups, cayley_from, conjugation_orbit
+    from agroups.perm import extend_set, greedy_generators, group_from_set, perm_ops, set_key
+
+    u = min(p for p in range(2, n + 1) if n % p == 0)
+    regulars = [elems for elems, _ in full_sn_scan(n, (u,), n, True) if len(elems) == n]
+    T = min(regulars, key=set_key)
+    ops = perm_ops(n)
+    sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
+    assert set(conjugation_orbit(ops, T, sn_gens)) == set(regulars)
+    t_gens = greedy_generators(n, T)
+    normalizer = [
+        g
+        for g in itertools.permutations(range(n))
+        if all(ops.mul(ops.mul(ops.inv(g), h), g) in T for h in t_gens)
+    ]
+    stab = group_from_set(n, normalizer).point_stabilizer(1)
+    stab_codes = stab.codes()
+    out = []
+    for sub in all_subgroups(cayley_from(stab)):
+        elems, gens = T, list(t_gens)
+        for x in sorted(stab_codes[i] for i in sub):
+            if x not in elems:
+                elems = extend_set(n, elems, gens, x)
+                gens.append(x)
+        out.append((elems, tuple(gens)))
+    return u, out
+
+
+def pairwise_inventory(kind, n, q, r):
+    """The inventory enumerate_<kind>_classes(n, q, r) returns (kind
+    "transitive" or "primitive"; "primitive_ar" for
+    enumerate_primitive_ar_classes(n, q), r unused), from every member
+    subgroup: the full lattice scan and the filters, then classes by testing
+    each member, in set_key order, against the first member of every class
+    so far with subgroup_conjugate."""
+    from agroups import census
+    from agroups.cayley import in_variety
+    from agroups.perm import group_from_set, perm_ops, set_key, subgroup_conjugate
+
+    ops = perm_ops(n)
+
+    def primitive(elems):
+        grp = group_from_set(n, elems)
+        return grp.is_transitive() and grp.is_primitive()
+
+    if kind == "primitive_ar":
+        scan = full_sn_scan(n, (q,), n, True)
+        members = [elems for elems, _ in scan if len(elems) == n and primitive(elems)]
+        r, desc = q, f"primitive, variety [{q}]"
+    elif kind == "primitive" and n in (7, 8):
+        u, candidates = regular_normal_candidates(n)
+        members = [
+            elems
+            for elems, gens in candidates
+            if u in (q, r)
+            and census._divides_primes(len(elems), (q, r))
+            and primitive(elems)
+            and in_variety(ops, [q, r], gens)
+        ]
+        desc = f"primitive, variety [{q}, {r}]"
+    elif not census._divides_primes(n, (q, r)):
+        members, desc = [], f"{kind}, variety [{q}, {r}]"  # n divides a transitive order
+    else:
+        scan = full_sn_scan(n, tuple(sorted((q, r))), math.isqrt(6 ** (n - 1)), False)
+        members = [
+            elems
+            for elems, gens in scan
+            if len(elems) % n == 0
+            and group_from_set(n, elems).is_transitive()
+            and in_variety(ops, [q, r], gens)
+            and (kind == "transitive" or primitive(elems))
+        ]
+        desc = f"{kind}, variety [{q}, {r}]"
+    classes = []
+    for grp in (group_from_set(n, m) for m in sorted(set(members), key=set_key)):
+        cls = next(
+            (
+                c
+                for c in classes
+                if c[0].order == grp.order and subgroup_conjugate(c[0], grp) is not None
+            ),
+            None,
+        )
+        if cls is None:
+            classes.append([grp])
+        else:
+            cls.append(grp)
+    entries = [
+        census.ClassEntry(c[0], c[0].order, census._signature(c[0].order, q, r), len(c))
+        for c in classes
+    ]
+    entries.sort(key=lambda e: (e.signature, e.order))
+    if kind == "primitive_ar":
+        entries = [
+            census.ClassEntry(e.representative, e.order, (0, e.signature[1]), e.class_size)
+            for e in entries
+        ]
+    return census.ClassInventory(f"S{n}", n, desc, tuple(entries))

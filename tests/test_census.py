@@ -14,7 +14,7 @@ from agroups.census import (
 )
 from agroups.cayley import homomorphisms_to_mats
 from agroups.construct import primitive_aqar_group
-from agroups.errors import DegreeLimit
+from agroups.errors import DegreeLimit, InvalidParams
 from agroups.gf import field_make
 from agroups.matgrp import gl_elements
 from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
@@ -100,6 +100,64 @@ def test_transitive_degree_limit():
         enumerate_transitive_classes(7, 2, 3)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_degree_is_invalid(n):
+    with pytest.raises(InvalidParams):
+        enumerate_transitive_classes(n, 2, 3)
+    with pytest.raises(InvalidParams):
+        enumerate_primitive_classes(n, 2, 3)
+    with pytest.raises(InvalidParams):
+        enumerate_primitive_ar_classes(n, 2)
+
+
+# -- the class scan against the pairwise route ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inventories_match_pairwise_oracle(n):
+    for q, r in itertools.permutations((2, 3, 5), 2):
+        for kind, fn in (
+            ("transitive", enumerate_transitive_classes),
+            ("primitive", enumerate_primitive_classes),
+        ):
+            expected = bf.pairwise_inventory(kind, n, q, r).to_json()
+            assert fn(n, q, r).to_json() == expected, (kind, q, r)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_primitive_ar_inventories_match_pairwise_oracle(n):
+    for r in (2, 3, 5, 7):
+        expected = bf.pairwise_inventory("primitive_ar", n, r, None).to_json()
+        assert enumerate_primitive_ar_classes(n, r).to_json() == expected, r
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_regular_normal_inventories_match_pairwise_oracle(n):
+    nonempty = 0
+    for q, r in itertools.permutations((2, 3, 5, 7), 2):
+        expected = bf.pairwise_inventory("primitive", n, q, r).to_json()
+        assert enumerate_primitive_classes(n, q, r).to_json() == expected, (q, r)
+        nonempty += bool(expected["classes"])
+    assert nonempty
+
+
+@pytest.mark.parametrize("q, r", [(7, 2), (2, 7), (7, 3), (3, 7)])
+def test_generic_scan_agrees_with_regular_normal_route_at_degree_7(q, r):
+    generic = census._generic_primitive_classes(7, q, r)
+    regular = census._primitive_regular_normal(7, q, r)
+    assert generic.filter_desc == regular.filter_desc
+    assert [(e.order, e.signature) for e in generic.classes] == [
+        (e.order, e.signature) for e in regular.classes
+    ]
+    assert generic.count
+    for g, h in zip(generic.classes, regular.classes):
+        assert subgroup_conjugate(g.representative, h.representative) is not None
+        # the generic size is the whole S_7-class; the regular route counts
+        # the members containing its fixed C7, which is normal in each, and
+        # the C7 are one class of 7!/42 = 120
+        assert (g.class_size, h.class_size) == (120, 1)
+
+
 # -- primitive inventories ---------------------------------------------------------
 
 
@@ -113,7 +171,7 @@ def test_degree_precut_drops_no_transitive_subgroup():
                 continue
             cut += 1
             scan = census._subgroup_scan(n, (q, r), order_bound_sq=6 ** (n - 1))
-            assert all(len(elems) % n for elems in scan), (n, q, r)
+            assert all(len(elems) % n for _, cls in scan.values() for elems in cls), (n, q, r)
             assert enumerate_transitive_classes(n, q, r).count == 0
             assert enumerate_primitive_classes(n, q, r).count == 0
     assert cut == 34
@@ -202,7 +260,7 @@ def test_primitive_ar_grid():
 def test_primitive_ar_regular_v4_is_imprimitive():
     # n = 4, r = 2: the regular V4 exists and is transitive but imprimitive
     subs = census.elementary_abelian_regular_scan(4, 2)
-    regular = [s for s in subs if len(s) == 4]
+    regular = [s for _, cls in subs.values() for s in cls if len(s) == 4]
     assert len(regular) == 1
     grp = perm.group_from_set(4, regular[0])
     assert grp.is_transitive() and not grp.is_primitive()
