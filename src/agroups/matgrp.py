@@ -4,9 +4,14 @@ Everything here is an exhaustive desk-scale oracle. mat_ops binds the subgroup
 kernel in cayley to matrix codes, the entry tuples of Mat: closures
 materialise the full element set, and the elementary abelian classification
 is one lattice scan, with conjugacy classes taken as orbits under GL's
-generators. Irreducibility is decided by spinning every line; conjugate_in_gl,
-the independent conjugacy check, scans all of GL(alpha, s) in a fixed order.
-Limits guard each entry point so a bad input fails fast instead of grinding.
+generators. Every product of two matrices runs through one function per
+dimension and field, straight-line source compiled on first use against the
+field's index tables. GL(alpha, s) is enumerated row by row, each row outside
+the span of the rows above it, so listing it costs work in proportion to
+|GL|, not s^(alpha^2) determinants. Irreducibility is decided by spinning
+every line; conjugate_in_gl, the independent conjugacy check, scans all of
+GL(alpha, s) in a fixed order. Limits guard each entry point so a bad input
+fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -204,25 +209,37 @@ def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
 @lru_cache(maxsize=None)
 def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
     """Product, identity and inverse of GL(alpha, s) on matrix codes, the
-    entry tuples of Mat, as the subgroup kernel in cayley takes them. The
-    product is the one Mat.__mul__ runs."""
-    add, mul = spec.tables.add, spec.tables.mul
-    # terms[k] lists, for each entry (i, j) of a product in row-major order,
-    # the positions of a[i][k] and b[k][j] in the codes a and b
-    idx = range(alpha)
-    terms = [[(i * alpha + k, k * alpha + j) for i in idx for j in idx] for k in idx]
+    entry tuples of Mat, as the subgroup kernel in cayley takes them.
 
-    def product(a, b):
-        times_a = [mul[x] for x in a]  # the multiplication-table row of each entry
-        out = [times_a[p][b[q]] for p, q in terms[0]]
-        for term in terms[1:]:
-            out = [add[acc][times_a[p][b[q]]] for acc, (p, q) in zip(out, term)]
-        return tuple(out)
+    The product, the one Mat.__mul__ runs, is straight-line source built from
+    alpha alone in the manner of collections.namedtuple and run against the
+    field's add/mul tables: both codes are unpacked into locals, the
+    multiplication-table row of each entry of a is looked up once, and entry
+    (i, j) is the add-chain of the alpha products a[i][k] * b[k][j]."""
+    cells = range(alpha * alpha)
+    entries = []
+    for i in range(alpha):
+        for j in range(alpha):
+            acc = f"m{i * alpha}[b{j}]"
+            for k in range(1, alpha):
+                acc = f"add[{acc}][m{i * alpha + k}[b{k * alpha + j}]]"
+            entries.append(acc)
+    source = "\n".join(
+        [
+            "def product(a, b):",
+            f"    {', '.join(f'a{p}' for p in cells)}, = a",
+            f"    {', '.join(f'b{p}' for p in cells)}, = b",
+            *(f"    m{p} = mul[a{p}]" for p in cells),
+            f"    return ({', '.join(entries)},)",
+        ]
+    )
+    namespace = {"add": spec.tables.add, "mul": spec.tables.mul}
+    exec(compile(source, f"<matrix product, alpha={alpha}>", "exec"), namespace)
 
     def inverse(code):
         return Mat(spec, code).inverse().entries
 
-    return SimpleNamespace(mul=product, identity=_identity_entries(alpha), inv=inverse)
+    return SimpleNamespace(mul=namespace["product"], identity=_identity_entries(alpha), inv=inverse)
 
 
 def _code_order(ops, code) -> int:
@@ -243,15 +260,35 @@ def group_from_mats(alpha: int, spec: FieldSpec, codes) -> MatGroup:
     return closure([Mat(spec, c) for c in gens] or [Mat.identity(alpha, spec)])
 
 
+def _span_with(span: set, vec, tab) -> set:
+    """The subspace spanned by a subspace (its set of vectors) and a vector."""
+    multiples = [tuple(row[x] for x in vec) for row in tab.mul]
+    return {tuple(tab.add[x][y] for x, y in zip(u, m)) for u in span for m in multiples}
+
+
 @lru_cache(maxsize=32)
 def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[Mat, ...]:
-    """All of GL(alpha, s) in row-major entry order (cached)."""
+    """All of GL(alpha, s) in row-major entry order (cached), enumerated
+    row by row: no determinants, work in proportion to |GL|."""
     if gl_order(alpha, spec) > limit:
         raise LimitExceeded(
             f"|GL({alpha}, {spec.s})| = {gl_order(alpha, spec)} exceeds brute-force limit {limit}"
         )
-    candidates = (Mat(spec, flat) for flat in itertools.product(range(spec.s), repeat=alpha * alpha))
-    return tuple(m for m in candidates if m.det())
+    tab = spec.tables
+    vectors = list(itertools.product(range(spec.s), repeat=alpha))
+    # prefixes of linearly independent rows with their spans, in increasing
+    # order; each extends by the vectors outside its span, in increasing
+    # order, so every level stays sorted (vectors[0] is the zero vector)
+    level = [((), {vectors[0]})]
+    for depth in range(alpha):
+        last = depth == alpha - 1
+        level = [
+            (rows + v, None if last else _span_with(span, v, tab))
+            for rows, span in level
+            for v in vectors
+            if v not in span
+        ]
+    return tuple(Mat(spec, rows) for rows, _ in level)
 
 
 @lru_cache(maxsize=32)

@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroups import matgrp
 from agroups.errors import (
@@ -102,7 +105,44 @@ def test_products_match_naive_on_all_pairs(alpha, s):
             assert code_mul(a.entries, b.entries) == naive
 
 
-@pytest.mark.parametrize("alpha, t, k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 5, 1)])
+# GF(s) as (t, k), for every field the compiled product is checked over
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+PRODUCT_CASES = [(alpha, s) for alpha in (1, 2, 3, 4) for s in FIELDS]
+
+
+def assert_product_matches_naive(spec, a, b):
+    """mat_ops' product of two codes, singular or not, against FieldElem
+    arithmetic."""
+    alpha = math.isqrt(len(a))
+    naive = naive_mat_mul(as_elems(Mat(spec, a)), as_elems(Mat(spec, b)))
+    assert mat_ops(alpha, spec).mul(a, b) == indices(naive)
+
+
+@pytest.mark.parametrize(
+    "alpha, s", [(alpha, s) for alpha, s in PRODUCT_CASES if s ** (alpha * alpha) <= 81]
+)
+def test_compiled_product_matches_naive_on_all_code_pairs(alpha, s):
+    spec = field_make(*FIELDS[s])
+    codes = list(itertools.product(range(s), repeat=alpha * alpha))
+    for a, b in itertools.product(codes, repeat=2):
+        assert_product_matches_naive(spec, a, b)
+
+
+@pytest.mark.parametrize(
+    "alpha, s", [(alpha, s) for alpha, s in PRODUCT_CASES if s ** (alpha * alpha) > 81]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_product_matches_naive_on_drawn_code_pairs(alpha, s, data):
+    spec = field_make(*FIELDS[s])
+    code = st.tuples(*[st.integers(0, s - 1)] * (alpha * alpha))
+    assert_product_matches_naive(spec, data.draw(code), data.draw(code))
+
+
+@pytest.mark.parametrize(
+    "alpha, t, k",
+    [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 5, 1), (1, 2, 1), (1, 2, 2), (1, 7, 1)],
+)
 def test_det_matches_leibniz_on_every_matrix(alpha, t, k):
     spec = field_make(t, k)
     invertible = []
@@ -114,6 +154,15 @@ def test_det_matches_leibniz_on_every_matrix(alpha, t, k):
             invertible.append(m)
     assert list(gl_elements(alpha, spec)) == invertible
     assert len(invertible) == gl_order(alpha, spec)
+
+
+@pytest.mark.parametrize("alpha, t, k", [(3, 3, 1), (4, 2, 1), (2, 2, 3), (2, 3, 2)])
+def test_row_enumeration_is_sorted_gl(alpha, t, k):
+    spec = field_make(t, k)
+    elems = gl_elements(alpha, spec)
+    assert len(elems) == gl_order(alpha, spec)
+    assert all(x.entries < y.entries for x, y in zip(elems, elems[1:]))
+    assert all(m.det() != 0 for m in elems)
 
 
 @pytest.mark.parametrize("t, k", [(2, 2), (5, 1)])
