@@ -157,24 +157,18 @@ def compare_count(count: int, bound: LogBound) -> str:
     """
     if count < 0:
         raise InvalidParams("counts are nonnegative")
-    if count == 0:
-        return "LE"
     for prec in _INTERVAL_PRECISIONS:
-        clo, chi = (Fraction(x, 1 << prec) for x in _log2_fixed(count, prec))
-        blo, bhi = bound.log2_interval(prec)
-        if chi < blo:
-            return "LE"
-        if clo > bhi:
-            return "GT"
-        if clo == chi == blo == bhi:
-            return "LE"
+        verdict = interval_verdict(count, bound, prec)
+        if verdict is not None:
+            return verdict
     return "LE" if bound.exact_cmp_count(count) <= 0 else "GT"
 
 
 def interval_verdict(count: int, bound: LogBound, prec: int) -> str | None:
     """Verdict at one fixed interval precision, or None if undecided.
 
-    Exposed for the monotone-precision property check.
+    compare_count runs it at doubling precisions; the monotone-precision
+    property check runs it directly.
     """
     if count == 0:
         return "LE"
@@ -194,21 +188,11 @@ def interval_verdict(count: int, bound: LogBound, prec: int) -> str | None:
 def theorem_a_bound(params: VarietyParams) -> LogBound:
     """Isomorphism-count bound for the three-prime variety at order n."""
     a, b, g = params.alpha, params.beta, params.gamma
-    n = params.n
-    terms: dict[int, Fraction] = {}
-
-    def add(base, coeff):
-        if base > 1 and coeff:
-            terms[base] = terms.get(base, Fraction(0)) + Fraction(coeff)
-
-    add(params.p, 6 * a * a)
-    # alpha * log2(alpha), defined as 0 at alpha = 0
-    if a >= 1:
-        add(a, Fraction(23, 6) * a)
-    add(6, a)
     half_exp = (a + g) * b + (a + b) * g + a * (a - 1) // 2
-    add(6, Fraction(half_exp, 2))
-    add(n, b + g)
+    # a list of pairs: LogBound.build sums repeated bases and drops base 1
+    terms = [(params.p, 6 * a * a), (6, a), (6, Fraction(half_exp, 2)), (params.n, b + g)]
+    if a:  # alpha * log2(alpha), defined as 0 at alpha = 0
+        terms.append((a, Fraction(23, 6) * a))
     return LogBound.build(Fraction(a - 1), terms)
 
 
@@ -218,17 +202,12 @@ def remark43_gl_bound(s: int, alpha: int) -> LogBound:
         raise InvalidParams("alpha must be at least 1")
     if s < 2:
         raise InvalidParams("s must be a prime power >= 2")
-    terms: dict[int, Fraction] = {}
-
-    def add(base, coeff):
-        if base > 1 and coeff:
-            terms[base] = terms.get(base, Fraction(0)) + Fraction(coeff)
-
-    add(s, 5 * alpha * alpha)
-    add(6, Fraction(alpha * (alpha - 1), 4))
-    if alpha >= 1:
-        add(alpha, Fraction(23, 6) * alpha)
-    add(6, alpha)
+    terms = [
+        (s, 5 * alpha * alpha),
+        (6, Fraction(alpha * (alpha - 1), 4)),
+        (alpha, Fraction(23, 6) * alpha),
+        (6, alpha),
+    ]
     return LogBound.build(Fraction(alpha - 1), terms)
 
 
@@ -236,10 +215,7 @@ def remark43_transitive_bound(n: int) -> LogBound:
     """Count bound for transitive two-prime-variety subgroups of S_n."""
     if n < 2:
         raise InvalidParams("n must be at least 2")
-    terms: dict[int, Fraction] = {6: Fraction(n * (n - 1), 4)}
-    if n > 1:
-        terms[n] = terms.get(n, Fraction(0)) + Fraction(n + 2)
-    return LogBound.build(Fraction(0), terms)
+    return LogBound.build(Fraction(0), [(6, Fraction(n * (n - 1), 4)), (n, n + 2)])
 
 
 def prop41_bound(alpha: int, q: int, r: int, s: int) -> LogBound:

@@ -2,9 +2,9 @@
 
 Subgroups of a table group are frozensets of element indices. The subgroup
 kernel here (closure, coset extension, greedy generators, normal closure,
-verbal subgroups, lattice scan, conjugation orbits, Fitting subgroup) runs
-on any group given by a product, an identity and an inverse, so the
-permutation and matrix layers bind it instead of keeping copies.
+verbal subgroups, lattice scan, conjugation orbits, conjugator scan, Fitting
+subgroup) runs on any group given by a product, an identity and an inverse,
+so the permutation and matrix layers bind it instead of keeping copies.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
 into matrix groups for the census oracle. Each backtracking level extends
@@ -174,27 +174,24 @@ def direct_product_table(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
     return CayleyGroup(table, G.identity * m + H.identity)
 
 
-def cayley_from(source, limit: int = TABLE_LIMIT) -> CayleyGroup:
+def cayley_from(source) -> CayleyGroup:
     """Multiplication table of a PermGroup or MatGroup over its canonical
     element list; index 0..order-1 in canonical element order."""
     from .matgrp import MatGroup, mat_ops
     from .perm import PermGroup, perm_ops
 
+    if not isinstance(source, (PermGroup, MatGroup)):
+        raise TypeError(f"cannot build a table from {type(source).__name__}")
+    if source.order > TABLE_LIMIT:
+        raise LimitExceeded(f"order {source.order} exceeds table limit {TABLE_LIMIT}")
     if isinstance(source, PermGroup):
-        if source.order > limit:
-            raise LimitExceeded(f"order {source.order} exceeds table limit {limit}")
-        perms = source.elements(max(source.order, 1))
-        labels = tuple(str(g.images) for g in perms)
-        elems = [g.code() for g in perms]
+        elems = source.codes()
+        labels = tuple(str(tuple(i + 1 for i in c)) for c in elems)
         ops = perm_ops(source.degree)
-    elif isinstance(source, MatGroup):
-        if source.order > limit:
-            raise LimitExceeded(f"order {source.order} exceeds table limit {limit}")
+    else:
         elems = [m.entries for m in source.elements]
         labels = tuple(map(str, elems))
         ops = mat_ops(source.alpha, source.spec)
-    else:
-        raise TypeError(f"cannot build a table from {type(source).__name__}")
     index = {e: i for i, e in enumerate(elems)}
     mul = ops.mul
     table = tuple(tuple(index[mul(a, b)] for b in elems) for a in elems)
@@ -347,6 +344,19 @@ def conjugation_orbit(G, sub, gens) -> list:
                 seen.add(image)
                 orbit.append(image)
     return orbit
+
+
+def first_conjugator(G, ambient, gens, target):
+    """The first x of ambient, in its order, that conjugates every element of
+    gens into target (x^-1 g x in target), or None. Given the generators of a
+    subgroup A and the element set of a subgroup B of equal order, that is
+    the first x with A^x = B."""
+    mul, inv = G.mul, G.inv
+    for x in ambient:
+        xi = inv(x)
+        if all(mul(mul(xi, g), x) in target for g in gens):
+            return x
+    return None
 
 
 def _coset_class(G, sub, x, index) -> int:

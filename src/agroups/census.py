@@ -175,13 +175,8 @@ def _scan_cached(n, primes, order_cap, fpf_only):
     return tuple(classes.items())
 
 
-def _subgroup_scan(n, primes, order_bound_sq=None, max_order=None, fpf_only=False):
+def _subgroup_scan(n, primes, cap=None, fpf_only=False):
     """Dict view of the cached lattice scan; see _scan_cached."""
-    cap = None
-    if order_bound_sq is not None:
-        cap = math.isqrt(order_bound_sq)  # order^2 <= bound iff order <= isqrt
-    if max_order is not None:
-        cap = max_order if cap is None else min(cap, max_order)
     return dict(_scan_cached(n, tuple(sorted(set(primes))), cap, fpf_only))
 
 
@@ -217,11 +212,12 @@ def _transitive_variety_classes(n: int, q: int, r: int) -> list[list[frozenset]]
     is none to scan for."""
     if not _divides_primes(n, (q, r)):
         return []
-    bound_sq = 6 ** (n - 1)  # soluble order bound, squared comparison
+    # the soluble order bound: order^2 <= 6^(n-1) iff order <= isqrt(6^(n-1))
+    cap = math.isqrt(6 ** (n - 1))
     ops = perm_ops(n)
     return [
         cls
-        for elems, (gens, cls) in _subgroup_scan(n, (q, r), order_bound_sq=bound_sq).items()
+        for elems, (gens, cls) in _subgroup_scan(n, (q, r), cap).items()
         if len(elems) % n == 0  # transitive needs n | order
         and len({g[0] for g in elems}) == n  # the orbit of point 0
         and in_variety(ops, [q, r], gens)
@@ -264,7 +260,7 @@ def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple]:
     whose nontrivial elements are fixed-point free (the candidates that can
     be transitive: transitive abelian groups are regular), as a dict from
     each class representative to (its generators, its class), code sets."""
-    return _subgroup_scan(n, (r,), max_order=n, fpf_only=True)
+    return _subgroup_scan(n, (r,), n, fpf_only=True)
 
 
 def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:

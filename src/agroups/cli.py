@@ -163,7 +163,9 @@ def _cmd_classify_gl(args) -> dict:
         "constructed": None if built is None else matgrp.matgroup_to_json(built),
         "constructed_in_classes": None
         if built is None
-        else any(matgrp.conjugate_in_gl(built, rep) is not None for rep in reps),
+        else any(
+            matgrp.conjugate_in_gl(built, rep, args.max_order) is not None for rep in reps
+        ),
         "order_of_s_mod_r": d,
     }
     bound_checks = [

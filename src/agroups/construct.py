@@ -24,10 +24,11 @@ from .errors import (
     SamePrime,
 )
 from .gf import field_make, is_prime, multiplicative_order, prime_factors
-from .matgrp import Mat, singer_generator
+from .matgrp import Mat, mat_ops, singer_generator
 from .perm import (
     Perm,
     PermGroup,
+    code_order,
     fitting_subgroup,
     minimal_normal_subgroups,
 )
@@ -150,7 +151,7 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
     F = fitting_subgroup(G)
     check(
         "minimal-normal-equals-fitting",
-        M.elements() == F.elements(),
+        M.codes() == F.codes(),
         f"|M| = {M.order}, |F(G)| = {F.order}",
     )
     check("minimal-normal-regular", M.order == n, f"|M| = {M.order}, n = {n}")
@@ -166,12 +167,12 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
         case = CASE_CYCLIC_R
         check("order-is-n", order == n, f"|G| = {order}, n = {n}")
         check("degree-is-r", n == r, f"n = {n}, r = {r}")
-        check("cyclic", any(g.order() == order for g in G.elements()), "cyclic of prime order")
+        check("cyclic", any(code_order(g) == order for g in G.codes()), "cyclic of prime order")
     elif b == 0:
         case = CASE_CYCLIC_Q
         check("order-is-n", order == n, f"|G| = {order}, n = {n}")
         check("degree-is-q", n == q, f"n = {n}, q = {q}")
-        check("cyclic", any(g.order() == order for g in G.elements()), "cyclic of prime order")
+        check("cyclic", any(code_order(g) == order for g in G.codes()), "cyclic of prime order")
     else:
         case = CASE_AFFINE
         beta = multiplicative_order(q, r)
@@ -179,7 +180,7 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
         stab = G.point_stabilizer(1)
         check(
             "stabilizer-cyclic-of-order-r",
-            stab.order == r and any(g.order() == r for g in stab.elements()),
+            stab.order == r and any(code_order(g) == r for g in stab.codes()),
             f"stabilizer order {stab.order}",
         )
         check(
@@ -225,9 +226,10 @@ def semidirect_product(
             raise NotHomomorphism("action matrices have the wrong shape or field")
         if m.det() == 0:
             raise NotHomomorphism("action matrices must be invertible")
-    for x in range(acting.order):
-        for y in range(acting.order):
-            if mats[acting.mul(x, y)] != mats[x] * mats[y]:
+    mul, codes = mat_ops(dim, field).mul, [m.entries for m in mats]
+    for x, row in enumerate(acting.table):
+        for y, xy in enumerate(row):
+            if codes[xy] != mul(codes[x], codes[y]):
                 raise NotHomomorphism(f"action is not multiplicative at ({x}, {y})")
 
     order = u**dim * acting.order

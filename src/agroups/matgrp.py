@@ -9,9 +9,9 @@ dimension and field, straight-line source compiled on first use against the
 field's index tables. GL(alpha, s) is enumerated row by row, each row outside
 the span of the rows above it, so listing it costs work in proportion to
 |GL|, not s^(alpha^2) determinants. Irreducibility is decided by spinning
-every line; conjugate_in_gl, the independent conjugacy check, scans all of
-GL(alpha, s) in a fixed order. Limits guard each entry point so a bad input
-fails fast instead of grinding.
+every line; conjugate_in_gl, the independent conjugacy check, runs the
+kernel's conjugator scan over all of GL(alpha, s) in entry order. Limits
+guard each entry point so a bad input fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 from .cayley import (
     _abelian_of_exponent,
     _power,
     conjugation_orbit,
+    first_conjugator,
     greedy_generators,
     subgroup_closure,
     subgroup_lattice,
@@ -125,20 +126,7 @@ class Mat:
         return det
 
     def inverse(self) -> "Mat":
-        tab = self.spec.tables
-        n = self.alpha
-        work = [a + b for a, b in zip(self._rows(), Mat.identity(n, self.spec)._rows())]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise SingularGenerator("matrix is not invertible")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = tab.mul[tab.inv[work[col][col]]]
-            work[col] = [inv[a] for a in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    work[r] = _row_sub(tab, work[r], work[r][col], work[col])
-        return Mat(self.spec, tuple(e for row in work for e in row[n:]))
+        return Mat(self.spec, _code_inverse(self.spec.tables, self.alpha, self.entries))
 
     def is_identity(self) -> bool:
         return self.entries == _identity_entries(self.alpha)
@@ -153,6 +141,24 @@ class Mat:
 @lru_cache(maxsize=None)
 def _identity_entries(alpha: int) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(alpha) for j in range(alpha))
+
+
+def _code_inverse(tab, alpha: int, code) -> tuple[int, ...]:
+    """The inverse of a matrix code, by Gauss-Jordan elimination of [M | I]."""
+    ident = _identity_entries(alpha)
+    rows = range(0, alpha * alpha, alpha)
+    work = [list(code[i : i + alpha] + ident[i : i + alpha]) for i in rows]
+    for col in range(alpha):
+        pivot = next((r for r in range(col, alpha) if work[r][col]), None)
+        if pivot is None:
+            raise SingularGenerator("matrix is not invertible")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = tab.mul[tab.inv[work[col][col]]]
+        work[col] = [inv[a] for a in work[col]]
+        for r in range(alpha):
+            if r != col and work[r][col]:
+                work[r] = _row_sub(tab, work[r], work[r][col], work[col])
+    return tuple(e for row in work for e in row[alpha:])
 
 
 def _row_sub(tab, row, factor, other) -> list[int]:
@@ -185,7 +191,7 @@ def gl_order(alpha: int, spec: FieldSpec) -> int:
     return n
 
 
-def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
+def closure(gens) -> MatGroup:
     """Full element set of the generated group; order exact."""
     gens = list(gens)
     if not gens:
@@ -198,9 +204,9 @@ def closure(gens, limit: int = CLOSURE_LIMIT) -> MatGroup:
             raise DegreeMismatch("generators of different dimensions")
         if g.det() == 0:
             raise SingularGenerator("generator is singular")
-    elems = subgroup_closure(mat_ops(alpha, spec), [g.entries for g in gens], cap=limit)
+    elems = subgroup_closure(mat_ops(alpha, spec), [g.entries for g in gens], cap=CLOSURE_LIMIT)
     if elems is None:
-        raise LimitExceeded(f"closure exceeds {limit} elements")
+        raise LimitExceeded(f"closure exceeds {CLOSURE_LIMIT} elements")
     ordered = tuple(Mat(spec, c) for c in sorted(elems))
     canon_gens = tuple(sorted(dict.fromkeys(gens), key=lambda m: m.entries))
     return MatGroup(spec, alpha, canon_gens, ordered)
@@ -236,10 +242,11 @@ def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
     namespace = {"add": spec.tables.add, "mul": spec.tables.mul}
     exec(compile(source, f"<matrix product, alpha={alpha}>", "exec"), namespace)
 
-    def inverse(code):
-        return Mat(spec, code).inverse().entries
-
-    return SimpleNamespace(mul=namespace["product"], identity=_identity_entries(alpha), inv=inverse)
+    return SimpleNamespace(
+        mul=namespace["product"],
+        identity=_identity_entries(alpha),
+        inv=partial(_code_inverse, spec.tables, alpha),
+    )
 
 
 def _code_order(ops, code) -> int:
@@ -334,10 +341,10 @@ def _lines(alpha: int, spec: FieldSpec):
             yield prefix + tail
 
 
-def is_irreducible(G: MatGroup, spin_limit: int = SPIN_LIMIT) -> bool:
+def is_irreducible(G: MatGroup) -> bool:
     """No proper nonzero invariant subspace; every line is spun to check."""
-    if G.spec.s**G.alpha > spin_limit:
-        raise LimitExceeded(f"s^alpha = {G.spec.s ** G.alpha} exceeds spin limit {spin_limit}")
+    if G.spec.s**G.alpha > SPIN_LIMIT:
+        raise LimitExceeded(f"s^alpha = {G.spec.s ** G.alpha} exceeds spin limit {SPIN_LIMIT}")
     if G.alpha == 1:
         return True
     tab = G.spec.tables
@@ -394,12 +401,12 @@ def _ext_modulus(spec: FieldSpec, degree: int):
     raise AssertionError("no irreducible polynomial over the base field; unreachable")
 
 
-def singer_generator(alpha: int, spec: FieldSpec, spin_limit: int = SPIN_LIMIT) -> Mat:
+def singer_generator(alpha: int, spec: FieldSpec) -> Mat:
     """Matrix of multiplication by a generator of GF(s^alpha)* on the
     canonical polynomial basis. Cyclic of order s^alpha - 1."""
     size = spec.s**alpha
-    if size > spin_limit:
-        raise LimitExceeded(f"s^alpha = {size} exceeds limit {spin_limit}")
+    if size > SPIN_LIMIT:
+        raise LimitExceeded(f"s^alpha = {size} exceeds limit {SPIN_LIMIT}")
     if alpha == 1:
         # GL(1, s): first generator of the multiplicative group
         for c in range(1, spec.s):
@@ -438,8 +445,8 @@ def singer_generator(alpha: int, spec: FieldSpec, spin_limit: int = SPIN_LIMIT) 
     return Mat(spec, tuple(entries))
 
 
-def singer_subgroup(alpha: int, spec: FieldSpec, spin_limit: int = SPIN_LIMIT) -> MatGroup:
-    return closure([singer_generator(alpha, spec, spin_limit)])
+def singer_subgroup(alpha: int, spec: FieldSpec) -> MatGroup:
+    return closure([singer_generator(alpha, spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +484,20 @@ def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
 
 
 def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Mat | None:
-    """x in GL(alpha, s) with A^x = B, or None; deterministic full scan."""
+    """The first x of GL(alpha, s) in entry order with A^x = B, or None."""
     if A.spec != B.spec:
         raise FieldMismatch("groups over different fields")
     if A.alpha != B.alpha:
         raise DegreeMismatch("groups of different dimensions")
     if A.order != B.order:
         return None
-    b_set = set(B.elements)
-    for x in gl_elements(A.alpha, A.spec, limit):
-        xinv = x.inverse()
-        if all((xinv * g * x) in b_set for g in A.generators):
-            return x
-    return None
+    x = first_conjugator(
+        mat_ops(A.alpha, A.spec),
+        (m.entries for m in gl_elements(A.alpha, A.spec, limit)),
+        [g.entries for g in A.generators],
+        {m.entries for m in B.elements},
+    )
+    return None if x is None else Mat(A.spec, x)
 
 
 @lru_cache(maxsize=8)

@@ -1,21 +1,25 @@
 """Permutation group engine.
 
-Points are labelled 1..n. Products compose left to right: ``(a * b)`` sends
-x to b(a(x)), so x^(ab) = (x^a)^b.
+Points are labelled 1..n at the edges. Products compose left to right:
+``(a * b)`` sends x to b(a(x)), so x^(ab) = (x^a)^b.
 
-Groups carry a base and strong generating set built with a deterministic
-incremental Schreier-Sims on Perm objects, which gives exact orders and
-membership without listing elements. Element-set work (closures, extensions,
-generators, normal closures, the Fitting subgroup, the census lattice scans)
-runs on the subgroup kernel in cayley over codes: a permutation as the tuple
-of its 0-based point images, multiplied by one C-level map and hashed and
-compared as a plain tuple. perm_ops binds the kernel to codes. A code sorts
-exactly as its Perm's 1-based images do, so every canonical order is the same
-in both forms; Perm and PermGroup appear only at the edges (stabiliser
-chains, JSON, cycle notation). The normal-structure operators deliberately
-work on exhaustive element lists: they are oracles, and at desk scale
-certainty beats sophistication. An exhaustive closure cross-check of the
-chain order is part of the test suite, not of construction.
+Below the edges a permutation is its code: the tuple of its 0-based point
+images, multiplied by one C-level map and hashed and compared as a plain
+tuple. perm_ops binds the subgroup kernel in cayley to codes. A Perm wraps
+one code: its product, inverse, power and order are the kernel's, and its
+1-based images, cycle notation and JSON are derived from the code. A code
+sorts exactly as its 1-based images do, so every canonical order is the same
+in both forms.
+
+A PermGroup keeps its generators as codes and carries a base and strong
+generating set built with a deterministic incremental Schreier-Sims on codes,
+which gives exact orders and membership without listing elements.
+Element-set work (closures, extensions, generators, normal closures, the
+Fitting subgroup, the census lattice scans, conjugacy) runs on the subgroup
+kernel. The normal-structure operators deliberately work on exhaustive
+element lists: they are oracles, and at desk scale certainty beats
+sophistication. An exhaustive closure cross-check of the chain order is part
+of the test suite, not of construction.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 import math
 import operator
 import re
-from functools import reduce
+from functools import lru_cache
 from types import SimpleNamespace
 
 from . import cayley
@@ -37,36 +41,35 @@ CONJUGACY_DEGREE_LIMIT = 8
 
 
 class Perm:
-    """A permutation of 1..n stored as the tuple of point images."""
+    """A permutation of 1..n, stored as its code (0-based point images)."""
 
-    __slots__ = ("images",)
+    __slots__ = ("_code",)
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
+        self._code = tuple(i - 1 for i in images)
 
-    @classmethod
-    def _raw(cls, images: tuple) -> "Perm":
-        # internal products are permutations by construction; skip validation
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+    @staticmethod
+    def from_code(code) -> "Perm":
+        """The Perm of a code, which is a permutation by construction."""
+        p = object.__new__(Perm)
+        p._code = tuple(code)
         return p
 
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm._raw(tuple(range(1, degree + 1)))
-
-    @staticmethod
-    def from_code(code) -> "Perm":
-        """The Perm of a code (0-based images), which is a permutation by
-        construction."""
-        return Perm._raw(tuple(i + 1 for i in code))
+        return Perm.from_code(perm_ops(degree).identity)
 
     def code(self) -> tuple[int, ...]:
         """The 0-based image tuple the subgroup kernel works on."""
-        return tuple(i - 1 for i in self.images)
+        return self._code
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        """The 1-based point images."""
+        return tuple(i + 1 for i in self._code)
 
     @staticmethod
     def from_cycles(degree: int, cycles) -> "Perm":
@@ -80,67 +83,43 @@ class Perm:
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self._code)
 
     def apply(self, point: int) -> int:
-        return self.images[point - 1]
+        return self._code[point - 1] + 1
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if len(self.images) != len(other.images):
+        if len(self._code) != len(other._code):
             raise DegreeMismatch("cannot multiply permutations of different degrees")
-        o = other.images
-        return Perm._raw(tuple(o[i - 1] for i in self.images))
+        return Perm.from_code(perm_ops(self.degree).mul(self._code, other._code))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j - 1] = i + 1
-        return Perm._raw(tuple(inv))
+        return Perm.from_code(perm_ops(self.degree).inv(self._code))
 
     def __pow__(self, e: int) -> "Perm":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Perm.identity(self.degree)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ops = perm_ops(self.degree)
+        base = self._code if e >= 0 else ops.inv(self._code)
+        return Perm.from_code(cayley._power(ops, base, abs(e)))
 
     def is_identity(self) -> bool:
-        return all(i == j + 1 for j, i in enumerate(self.images))
+        return self._code == perm_ops(self.degree).identity
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen or self.images[start - 1] == start:
-                continue
-            cyc = [start]
-            nxt = self.images[start - 1]
-            while nxt != start:
-                seen.add(nxt)
-                cyc.append(nxt)
-                nxt = self.images[nxt - 1]
-            out.append(tuple(cyc))
-        return out
+        return [tuple(p + 1 for p in c) for c in _cycles(self._code)]
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths > 1 in decreasing order (fingerprint use)."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return _cycle_type(self._code)
 
     def order(self) -> int:
-        lengths = [len(c) for c in self.cycles()]
-        return math.lcm(*lengths) if lengths else 1
+        return code_order(self._code)
 
     def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
+        return isinstance(other, Perm) and self._code == other._code
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(self._code)
 
     def __repr__(self):
         return f"Perm({cycle_string(self)!r}, degree={self.degree})"
@@ -175,32 +154,39 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
     return Perm.from_cycles(n, cycles)
 
 
-def _first_moved(g: Perm) -> int:
-    for p in range(1, g.degree + 1):
-        if g.apply(p) != p:
-            return p
-    raise ValueError("identity has no moved point")
+# ---------------------------------------------------------------------------
+# stabiliser chains on codes; base points are 0-based
 
 
-def _orbit_transversal(degree, point, gens):
+def _orbit_transversal(ops, point, gens):
     """BFS orbit of a point; transversal[q] maps point -> q. Deterministic."""
-    ident = Perm.identity(degree)
-    trans = {point: ident}
+    trans = {point: ops.identity}
     queue = [point]
-    i = 0
-    while i < len(queue):
-        pt = queue[i]
-        i += 1
+    for pt in queue:  # queue grows by each newly reached point
         for s in gens:
-            q = s.apply(pt)
+            q = s[pt]
             if q not in trans:
-                trans[q] = trans[pt] * s
+                trans[q] = ops.mul(trans[pt], s)
                 queue.append(q)
     return trans
 
 
+def _sift(ops, h, base, transversals, start=0):
+    """Sift h through the chain from level start. Returns the residue and the
+    level where sifting stopped; h is in the chain's group iff the residue is
+    the identity."""
+    for j in range(start, len(base)):
+        if h == ops.identity:
+            return h, j
+        t = transversals[j].get(h[base[j]])
+        if t is None:
+            return h, j
+        h = ops.mul(h, ops.inv(t))
+    return h, len(base)
+
+
 def _schreier_sims(degree, gens, base_prefix=()):
-    """Deterministic incremental Schreier-Sims.
+    """Deterministic incremental Schreier-Sims on codes.
 
     Returns (base, strong, transversals) where strong[i] lists the strong
     generators fixing base[:i] and transversals[i] is the orbit transversal
@@ -208,80 +194,71 @@ def _schreier_sims(degree, gens, base_prefix=()):
     stabiliser of base[i] in <strong[i]> (every Schreier generator sifts to
     the identity).
     """
-    ident = Perm.identity(degree)
-    gens = [g for g in dict.fromkeys(gens) if not g.is_identity()]
-    base = [p for p in base_prefix]
-    strong: list[list[Perm]] = [[] for _ in base]
-
+    ops = perm_ops(degree)
+    mul, inv, ident = ops.mul, ops.inv, ops.identity
+    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    base = list(base_prefix)
     if not gens:
-        transversals = [{b: ident} for b in base]
-        return base, strong, transversals
+        return base, [[] for _ in base], [{b: ident} for b in base]
 
     for g in gens:
-        if all(g.apply(b) == b for b in base):
-            base.append(_first_moved(g))
-            strong.append([])
-    strong = [[g for g in gens if all(g.apply(b) == b for b in base[:i])] for i in range(len(base))]
-    transversals = [_orbit_transversal(degree, base[i], strong[i]) for i in range(len(base))]
+        if all(g[b] == b for b in base):
+            base.append(next(p for p, q in enumerate(g) if p != q))
+    strong = [[g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+    transversals = [_orbit_transversal(ops, base[i], strong[i]) for i in range(len(base))]
+
+    def unsifted(i):
+        """The residue and stopping level of the first Schreier generator of
+        level i that does not sift to the identity, or None."""
+        trans = transversals[i]
+        for pt in sorted(trans):
+            for s in strong[i]:
+                schreier = mul(mul(trans[pt], s), inv(trans[s[pt]]))
+                h, j = _sift(ops, schreier, base, transversals, i + 1)
+                if h != ident:
+                    return h, j
+        return None
 
     i = len(base) - 1
     while i >= 0:
-        restart = False
-        trans = transversals[i]
-        for pt in sorted(trans):
-            u = trans[pt]
-            for s in strong[i]:
-                img = s.apply(pt)
-                schreier = u * s * trans[img].inverse()
-                if schreier.is_identity():
-                    continue
-                # sift through the deeper levels
-                h = schreier
-                j = i + 1
-                while j < len(base):
-                    p = h.apply(base[j])
-                    if p not in transversals[j]:
-                        break
-                    h = h * transversals[j][p].inverse()
-                    if h.is_identity():
-                        break
-                    j += 1
-                if h.is_identity():
-                    continue
-                if j == len(base):
-                    base.append(_first_moved(h))
-                    strong.append([])
-                    transversals.append({})
-                for level in range(i + 1, j + 1):
-                    strong[level].append(h)
-                    transversals[level] = _orbit_transversal(degree, base[level], strong[level])
-                i = j
-                restart = True
-                break
-            if restart:
-                break
-        if not restart:
+        found = unsifted(i)
+        if found is None:
             i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(next(p for p, q in enumerate(h) if p != q))
+            strong.append([])
+            transversals.append({})
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            transversals[level] = _orbit_transversal(ops, base[level], strong[level])
+        i = j
     return base, strong, transversals
 
 
 class PermGroup:
-    """Permutation group with exact order and membership via its chain."""
+    """Permutation group with exact order and membership via its chain.
+
+    Generators are Perms or codes; the group keeps them as codes. base_prefix
+    lists 1-based points the base starts with."""
 
     def __init__(self, degree: int, generators, base_prefix=()):
-        generators = tuple(generators)
-        for g in generators:
-            if g.degree != degree:
-                raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
+        codes = [g.code() if isinstance(g, Perm) else tuple(g) for g in generators]
+        for c in codes:
+            if len(c) != degree:
+                raise DegreeMismatch(f"generator degree {len(c)} != {degree}")
         self.degree = degree
-        nontrivial = sorted(
-            {g for g in generators if not g.is_identity()}, key=lambda g: g.images
-        )
-        self.generators = tuple(nontrivial)
+        identity = perm_ops(degree).identity
+        self._gens = tuple(sorted({c for c in codes if c != identity}))
         self._base, self._strong, self._transversals = _schreier_sims(
-            degree, self.generators, base_prefix
+            degree, self._gens, [p - 1 for p in base_prefix]
         )
-        self._elements: list[Perm] | None = None
+        self._codes: list[tuple[int, ...]] | None = None
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        return tuple(map(Perm.from_code, self._gens))
 
     @property
     def order(self) -> int:
@@ -292,67 +269,55 @@ class PermGroup:
 
     @property
     def base(self) -> tuple[int, ...]:
-        return tuple(self._base)
+        return tuple(b + 1 for b in self._base)
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             return False
-        h = g
-        for i, b in enumerate(self._base):
-            p = h.apply(b)
-            if p not in self._transversals[i]:
-                return False
-            h = h * self._transversals[i][p].inverse()
-            if h.is_identity():
-                return True
-        return h.is_identity()
+        ops = perm_ops(self.degree)
+        return _sift(ops, g.code(), self._base, self._transversals)[0] == ops.identity
 
     def __contains__(self, g: Perm) -> bool:
         return self.contains(g)
 
-    def elements(self, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> list[Perm]:
-        """All elements, canonically sorted. Products of transversal maps."""
-        if self._elements is None:
-            if self.order > limit:
-                raise LimitExceeded(f"order {self.order} exceeds exhaustive limit {limit}")
-            levels = [
-                [t[p] for p in sorted(t)] for t in reversed(self._transversals)
-            ]
-            if not levels:
-                elems = [Perm.identity(self.degree)]
-            else:
-                elems = [
-                    reduce(lambda a, b: a * b, combo)
-                    for combo in itertools.product(*levels)
-                ]
-            elems.sort(key=lambda g: g.images)
-            assert len(elems) == self.order
-            self._elements = elems
-        return list(self._elements)
+    def codes(self) -> list[tuple[int, ...]]:
+        """All elements as codes, canonically sorted: the products of one
+        transversal map per level, deepest level first."""
+        if self._codes is None:
+            if self.order > EXHAUSTIVE_ORDER_LIMIT:
+                raise LimitExceeded(
+                    f"order {self.order} exceeds exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"
+                )
+            ops = perm_ops(self.degree)
+            codes = [ops.identity]
+            for trans in reversed(self._transversals):
+                codes = [ops.mul(a, u) for a in codes for u in trans.values()]
+            self._codes = sorted(codes)
+        return list(self._codes)
 
-    def codes(self, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> list[tuple[int, ...]]:
-        """The elements as codes, in the same canonical order."""
-        return [g.code() for g in self.elements(limit)]
+    def elements(self) -> list[Perm]:
+        """All elements, in the canonical order of codes()."""
+        return [Perm.from_code(c) for c in self.codes()]
 
     # -- orbits, blocks ----------------------------------------------------
 
     def orbits(self) -> list[tuple[int, ...]]:
         seen = set()
         out = []
-        for start in range(1, self.degree + 1):
+        for start in range(self.degree):
             if start in seen:
                 continue
             orbit = {start}
             queue = [start]
             while queue:
                 pt = queue.pop()
-                for g in self.generators:
-                    q = g.apply(pt)
+                for g in self._gens:
+                    q = g[pt]
                     if q not in orbit:
                         orbit.add(q)
                         queue.append(q)
             seen |= orbit
-            out.append(tuple(sorted(orbit)))
+            out.append(tuple(sorted(p + 1 for p in orbit)))
         return out
 
     def is_transitive(self) -> bool:
@@ -360,7 +325,7 @@ class PermGroup:
 
     def minimal_block(self, a: int, b: int) -> frozenset[int]:
         """Smallest block of a G-invariant partition containing {a, b}."""
-        parent = list(range(self.degree + 1))
+        parent = list(range(self.degree))
 
         def find(x):
             while parent[x] != x:
@@ -368,17 +333,16 @@ class PermGroup:
                 x = parent[x]
             return x
 
-        stack = [(a, b)]
+        stack = [(a - 1, b - 1)]
         while stack:
             x, y = stack.pop()
             rx, ry = find(x), find(y)
             if rx == ry:
                 continue
             parent[ry] = rx
-            for g in self.generators:
-                stack.append((g.apply(rx), g.apply(ry)))
-        root = find(a)
-        return frozenset(p for p in range(1, self.degree + 1) if find(p) == root)
+            stack += [(g[rx], g[ry]) for g in self._gens]
+        root = find(a - 1)
+        return frozenset(p + 1 for p in range(self.degree) if find(p) == root)
 
     def primitivity_block(self) -> frozenset[int] | None:
         """A nontrivial minimal block containing point 1, or None if primitive."""
@@ -400,7 +364,7 @@ class PermGroup:
         """Subgroup fixing the point, from a chain based at that point."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range")
-        rebased = PermGroup(self.degree, self.generators, base_prefix=(point,))
+        rebased = PermGroup(self.degree, self._gens, base_prefix=(point,))
         stab_gens = rebased._strong[1] if len(rebased._base) > 1 else []
         return PermGroup(self.degree, stab_gens)
 
@@ -417,6 +381,7 @@ def _code_inv(a):
     return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
+@lru_cache(maxsize=None)
 def perm_ops(degree: int) -> SimpleNamespace:
     """Product, identity and inverse of S_degree on codes, as the subgroup
     kernel in cayley takes them. Products compose left to right, as Perm's
@@ -436,6 +401,26 @@ def code_order(code) -> int:
         if length > 1:
             order = math.lcm(order, length)
     return order
+
+
+def _cycles(code) -> list[list[int]]:
+    """The cycles of a code longer than one point, 0-based, each starting at
+    its least point, in order of that point."""
+    seen, out = bytearray(len(code)), []
+    for start, image in enumerate(code):
+        if seen[start] or image == start:
+            continue
+        cycle, x = [start], image
+        while x != start:
+            seen[x] = 1
+            cycle.append(x)
+            x = code[x]
+        out.append(cycle)
+    return out
+
+
+def _cycle_type(code) -> tuple[int, ...]:
+    return tuple(sorted(map(len, _cycles(code)), reverse=True))
 
 
 def fixed_point_free(code) -> bool:
@@ -463,7 +448,7 @@ def greedy_generators(degree: int, elems) -> list[tuple]:
 
 def group_from_set(degree: int, elems) -> PermGroup:
     """The PermGroup of a code set, on its greedy generators."""
-    return PermGroup(degree, [Perm.from_code(c) for c in greedy_generators(degree, elems)])
+    return PermGroup(degree, greedy_generators(degree, elems))
 
 
 def set_key(elems) -> tuple:
@@ -475,67 +460,56 @@ def set_key(elems) -> tuple:
 # conjugacy of subgroups inside S_n
 
 
-def subgroup_conjugate(
-    A: PermGroup, B: PermGroup, max_degree: int = CONJUGACY_DEGREE_LIMIT
-) -> Perm | None:
+def subgroup_conjugate(A: PermGroup, B: PermGroup) -> Perm | None:
     """Some x in S_n with A^x = B, or None if no such x exists.
 
-    Fingerprint rejection (order, element cycle types) first, then a
-    deterministic scan of S_n in lexicographic order. Every returned
-    conjugator is verified on the generators.
+    Fingerprint rejection (order, element cycle types) first, then the first
+    x of S_n in lexicographic order that conjugates A's greedy generators
+    into B.
     """
     if A.degree != B.degree:
         raise DegreeMismatch("conjugacy needs equal degrees")
     n = A.degree
-    if n > max_degree:
-        raise LimitExceeded(f"degree {n} exceeds conjugacy limit {max_degree}")
+    if n > CONJUGACY_DEGREE_LIMIT:
+        raise LimitExceeded(f"degree {n} exceeds conjugacy limit {CONJUGACY_DEGREE_LIMIT}")
     if A.order != B.order:
         return None
-    a_elems = A.elements()
-    b_elems = B.elements()
-    if sorted(g.cycle_type() for g in a_elems) != sorted(g.cycle_type() for g in b_elems):
+    a_codes, b_codes = A.codes(), B.codes()
+    if sorted(map(_cycle_type, a_codes)) != sorted(map(_cycle_type, b_codes)):
         return None
-    b_codes = set(B.codes())
-    gens = greedy_generators(n, A.codes())
-    if not gens:
-        return Perm.identity(n)
-    for x in itertools.permutations(range(n)):
-        xi = _code_inv(x)
-        # the conjugate x^-1 g x sends x[p] to x[g[p]]
-        if all(_code_mul(_code_mul(xi, g), x) in b_codes for g in gens):
-            return Perm.from_code(x)
-    return None
+    x = cayley.first_conjugator(
+        perm_ops(n),
+        itertools.permutations(range(n)),
+        greedy_generators(n, a_codes),
+        set(b_codes),
+    )
+    return None if x is None else Perm.from_code(x)
 
 
 # ---------------------------------------------------------------------------
 # normal structure (exhaustive oracles)
 
 
-def _check_exhaustive(G: PermGroup, limit: int):
+def _check_exhaustive(G: PermGroup):
     if G.degree > EXHAUSTIVE_DEGREE_LIMIT:
         raise LimitExceeded(
             f"degree {G.degree} exceeds exhaustive degree limit {EXHAUSTIVE_DEGREE_LIMIT}"
         )
-    if G.order > limit:
-        raise LimitExceeded(f"order {G.order} exceeds exhaustive limit {limit}")
 
 
-def minimal_normal_subgroups(
-    G: PermGroup, limit: int = EXHAUSTIVE_ORDER_LIMIT
-) -> list[PermGroup]:
+def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
     """All minimal nontrivial normal subgroups.
 
     Candidates are normal closures of prime-order elements (every nontrivial
     normal subgroup contains one), reduced to the minimal members.
     """
-    _check_exhaustive(G, limit)
+    _check_exhaustive(G)
     ops = perm_ops(G.degree)
-    gens = [g.code() for g in G.generators]
     closures: dict[tuple, frozenset] = {}
-    for g in G.codes(limit):
+    for g in G.codes():
         if g == ops.identity or not is_prime(code_order(g)):
             continue
-        clo = cayley.normal_closure(ops, [g], gens)[0]
+        clo = cayley.normal_closure(ops, [g], G._gens)[0]
         closures[set_key(clo)] = clo
     minimal = []
     for key, clo in closures.items():
@@ -546,11 +520,10 @@ def minimal_normal_subgroups(
     return [group_from_set(G.degree, m) for m in minimal]
 
 
-def fitting_subgroup(G: PermGroup, limit: int = EXHAUSTIVE_ORDER_LIMIT) -> PermGroup:
+def fitting_subgroup(G: PermGroup) -> PermGroup:
     """Largest nilpotent normal subgroup: join of the normal u-radicals."""
-    _check_exhaustive(G, limit)
-    gens = [g.code() for g in G.generators]
-    fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(limit), gens)
+    _check_exhaustive(G)
+    fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(), G._gens)
     return group_from_set(G.degree, fitting)
 
 

@@ -174,7 +174,7 @@ def criterion_gl_classes(full: bool = True, gl_limit: int | None = None) -> Crit
             out.fail(f"GL({alpha},{spec.s}) r={r}: {len(irr)} irreducible classes")
         built = matgrp.maximal_ar_subgroup(alpha, spec, r)
         if built is not None and not any(
-            matgrp.conjugate_in_gl(built, rep) is not None for rep in reps
+            matgrp.conjugate_in_gl(built, rep, limit) is not None for rep in reps
         ):
             out.fail(f"GL({alpha},{spec.s}) r={r}: construction missing from the classes")
     if full and not flagged:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 
@@ -170,7 +171,7 @@ def test_degree_precut_drops_no_transitive_subgroup():
             if census._divides_primes(n, (q, r)):
                 continue
             cut += 1
-            scan = census._subgroup_scan(n, (q, r), order_bound_sq=6 ** (n - 1))
+            scan = census._subgroup_scan(n, (q, r), math.isqrt(6 ** (n - 1)))
             assert all(len(elems) % n for _, cls in scan.values() for elems in cls), (n, q, r)
             assert enumerate_transitive_classes(n, q, r).count == 0
             assert enumerate_primitive_classes(n, q, r).count == 0

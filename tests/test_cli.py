@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from agroups import cli, report
+from agroups import cli, matgrp, report, selftest
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +69,42 @@ GOLDEN_STDOUT = [
         "97d04cf039fd83256842e1d21d9becc86cb5cf0abfe953b81e5241ceefe33186",
         id="construct-8",
     ),
+    # recorded while Perm still stored 1-based images and compare_count kept
+    # its own interval loop: one run per bound formula, and the chain,
+    # block and normal-structure path of verify-primitive at degree 8
+    pytest.param(
+        ["check-bounds", "--formula", "theorem-a", "--p", "2", "--q", "3", "--r", "5",
+         "--alpha", "2", "--beta", "1", "--gamma", "1", "--count", "2"],
+        "89a5554fe79d15bfa3709aeda46edaf4f4ef1d6bd7e843019f9649990b4db02b",
+        id="bounds-theorem-a",
+    ),
+    pytest.param(
+        ["check-bounds", "--formula", "gl-classes", "--s", "2", "--alpha", "3", "--count", "1"],
+        "9fc8c728c8221b9c499ccf12b9d005759d05bd9ea4a8b4644f8e955e69c062c9",
+        id="bounds-gl-classes",
+    ),
+    pytest.param(
+        ["check-bounds", "--formula", "transitive-count", "--n", "4", "--count", "884736"],
+        "0f73a734feab170c4b8ded9f5e8656edb06a04a0b2b7cde9b2065448ec77bfa5",
+        id="bounds-transitive-count-equal",
+    ),
+    pytest.param(
+        ["check-bounds", "--formula", "gl-order", "--alpha", "2", "--q", "2", "--r", "3",
+         "--s", "5", "--count", "62"],
+        "8efd743b97eba3a596b58f033b82d07fd539855932bb8604621b2828c9b1de3d",
+        id="bounds-gl-order-above",
+    ),
+    pytest.param(
+        ["check-bounds", "--formula", "soluble-order", "--n", "5", "--count", "36"],
+        "1376245cad365461a50dcff51d12d5e1fb1397cbaebb81b4c40217bc0005146b",
+        id="bounds-soluble-order-equal",
+    ),
+    pytest.param(
+        ["verify-primitive", "--q", "2", "--r", "7", "--gens",
+         "(2 4 6 3 7 8 5);(1 2)(3 4)(5 6)(7 8);(1 3)(2 4)(5 7)(6 8);(1 5)(2 6)(3 7)(4 8)"],
+        "a5d63887c0054639b31f0ea7cb5f4e593e6e73b5f615ca7f487b703734452faa",
+        id="verify-8",
+    ),
 ]
 
 
@@ -115,6 +151,35 @@ def test_classify_gl_regular_case(capsys):
     assert rep["results"]["classes"] == 1
     assert rep["results"]["irreducible_classes"] == 1
     assert rep["results"]["constructed_in_classes"] is True
+
+
+def test_max_order_reaches_the_gl_conjugacy_check(monkeypatch, capsys):
+    # every GL scan of classify-gl and of selftest criterion 3, the
+    # constructed_in_classes check included, runs under the given limit
+    seen = []
+    gl_elements, conjugate_in_gl = matgrp.gl_elements, matgrp.conjugate_in_gl
+
+    def gl_spy(alpha, spec, limit=matgrp.GL_BRUTE_LIMIT):
+        seen.append(("gl_elements", limit))
+        return gl_elements(alpha, spec, limit)
+
+    def conjugate_spy(A, B, limit=matgrp.GL_BRUTE_LIMIT):
+        seen.append(("conjugate_in_gl", limit))
+        return conjugate_in_gl(A, B, limit)
+
+    monkeypatch.setattr(matgrp, "gl_elements", gl_spy)
+    monkeypatch.setattr(matgrp, "conjugate_in_gl", conjugate_spy)
+    code, rep = run_json(
+        capsys, "--max-order", "4321", "classify-gl", "--alpha", "2", "--s", "3", "--r", "2"
+    )
+    assert code == 0 and rep["results"]["constructed_in_classes"] is True
+    assert ("conjugate_in_gl", 4321) in seen and ("gl_elements", 4321) in seen
+    assert {limit for _, limit in seen} == {4321}
+    seen.clear()
+    outcome = selftest.criterion_gl_classes(full=False, gl_limit=4322)
+    assert outcome.status == selftest.PASS
+    assert ("conjugate_in_gl", 4322) in seen
+    assert {limit for _, limit in seen} == {4322}
 
 
 def test_verify_primitive_from_file(tmp_path, capsys):

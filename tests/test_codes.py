@@ -1,10 +1,12 @@
-"""Permutation codes (0-based image tuples) against Perm and sympy.
+"""Permutation codes (0-based image tuples) against sympy.
 
-perm.perm_ops binds the subgroup kernel to codes; Perm stays the type the
-stabiliser chains run on. Products, inverses and identities of the binding
-are compared with Perm's and with sympy.combinatorics.Permutation's (whose
-products also compose left to right), and the coded order and
-fixed-point-free helpers with Perm.order and Perm.cycles.
+perm.perm_ops binds the subgroup kernel to codes, and Perm wraps one code
+and delegates its product, inverse, power and order to the kernel. So the
+Perm side of these comparisons checks only the wrapping (code and images
+agree); sympy.combinatorics.Permutation, whose products also compose left to
+right, is the independent side. The brute-force differential of Perm's
+arithmetic without sympy is in test_perm.py. The coded order and
+fixed-point-free helpers are compared with Perm.order and Perm.cycles.
 """
 
 import itertools

@@ -64,9 +64,10 @@ def test_closure_rejects_singular():
         closure([M3((1, 2), (2, 4))])
 
 
-def test_closure_limit():
+def test_closure_limit(monkeypatch):
+    monkeypatch.setattr(matgrp, "CLOSURE_LIMIT", 10)
     with pytest.raises(LimitExceeded):
-        closure([m for m in gl_elements(2, GF3)[:6]], limit=10)
+        closure([m for m in gl_elements(2, GF3)[:6]])
 
 
 def test_gl_elements_complete_and_deterministic():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroups import perm
 from agroups.errors import DegreeMismatch, LimitExceeded, NotTransitive
@@ -33,6 +35,30 @@ def test_perm_inverse_and_pow():
     assert (g * g.inverse()).is_identity()
     assert g**5 == Perm.identity(5)
     assert g**-2 == g**3
+
+
+@st.composite
+def perm_pairs(draw):
+    """Two permutations of 1..n as image tuples, n <= 8, and an exponent."""
+    n = draw(st.integers(1, 8))
+    a, b = (tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(2))
+    return a, b, draw(st.integers(-12, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_pairs())
+def test_perm_arithmetic_matches_bruteforce(case):
+    # Perm runs on the kernel's perm_ops; the brute force shares no code with it
+    a, b, e = case
+    pa, pb = Perm(a), Perm(b)
+    assert (pa * pb).images == bf.mul(a, b)
+    assert pa.inverse().images == bf.inv(a)
+    power = tuple(range(1, len(a) + 1))
+    for _ in range(abs(e)):
+        power = bf.mul(power, a if e >= 0 else bf.inv(a))
+    assert (pa**e).images == power
+    assert pa.order() == bf.perm_order(a)
+    assert pa.is_identity() == (a == tuple(range(1, len(a) + 1)))
 
 
 def test_cycle_roundtrip():
@@ -135,7 +161,7 @@ def test_elements_limit():
     G = group(8, "(1 2 3 4 5 6 7 8)", "(1 2)")
     assert G.order == 40320
     with pytest.raises(LimitExceeded):
-        G.elements(20160)
+        G.elements()
 
 
 # -- orbits and transitivity ---------------------------------------------------
@@ -229,12 +255,15 @@ def test_orbit_stabilizer_relation():
 
 
 def test_conjugate_three_cycles():
-    A = group(4, "(1 2 3)")
-    B = group(4, "(2 3 4)")
-    x = perm.subgroup_conjugate(A, B)
-    assert x is not None
-    for g in A.elements():
-        assert B.contains(x.inverse() * g * x)
+    for A, B in [
+        (group(4, "(1 2 3)"), group(4, "(2 3 4)")),
+        # the first x mapping (3 4) into B maps (1 2) outside it
+        (group(5, "(1 2)", "(3 4)"), group(5, "(1 5)", "(2 3)")),
+    ]:
+        x = perm.subgroup_conjugate(A, B)
+        assert x is not None
+        for g in A.elements():
+            assert B.contains(x.inverse() * g * x)
 
 
 def test_conjugate_none_for_different_cycle_types():
