@@ -4,13 +4,14 @@ Subgroups of a table group are frozensets of element indices. The subgroup
 kernel here (closure, coset extension, greedy generators, normal closure,
 verbal subgroups, lattice scan, conjugation orbits, conjugator scan, Fitting
 subgroup) runs on any group given by a product, an identity and an inverse,
-so the permutation and matrix layers bind it instead of keeping copies.
+so the permutation and matrix layers bind it to their codes instead of
+keeping copies, and the table of one of their groups is read off its codes.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
-into matrix groups for the census oracle. Each backtracking level extends
-the map by breadth-first search over the Cayley graph on the generators
-mapped so far, checking one product per graph edge. A table computes its
-element orders and fingerprint once and caches them.
+into GL, on matrix codes, for the census oracle. Each backtracking level
+extends the map by breadth-first search over the Cayley graph on the
+generators mapped so far, checking one product per graph edge. A table
+computes its element orders and fingerprint once and caches them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class CayleyGroup:
 
     table: tuple[tuple[int, ...], ...]
     identity: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         n = len(self.table)
@@ -176,26 +176,15 @@ def direct_product_table(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
 
 def cayley_from(source) -> CayleyGroup:
     """Multiplication table of a PermGroup or MatGroup over its canonical
-    element list; index 0..order-1 in canonical element order."""
-    from .matgrp import MatGroup, mat_ops
-    from .perm import PermGroup, perm_ops
-
-    if not isinstance(source, (PermGroup, MatGroup)):
-        raise TypeError(f"cannot build a table from {type(source).__name__}")
+    element codes, multiplied by its ops; index 0..order-1 in canonical
+    element order."""
     if source.order > TABLE_LIMIT:
         raise LimitExceeded(f"order {source.order} exceeds table limit {TABLE_LIMIT}")
-    if isinstance(source, PermGroup):
-        elems = source.codes()
-        labels = tuple(str(tuple(i + 1 for i in c)) for c in elems)
-        ops = perm_ops(source.degree)
-    else:
-        elems = [m.entries for m in source.elements]
-        labels = tuple(map(str, elems))
-        ops = mat_ops(source.alpha, source.spec)
+    elems, ops = source.codes(), source.ops
     index = {e: i for i, e in enumerate(elems)}
     mul = ops.mul
     table = tuple(tuple(index[mul(a, b)] for b in elems) for a in elems)
-    return CayleyGroup(table, index[ops.identity], labels)
+    return CayleyGroup(table, index[ops.identity])
 
 
 # ---------------------------------------------------------------------------
@@ -658,27 +647,17 @@ def _embeds(G: CayleyGroup, H: CayleyGroup) -> bool:
     )
 
 
-def homomorphisms_to_mats(G: CayleyGroup, codomain_mats) -> list[dict]:
-    """All homomorphisms from G into a list of matrices closed under product.
-
-    Returns complete mappings {element index: Mat}. Deterministic order.
-    """
-    from .matgrp import Mat, mat_ops
-
-    codomain_mats = list(codomain_mats)
-    ident = next((m for m in codomain_mats if m.is_identity()), None)
-    if ident is None:
-        raise InvalidParams("codomain has no identity")
-    spec = ident.spec
-    ops = mat_ops(ident.alpha, spec)
-    codes = [m.entries for m in codomain_mats]
+def homomorphisms_to_mats(G: CayleyGroup, ops, codes) -> list[list]:
+    """All homomorphisms from G into a list of matrix codes closed under the
+    product of ops (matgrp.mat_ops), each as the list of its image codes by
+    element index. Deterministic order."""
+    codes = list(codes)
     orders = _element_orders(ops, codes)
     gens = minimal_generating_sequence(G)
     by_div = [
         [c for c, o in zip(codes, orders) if G.element_orders[g] % o == 0] for g in gens
     ]
-    maps = _hom_search(G, gens, by_div, ops.mul, ops.identity, injective=False, find_all=True)
-    return [{x: Mat(spec, c) for x, c in enumerate(f)} for f in maps]
+    return _hom_search(G, gens, by_div, ops.mul, ops.identity, injective=False, find_all=True)
 
 
 # ---------------------------------------------------------------------------

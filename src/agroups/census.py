@@ -16,7 +16,9 @@ variety as an iterated split extension P x| (Q x| R) with elementary abelian
 layers, enumerating the action homomorphisms up to GL-conjugacy (conjugate
 actions give isomorphic extensions, so one per orbit under GL's generators is
 complete) and deduplicating the tables by isomorphism within buckets of equal
-invariants.
+invariants. GL, the actions and the split extensions they build run on
+matrix codes, as does the exhaustive subgroup scan of small GL; no Mat is
+made.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from .errors import DegreeLimit, InvalidParams, LimitExceeded, NotPrime
 from .gf import FieldSpec, field_make, is_prime, prime_factors
 from .matgrp import (
     GL_BRUTE_LIMIT,
-    Mat,
-    closure,
+    MatGroup,
     gl_elements,
     gl_generators,
+    group_from_mats,
     is_irreducible,
     mat_ops,
 )
@@ -342,11 +344,12 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
 
 @lru_cache(maxsize=8)
 def _gl_lattice(alpha: int, spec: FieldSpec):
-    """GL(alpha, s), its table, and its subgroups with their generators."""
-    full = closure(list(gl_elements(alpha, spec)))
-    table = cayley_from(full)
+    """The table of GL(alpha, s) over its gl_elements codes, and its
+    subgroups with their generators, as table indices."""
+    codes = gl_elements(alpha, spec, GL_BRUTE_LIMIT)
+    table = cayley_from(MatGroup(spec, alpha, gl_generators(alpha, spec, GL_BRUTE_LIMIT), codes))
     lattice = subgroup_lattice(table, range(table.order))
-    return full, table, sorted(lattice.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
+    return table, sorted(lattice.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
 
 
 def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
@@ -354,16 +357,17 @@ def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
     variety subgroup of GL(alpha, s), exhaustively over the subgroup lattice
     of the full linear group."""
     _check_pair(q, r)
-    full, table, lattice = _gl_lattice(alpha, spec)
+    table, lattice = _gl_lattice(alpha, spec)
+    codes = gl_elements(alpha, spec, GL_BRUTE_LIMIT)
     out = []
     for sub, gens in lattice:
         if not in_variety(table, [q, r], gens):
             continue
-        mats = [full.elements[i] for i in gens] or [Mat.identity(alpha, spec)]
+        group = group_from_mats(alpha, spec, [codes[i] for i in sub])
         out.append(
             {
                 "order": len(sub),
-                "irreducible": is_irreducible(closure(mats)),
+                "irreducible": is_irreducible(group),
                 "fitting_order": len(fitting_subgroup(table, sub, gens)),
             }
         )
@@ -376,7 +380,8 @@ def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
 
 def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     """One action homomorphism group -> GL(dim, u) per GL-conjugacy class, as
-    matrix lists: the first of each class in homomorphisms_to_mats order.
+    lists of image codes by element index: the first of each class in
+    homomorphisms_to_mats order.
 
     An action is keyed by its images of group.generators (which determine
     it), and each kept action drops its whole class: the orbit of its key
@@ -391,11 +396,11 @@ def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     gl = gl_elements(dim, field, GL_BRUTE_LIMIT)
     ops, gl_gens = mat_ops(dim, field), gl_generators(dim, field, GL_BRUTE_LIMIT)
     reps, conjugate_keys = [], set()
-    for hom in homomorphisms_to_mats(group, gl):
-        key = tuple(hom[x].entries for x in group.generators)
+    for hom in homomorphisms_to_mats(group, ops, gl):
+        key = tuple(hom[x] for x in group.generators)
         if key not in conjugate_keys:
             conjugate_keys.update(conjugation_orbit(ops, key, gl_gens))
-            reps.append([hom[i] for i in range(group.order)])
+            reps.append(hom)
     return reps
 
 

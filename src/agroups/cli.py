@@ -24,7 +24,7 @@ from .perm import PermGroup, parse_cycles, permgroup_from_json, permgroup_to_jso
 
 
 def _field_from_s(s: int):
-    factors = prime_factors(s)
+    factors = prime_factors(s) if s > 1 else {}
     if len(factors) != 1:
         raise EngineError(f"s = {s} is not a prime power")
     t, k = next(iter(factors.items()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cayley import CayleyGroup, cayley_from, in_variety
+from .cayley import TABLE_LIMIT, CayleyGroup, cayley_from, in_variety
 from .errors import (
     DegreeLimit,
     LimitExceeded,
@@ -24,7 +24,7 @@ from .errors import (
     SamePrime,
 )
 from .gf import field_make, is_prime, multiplicative_order, prime_factors
-from .matgrp import Mat, mat_ops, singer_generator
+from .matgrp import mat_ops, singer_generator
 from .perm import (
     Perm,
     PermGroup,
@@ -120,6 +120,8 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
     returns a report with one pass/fail entry per structural fact.
     """
     _check_pair(q, r)
+    if G.degree < 2:
+        raise NotPrimitive(f"degree {G.degree} is below 2: no minimal normal subgroup")
     try:
         primitive = G.is_primitive()
     except NotTransitive:
@@ -207,26 +209,23 @@ def semidirect_product(
 ) -> CayleyGroup:
     """Split extension of (C_u)^dim by a table group.
 
-    action maps each element index of the acting group to an invertible
-    matrix over GF(u); it must be a homomorphism (verified on the table).
-    Elements are pairs (vector, h) ordered by (vector digits, h index).
+    action maps each element index of the acting group to a matrix code over
+    GF(u), the flat row-major entry tuple of a Mat; it must be a homomorphism
+    (verified on the table). That makes every matrix invertible: the
+    identity acts trivially, so M(h) M(h^-1) = M(e) = I. Elements are pairs
+    (vector, h) ordered by (vector digits, h index).
     """
-    from .cayley import TABLE_LIMIT
-
     u, dim = kernel_prime, kernel_dim
-    field = field_make(u, 1)
-    mats = list(action)
-    if len(mats) != acting.order:
+    ops = mat_ops(dim, field_make(u, 1))
+    codes = [tuple(c) for c in action]
+    if len(codes) != acting.order:
         raise NotHomomorphism("need one matrix per element of the acting group")
-    ident = Mat.identity(dim, field)
-    if mats[acting.identity] != ident:
+    entries = range(u)
+    if any(len(c) != dim * dim or not all(e in entries for e in c) for c in codes):
+        raise NotHomomorphism("action matrices have the wrong shape or field")
+    if codes[acting.identity] != ops.identity:
         raise NotHomomorphism("identity must act trivially")
-    for m in mats:
-        if m.alpha != dim or m.spec != field:
-            raise NotHomomorphism("action matrices have the wrong shape or field")
-        if m.det() == 0:
-            raise NotHomomorphism("action matrices must be invertible")
-    mul, codes = mat_ops(dim, field).mul, [m.entries for m in mats]
+    mul = ops.mul
     for x, row in enumerate(acting.table):
         for y, xy in enumerate(row):
             if codes[xy] != mul(codes[x], codes[y]):
@@ -242,7 +241,7 @@ def semidirect_product(
     vsum = [[vec_index[tuple((a + b) % u for a, b in zip(v, w))] for w in vectors] for v in vectors]
     # conjugation acts on the right: v^h = v * mat(h); products need mat(h)^-1,
     # applied once per (h, vector) rather than once per table cell
-    moved = [[vec_index[mats[acting.inv(h)].apply(v)] for v in vectors] for h in range(h_count)]
+    moved = [[vec_index[ops.apply(codes[acting.inv(h)], v)] for v in vectors] for h in range(h_count)]
 
     table = []
     for v1 in range(len(vectors)):

@@ -1,17 +1,20 @@
 """Matrix groups over GF(s).
 
-Everything here is an exhaustive desk-scale oracle. mat_ops binds the subgroup
-kernel in cayley to matrix codes, the entry tuples of Mat: closures
-materialise the full element set, and the elementary abelian classification
-is one lattice scan, with conjugacy classes taken as orbits under GL's
-generators. Every product of two matrices runs through one function per
-dimension and field, straight-line source compiled on first use against the
-field's index tables. GL(alpha, s) is enumerated row by row, each row outside
-the span of the rows above it, so listing it costs work in proportion to
-|GL|, not s^(alpha^2) determinants. Irreducibility is decided by spinning
-every line; conjugate_in_gl, the independent conjugacy check, runs the
-kernel's conjugator scan over all of GL(alpha, s) in entry order. Limits
-guard each entry point so a bad input fails fast instead of grinding.
+Everything here is an exhaustive desk-scale oracle. Below the public edges a
+matrix is its code, the flat row-major tuple of field-element indices that
+Mat.entries holds, and mat_ops binds the subgroup kernel in cayley to codes.
+A Mat wraps one code for callers; a MatGroup keeps its generators and its
+sorted elements as codes and builds Mats only in its generators and elements
+properties. Closures materialise the full element set, and the elementary
+abelian classification is one lattice scan, with conjugacy classes taken as
+orbits under GL's generators. Every product of two matrices runs through one
+function per dimension and field, straight-line source compiled on first use
+against the field's index tables. GL(alpha, s) is enumerated row by row,
+each row outside the span of the rows above it, so listing it costs work in
+proportion to |GL|, not s^(alpha^2) determinants. Irreducibility is decided
+by spinning every line; conjugate_in_gl, the independent conjugacy check,
+runs the kernel's conjugator scan over all of GL(alpha, s) in entry order.
+Limits guard each entry point so a bad input fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -91,39 +94,7 @@ class Mat:
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Row vector image v * M, on element indices."""
-        tab = self.spec.tables
-        n = len(vec)
-        out = [0] * n
-        for i, v in enumerate(vec):
-            if v:
-                mv = tab.mul[v]
-                out = [tab.add[o][mv[x]] for o, x in zip(out, self.entries[i * n : i * n + n])]
-        return tuple(out)
-
-    def _rows(self) -> list[list[int]]:
-        n = self.alpha
-        return [list(self.entries[i : i + n]) for i in range(0, n * n, n)]
-
-    def det(self) -> int:
-        """Determinant as an element index; 0 exactly when singular."""
-        tab = self.spec.tables
-        work = self._rows()
-        n = len(work)
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = tab.neg[det]
-            det = tab.mul[det][work[col][col]]
-            inv = tab.inv[work[col][col]]
-            for r in range(col + 1, n):
-                factor = tab.mul[work[r][col]][inv]
-                if factor:
-                    work[r] = _row_sub(tab, work[r], factor, work[col])
-        return det
+        return mat_ops(self.alpha, self.spec).apply(self.entries, vec)
 
     def inverse(self) -> "Mat":
         return Mat(self.spec, _code_inverse(self.spec.tables, self.alpha, self.entries))
@@ -135,7 +106,9 @@ class Mat:
         return _code_order(mat_ops(self.alpha, self.spec), self.entries)
 
     def to_json(self) -> list:
-        return [[list(self.spec.from_index(e).coeffs) for e in row] for row in self._rows()]
+        n = self.alpha
+        rows = [self.entries[i : i + n] for i in range(0, n * n, n)]
+        return [[list(self.spec.from_index(e).coeffs) for e in row] for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +134,17 @@ def _code_inverse(tab, alpha: int, code) -> tuple[int, ...]:
     return tuple(e for row in work for e in row[alpha:])
 
 
+def _code_apply(tab, code, vec) -> tuple[int, ...]:
+    """Row vector image v * M of a matrix code, on element indices."""
+    n = len(vec)
+    out = [0] * n
+    for i, v in enumerate(vec):
+        if v:
+            mv = tab.mul[v]
+            out = [tab.add[o][mv[x]] for o, x in zip(out, code[i * n : i * n + n])]
+    return tuple(out)
+
+
 def _row_sub(tab, row, factor, other) -> list[int]:
     """row - factor * other, entrywise on element indices."""
     mf = tab.mul[factor]
@@ -169,16 +153,33 @@ def _row_sub(tab, row, factor, other) -> list[int]:
 
 @dataclass(frozen=True)
 class MatGroup:
-    """Matrix group with its full element set cached (desk scale)."""
+    """Matrix group with its full element set cached (desk scale). It keeps
+    its canonical generators and its sorted elements as matrix codes."""
 
     spec: FieldSpec
     alpha: int
-    generators: tuple[Mat, ...]
-    elements: tuple[Mat, ...]
+    _gens: tuple[tuple[int, ...], ...]
+    _codes: tuple[tuple[int, ...], ...]
+
+    @property
+    def generators(self) -> tuple[Mat, ...]:
+        return tuple(Mat(self.spec, c) for c in self._gens)
+
+    @property
+    def elements(self) -> tuple[Mat, ...]:
+        return tuple(Mat(self.spec, c) for c in self._codes)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._codes)
+
+    @property
+    def ops(self) -> SimpleNamespace:
+        return mat_ops(self.alpha, self.spec)
+
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        """All elements as matrix codes, sorted."""
+        return self._codes
 
 
 def gl_order(alpha: int, spec: FieldSpec) -> int:
@@ -192,7 +193,7 @@ def gl_order(alpha: int, spec: FieldSpec) -> int:
 
 
 def closure(gens) -> MatGroup:
-    """Full element set of the generated group; order exact."""
+    """Full element set of the group generated by Mats; order exact."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator to fix the field and dimension")
@@ -202,14 +203,16 @@ def closure(gens) -> MatGroup:
             raise FieldMismatch("generators over different fields")
         if g.alpha != alpha:
             raise DegreeMismatch("generators of different dimensions")
-        if g.det() == 0:
-            raise SingularGenerator("generator is singular")
-    elems = subgroup_closure(mat_ops(alpha, spec), [g.entries for g in gens], cap=CLOSURE_LIMIT)
+        _code_inverse(spec.tables, alpha, g.entries)  # SingularGenerator if singular
+    return _group(alpha, spec, [g.entries for g in gens])
+
+
+def _group(alpha: int, spec: FieldSpec, gens) -> MatGroup:
+    """The MatGroup generated by invertible matrix codes."""
+    elems = subgroup_closure(mat_ops(alpha, spec), gens, cap=CLOSURE_LIMIT)
     if elems is None:
         raise LimitExceeded(f"closure exceeds {CLOSURE_LIMIT} elements")
-    ordered = tuple(Mat(spec, c) for c in sorted(elems))
-    canon_gens = tuple(sorted(dict.fromkeys(gens), key=lambda m: m.entries))
-    return MatGroup(spec, alpha, canon_gens, ordered)
+    return MatGroup(spec, alpha, tuple(sorted(set(gens))), tuple(sorted(elems)))
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +224,10 @@ def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
     alpha alone in the manner of collections.namedtuple and run against the
     field's add/mul tables: both codes are unpacked into locals, the
     multiplication-table row of each entry of a is looked up once, and entry
-    (i, j) is the add-chain of the alpha products a[i][k] * b[k][j]."""
+    (i, j) is the add-chain of the alpha products a[i][k] * b[k][j]. apply
+    maps a row vector of element indices through a code, v * M."""
+    if alpha < 1:
+        raise DegreeMismatch("alpha must be at least 1")
     cells = range(alpha * alpha)
     entries = []
     for i in range(alpha):
@@ -246,6 +252,7 @@ def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
         mul=namespace["product"],
         identity=_identity_entries(alpha),
         inv=partial(_code_inverse, spec.tables, alpha),
+        apply=partial(_code_apply, spec.tables),
     )
 
 
@@ -259,12 +266,17 @@ def _code_order(ops, code) -> int:
     return e
 
 
-def group_from_mats(alpha: int, spec: FieldSpec, codes) -> MatGroup:
-    """The subgroup with the given matrix codes, generated by greedy
-    generators taken in order of decreasing element order."""
-    ops = mat_ops(alpha, spec)
+def _greedy_gens(ops, codes) -> tuple:
+    """The generators of the MatGroup of a subgroup given by its matrix
+    codes: greedy generators taken in order of decreasing element order,
+    sorted (the identity alone for the trivial group)."""
     gens = greedy_generators(ops, codes, key=lambda c: (-_code_order(ops, c), c))
-    return closure([Mat(spec, c) for c in gens] or [Mat.identity(alpha, spec)])
+    return tuple(sorted(gens)) or (ops.identity,)
+
+
+def group_from_mats(alpha: int, spec: FieldSpec, codes) -> MatGroup:
+    """The subgroup with the given matrix codes, on its _greedy_gens."""
+    return _group(alpha, spec, _greedy_gens(mat_ops(alpha, spec), codes))
 
 
 def _span_with(span: set, vec, tab) -> set:
@@ -274,9 +286,9 @@ def _span_with(span: set, vec, tab) -> set:
 
 
 @lru_cache(maxsize=32)
-def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[Mat, ...]:
-    """All of GL(alpha, s) in row-major entry order (cached), enumerated
-    row by row: no determinants, work in proportion to |GL|."""
+def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[tuple, ...]:
+    """All of GL(alpha, s) as matrix codes in entry order (cached),
+    enumerated row by row: no determinants, work in proportion to |GL|."""
     if gl_order(alpha, spec) > limit:
         raise LimitExceeded(
             f"|GL({alpha}, {spec.s})| = {gl_order(alpha, spec)} exceeds brute-force limit {limit}"
@@ -295,15 +307,14 @@ def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tup
             for v in vectors
             if v not in span
         ]
-    return tuple(Mat(spec, rows) for rows, _ in level)
+    return tuple(rows for rows, _ in level)
 
 
 @lru_cache(maxsize=32)
 def gl_generators(alpha: int, spec: FieldSpec, limit: int) -> tuple:
     """Greedy generators of GL(alpha, s) as matrix codes, in entry order:
     orbits under conjugation by GL are orbits under these (cached)."""
-    codes = [m.entries for m in gl_elements(alpha, spec, limit)]
-    return tuple(greedy_generators(mat_ops(alpha, spec), codes))
+    return tuple(greedy_generators(mat_ops(alpha, spec), gl_elements(alpha, spec, limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +358,15 @@ def is_irreducible(G: MatGroup) -> bool:
         raise LimitExceeded(f"s^alpha = {G.spec.s ** G.alpha} exceeds spin limit {SPIN_LIMIT}")
     if G.alpha == 1:
         return True
-    tab = G.spec.tables
+    tab, apply = G.spec.tables, G.ops.apply
     for line in _lines(G.alpha, G.spec):
         basis: list = []
         _basis_insert(basis, line, tab)
         queue = [line]
         while queue and len(basis) < G.alpha:
             v = queue.pop()
-            for g in G.generators:
-                w = g.apply(v)
+            for g in G._gens:
+                w = apply(g, v)
                 if _basis_insert(basis, w, tab):
                     queue.append(w)
         if len(basis) < G.alpha:
@@ -410,7 +421,7 @@ def singer_generator(alpha: int, spec: FieldSpec) -> Mat:
     if alpha == 1:
         # GL(1, s): first generator of the multiplicative group
         for c in range(1, spec.s):
-            if Mat(spec, (c,)).order() == spec.s - 1:
+            if _code_order(mat_ops(1, spec), (c,)) == spec.s - 1:
                 return Mat(spec, (c,))
         raise AssertionError("multiplicative group of a field is cyclic; unreachable")
     tab = spec.tables
@@ -453,14 +464,14 @@ def singer_subgroup(alpha: int, spec: FieldSpec) -> MatGroup:
 # the classified elementary abelian r-subgroups
 
 
-def _embed_block(block: Mat, position: int, alpha: int) -> Mat:
-    """Identity matrix with `block` placed on the diagonal at the position."""
-    d = block.alpha
+def _embed_block(block, position: int, alpha: int) -> tuple[int, ...]:
+    """Identity code with the block code placed on the diagonal at the position."""
+    d = math.isqrt(len(block))
     entries = list(_identity_entries(alpha))
     for i in range(d):
         start = (position + i) * alpha + position
-        entries[start : start + d] = block.entries[i * d : i * d + d]
-    return Mat(block.spec, tuple(entries))
+        entries[start : start + d] = block[i * d : i * d + d]
+    return tuple(entries)
 
 
 def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
@@ -478,9 +489,8 @@ def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
     k = alpha // d
     if k == 0:
         return None
-    block = singer_generator(d, spec) ** ((spec.s**d - 1) // r)
-    gens = [_embed_block(block, i * d, alpha) for i in range(k)]
-    return closure(gens)
+    block = (singer_generator(d, spec) ** ((spec.s**d - 1) // r)).entries
+    return _group(alpha, spec, [_embed_block(block, i * d, alpha) for i in range(k)])
 
 
 def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Mat | None:
@@ -491,12 +501,7 @@ def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Ma
         raise DegreeMismatch("groups of different dimensions")
     if A.order != B.order:
         return None
-    x = first_conjugator(
-        mat_ops(A.alpha, A.spec),
-        (m.entries for m in gl_elements(A.alpha, A.spec, limit)),
-        [g.entries for g in A.generators],
-        {m.entries for m in B.elements},
-    )
+    x = first_conjugator(A.ops, gl_elements(A.alpha, A.spec, limit), A._gens, set(B._codes))
     return None if x is None else Mat(A.spec, x)
 
 
@@ -510,9 +515,10 @@ def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
         raise NotPrime(f"{r} is not prime")
     if r == spec.t:
         raise CharacteristicConflict(f"r = {r} equals the field characteristic")
+    # gl_elements checks the limit first: compiling the product costs alpha^3
+    codes = gl_elements(alpha, spec, limit)
     ops = mat_ops(alpha, spec)
     mul, ident = ops.mul, ops.identity
-    codes = (m.entries for m in gl_elements(alpha, spec, limit))
     order_r = [c for c in codes if c != ident and _power(ops, c, r) == ident]
     # an r-subgroup has at most the r-part of |GL| elements (Lagrange); a
     # nonabelian subgroup has only nonabelian overgroups
@@ -534,21 +540,17 @@ def _class_reps(alpha: int, spec: FieldSpec, subgroups, limit: int) -> list[MatG
     """One representative per GL-conjugacy class of the given subgroups
     (matrix-code frozensets, a union of classes), canonically ordered. Each
     class is the orbit of one member under conjugation by GL's generators,
-    and its representative the least member by generators."""
+    and its representative the member least by its _greedy_gens, the only
+    member made a MatGroup."""
     ops = mat_ops(alpha, spec)
     gl_gens = gl_generators(alpha, spec, limit)
-
-    def gens_key(g):
-        return tuple(m.entries for m in g.generators)
-
     reps, pending = [], set(subgroups)
     for sub in subgroups:
         if sub in pending:
             orbit = conjugation_orbit(ops, sub, gl_gens)
             pending.difference_update(orbit)
-            reps.append(min((group_from_mats(alpha, spec, s) for s in orbit), key=gens_key))
-    reps.sort(key=lambda g: (g.order, gens_key(g)))
-    return reps
+            reps.append((len(sub), min(_greedy_gens(ops, s) for s in orbit)))
+    return [_group(alpha, spec, gens) for _, gens in sorted(reps)]
 
 
 def classify_elem_abelian_r(
@@ -580,14 +582,3 @@ def matgroup_to_json(G: MatGroup) -> dict:
         "alpha": G.alpha,
         "generators": [g.to_json() for g in G.generators],
     }
-
-
-def matgroup_from_json(obj) -> MatGroup:
-    spec = FieldSpec.from_json(obj["field"])
-    alpha = int(obj["alpha"])
-    gens = []
-    for g in obj["generators"]:
-        if len(g) != alpha:
-            raise DegreeMismatch("generator has the wrong dimension")
-        gens.append(Mat.from_ints(spec, g))
-    return closure(gens)

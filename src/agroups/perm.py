@@ -268,6 +268,10 @@ class PermGroup:
         return n
 
     @property
+    def ops(self) -> SimpleNamespace:
+        return perm_ops(self.degree)
+
+    @property
     def base(self) -> tuple[int, ...]:
         return tuple(b + 1 for b in self._base)
 

@@ -429,7 +429,7 @@ def unreduced_census(params, traversal="forward"):
     from agroups.census import VarietyCensus
     from agroups.construct import semidirect_product
     from agroups.gf import field_make
-    from agroups.matgrp import gl_elements
+    from agroups.matgrp import Mat, gl_elements
 
     def maybe_reverse(xs):
         return xs[::-1] if traversal == "reverse" else list(xs)
@@ -437,9 +437,10 @@ def unreduced_census(params, traversal="forward"):
     def extensions(H, u, dim):
         if dim == 0:
             return [H]
-        mats = list(gl_elements(dim, field_make(u, 1)))
+        field = field_make(u, 1)
+        mats = [Mat(field, c) for c in gl_elements(dim, field)]
         homs = allpairs_homomorphisms_to_mats(H, minimal_generating_sequence(H), mats)
-        actions = maybe_reverse([[m[i] for i in range(len(H.table))] for m in homs])
+        actions = maybe_reverse([[m[i].entries for i in range(len(H.table))] for m in homs])
         return [semidirect_product(u, dim, action, H) for action in actions]
 
     def dedup(groups):

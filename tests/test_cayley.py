@@ -182,7 +182,7 @@ def test_a4_isomorphic_to_v4_semidirect_c3():
     spec = field_make(2, 1)
     c3 = cyclic_table(3)
     companion = matgrp.Mat.from_ints(spec, ((0, 1), (1, 1)))
-    action = [companion**i for i in range(3)]
+    action = [(companion**i).entries for i in range(3)]
     G = semidirect_product(2, 2, action, c3)
     assert are_isomorphic(A4, G)
 
@@ -261,12 +261,14 @@ def test_homomorphisms_to_mats_match_the_allpairs_search():
 
     V4 = elementary_abelian_table(2, 2)
     for u in (2, 3):
-        mats = list(matgrp.gl_elements(2, field_make(u, 1)))
+        field = field_make(u, 1)
+        codes = matgrp.gl_elements(2, field)
+        mats = [matgrp.Mat(field, c) for c in codes]
         for G in (cyclic_table(2), cyclic_table(3), V4, S3):
             expected = bf.allpairs_homomorphisms_to_mats(G, minimal_generating_sequence(G), mats)
-            found = homomorphisms_to_mats(G, mats)
-            assert found == expected and found, (u, G.order)
-            assert all(len(f) == G.order for f in found)
+            found = homomorphisms_to_mats(G, matgrp.mat_ops(2, field), codes)
+            assert found == [[f[x].entries for x in range(G.order)] for f in expected]
+            assert found, (u, G.order)
 
 
 def test_element_orders_cached_and_exact():

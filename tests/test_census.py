@@ -17,7 +17,7 @@ from agroups.cayley import homomorphisms_to_mats
 from agroups.construct import primitive_aqar_group
 from agroups.errors import DegreeLimit, InvalidParams
 from agroups.gf import field_make
-from agroups.matgrp import gl_elements
+from agroups.matgrp import gl_elements, mat_ops
 from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
 from agroups.selftest import CENSUS_CASES
 
@@ -401,14 +401,14 @@ def test_action_orbit_reps_are_the_gl_classes():
     # V4: unordered pairs of its four characters; C7: trivial and two faithful
     for H, dim, u, expected in [(S3, 2, 3, 5), (V4, 2, 3, 10), (cyclic_table(7), 3, 2, 3)]:
         field = field_make(u, 1)
-        gl = gl_elements(dim, field)
+        ops, gl = mat_ops(dim, field), gl_elements(dim, field)
         reps = census._action_orbit_reps(H, dim, u)
         assert len(reps) == expected
         rep_keys = [tuple(a[x] for x in H.generators) for a in reps]
         firsts = []
-        for hom in homomorphisms_to_mats(H, gl):
+        for hom in homomorphisms_to_mats(H, ops, gl):
             key = tuple(hom[x] for x in H.generators)
-            conjugates = {tuple(x.inverse() * m * x for m in key) for x in gl}
+            conjugates = {tuple(ops.mul(ops.mul(ops.inv(x), m), x) for m in key) for x in gl}
             assert sum(k in conjugates for k in rep_keys) == 1
             if not any(k in conjugates for k in firsts):
                 firsts.append(key)

@@ -246,6 +246,33 @@ def test_classify_gl_field_above_table_limit_fails_fast(capsys):
     assert "LimitExceeded" in captured.err and "field table limit" in captured.err
 
 
+def one_error_line(capsys, *argv):
+    """The stderr of a command that must exit 1 with a single error line."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("alpha", ["0", "-2"])
+def test_classify_gl_rejects_alpha_below_one(capsys, alpha):
+    err = one_error_line(capsys, "classify-gl", "--alpha", alpha, "--s", "2", "--r", "3")
+    assert err == "error: DegreeMismatch: alpha must be at least 1"
+
+
+@pytest.mark.parametrize("s", ["0", "-4", "1"])
+def test_classify_gl_rejects_s_below_two(capsys, s):
+    err = one_error_line(capsys, "classify-gl", "--alpha", "2", "--s", s, "--r", "3")
+    assert err == f"error: EngineError: s = {s} is not a prime power"
+
+
+def test_verify_primitive_rejects_degree_one(capsys):
+    err = one_error_line(capsys, "verify-primitive", "--q", "2", "--r", "3", "--gens", "()")
+    assert err.startswith("error: NotPrimitive: degree 1")
+
+
 def test_text_format(capsys):
     code, out = run_cli(
         capsys, "--format", "text", "check-bounds", "--formula", "soluble-order", "--n", "5"

@@ -1,18 +1,27 @@
 """The stabiliser chains, both conjugacy scans and the split-extension check
 run on codes: with Perm.__mul__ and Mat.__mul__ patched to raise, each still
-gives its answer. Inputs are built before the patch."""
+gives its answer. Below the public edges no Mat is built at all: with
+Mat.__init__ patched to raise, the GL classification, the census actions and
+the GL subgroup scan still give theirs. Inputs are built before the patch."""
 
 import pytest
 
-from agroups.cayley import cyclic_table
+from agroups import census
+from agroups.cayley import VarietyParams, cayley_from, cyclic_table
 from agroups.construct import primitive_aqar_group, semidirect_product, verify_theorem_b
 from agroups.gf import field_make
-from agroups.matgrp import Mat, closure, conjugate_in_gl
+from agroups.matgrp import (
+    Mat,
+    classify_elem_abelian_r,
+    closure,
+    conjugate_in_gl,
+    irreducible_elem_abelian_r_classes,
+)
 from agroups.perm import Perm, PermGroup, parse_cycles, subgroup_conjugate
 
 
 def refuse(*_):
-    raise AssertionError("an element-object product ran inside a code loop")
+    raise AssertionError("an element object was used inside a code loop")
 
 
 def test_loops_multiply_no_perm_or_mat(monkeypatch):
@@ -25,7 +34,7 @@ def test_loops_multiply_no_perm_or_mat(monkeypatch):
     companion = Mat.from_ints(gf2, ((0, 1), (1, 1)))
     swap = Mat.from_ints(gf2, ((0, 1), (1, 0)))
     C, D = closure([companion]), closure([swap.inverse() * companion * swap])
-    action = [companion**i for i in range(3)]
+    action = [(companion**i).entries for i in range(3)]
 
     monkeypatch.setattr(Perm, "__mul__", refuse)
     monkeypatch.setattr(Mat, "__mul__", refuse)
@@ -47,3 +56,22 @@ def test_loops_multiply_no_perm_or_mat(monkeypatch):
 
     monkeypatch.undo()
     assert all(B.contains(x.inverse() * g * x) for g in A.elements())
+
+
+def test_no_mat_is_built_below_the_edges(monkeypatch):
+    gf2, gf3 = field_make(2, 1), field_make(3, 1)
+    S3 = cayley_from(PermGroup(3, [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]))
+
+    monkeypatch.setattr(Mat, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Mat(gf2, (1,))  # the patch is in force
+
+    maximal = classify_elem_abelian_r(3, gf2, 3)
+    assert [g.order for g in maximal] == [3]
+    irreducible = irreducible_elem_abelian_r_classes(3, gf2, 7)
+    assert [g.order for g in irreducible] == [7]
+    actions = census._action_orbit_reps(S3, 2, 3)
+    assert len(actions) == 5 and all(len(a) == 6 for a in actions)
+    assert census.enumerate_variety_groups(VarietyParams(3, 2, 5, 2, 1, 1)).count == 3
+    details = census.gl_variety_subgroup_details(2, gf3, 2, 3)
+    assert details and all(d["order"] % d["fitting_order"] == 0 for d in details)

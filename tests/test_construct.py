@@ -113,45 +113,49 @@ def test_semidirect_a4():
     spec = field_make(2, 1)
     companion = Mat.from_ints(spec, ((0, 1), (1, 1)))
     c3 = cyclic_table(3)
-    G = semidirect_product(2, 2, [companion**i for i in range(3)], c3)
+    G = semidirect_product(2, 2, [(companion**i).entries for i in range(3)], c3)
     assert G.order == 12 and not G.is_abelian()
     A4 = cayley_from(pgroup(4, "(1 2 3)", "(2 3 4)"))
     assert are_isomorphic(G, A4)
 
 
 def test_semidirect_s3():
-    spec = field_make(3, 1)
-    minus = Mat.from_ints(spec, ((2,),))
     c2 = cyclic_table(2)
-    G = semidirect_product(3, 1, [Mat.identity(1, spec), minus], c2)
+    G = semidirect_product(3, 1, [(1,), (2,)], c2)  # 2 is minus one
     S3 = cayley_from(pgroup(3, "(1 2 3)", "(1 2)"))
     assert are_isomorphic(G, S3)
 
 
 def test_semidirect_trivial_action_is_direct_product():
-    spec = field_make(3, 1)
     c4 = cyclic_table(4)
-    G = semidirect_product(3, 1, [Mat.identity(1, spec)] * 4, c4)
+    G = semidirect_product(3, 1, [(1,)] * 4, c4)
     assert are_isomorphic(G, direct_product_table(cyclic_table(3), c4))
     assert G.is_abelian()
 
 
 def test_semidirect_rejects_non_homomorphism():
     spec = field_make(2, 1)
-    companion = Mat.from_ints(spec, ((0, 1), (1, 1)))
+    companion = Mat.from_ints(spec, ((0, 1), (1, 1))).entries
+    identity = Mat.identity(2, spec).entries
     c3 = cyclic_table(3)
-    bad = [Mat.identity(2, spec), companion, companion]  # not multiplicative
+    bad = [identity, companion, companion]  # not multiplicative
     with pytest.raises(NotHomomorphism):
         semidirect_product(2, 2, bad, c3)
     with pytest.raises(NotHomomorphism):
         semidirect_product(2, 2, [companion] * 3, c3)  # identity must act trivially
+    with pytest.raises(NotHomomorphism, match="one matrix per element"):
+        semidirect_product(2, 2, [identity] * 2, c3)
+    with pytest.raises(NotHomomorphism, match="wrong shape"):
+        semidirect_product(2, 2, [identity, companion, identity[:3]], c3)
+    with pytest.raises(NotHomomorphism, match="wrong shape"):
+        semidirect_product(2, 2, [identity, companion, (0, 2, 1, 1)], c3)
 
 
 def test_semidirect_kernel_is_normal_elementary_abelian():
     spec = field_make(2, 1)
     companion = Mat.from_ints(spec, ((0, 1), (1, 1)))
     c3 = cyclic_table(3)
-    G = semidirect_product(2, 2, [companion**i for i in range(3)], c3)
+    G = semidirect_product(2, 2, [(companion**i).entries for i in range(3)], c3)
     # kernel = pairs (v, identity) = indices {v * |H| + e}
     kernel = frozenset(v * 3 + c3.identity for v in range(4))
     from agroups.cayley import is_normal

@@ -198,7 +198,7 @@ def test_gl_abelian_keep_is_upward_closed_on_gl23():
     # the keep of matgrp's elementary abelian scan, on every subgroup of GL(2, 3)
     spec = field_make(3, 1)
     ops = mat_ops(2, spec)
-    codes = [m.entries for m in gl_elements(2, spec)]
+    codes = list(gl_elements(2, spec))
     subgroups = list(bf.naive_subgroup_lattice(ops, codes))
     assert len(subgroups) == 55
     for r in (2, 3):

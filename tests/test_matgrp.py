@@ -39,12 +39,10 @@ def test_gl_order_examples():
     assert gl_order(3, GF2) == 168
 
 
-def test_matrix_inverse_and_det():
+def test_matrix_inverse_and_singularity():
     m = M3((1, 1), (0, 1))
     assert (m * m.inverse()).is_identity()
-    assert m.det() != 0
     singular = M3((1, 2), (2, 4))
-    assert singular.det() == 0
     with pytest.raises(SingularGenerator):
         singular.inverse()
 
@@ -67,17 +65,16 @@ def test_closure_rejects_singular():
 def test_closure_limit(monkeypatch):
     monkeypatch.setattr(matgrp, "CLOSURE_LIMIT", 10)
     with pytest.raises(LimitExceeded):
-        closure([m for m in gl_elements(2, GF3)[:6]])
+        closure([Mat(GF3, c) for c in gl_elements(2, GF3)[:6]])
 
 
 def test_gl_elements_complete_and_deterministic():
     elems = gl_elements(2, GF2)
     assert len(elems) == 6
-    assert list(elems) == sorted(elems, key=lambda m: m.entries)
-    again = gl_elements(2, GF2)
-    assert [m.entries for m in again] == [m.entries for m in elems]
+    assert list(elems) == sorted(elems)
+    assert gl_elements(2, GF2) == elems
     # closure of the full list is the whole group
-    assert closure(list(elems)).order == 6
+    assert closure([Mat(GF2, c) for c in elems]).order == 6
 
 
 # -- the integer kernel against FieldElem arithmetic ----------------------------
@@ -96,7 +93,7 @@ def indices(rows):
 @pytest.mark.parametrize("alpha, s", [(2, 2), (2, 3), (3, 2)])
 def test_products_match_naive_on_all_pairs(alpha, s):
     spec = field_make(s, 1)
-    gl = gl_elements(alpha, spec)
+    gl = [Mat(spec, c) for c in gl_elements(alpha, spec)]
     code_mul = mat_ops(alpha, spec).mul
     rows = {m: as_elems(m) for m in gl}
     for a in gl:
@@ -145,14 +142,18 @@ def test_compiled_product_matches_naive_on_drawn_code_pairs(alpha, s, data):
     [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 5, 1), (1, 2, 1), (1, 2, 2), (1, 7, 1)],
 )
 def test_det_matches_leibniz_on_every_matrix(alpha, t, k):
+    # GL(alpha, s) is exactly the matrices of nonzero Leibniz determinant,
+    # and the Gauss-Jordan inverse refuses exactly the others
     spec = field_make(t, k)
     invertible = []
     for flat in itertools.product(range(spec.s), repeat=alpha * alpha):
         m = Mat(spec, flat)
-        d = naive_det(as_elems(m)).index
-        assert m.det() == d
-        if d:
-            invertible.append(m)
+        if naive_det(as_elems(m)).index:
+            assert (m * m.inverse()).is_identity()
+            invertible.append(flat)
+        else:
+            with pytest.raises(SingularGenerator):
+                m.inverse()
     assert list(gl_elements(alpha, spec)) == invertible
     assert len(invertible) == gl_order(alpha, spec)
 
@@ -161,9 +162,10 @@ def test_det_matches_leibniz_on_every_matrix(alpha, t, k):
 def test_row_enumeration_is_sorted_gl(alpha, t, k):
     spec = field_make(t, k)
     elems = gl_elements(alpha, spec)
+    ops = mat_ops(alpha, spec)
     assert len(elems) == gl_order(alpha, spec)
-    assert all(x.entries < y.entries for x, y in zip(elems, elems[1:]))
-    assert all(m.det() != 0 for m in elems)
+    assert all(x < y for x, y in zip(elems, elems[1:]))
+    assert all(ops.mul(c, ops.inv(c)) == ops.identity for c in elems)
 
 
 @pytest.mark.parametrize("t, k", [(2, 2), (5, 1)])
@@ -175,7 +177,7 @@ def test_kernel_matches_naive_on_generator_pairs(t, k):
         Mat.from_ints(spec, ((0, 1), (1, 0))),
     ]
     zero = spec.zero()
-    for m in gl_elements(2, spec):
+    for m in (Mat(spec, c) for c in gl_elements(2, spec)):
         assert (m * m.inverse()).is_identity()
         for g in gens:
             assert (m * g).entries == indices(naive_mat_mul(as_elems(m), as_elems(g)))
@@ -200,7 +202,7 @@ def test_irreducibility_examples():
 
 def test_irreducibility_matches_invariant_line_scan_gl23():
     # oracle: a 2-dimensional group is reducible iff some line is invariant
-    for mat in gl_elements(2, GF3):
+    for mat in (Mat(GF3, c) for c in gl_elements(2, GF3)):
         G = closure([mat])
         lines = list(matgrp._lines(2, GF3))
         has_invariant_line = False
@@ -271,7 +273,7 @@ def test_maximal_ar_characteristic_conflict():
 def test_conjugate_in_gl_examples():
     S1 = matgrp.singer_subgroup(2, GF2)
     # a conjugate Singer subgroup
-    x = gl_elements(2, GF2)[3]
+    x = Mat(GF2, gl_elements(2, GF2)[3])
     gens = [x.inverse() * g * x for g in S1.generators]
     S2 = closure(gens)
     conj = matgrp.conjugate_in_gl(S1, S2)
@@ -373,7 +375,7 @@ def order_r_codes(ops, codes, r):
 def test_elem_abelian_scan_matches_unpruned_lattice(alpha, t, k, r):
     spec = field_make(t, k)
     ops = mat_ops(alpha, spec)
-    gl = [m.entries for m in gl_elements(alpha, spec)]
+    gl = list(gl_elements(alpha, spec))
     r_part = max(r**e for e in range(len(gl).bit_length()) if len(gl) % r**e == 0)
 
     def commute(sub):
@@ -409,9 +411,11 @@ def test_gl_brute_force_limit():
         gl_elements(4, gf5, limit=10**6)
 
 
-def test_json_roundtrip():
-    G = matgrp.maximal_ar_subgroup(2, GF3, 2)
-    data = matgrp.matgroup_to_json(G)
-    H = matgrp.matgroup_from_json(data)
-    assert H.order == G.order
-    assert set(H.elements) == set(G.elements)
+def test_classification_checks_the_limit_before_compiling_the_product(monkeypatch):
+    # the straight-line product of GL(40, 2) takes seconds to compile
+    def refuse(*_):
+        raise AssertionError("mat_ops ran before the GL limit check")
+
+    monkeypatch.setattr(matgrp, "mat_ops", refuse)
+    with pytest.raises(LimitExceeded):
+        matgrp.classify_elem_abelian_r(40, GF2, 3)
