@@ -20,6 +20,16 @@ from .gf import is_prime
 
 _INTERVAL_PRECISIONS = (32, 64, 128, 256)
 
+# The most decimal digits a report or message prints of an integer: Python's
+# default int-to-str limit, fixed here so that output does not depend on the
+# limit an interpreter is run with. Longer integers are left out or named.
+PRINTED_DIGITS = 4300
+
+
+def printable(n: int) -> bool:
+    """n has at most PRINTED_DIGITS decimal digits."""
+    return abs(n) < 10**PRINTED_DIGITS
+
 
 def _log2_fixed(b: int, prec: int) -> tuple[int, int]:
     """Outward fixed-point bounds on log2(b): returns (lo, hi) such that
@@ -143,8 +153,10 @@ class LogBound:
             "constant": str(self.constant),
             "terms": [{"base": b, "coeff": str(c)} for b, c in self.terms],
         }
-        exact = self.exact_int()
-        if exact is not None:
+        # log2(10) < 10/3: above that lower bound exact is not printable,
+        # and is not built
+        exact = self.exact_int() if 3 * lo <= 10 * PRINTED_DIGITS else None
+        if exact is not None and printable(exact):
             out["exact"] = exact
         return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .bounds import printable
 from .cayley import TABLE_LIMIT, CayleyGroup, cayley_from, in_variety
 from .errors import (
     DegreeLimit,
@@ -91,7 +92,8 @@ def primitive_aqar_group(
     beta = multiplicative_order(q, r)
     n = q**beta
     if n > max_degree:
-        raise DegreeLimit(f"degree {n} exceeds the limit {max_degree}")
+        shown = n if printable(n) else f"{q}^{beta}"
+        raise DegreeLimit(f"degree {shown} exceeds the limit {max_degree}")
     field = field_make(q, 1)
     vectors = sorted(itertools.product(range(q), repeat=beta))
     index = {v: i + 1 for i, v in enumerate(vectors)}  # points are 1..n

@@ -5,16 +5,17 @@ matrix is its code, the flat row-major tuple of field-element indices that
 Mat.entries holds, and mat_ops binds the subgroup kernel in cayley to codes.
 A Mat wraps one code for callers; a MatGroup keeps its generators and its
 sorted elements as codes and builds Mats only in its generators and elements
-properties. Closures materialise the full element set, and the elementary
-abelian classification is one lattice scan, with conjugacy classes taken as
-orbits under GL's generators. Every product of two matrices runs through one
-function per dimension and field, straight-line source compiled on first use
-against the field's index tables. GL(alpha, s) is enumerated row by row,
-each row outside the span of the rows above it, so listing it costs work in
-proportion to |GL|, not s^(alpha^2) determinants. Irreducibility is decided
-by spinning every line; conjugate_in_gl, the independent conjugacy check,
-runs the kernel's conjugator scan over all of GL(alpha, s) in entry order.
-Limits guard each entry point so a bad input fails fast instead of grinding.
+properties. Closures materialise the full element set. The elementary
+abelian classification is one class scan of the subgroup lattice under GL's
+generators: one subgroup per GL-class is extended, tested for maximality and
+made a MatGroup. Every product of two matrices runs through one function per
+dimension and field, straight-line source compiled on first use against the
+field's index tables. GL(alpha, s) is enumerated row by row, each row outside
+the span of the rows above it, so listing it costs work in proportion to
+|GL|, not s^(alpha^2) determinants. Irreducibility is decided by spinning
+every line; conjugate_in_gl, the independent conjugacy check, runs the
+kernel's conjugator scan over all of GL(alpha, s) in entry order. Limits
+guard each entry point so a bad input fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
+from .bounds import printable
 from .cayley import (
     _abelian_of_exponent,
     _power,
-    conjugation_orbit,
     first_conjugator,
     greedy_generators,
     subgroup_closure,
@@ -38,6 +39,7 @@ from .errors import (
     CharacteristicConflict,
     DegreeMismatch,
     FieldMismatch,
+    InvalidParams,
     LimitExceeded,
     NotPrime,
     SingularGenerator,
@@ -196,7 +198,7 @@ def closure(gens) -> MatGroup:
     """Full element set of the group generated by Mats; order exact."""
     gens = list(gens)
     if not gens:
-        raise ValueError("need at least one generator to fix the field and dimension")
+        raise InvalidParams("need at least one generator to fix the field and dimension")
     spec, alpha = gens[0].spec, gens[0].alpha
     for g in gens:
         if g.spec != spec:
@@ -289,10 +291,10 @@ def _span_with(span: set, vec, tab) -> set:
 def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[tuple, ...]:
     """All of GL(alpha, s) as matrix codes in entry order (cached),
     enumerated row by row: no determinants, work in proportion to |GL|."""
-    if gl_order(alpha, spec) > limit:
-        raise LimitExceeded(
-            f"|GL({alpha}, {spec.s})| = {gl_order(alpha, spec)} exceeds brute-force limit {limit}"
-        )
+    order = gl_order(alpha, spec)
+    if order > limit:
+        shown = f" = {order}" if printable(order) else ""
+        raise LimitExceeded(f"|GL({alpha}, {spec.s})|{shown} exceeds brute-force limit {limit}")
     tab = spec.tables
     vectors = list(itertools.product(range(spec.s), repeat=alpha))
     # prefixes of linearly independent rows with their spans, in increasing
@@ -506,11 +508,14 @@ def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Ma
 
 
 @lru_cache(maxsize=8)
-def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
-    """The nontrivial elementary abelian r-subgroups of GL(alpha, s), as a
-    dict from matrix-code frozensets to the generators the lattice scan built
-    them from, and the list of those maximal among them. Cached: both
-    classifications read the same scan."""
+def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int, limit: int) -> tuple:
+    """One representative per GL-class of nontrivial elementary abelian
+    r-subgroups of GL(alpha, s), canonically ordered, each paired with
+    whether the class is maximal among them. Cached: both classifications
+    filter it. The universe, cap and keep of the scan are conjugation
+    invariant, so it runs under GL's generators: one subgroup per class is
+    extended and tested, and the class member least by its _greedy_gens is
+    the one made a MatGroup."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
     if r == spec.t:
@@ -523,34 +528,15 @@ def _elem_abelian_r_subgroups(alpha: int, spec: FieldSpec, r: int, limit: int):
     # an r-subgroup has at most the r-part of |GL| elements (Lagrange); a
     # nonabelian subgroup has only nonabelian overgroups
     r_part = r ** prime_factors(gl_order(alpha, spec)).get(r, 0)
-    lattice = subgroup_lattice(ops, order_r, r_part, lambda sub: _abelian_of_exponent(ops, sub, r))
+    keep = partial(_abelian_of_exponent, ops, u=r)
+    lattice = subgroup_lattice(ops, order_r, r_part, keep, gl_generators(alpha, spec, limit))
     del lattice[frozenset({ident})]
-    # maximal iff no order-r element outside commutes with the generators
-    maximal = [
-        sub
-        for sub, gens in lattice.items()
-        if not any(
-            y not in sub and all(mul(y, g) == mul(g, y) for g in gens) for y in order_r
-        )
-    ]
-    return lattice, maximal
-
-
-def _class_reps(alpha: int, spec: FieldSpec, subgroups, limit: int) -> list[MatGroup]:
-    """One representative per GL-conjugacy class of the given subgroups
-    (matrix-code frozensets, a union of classes), canonically ordered. Each
-    class is the orbit of one member under conjugation by GL's generators,
-    and its representative the member least by its _greedy_gens, the only
-    member made a MatGroup."""
-    ops = mat_ops(alpha, spec)
-    gl_gens = gl_generators(alpha, spec, limit)
-    reps, pending = [], set(subgroups)
-    for sub in subgroups:
-        if sub in pending:
-            orbit = conjugation_orbit(ops, sub, gl_gens)
-            pending.difference_update(orbit)
-            reps.append((len(sub), min(_greedy_gens(ops, s) for s in orbit)))
-    return [_group(alpha, spec, gens) for _, gens in sorted(reps)]
+    classes = []
+    for sub, (gens, orbit) in lattice.items():
+        # maximal iff no order-r element outside commutes with the generators
+        maximal = all(y in sub or any(mul(y, g) != mul(g, y) for g in gens) for y in order_r)
+        classes.append((len(sub), min(_greedy_gens(ops, s) for s in orbit), maximal))
+    return tuple((_group(alpha, spec, gens), maximal) for _, gens, maximal in sorted(classes))
 
 
 def classify_elem_abelian_r(
@@ -558,8 +544,7 @@ def classify_elem_abelian_r(
 ) -> list[MatGroup]:
     """One representative per conjugacy class of subgroups maximal among the
     elementary abelian r-subgroups of GL(alpha, s), canonically ordered."""
-    _, maximal = _elem_abelian_r_subgroups(alpha, spec, r, limit)
-    return _class_reps(alpha, spec, maximal, limit)
+    return [g for g, maximal in _elem_abelian_r_classes(alpha, spec, r, limit) if maximal]
 
 
 def irreducible_elem_abelian_r_classes(
@@ -568,8 +553,7 @@ def irreducible_elem_abelian_r_classes(
     """Conjugacy classes of nontrivial irreducible elementary abelian
     r-subgroups (the single-class claim oracle). Irreducibility is a class
     invariant, so one test per class suffices."""
-    lattice, _ = _elem_abelian_r_subgroups(alpha, spec, r, limit)
-    return [g for g in _class_reps(alpha, spec, lattice, limit) if is_irreducible(g)]
+    return [g for g, _ in _elem_abelian_r_classes(alpha, spec, r, limit) if is_irreducible(g)]
 
 
 # ---------------------------------------------------------------------------

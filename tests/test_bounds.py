@@ -206,3 +206,11 @@ def test_json_shape():
     assert "exact" not in data  # sqrt(6) factor: not an integer
     b2 = soluble_sn_bound(5)
     assert b2.to_json()["exact"] == 36
+
+
+def test_to_json_prints_exact_values_up_to_the_printed_digits():
+    assert bounds.PRINTED_DIGITS == 4300  # fixed, not read from the interpreter
+    widest = LogBound.build(0, {10: 4299})  # 4,300 digits
+    assert widest.to_json()["exact"] == 10**4299
+    assert "exact" not in LogBound.build(0, {10: 4300}).to_json()
+    assert "exact" not in LogBound.build(0, {2: 10**6}).to_json()

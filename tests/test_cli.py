@@ -53,6 +53,18 @@ GOLDEN_STDOUT = [
         "a4ab1fe31bc6878f42a5d1626ffef7c9a9f184db9cb3c3ac0b6dd49b862d302e",
         id="gl-3.2-r7",
     ),
+    # recorded while classify-gl still grouped the whole lattice into classes
+    # by conjugation orbits, after the scan
+    pytest.param(
+        ["classify-gl", "--alpha", "3", "--s", "3", "--r", "2"],
+        "9e74cb29ae80f3554c0dab3067099061c7ad6b641422b1e245ac16a5790c74d7",
+        id="gl-3.3-r2",
+    ),
+    pytest.param(
+        ["classify-gl", "--alpha", "2", "--s", "8", "--r", "7"],
+        "0c2b222c90d9e8fd59c1f33b2e61b2f3eba202c0565b8094288a401976b76622",
+        id="gl-2.8-r7",
+    ),
     pytest.param(
         ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--beta", "1", "--gamma", "1"],
         "6950c215b421a7c18f96c8b248a3c0c4524c80c0cb338e3d1e0dd6e4a52958e6",
@@ -271,6 +283,36 @@ def test_classify_gl_rejects_s_below_two(capsys, s):
 def test_verify_primitive_rejects_degree_one(capsys):
     err = one_error_line(capsys, "verify-primitive", "--q", "2", "--r", "3", "--gens", "()")
     assert err.startswith("error: NotPrimitive: degree 1")
+
+
+# integers above bounds.PRINTED_DIGITS decimal digits are named or left out,
+# never converted to a string; shorter ones print as before
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify-gl", "--alpha", "4", "--s", "5", "--r", "2"],
+         "LimitExceeded: |GL(4, 5)| = 116064000000 exceeds brute-force limit 1000000"),
+        (["classify-gl", "--alpha", "200", "--s", "2", "--r", "3"],
+         "LimitExceeded: |GL(200, 2)| exceeds brute-force limit 1000000"),
+        (["construct-primitive", "--q", "2", "--r", "11"],
+         "DegreeLimit: degree 1024 exceeds the limit 16"),
+        (["construct-primitive", "--q", "2", "--r", "15013"],
+         "DegreeLimit: degree 2^15012 exceeds the limit 16"),
+    ],
+    ids=["gl-order", "gl-order-unprintable", "degree", "degree-unprintable"],
+)
+def test_refusals_name_the_limit(capsys, argv, err):
+    assert one_error_line(capsys, *argv) == "error: " + err
+
+
+def test_check_bounds_leaves_out_an_exact_value_too_long_to_print(capsys):
+    code, rep = run_json(
+        capsys, "check-bounds", "--formula", "theorem-a",
+        "--p", "97", "--q", "3", "--r", "5", "--alpha", "60",
+    )
+    assert code == 0
+    assert "exact" not in rep["results"]["bound"]
+    assert report.validate_report(rep) == []
 
 
 def test_text_format(capsys):

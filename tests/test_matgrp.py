@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from agroups import matgrp
 from agroups.errors import (
     CharacteristicConflict,
+    InvalidParams,
     LimitExceeded,
     SingularGenerator,
 )
@@ -60,6 +62,11 @@ def test_closure_examples():
 def test_closure_rejects_singular():
     with pytest.raises(SingularGenerator):
         closure([M3((1, 2), (2, 4))])
+
+
+def test_closure_of_no_generators_is_refused():
+    with pytest.raises(InvalidParams):
+        closure([])
 
 
 def test_closure_limit(monkeypatch):
@@ -371,8 +378,11 @@ def order_r_codes(ops, codes, r):
     return [c for c in codes if c != ops.identity and power(c, r) == ops.identity]
 
 
-@pytest.mark.parametrize("alpha, t, k, r", GL_CASES)
-def test_elem_abelian_scan_matches_unpruned_lattice(alpha, t, k, r):
+@lru_cache(maxsize=None)
+def unpruned_elem_abelian(alpha, t, k, r):
+    """The nontrivial elementary abelian r-subgroups of GL(alpha, t^k), as
+    MatGroups, by bf.naive_subgroup_lattice over the order-r codes, capped at
+    the r-part of |GL| and keeping subgroups whose elements all commute."""
     spec = field_make(t, k)
     ops = mat_ops(alpha, spec)
     gl = list(gl_elements(alpha, spec))
@@ -383,26 +393,29 @@ def test_elem_abelian_scan_matches_unpruned_lattice(alpha, t, k, r):
 
     naive = set(bf.naive_subgroup_lattice(ops, order_r_codes(ops, gl, r), r_part, commute))
     naive.discard(frozenset({ops.identity}))
-    lattice, maximal = matgrp._elem_abelian_r_subgroups(alpha, spec, r, matgrp.GL_BRUTE_LIMIT)
-    assert set(lattice) == naive
-    assert sorted(maximal, key=sorted) == sorted(
-        (h for h in naive if not any(h < big for big in naive)), key=sorted
+    groups = {h: matgrp.group_from_mats(alpha, spec, h) for h in sorted(naive, key=sorted)}
+    maximal = [g for h, g in groups.items() if not any(h < big for big in naive)]
+    return list(groups.values()), maximal
+
+
+@pytest.mark.parametrize("alpha, t, k, r", GL_CASES)
+def test_elem_abelian_scan_matches_unpruned_lattice(alpha, t, k, r):
+    # the maximal members of the unpruned lattice, partitioned by pairwise
+    # conjugacy tests
+    _, maximal = unpruned_elem_abelian(alpha, t, k, r)
+    assert matgrp.classify_elem_abelian_r(alpha, field_make(t, k), r) == bf.pairwise_class_reps(
+        maximal, matgrp.conjugate_in_gl
     )
 
 
 @pytest.mark.parametrize("alpha, t, k, r", GL_CASES)
 def test_classes_match_pairwise_conjugacy_partition(alpha, t, k, r):
-    spec = field_make(t, k)
-    lattice, maximal = matgrp._elem_abelian_r_subgroups(alpha, spec, r, matgrp.GL_BRUTE_LIMIT)
-    groups = [matgrp.group_from_mats(alpha, spec, sub) for sub in lattice]
-    maximal_groups = [matgrp.group_from_mats(alpha, spec, sub) for sub in maximal]
+    # the irreducible members of the unpruned lattice, likewise
+    groups, _ = unpruned_elem_abelian(alpha, t, k, r)
     irreducible = [g for g in groups if matgrp.is_irreducible(g)]
-    assert matgrp.classify_elem_abelian_r(alpha, spec, r) == bf.pairwise_class_reps(
-        maximal_groups, matgrp.conjugate_in_gl
-    )
-    assert matgrp.irreducible_elem_abelian_r_classes(alpha, spec, r) == bf.pairwise_class_reps(
-        irreducible, matgrp.conjugate_in_gl
-    )
+    assert matgrp.irreducible_elem_abelian_r_classes(
+        alpha, field_make(t, k), r
+    ) == bf.pairwise_class_reps(irreducible, matgrp.conjugate_in_gl)
 
 
 def test_gl_brute_force_limit():
