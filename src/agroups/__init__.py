@@ -17,7 +17,6 @@ from .cayley import (
     cayley_from,
     in_variety,
     quotient,
-    verbal_ar_subgroup,
 )
 from .census import (
     ClassInventory,
@@ -30,7 +29,6 @@ from .census import (
 from .construct import PrimitiveSpec, primitive_aqar_group, semidirect_product, verify_theorem_b
 from .gf import FieldElem, FieldSpec, field_make, multiplicative_order
 from .matgrp import (
-    Mat,
     MatGroup,
     classify_elem_abelian_r,
     closure,
@@ -38,10 +36,8 @@ from .matgrp import (
     gl_order,
     is_irreducible,
     maximal_ar_subgroup,
-    singer_subgroup,
 )
 from .perm import (
-    Perm,
     PermGroup,
     fitting_subgroup,
     minimal_normal_subgroups,
@@ -56,9 +52,7 @@ __all__ = [
     "FieldElem",
     "FieldSpec",
     "LogBound",
-    "Mat",
     "MatGroup",
-    "Perm",
     "PermGroup",
     "PrimitiveSpec",
     "VarietyCensus",
@@ -87,10 +81,8 @@ __all__ = [
     "remark43_gl_bound",
     "remark43_transitive_bound",
     "semidirect_product",
-    "singer_subgroup",
     "soluble_sn_bound",
     "subgroup_conjugate",
     "theorem_a_bound",
-    "verbal_ar_subgroup",
     "verify_theorem_b",
 ]

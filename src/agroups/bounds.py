@@ -138,14 +138,6 @@ class LogBound:
         lhs, rhs = self._sides_against(count)
         return (lhs > rhs) - (lhs < rhs)
 
-    def exact_le(self, other: "LogBound") -> bool:
-        """self <= other, exactly: 2^(self - other) <= 1."""
-        diff_terms = dict(self.terms)
-        for base, coeff in other.terms:
-            diff_terms[base] = diff_terms.get(base, Fraction(0)) - coeff
-        diff = LogBound.build(self.constant - other.constant, diff_terms)
-        return diff.exact_cmp_count(1) >= 0
-
     def to_json(self) -> dict:
         lo, hi = self.log2_interval(64)
         out = {

@@ -89,12 +89,6 @@ class CayleyGroup:
         """The order of every element, by index."""
         return tuple(_element_orders(self, range(len(self.table))))
 
-    def elem_order(self, a: int) -> int:
-        return self.element_orders[a]
-
-    def elem_pow(self, a: int, e: int) -> int:
-        return _power(self, a, e)
-
     def exponent(self) -> int:
         return math.lcm(*self.element_orders)
 
@@ -142,13 +136,6 @@ class CayleyGroup:
             "identity": self.identity,
             "table": [list(r) for r in self.table],
         }
-
-    @staticmethod
-    def from_json(obj) -> "CayleyGroup":
-        return CayleyGroup(
-            tuple(tuple(int(x) for x in row) for row in obj["table"]),
-            int(obj["identity"]),
-        )
 
 
 def cyclic_table(n: int) -> CayleyGroup:
@@ -500,14 +487,6 @@ def derived_subgroup(G: CayleyGroup) -> frozenset[int]:
     return verbal_subgroup(G, G.generators, 0)[0]
 
 
-def verbal_ar_subgroup(G: CayleyGroup, r: int) -> frozenset[int]:
-    """Subgroup generated by all commutators and r-th powers: the smallest
-    normal subgroup with quotient abelian of exponent dividing r."""
-    if G.order > TABLE_LIMIT:
-        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
-    return verbal_subgroup(G, G.generators, r)[0]
-
-
 def quotient(G: CayleyGroup, N: frozenset[int]) -> CayleyGroup:
     """Coset multiplication table; cosets ordered by least member."""
     if not is_normal(G, N):
@@ -692,12 +671,17 @@ class VarietyParams:
         return [self.p, self.q, self.r]
 
     def to_json(self) -> dict:
-        return {
+        """The parameters, and n when it is short enough to print."""
+        from .bounds import printable  # bounds imports this module
+
+        out = {
             "p": self.p,
             "q": self.q,
             "r": self.r,
             "alpha": self.alpha,
             "beta": self.beta,
             "gamma": self.gamma,
-            "n": self.n,
         }
+        if printable(self.n):
+            out["n"] = self.n
+        return out

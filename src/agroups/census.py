@@ -17,8 +17,7 @@ layers, enumerating the action homomorphisms up to GL-conjugacy (conjugate
 actions give isomorphic extensions, so one per orbit under GL's generators is
 complete) and deduplicating the tables by isomorphism within buckets of equal
 invariants. GL, the actions and the split extensions they build run on
-matrix codes, as does the exhaustive subgroup scan of small GL; no Mat is
-made.
+matrix codes, as does the exhaustive subgroup scan of small GL.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .bounds import printable
 from .cayley import (
     CayleyGroup,
     VarietyParams,
@@ -442,10 +442,11 @@ def enumerate_variety_groups(
     """
     if traversal not in ("forward", "reverse"):
         raise ValueError("traversal must be 'forward' or 'reverse'")
-    if params.n > CENSUS_ORDER_LIMIT:
-        raise LimitExceeded(f"order {params.n} exceeds the census limit {CENSUS_ORDER_LIMIT}")
     p, q, r = params.p, params.q, params.r
     a, b, g = params.alpha, params.beta, params.gamma
+    if params.n > CENSUS_ORDER_LIMIT:
+        shown = params.n if printable(params.n) else f"{p}^{a}*{q}^{b}*{r}^{g}"
+        raise LimitExceeded(f"order {shown} exceeds the census limit {CENSUS_ORDER_LIMIT}")
 
     def maybe_reverse(xs):
         xs = list(xs)

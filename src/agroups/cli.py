@@ -74,7 +74,7 @@ def _load_group(args) -> PermGroup:
         degree = args.degree
         gens = [parse_cycles(text, degree) for text in args.gens.split(";")]
         if degree is None:
-            degree = max(g.degree for g in gens)
+            degree = max(map(len, gens))
             gens = [parse_cycles(text, degree) for text in args.gens.split(";")]
         return PermGroup(degree, gens)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

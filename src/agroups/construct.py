@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bounds import printable
-from .cayley import TABLE_LIMIT, CayleyGroup, cayley_from, in_variety
+from .cayley import TABLE_LIMIT, CayleyGroup, _power, cayley_from, in_variety
 from .errors import (
     DegreeLimit,
     LimitExceeded,
@@ -26,13 +26,7 @@ from .errors import (
 )
 from .gf import field_make, is_prime, multiplicative_order, prime_factors
 from .matgrp import mat_ops, singer_generator
-from .perm import (
-    Perm,
-    PermGroup,
-    code_order,
-    fitting_subgroup,
-    minimal_normal_subgroups,
-)
+from .perm import PermGroup, code_order, fitting_subgroup, minimal_normal_subgroups
 
 CASE_CYCLIC_R = "cyclic-r"
 CASE_CYCLIC_Q = "cyclic-q"
@@ -80,12 +74,10 @@ def primitive_aqar_group(
     the (q^beta - 1)/r power of the Singer generator acting linearly.
     """
     _check_pair(q, r)
-    if case == CASE_CYCLIC_R:
-        spec = PrimitiveSpec(q, r, case, r, 0)
-        return spec, PermGroup(r, [Perm.from_cycles(r, [list(range(1, r + 1))])])
-    if case == CASE_CYCLIC_Q:
-        spec = PrimitiveSpec(q, r, case, q, 0)
-        return spec, PermGroup(q, [Perm.from_cycles(q, [list(range(1, q + 1))])])
+    if case in (CASE_CYCLIC_R, CASE_CYCLIC_Q):
+        n = r if case == CASE_CYCLIC_R else q
+        # the n-cycle (1 2 ... n)
+        return PrimitiveSpec(q, r, case, n, 0), PermGroup(n, [tuple(range(1, n)) + (0,)])
     if case != CASE_AFFINE:
         raise ValueError(f"unknown case {case!r}")
 
@@ -96,7 +88,7 @@ def primitive_aqar_group(
         raise DegreeLimit(f"degree {shown} exceeds the limit {max_degree}")
     field = field_make(q, 1)
     vectors = sorted(itertools.product(range(q), repeat=beta))
-    index = {v: i + 1 for i, v in enumerate(vectors)}  # points are 1..n
+    index = {v: i for i, v in enumerate(vectors)}  # point i + 1 is vectors[i]
 
     gens = []
     for axis in range(beta):
@@ -105,11 +97,12 @@ def primitive_aqar_group(
             w = list(v)
             w[axis] = (w[axis] + 1) % q
             images.append(index[tuple(w)])
-        gens.append(Perm(images))
+        gens.append(tuple(images))
 
     # over a prime field the element indices are the residues themselves
-    linear = singer_generator(beta, field) ** ((q**beta - 1) // r)
-    gens.append(Perm([index[linear.apply(v)] for v in vectors]))
+    ops = mat_ops(beta, field)
+    linear = _power(ops, singer_generator(beta, field), (q**beta - 1) // r)
+    gens.append(tuple(index[ops.apply(linear, v)] for v in vectors))
 
     spec = PrimitiveSpec(q, r, CASE_AFFINE, n, beta)
     return spec, PermGroup(n, gens)
@@ -212,7 +205,7 @@ def semidirect_product(
     """Split extension of (C_u)^dim by a table group.
 
     action maps each element index of the acting group to a matrix code over
-    GF(u), the flat row-major entry tuple of a Mat; it must be a homomorphism
+    GF(u), its flat row-major entry tuple; it must be a homomorphism
     (verified on the table). That makes every matrix invertible: the
     identity acts trivially, so M(h) M(h^-1) = M(e) = I. Elements are pairs
     (vector, h) ordered by (vector digits, h index).

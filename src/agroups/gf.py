@@ -134,9 +134,6 @@ class FieldSpec:
             raise FieldMismatch(f"need {self.k} coefficients, got {len(coeffs)}")
         return FieldElem(self, coeffs)
 
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.k)
-
     def one(self) -> "FieldElem":
         return FieldElem(self, (1,) + (0,) * (self.k - 1))
 
@@ -159,19 +156,6 @@ class FieldSpec:
 
     def to_json(self) -> dict:
         return {"t": self.t, "k": self.k, "modulus": list(self.modulus)}
-
-    @staticmethod
-    def from_json(obj) -> "FieldSpec":
-        spec = field_make(int(obj["t"]), int(obj["k"]))
-        got = tuple(int(c) for c in obj["modulus"])
-        if got != spec.modulus:
-            # non-canonical modulus: accept it if it is genuinely irreducible
-            if len(got) != spec.k + 1 or got[-1] != 1:
-                raise BadModulus("modulus must be monic of degree k")
-            if spec.k > 1 and not _is_irreducible_int(got, spec.t):
-                raise BadModulus("modulus is reducible")
-            spec = FieldSpec(spec.t, spec.k, got)
-        return spec
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
 """Matrix groups over GF(s).
 
-Everything here is an exhaustive desk-scale oracle. Below the public edges a
-matrix is its code, the flat row-major tuple of field-element indices that
-Mat.entries holds, and mat_ops binds the subgroup kernel in cayley to codes.
-A Mat wraps one code for callers; a MatGroup keeps its generators and its
-sorted elements as codes and builds Mats only in its generators and elements
-properties. Closures materialise the full element set. The elementary
-abelian classification is one class scan of the subgroup lattice under GL's
+Everything here is an exhaustive desk-scale oracle. A matrix is its code,
+the flat row-major tuple of its field-element indices
+(FieldSpec.from_index), acting on row vectors, v * M; mat_ops binds the
+subgroup kernel in cayley to codes, and field coefficients appear only in
+matgroup_to_json. A MatGroup keeps its generators and its sorted elements as
+codes; closure materialises the full element set. The elementary abelian
+classification is one class scan of the subgroup lattice under GL's
 generators: one subgroup per GL-class is extended, tested for maximality and
 made a MatGroup. Every product of two matrices runs through one function per
 dimension and field, straight-line source compiled on first use against the
-field's index tables. GL(alpha, s) is enumerated row by row, each row outside
-the span of the rows above it, so listing it costs work in proportion to
-|GL|, not s^(alpha^2) determinants. Irreducibility is decided by spinning
-every line; conjugate_in_gl, the independent conjugacy check, runs the
-kernel's conjugator scan over all of GL(alpha, s) in entry order. Limits
-guard each entry point so a bad input fails fast instead of grinding.
+field's index tables. GL(alpha, s) is enumerated row by row, each row
+outside the span of the rows above it, so listing it costs work in
+proportion to |GL|, not s^(alpha^2) determinants. Irreducibility is decided
+by spinning every line; conjugate_in_gl, the independent conjugacy check,
+runs the kernel's conjugator scan over all of GL(alpha, s) in entry order.
+Limits guard each entry point so a bad input fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -49,68 +49,6 @@ from .gf import FieldSpec, is_prime, multiplicative_order, prime_factors
 GL_BRUTE_LIMIT = 1_000_000
 SPIN_LIMIT = 10_000
 CLOSURE_LIMIT = 100_000
-
-
-@dataclass(frozen=True)
-class Mat:
-    """Square matrix over a FieldSpec, row-vector action v*M. The entries are
-    field-element indices (FieldSpec.from_index), flat in row-major order."""
-
-    spec: FieldSpec
-    entries: tuple[int, ...]
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    @property
-    def alpha(self) -> int:
-        return math.isqrt(len(self.entries))
-
-    @staticmethod
-    def identity(alpha: int, spec: FieldSpec) -> "Mat":
-        return Mat(spec, _identity_entries(alpha))
-
-    @staticmethod
-    def from_ints(spec: FieldSpec, entries) -> "Mat":
-        """Rows of entries, each an int (k = 1) or a coefficient list."""
-        rows = [list(row) for row in entries]
-        if any(len(row) != len(rows) for row in rows):
-            raise DegreeMismatch("matrix rows must have one entry per row")
-        flat = []
-        for e in itertools.chain.from_iterable(rows):
-            coeffs = (e,) + (0,) * (spec.k - 1) if isinstance(e, int) else tuple(e)
-            flat.append(spec.element(coeffs).index)
-        return Mat(spec, tuple(flat))
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        if self.spec != other.spec:
-            raise FieldMismatch("matrices over different fields")
-        if len(self.entries) != len(other.entries):
-            raise DegreeMismatch("matrix dimensions differ")
-        return Mat(self.spec, mat_ops(self.alpha, self.spec).mul(self.entries, other.entries))
-
-    def __pow__(self, e: int) -> "Mat":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Mat(self.spec, _power(mat_ops(self.alpha, self.spec), self.entries, e))
-
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """Row vector image v * M, on element indices."""
-        return mat_ops(self.alpha, self.spec).apply(self.entries, vec)
-
-    def inverse(self) -> "Mat":
-        return Mat(self.spec, _code_inverse(self.spec.tables, self.alpha, self.entries))
-
-    def is_identity(self) -> bool:
-        return self.entries == _identity_entries(self.alpha)
-
-    def order(self) -> int:
-        return _code_order(mat_ops(self.alpha, self.spec), self.entries)
-
-    def to_json(self) -> list:
-        n = self.alpha
-        rows = [self.entries[i : i + n] for i in range(0, n * n, n)]
-        return [[list(self.spec.from_index(e).coeffs) for e in row] for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -155,21 +93,13 @@ def _row_sub(tab, row, factor, other) -> list[int]:
 
 @dataclass(frozen=True)
 class MatGroup:
-    """Matrix group with its full element set cached (desk scale). It keeps
-    its canonical generators and its sorted elements as matrix codes."""
+    """Matrix group with its full element set cached (desk scale): its
+    canonical generators and its sorted elements, as matrix codes."""
 
     spec: FieldSpec
     alpha: int
-    _gens: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     _codes: tuple[tuple[int, ...], ...]
-
-    @property
-    def generators(self) -> tuple[Mat, ...]:
-        return tuple(Mat(self.spec, c) for c in self._gens)
-
-    @property
-    def elements(self) -> tuple[Mat, ...]:
-        return tuple(Mat(self.spec, c) for c in self._codes)
 
     @property
     def order(self) -> int:
@@ -194,23 +124,19 @@ def gl_order(alpha: int, spec: FieldSpec) -> int:
     return n
 
 
-def closure(gens) -> MatGroup:
-    """Full element set of the group generated by Mats; order exact."""
-    gens = list(gens)
+def closure(alpha: int, spec: FieldSpec, gens) -> MatGroup:
+    """The group generated by invertible alpha x alpha matrix codes over the
+    field, with its full element set; order exact."""
+    gens = [tuple(g) for g in gens]
     if not gens:
-        raise InvalidParams("need at least one generator to fix the field and dimension")
-    spec, alpha = gens[0].spec, gens[0].alpha
+        raise InvalidParams("need at least one generator")
+    entries = range(spec.s)
     for g in gens:
-        if g.spec != spec:
-            raise FieldMismatch("generators over different fields")
-        if g.alpha != alpha:
-            raise DegreeMismatch("generators of different dimensions")
-        _code_inverse(spec.tables, alpha, g.entries)  # SingularGenerator if singular
-    return _group(alpha, spec, [g.entries for g in gens])
-
-
-def _group(alpha: int, spec: FieldSpec, gens) -> MatGroup:
-    """The MatGroup generated by invertible matrix codes."""
+        if len(g) != alpha * alpha:
+            raise DegreeMismatch(f"a generator has {len(g)} entries, not {alpha}^2")
+        if not all(e in entries for e in g):
+            raise FieldMismatch(f"a generator has entries outside GF({spec.s})")
+        _code_inverse(spec.tables, alpha, g)  # SingularGenerator if singular
     elems = subgroup_closure(mat_ops(alpha, spec), gens, cap=CLOSURE_LIMIT)
     if elems is None:
         raise LimitExceeded(f"closure exceeds {CLOSURE_LIMIT} elements")
@@ -219,15 +145,15 @@ def _group(alpha: int, spec: FieldSpec, gens) -> MatGroup:
 
 @lru_cache(maxsize=None)
 def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
-    """Product, identity and inverse of GL(alpha, s) on matrix codes, the
-    entry tuples of Mat, as the subgroup kernel in cayley takes them.
+    """Product, identity and inverse of GL(alpha, s) on matrix codes, as the
+    subgroup kernel in cayley takes them.
 
-    The product, the one Mat.__mul__ runs, is straight-line source built from
-    alpha alone in the manner of collections.namedtuple and run against the
-    field's add/mul tables: both codes are unpacked into locals, the
-    multiplication-table row of each entry of a is looked up once, and entry
-    (i, j) is the add-chain of the alpha products a[i][k] * b[k][j]. apply
-    maps a row vector of element indices through a code, v * M."""
+    The product is straight-line source built from alpha alone in the manner
+    of collections.namedtuple and run against the field's add/mul tables:
+    both codes are unpacked into locals, the multiplication-table row of
+    each entry of a is looked up once, and entry (i, j) is the add-chain of
+    the alpha products a[i][k] * b[k][j]. apply maps a row vector of element
+    indices through a code, v * M."""
     if alpha < 1:
         raise DegreeMismatch("alpha must be at least 1")
     cells = range(alpha * alpha)
@@ -278,7 +204,7 @@ def _greedy_gens(ops, codes) -> tuple:
 
 def group_from_mats(alpha: int, spec: FieldSpec, codes) -> MatGroup:
     """The subgroup with the given matrix codes, on its _greedy_gens."""
-    return _group(alpha, spec, _greedy_gens(mat_ops(alpha, spec), codes))
+    return closure(alpha, spec, _greedy_gens(mat_ops(alpha, spec), codes))
 
 
 def _span_with(span: set, vec, tab) -> set:
@@ -367,7 +293,7 @@ def is_irreducible(G: MatGroup) -> bool:
         queue = [line]
         while queue and len(basis) < G.alpha:
             v = queue.pop()
-            for g in G._gens:
+            for g in G.generators:
                 w = apply(g, v)
                 if _basis_insert(basis, w, tab):
                     queue.append(w)
@@ -414,9 +340,10 @@ def _ext_modulus(spec: FieldSpec, degree: int):
     raise AssertionError("no irreducible polynomial over the base field; unreachable")
 
 
-def singer_generator(alpha: int, spec: FieldSpec) -> Mat:
-    """Matrix of multiplication by a generator of GF(s^alpha)* on the
-    canonical polynomial basis. Cyclic of order s^alpha - 1."""
+def singer_generator(alpha: int, spec: FieldSpec) -> tuple[int, ...]:
+    """The code of the matrix of multiplication by a generator of
+    GF(s^alpha)* on the canonical polynomial basis. Cyclic of order
+    s^alpha - 1."""
     size = spec.s**alpha
     if size > SPIN_LIMIT:
         raise LimitExceeded(f"s^alpha = {size} exceeds limit {SPIN_LIMIT}")
@@ -424,7 +351,7 @@ def singer_generator(alpha: int, spec: FieldSpec) -> Mat:
         # GL(1, s): first generator of the multiplicative group
         for c in range(1, spec.s):
             if _code_order(mat_ops(1, spec), (c,)) == spec.s - 1:
-                return Mat(spec, (c,))
+                return (c,)
         raise AssertionError("multiplicative group of a field is cyclic; unreachable")
     tab = spec.tables
     modulus = _ext_modulus(spec, alpha)
@@ -455,11 +382,7 @@ def singer_generator(alpha: int, spec: FieldSpec) -> Mat:
     for _ in range(alpha):
         entries += _ext_poly_mul(basis_elem, gen, modulus, tab)
         basis_elem = _ext_poly_mul(basis_elem, x, modulus, tab)
-    return Mat(spec, tuple(entries))
-
-
-def singer_subgroup(alpha: int, spec: FieldSpec) -> MatGroup:
-    return closure([singer_generator(alpha, spec)])
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +414,23 @@ def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
     k = alpha // d
     if k == 0:
         return None
-    block = (singer_generator(d, spec) ** ((spec.s**d - 1) // r)).entries
-    return _group(alpha, spec, [_embed_block(block, i * d, alpha) for i in range(k)])
+    block = _power(mat_ops(d, spec), singer_generator(d, spec), (spec.s**d - 1) // r)
+    return closure(alpha, spec, [_embed_block(block, i * d, alpha) for i in range(k)])
 
 
-def conjugate_in_gl(A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT) -> Mat | None:
-    """The first x of GL(alpha, s) in entry order with A^x = B, or None."""
+def conjugate_in_gl(
+    A: MatGroup, B: MatGroup, limit: int = GL_BRUTE_LIMIT
+) -> tuple[int, ...] | None:
+    """The code of the first x of GL(alpha, s) in entry order with A^x = B,
+    or None."""
     if A.spec != B.spec:
         raise FieldMismatch("groups over different fields")
     if A.alpha != B.alpha:
         raise DegreeMismatch("groups of different dimensions")
     if A.order != B.order:
         return None
-    x = first_conjugator(A.ops, gl_elements(A.alpha, A.spec, limit), A._gens, set(B._codes))
-    return None if x is None else Mat(A.spec, x)
+    gl = gl_elements(A.alpha, A.spec, limit)
+    return first_conjugator(A.ops, gl, A.generators, set(B._codes))
 
 
 @lru_cache(maxsize=8)
@@ -536,7 +462,7 @@ def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int, limit: int) -> 
         # maximal iff no order-r element outside commutes with the generators
         maximal = all(y in sub or any(mul(y, g) != mul(g, y) for g in gens) for y in order_r)
         classes.append((len(sub), min(_greedy_gens(ops, s) for s in orbit), maximal))
-    return tuple((_group(alpha, spec, gens), maximal) for _, gens, maximal in sorted(classes))
+    return tuple((closure(alpha, spec, gens), maximal) for _, gens, maximal in sorted(classes))
 
 
 def classify_elem_abelian_r(
@@ -561,8 +487,13 @@ def irreducible_elem_abelian_r_classes(
 
 
 def matgroup_to_json(G: MatGroup) -> dict:
+    """The field, the dimension and each generator as rows of coefficient lists."""
+    n, coeffs = G.alpha, G.spec.from_index
     return {
         "field": G.spec.to_json(),
-        "alpha": G.alpha,
-        "generators": [g.to_json() for g in G.generators],
+        "alpha": n,
+        "generators": [
+            [[list(coeffs(e).coeffs) for e in g[i : i + n]] for i in range(0, n * n, n)]
+            for g in G.generators
+        ],
     }

@@ -1,15 +1,12 @@
 """Permutation group engine.
 
-Points are labelled 1..n at the edges. Products compose left to right:
-``(a * b)`` sends x to b(a(x)), so x^(ab) = (x^a)^b.
-
-Below the edges a permutation is its code: the tuple of its 0-based point
+A permutation of the points 1..n is its code: the tuple of its 0-based point
 images, multiplied by one C-level map and hashed and compared as a plain
-tuple. perm_ops binds the subgroup kernel in cayley to codes. A Perm wraps
-one code: its product, inverse, power and order are the kernel's, and its
-1-based images, cycle notation and JSON are derived from the code. A code
-sorts exactly as its 1-based images do, so every canonical order is the same
-in both forms.
+tuple. perm_ops binds the subgroup kernel in cayley to codes. Products
+compose left to right: mul(a, b) sends x to b[a[x]], so x^(ab) = (x^a)^b.
+Points are 1-based only at the edges: cycle notation, base points, orbits,
+blocks and the JSON wire format. A code sorts exactly as its 1-based images
+do, so every canonical order is the same in both forms.
 
 A PermGroup keeps its generators as codes and carries a base and strong
 generating set built with a deterministic incremental Schreier-Sims on codes,
@@ -40,118 +37,34 @@ EXHAUSTIVE_DEGREE_LIMIT = 10
 CONJUGACY_DEGREE_LIMIT = 8
 
 
-class Perm:
-    """A permutation of 1..n, stored as its code (0-based point images)."""
-
-    __slots__ = ("_code",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        self._code = tuple(i - 1 for i in images)
-
-    @staticmethod
-    def from_code(code) -> "Perm":
-        """The Perm of a code, which is a permutation by construction."""
-        p = object.__new__(Perm)
-        p._code = tuple(code)
-        return p
-
-    @staticmethod
-    def identity(degree: int) -> "Perm":
-        return Perm.from_code(perm_ops(degree).identity)
-
-    def code(self) -> tuple[int, ...]:
-        """The 0-based image tuple the subgroup kernel works on."""
-        return self._code
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        """The 1-based point images."""
-        return tuple(i + 1 for i in self._code)
-
-    @staticmethod
-    def from_cycles(degree: int, cycles) -> "Perm":
-        images = list(range(1, degree + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:]):
-                images[a - 1] = b
-            if cycle:
-                images[cycle[-1] - 1] = cycle[0]
-        return Perm(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self._code)
-
-    def apply(self, point: int) -> int:
-        return self._code[point - 1] + 1
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if len(self._code) != len(other._code):
-            raise DegreeMismatch("cannot multiply permutations of different degrees")
-        return Perm.from_code(perm_ops(self.degree).mul(self._code, other._code))
-
-    def inverse(self) -> "Perm":
-        return Perm.from_code(perm_ops(self.degree).inv(self._code))
-
-    def __pow__(self, e: int) -> "Perm":
-        ops = perm_ops(self.degree)
-        base = self._code if e >= 0 else ops.inv(self._code)
-        return Perm.from_code(cayley._power(ops, base, abs(e)))
-
-    def is_identity(self) -> bool:
-        return self._code == perm_ops(self.degree).identity
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point, sorted."""
-        return [tuple(p + 1 for p in c) for c in _cycles(self._code)]
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths > 1 in decreasing order (fingerprint use)."""
-        return _cycle_type(self._code)
-
-    def order(self) -> int:
-        return code_order(self._code)
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self._code == other._code
-
-    def __hash__(self):
-        return hash(self._code)
-
-    def __repr__(self):
-        return f"Perm({cycle_string(self)!r}, degree={self.degree})"
-
-
-def cycle_string(p: Perm) -> str:
-    cyc = p.cycles()
-    if not cyc:
-        return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
-
-
 _CYCLE_RE = re.compile(r"\(([\d\s,]*)\)")
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Perm:
-    """Parse cycle notation like "(1 2 3)(4 5)" into a Perm."""
+def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
+    """The code of disjoint cycles like "(1 2 3)(4 5)" on the points 1..degree
+    (by default the largest point named, at least 1)."""
     cycles = []
     for m in _CYCLE_RE.finditer(text):
         body = m.group(1).replace(",", " ").split()
         if body:
-            cycles.append([int(x) for x in body])
+            cycles.append([int(x) - 1 for x in body])
     leftover = _CYCLE_RE.sub("", text).strip(" ,\t")
     if leftover:
         raise ValueError(f"cannot parse cycle notation {text!r}")
     points = [x for c in cycles for x in c]
-    if points and min(points) < 1:
+    if points and min(points) < 0:
         raise ValueError("points must be >= 1")
-    n = degree if degree is not None else max(points, default=1)
-    if points and max(points) > n:
-        raise ValueError(f"point {max(points)} exceeds degree {n}")
-    return Perm.from_cycles(n, cycles)
+    if len(set(points)) != len(points):
+        repeated = next(x for x in points if points.count(x) > 1)
+        raise ValueError(f"point {repeated + 1} appears twice in {text!r}: cycles must be disjoint")
+    n = degree if degree is not None else max(points, default=0) + 1
+    if points and max(points) >= n:
+        raise ValueError(f"point {max(points) + 1} exceeds degree {n}")
+    code = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            code[a] = b
+    return tuple(code)
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +153,21 @@ def _schreier_sims(degree, gens, base_prefix=()):
 class PermGroup:
     """Permutation group with exact order and membership via its chain.
 
-    Generators are Perms or codes; the group keeps them as codes. base_prefix
-    lists 1-based points the base starts with."""
+    Generators are codes; the group keeps them sorted, without the identity
+    or repeats. base_prefix lists 1-based points the base starts with."""
 
     def __init__(self, degree: int, generators, base_prefix=()):
-        codes = [g.code() if isinstance(g, Perm) else tuple(g) for g in generators]
+        codes = [tuple(g) for g in generators]
         for c in codes:
             if len(c) != degree:
                 raise DegreeMismatch(f"generator degree {len(c)} != {degree}")
         self.degree = degree
         identity = perm_ops(degree).identity
-        self._gens = tuple(sorted({c for c in codes if c != identity}))
+        self.generators = tuple(sorted({c for c in codes if c != identity}))
         self._base, self._strong, self._transversals = _schreier_sims(
-            degree, self._gens, [p - 1 for p in base_prefix]
+            degree, self.generators, [p - 1 for p in base_prefix]
         )
         self._codes: list[tuple[int, ...]] | None = None
-
-    @property
-    def generators(self) -> tuple[Perm, ...]:
-        return tuple(map(Perm.from_code, self._gens))
 
     @property
     def order(self) -> int:
@@ -275,14 +184,14 @@ class PermGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(b + 1 for b in self._base)
 
-    def contains(self, g: Perm) -> bool:
-        if g.degree != self.degree:
+    def contains(self, code) -> bool:
+        if len(code) != self.degree:
             return False
         ops = perm_ops(self.degree)
-        return _sift(ops, g.code(), self._base, self._transversals)[0] == ops.identity
+        return _sift(ops, tuple(code), self._base, self._transversals)[0] == ops.identity
 
-    def __contains__(self, g: Perm) -> bool:
-        return self.contains(g)
+    def __contains__(self, code) -> bool:
+        return self.contains(code)
 
     def codes(self) -> list[tuple[int, ...]]:
         """All elements as codes, canonically sorted: the products of one
@@ -299,10 +208,6 @@ class PermGroup:
             self._codes = sorted(codes)
         return list(self._codes)
 
-    def elements(self) -> list[Perm]:
-        """All elements, in the canonical order of codes()."""
-        return [Perm.from_code(c) for c in self.codes()]
-
     # -- orbits, blocks ----------------------------------------------------
 
     def orbits(self) -> list[tuple[int, ...]]:
@@ -315,7 +220,7 @@ class PermGroup:
             queue = [start]
             while queue:
                 pt = queue.pop()
-                for g in self._gens:
+                for g in self.generators:
                     q = g[pt]
                     if q not in orbit:
                         orbit.add(q)
@@ -344,7 +249,7 @@ class PermGroup:
             if rx == ry:
                 continue
             parent[ry] = rx
-            stack += [(g[rx], g[ry]) for g in self._gens]
+            stack += [(g[rx], g[ry]) for g in self.generators]
         root = find(a - 1)
         return frozenset(p + 1 for p in range(self.degree) if find(p) == root)
 
@@ -368,7 +273,7 @@ class PermGroup:
         """Subgroup fixing the point, from a chain based at that point."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range")
-        rebased = PermGroup(self.degree, self._gens, base_prefix=(point,))
+        rebased = PermGroup(self.degree, self.generators, base_prefix=(point,))
         stab_gens = rebased._strong[1] if len(rebased._base) > 1 else []
         return PermGroup(self.degree, stab_gens)
 
@@ -388,8 +293,8 @@ def _code_inv(a):
 @lru_cache(maxsize=None)
 def perm_ops(degree: int) -> SimpleNamespace:
     """Product, identity and inverse of S_degree on codes, as the subgroup
-    kernel in cayley takes them. Products compose left to right, as Perm's
-    do: mul(a, b) sends x to b[a[x]]."""
+    kernel in cayley takes them. Products compose left to right: mul(a, b)
+    sends x to b[a[x]]."""
     return SimpleNamespace(mul=_code_mul, identity=tuple(range(degree)), inv=_code_inv)
 
 
@@ -407,24 +312,18 @@ def code_order(code) -> int:
     return order
 
 
-def _cycles(code) -> list[list[int]]:
-    """The cycles of a code longer than one point, 0-based, each starting at
-    its least point, in order of that point."""
-    seen, out = bytearray(len(code)), []
-    for start, image in enumerate(code):
-        if seen[start] or image == start:
-            continue
-        cycle, x = [start], image
-        while x != start:
-            seen[x] = 1
-            cycle.append(x)
-            x = code[x]
-        out.append(cycle)
-    return out
-
-
 def _cycle_type(code) -> tuple[int, ...]:
-    return tuple(sorted(map(len, _cycles(code)), reverse=True))
+    """The lengths of the cycles of a code longer than one point, decreasing."""
+    lengths, seen = [], bytearray(len(code))
+    for start in range(len(code)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            x = code[x]
+            length += 1
+        if length > 1:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def fixed_point_free(code) -> bool:
@@ -464,8 +363,8 @@ def set_key(elems) -> tuple:
 # conjugacy of subgroups inside S_n
 
 
-def subgroup_conjugate(A: PermGroup, B: PermGroup) -> Perm | None:
-    """Some x in S_n with A^x = B, or None if no such x exists.
+def subgroup_conjugate(A: PermGroup, B: PermGroup) -> tuple[int, ...] | None:
+    """The code of some x in S_n with A^x = B, or None if no such x exists.
 
     Fingerprint rejection (order, element cycle types) first, then the first
     x of S_n in lexicographic order that conjugates A's greedy generators
@@ -481,13 +380,12 @@ def subgroup_conjugate(A: PermGroup, B: PermGroup) -> Perm | None:
     a_codes, b_codes = A.codes(), B.codes()
     if sorted(map(_cycle_type, a_codes)) != sorted(map(_cycle_type, b_codes)):
         return None
-    x = cayley.first_conjugator(
+    return cayley.first_conjugator(
         perm_ops(n),
         itertools.permutations(range(n)),
         greedy_generators(n, a_codes),
         set(b_codes),
     )
-    return None if x is None else Perm.from_code(x)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +411,7 @@ def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
     for g in G.codes():
         if g == ops.identity or not is_prime(code_order(g)):
             continue
-        clo = cayley.normal_closure(ops, [g], G._gens)[0]
+        clo = cayley.normal_closure(ops, [g], G.generators)[0]
         closures[set_key(clo)] = clo
     minimal = []
     for key, clo in closures.items():
@@ -527,7 +425,7 @@ def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
 def fitting_subgroup(G: PermGroup) -> PermGroup:
     """Largest nilpotent normal subgroup: join of the normal u-radicals."""
     _check_exhaustive(G)
-    fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(), G._gens)
+    fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(), G.generators)
     return group_from_set(G.degree, fitting)
 
 
@@ -536,10 +434,26 @@ def fitting_subgroup(G: PermGroup) -> PermGroup:
 
 
 def permgroup_to_json(G: PermGroup) -> dict:
-    return {"degree": G.degree, "generators": [list(g.images) for g in G.generators]}
+    return {"degree": G.degree, "generators": [[i + 1 for i in g] for g in G.generators]}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def permgroup_from_json(obj) -> PermGroup:
-    degree = int(obj["degree"])
-    gens = [Perm(tuple(int(i) for i in images)) for images in obj["generators"]]
-    return PermGroup(degree, gens)
+    """The group of the wire format; ValueError unless the degree is an
+    integer and each generator a list of the integers 1..n in some order."""
+    if not isinstance(obj, dict):
+        raise ValueError("a group is a JSON object with a degree and generators")
+    degree, gens = obj["degree"], obj["generators"]
+    if not _is_int(degree):
+        raise ValueError("the degree must be an integer")
+    if not isinstance(gens, list) or not all(
+        isinstance(g, list) and all(map(_is_int, g)) for g in gens
+    ):
+        raise ValueError("the generators must be lists of integers")
+    for images in gens:
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {tuple(images)}")
+    return PermGroup(degree, [[i - 1 for i in images] for images in gens])

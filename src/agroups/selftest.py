@@ -19,7 +19,7 @@ from . import census, construct, matgrp, perm
 from .cayley import VarietyParams, in_variety, in_variety_exhaustive
 from .errors import LimitExceeded
 from .gf import field_make
-from .perm import Perm, PermGroup, subgroup_conjugate
+from .perm import PermGroup, subgroup_conjugate
 
 PASS = "pass"
 FAIL = "fail"
@@ -280,16 +280,16 @@ def equal_size_partitions(points, size):
 
 
 def naive_is_primitive(degree: int, gens) -> bool:
-    """A transitive group, given by 1-based image tuples, is primitive iff no
+    """A transitive group, given by generator codes, is primitive iff no
     partition into equal blocks of size strictly between 1 and the degree is
     invariant. The brute-force oracle for PermGroup's block search, with which
     it shares no code; the tests import it too."""
     for size in range(2, degree):
         if degree % size:
             continue
-        for partition in equal_size_partitions(range(1, degree + 1), size):
+        for partition in equal_size_partitions(range(degree), size):
             blocks = {frozenset(b) for b in partition}
-            if all(frozenset(g[p - 1] for p in b) in blocks for b in blocks for g in gens):
+            if all(frozenset(g[p] for p in b) in blocks for b in blocks for g in gens):
                 return False
     return True
 
@@ -303,11 +303,11 @@ def criterion_engine_properties() -> CriterionOutcome:
     for i in range(30):
         gens = []
         for _ in range(rng.randrange(1, 4)):
-            images = list(range(1, 7))
-            rng.shuffle(images)
-            gens.append(Perm(images))
+            code = list(range(6))
+            rng.shuffle(code)
+            gens.append(tuple(code))
         G = PermGroup(6, gens)
-        closure = perm.close_set(6, [g.code() for g in gens])
+        closure = perm.close_set(6, gens)
         if G.order != len(closure):
             out.fail(f"random subgroup {i}: chain order {G.order} != closure {len(closure)}")
     out.note("30 seeded random subgroups of S6: chain order == closure size")
@@ -318,14 +318,14 @@ def criterion_engine_properties() -> CriterionOutcome:
         inv = census.enumerate_transitive_classes(n, 2, 3)
         for entry in inv.classes:
             G = entry.representative
-            if G.is_primitive() != naive_is_primitive(G.degree, [g.images for g in G.generators]):
+            if G.is_primitive() != naive_is_primitive(G.degree, G.generators):
                 out.fail(f"S{n}: primitivity mismatch on order-{G.order} group")
             checked += 1
     for q, r in [(5, 2), (3, 2)]:
         inv = census.enumerate_transitive_classes(5, q, r)
         for entry in inv.classes:
             G = entry.representative
-            if G.is_primitive() != naive_is_primitive(G.degree, [g.images for g in G.generators]):
+            if G.is_primitive() != naive_is_primitive(G.degree, G.generators):
                 out.fail(f"S5 ({q},{r}): primitivity mismatch on order-{G.order} group")
             checked += 1
     out.note(f"primitivity cross-checked against block enumeration on {checked} transitive groups")

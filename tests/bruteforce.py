@@ -20,6 +20,11 @@ from agroups.selftest import naive_is_primitive  # noqa: F401
 # -- permutations as raw image tuples (1-based) ------------------------------
 
 
+def images(code):
+    """The 1-based image tuple of a permutation code (0-based images)."""
+    return tuple(i + 1 for i in code)
+
+
 def mul(a, b):
     return tuple(b[x - 1] for x in a)
 
@@ -170,11 +175,8 @@ def pairwise_class_reps(groups, conjugate):
         else:
             cls.append(grp)
 
-    def gens_key(g):
-        return tuple(m.entries for m in g.generators)
-
-    reps = [min(cls, key=gens_key) for cls in classes]
-    reps.sort(key=lambda g: (g.order, gens_key(g)))
+    reps = [min(cls, key=lambda g: g.generators) for cls in classes]
+    reps.sort(key=lambda g: (g.order, g.generators))
     return reps
 
 
@@ -213,6 +215,22 @@ def naive_irreducible_quadratics(t):
 
 
 # -- square matrices as rows of FieldElem ---------------------------------------
+
+
+def code_rows(spec, code):
+    """A matrix code (row-major field-element indices) as rows of FieldElem."""
+    n = math.isqrt(len(code))
+    return [[spec.from_index(e) for e in code[i * n : i * n + n]] for i in range(n)]
+
+
+def rows_code(rows):
+    """Rows of FieldElem as a matrix code."""
+    return tuple(e.index for row in rows for e in row)
+
+
+def naive_code_mul(spec, a, b):
+    """The product of two matrix codes, by naive_mat_mul."""
+    return rows_code(naive_mat_mul(code_rows(spec, a), code_rows(spec, b)))
 
 
 def naive_mat_mul(a, b):
@@ -407,15 +425,27 @@ def allpairs_are_isomorphic(G, H):
     return bool(found)
 
 
-def allpairs_homomorphisms_to_mats(G, gens, codomain_mats):
-    """Every homomorphism from G into the matrices, by allpairs_hom_search
-    from the given generators into the matrices of dividing order."""
-    ident = next(m for m in codomain_mats if m.is_identity())
+def allpairs_homomorphisms_to_mats(G, gens, spec, codes):
+    """Every homomorphism from G into the matrix codes over the field, by
+    allpairs_hom_search from the given generators into the codes of dividing
+    order, multiplied by naive_code_mul (each pair once)."""
+    mul = functools.lru_cache(maxsize=None)(functools.partial(naive_code_mul, spec))
+    n = math.isqrt(len(codes[0]))
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+
+    def order(m):
+        e, x = 1, m
+        while x != ident:
+            x = mul(x, m)
+            e += 1
+        return e
+
+    orders = {m: order(m) for m in codes}
     candidates = [
-        [m for m in codomain_mats if naive_element_order(G.table, G.identity, g) % m.order() == 0]
+        [m for m in codes if naive_element_order(G.table, G.identity, g) % orders[m] == 0]
         for g in gens
     ]
-    return allpairs_hom_search(G, gens, candidates, lambda x, y: x * y, ident, False, True)
+    return allpairs_hom_search(G, gens, candidates, mul, ident, False, True)
 
 
 # -- the census without its reductions ------------------------------------------------
@@ -429,7 +459,7 @@ def unreduced_census(params, traversal="forward"):
     from agroups.census import VarietyCensus
     from agroups.construct import semidirect_product
     from agroups.gf import field_make
-    from agroups.matgrp import Mat, gl_elements
+    from agroups.matgrp import gl_elements
 
     def maybe_reverse(xs):
         return xs[::-1] if traversal == "reverse" else list(xs)
@@ -438,9 +468,9 @@ def unreduced_census(params, traversal="forward"):
         if dim == 0:
             return [H]
         field = field_make(u, 1)
-        mats = [Mat(field, c) for c in gl_elements(dim, field)]
-        homs = allpairs_homomorphisms_to_mats(H, minimal_generating_sequence(H), mats)
-        actions = maybe_reverse([[m[i].entries for i in range(len(H.table))] for m in homs])
+        gl = gl_elements(dim, field)
+        homs = allpairs_homomorphisms_to_mats(H, minimal_generating_sequence(H), field, gl)
+        actions = maybe_reverse([[m[i] for i in range(len(H.table))] for m in homs])
         return [semidirect_product(u, dim, action, H) for action in actions]
 
     def dedup(groups):

@@ -8,6 +8,8 @@ import pytest
 
 from agroups import cli, matgrp, report, selftest
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -116,6 +118,25 @@ GOLDEN_STDOUT = [
          "(2 4 6 3 7 8 5);(1 2)(3 4)(5 6)(7 8);(1 3)(2 4)(5 7)(6 8);(1 5)(2 6)(3 7)(4 8)"],
         "a5d63887c0054639b31f0ea7cb5f4e593e6e73b5f615ca7f487b703734452faa",
         id="verify-8",
+    ),
+    # recorded while Perm and Mat still wrapped the codes: the cycle and
+    # Singer edges of construct-primitive, and the JSON file edge of
+    # verify-primitive (a relabelled 7:3 with a redundant product and the
+    # identity among its generators)
+    pytest.param(
+        ["construct-primitive", "--q", "3", "--r", "2"],
+        "b4b4ae0f4dcda979406c783ba3ad86d579276afb6c02b1e1a8fc007b1248d70b",
+        id="construct-3",
+    ),
+    pytest.param(
+        ["construct-primitive", "--q", "2", "--r", "5", "--case", "cyclic-q"],
+        "9d4b9c6fc2af6213716b39e19bad9c6c16ba764ee016c67a3559d0e3defdfd9c",
+        id="construct-cyclic-q",
+    ),
+    pytest.param(
+        ["verify-primitive", "--q", "7", "--r", "3", "--file", str(FIXTURES / "affine-7-3.json")],
+        "306eed3ee7d3122242997f32bf857f161cec2d7d9cd325783230a338abba9af1",
+        id="verify-file-7",
     ),
 ]
 
@@ -303,6 +324,69 @@ def test_verify_primitive_rejects_degree_one(capsys):
 )
 def test_refusals_name_the_limit(capsys, argv, err):
     assert one_error_line(capsys, *argv) == "error: " + err
+
+
+@pytest.mark.parametrize(
+    "gens, point", [("(1 2)(1 2)", 1), ("(1 2 3)(1 2 3)", 1), ("(1 1)", 1), ("(1 2)(2 3)", 2)]
+)
+def test_verify_primitive_refuses_repeated_points(capsys, gens, point):
+    err = one_error_line(capsys, "verify-primitive", "--q", "2", "--r", "3", "--gens", gens)
+    assert err == (
+        f"error: EngineError: cannot load the group: point {point} appears twice"
+        f" in {gens!r}: cycles must be disjoint"
+    )
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("null", "a group is a JSON object with a degree and generators"),
+        ("[]", "a group is a JSON object with a degree and generators"),
+        ('{"degree": 3, "generators": 5}', "the generators must be lists of integers"),
+        ('{"degree": 3, "generators": [null]}', "the generators must be lists of integers"),
+        ('{"degree": 3, "generators": [[2, 3, 1.9]]}', "the generators must be lists of integers"),
+        ('{"degree": 3.0, "generators": [[2, 3, 1]]}', "the degree must be an integer"),
+        ('{"degree": 3, "generators": [[2, 2, 1]]}', "not a permutation of 1..3: (2, 2, 1)"),
+        ('{"degree": 3}', "'generators'"),
+    ],
+    ids=["null", "list", "generators-int", "generator-null", "image-float", "degree-float",
+         "not-a-permutation", "no-generators"],
+)
+def test_verify_primitive_refuses_malformed_files(tmp_path, capsys, content, reason):
+    group_file = tmp_path / "group.json"
+    group_file.write_text(content, encoding="utf-8")
+    err = one_error_line(
+        capsys, "verify-primitive", "--q", "2", "--r", "3", "--file", str(group_file)
+    )
+    assert err == f"error: EngineError: cannot load the group: {reason}"
+
+
+def test_census_names_an_order_too_long_to_print(capsys):
+    err = one_error_line(
+        capsys, "census", "--p", "97", "--q", "3", "--r", "5",
+        "--alpha", "3000", "--beta", "1", "--gamma", "0",
+    )
+    assert err == "error: LimitExceeded: order 97^3000*3^1*5^0 exceeds the census limit 400"
+
+
+def test_census_prints_a_short_order_in_full(capsys):
+    err = one_error_line(capsys, "census", "--p", "97", "--q", "3", "--r", "5", "--alpha", "2")
+    assert err == "error: LimitExceeded: order 9409 exceeds the census limit 400"
+
+
+def test_check_bounds_leaves_out_n_too_long_to_print(capsys):
+    code, rep = run_json(
+        capsys, "check-bounds", "--formula", "theorem-a",
+        "--p", "97", "--q", "3", "--r", "5", "--alpha", "3000",
+    )
+    assert code == 0
+    assert "n" not in rep["parameters"] and rep["parameters"]["alpha"] == 3000
+    assert report.validate_report(rep) == []
+    code, rep = run_json(
+        capsys, "check-bounds", "--formula", "theorem-a",
+        "--p", "97", "--q", "3", "--r", "5", "--alpha", "2",
+    )
+    assert rep["parameters"]["n"] == 9409
 
 
 def test_check_bounds_leaves_out_an_exact_value_too_long_to_print(capsys):

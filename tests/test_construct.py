@@ -16,9 +16,12 @@ from agroups.errors import (
     NotPrimitive,
     SamePrime,
 )
-from agroups.gf import field_make
-from agroups.matgrp import Mat
 from agroups.perm import PermGroup, parse_cycles
+
+# GF(2) matrix codes: the identity, and the powers I, C, C^2 of the companion
+# matrix C of x^2 + x + 1
+IDENTITY, COMPANION = (1, 0, 0, 1), (0, 1, 1, 1)
+COMPANION_POWERS = [IDENTITY, COMPANION, (1, 1, 1, 0)]
 
 
 def pgroup(degree, *texts):
@@ -110,10 +113,8 @@ def test_provenance_block():
 
 
 def test_semidirect_a4():
-    spec = field_make(2, 1)
-    companion = Mat.from_ints(spec, ((0, 1), (1, 1)))
     c3 = cyclic_table(3)
-    G = semidirect_product(2, 2, [(companion**i).entries for i in range(3)], c3)
+    G = semidirect_product(2, 2, COMPANION_POWERS, c3)
     assert G.order == 12 and not G.is_abelian()
     A4 = cayley_from(pgroup(4, "(1 2 3)", "(2 3 4)"))
     assert are_isomorphic(G, A4)
@@ -134,9 +135,7 @@ def test_semidirect_trivial_action_is_direct_product():
 
 
 def test_semidirect_rejects_non_homomorphism():
-    spec = field_make(2, 1)
-    companion = Mat.from_ints(spec, ((0, 1), (1, 1))).entries
-    identity = Mat.identity(2, spec).entries
+    companion, identity = COMPANION, IDENTITY
     c3 = cyclic_table(3)
     bad = [identity, companion, companion]  # not multiplicative
     with pytest.raises(NotHomomorphism):
@@ -152,17 +151,15 @@ def test_semidirect_rejects_non_homomorphism():
 
 
 def test_semidirect_kernel_is_normal_elementary_abelian():
-    spec = field_make(2, 1)
-    companion = Mat.from_ints(spec, ((0, 1), (1, 1)))
     c3 = cyclic_table(3)
-    G = semidirect_product(2, 2, [(companion**i).entries for i in range(3)], c3)
+    G = semidirect_product(2, 2, COMPANION_POWERS, c3)
     # kernel = pairs (v, identity) = indices {v * |H| + e}
     kernel = frozenset(v * 3 + c3.identity for v in range(4))
     from agroups.cayley import is_normal
 
     assert is_normal(G, kernel)
     for a in kernel:
-        assert G.elem_order(a) in (1, 2)
+        assert G.element_orders[a] in (1, 2)
         for b in kernel:
             assert G.mul(a, b) == G.mul(b, a)
-        assert G.mul(a, a) == G.identity or G.elem_order(a) == 1
+        assert G.mul(a, a) == G.identity or G.element_orders[a] == 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from agroups import cayley  # noqa: E402
-from agroups.perm import Perm, PermGroup, perm_ops  # noqa: E402
+from agroups.perm import PermGroup, parse_cycles, perm_ops  # noqa: E402
 
 
 @st.composite
@@ -51,8 +51,9 @@ CHAINS = [(2, 3), (3, 2), (2, 5), (5, 2)]
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_variety_verdicts_match_witness_search_on_every_subgroup(n):
-    Sn = PermGroup(n, [Perm.from_cycles(n, [list(range(1, n + 1))]), Perm.from_cycles(n, [[1, 2]])])
-    elems = Sn.elements()
+    cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+    Sn = PermGroup(n, [parse_cycles(cycle), parse_cycles("(1 2)", n)])
+    elems = Sn.codes()
     lattice = cayley.subgroup_lattice(cayley.cayley_from(Sn), range(len(elems)))
     assert len(lattice) == {4: 30, 5: 156}[n]
     verdicts = set()
@@ -60,7 +61,7 @@ def test_variety_verdicts_match_witness_search_on_every_subgroup(n):
         perms = [elems[i] for i in gens]
         table = cayley.cayley_from(PermGroup(n, perms))
         for chain in CHAINS:
-            fast = cayley.in_variety(perm_ops(n), chain, [g.code() for g in perms])
+            fast = cayley.in_variety(perm_ops(n), chain, perms)
             assert fast == cayley.in_variety_exhaustive(table, chain), (table.order, chain)
             verdicts.add(fast)
     assert verdicts == {True, False}

@@ -23,7 +23,7 @@ import pytest
 from agroups import cayley, census
 from agroups.gf import field_make
 from agroups.matgrp import gl_elements, mat_ops
-from agroups.perm import Perm, PermGroup, code_order, fixed_point_free, perm_ops
+from agroups.perm import PermGroup, code_order, fixed_point_free, perm_ops
 
 import bruteforce as bf
 
@@ -33,8 +33,8 @@ def sn_codes(n):
 
 
 def symmetric_group(n):
-    cycle = Perm.from_cycles(n, [list(range(1, n + 1))])
-    return PermGroup(n, [cycle, Perm.from_cycles(n, [[1, 2]])])
+    # (1 2 ... n) and (1 2)
+    return PermGroup(n, [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))])
 
 
 def assert_classes(G, classes, subgroups, elements):

@@ -7,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroups import matgrp
+from agroups.cayley import _power
 from agroups.errors import (
     CharacteristicConflict,
+    DegreeMismatch,
+    FieldMismatch,
     InvalidParams,
     LimitExceeded,
     SingularGenerator,
 )
 from agroups.gf import field_make
-from agroups.matgrp import Mat, closure, gl_elements, gl_order, mat_ops
+from agroups.matgrp import closure, gl_elements, gl_order, mat_ops
 
 import bruteforce as bf
-from bruteforce import naive_det, naive_mat_mul
+from bruteforce import code_rows, naive_det, naive_mat_mul, rows_code
 
 
 GF2 = field_make(2, 1)
@@ -25,11 +28,18 @@ GF3 = field_make(3, 1)
 
 
 def M2(*rows):
-    return Mat.from_ints(GF2, rows)
+    """A GF(2) matrix code from rows of residues."""
+    return tuple(e % 2 for row in rows for e in row)
 
 
 def M3(*rows):
-    return Mat.from_ints(GF3, rows)
+    """A GF(3) matrix code from rows of residues."""
+    return tuple(e % 3 for row in rows for e in row)
+
+
+def singer(alpha, spec):
+    """The Singer subgroup: the closure of the Singer generator."""
+    return closure(alpha, spec, [matgrp.singer_generator(alpha, spec)])
 
 
 # -- basics --------------------------------------------------------------------
@@ -42,37 +52,45 @@ def test_gl_order_examples():
 
 
 def test_matrix_inverse_and_singularity():
+    ops = mat_ops(2, GF3)
     m = M3((1, 1), (0, 1))
-    assert (m * m.inverse()).is_identity()
+    assert ops.mul(m, ops.inv(m)) == ops.identity
     singular = M3((1, 2), (2, 4))
     with pytest.raises(SingularGenerator):
-        singular.inverse()
+        ops.inv(singular)
 
 
 def test_closure_examples():
     companion = M2((0, 1), (1, 1))  # companion of x^2 + x + 1
-    G = closure([companion])
+    G = closure(2, GF2, [companion])
     assert G.order == 3
-    ident = closure([Mat.identity(2, GF2)])
+    ident = closure(2, GF2, [mat_ops(2, GF2).identity])
     assert ident.order == 1
-    diag = closure([M3((2, 0), (0, 1)), M3((1, 0), (0, 2))])
+    diag = closure(2, GF3, [M3((2, 0), (0, 1)), M3((1, 0), (0, 2))])
     assert diag.order == 4
 
 
 def test_closure_rejects_singular():
     with pytest.raises(SingularGenerator):
-        closure([M3((1, 2), (2, 4))])
+        closure(2, GF3, [M3((1, 2), (2, 4))])
+
+
+def test_closure_rejects_malformed_generators():
+    with pytest.raises(DegreeMismatch):
+        closure(2, GF3, [M3((1, 0), (0, 1)), (1, 0, 0, 0, 1, 0, 0, 0, 1)])
+    with pytest.raises(FieldMismatch):
+        closure(2, GF3, [(1, 0, 0, 3)])
 
 
 def test_closure_of_no_generators_is_refused():
     with pytest.raises(InvalidParams):
-        closure([])
+        closure(2, GF2, [])
 
 
 def test_closure_limit(monkeypatch):
     monkeypatch.setattr(matgrp, "CLOSURE_LIMIT", 10)
     with pytest.raises(LimitExceeded):
-        closure([Mat(GF3, c) for c in gl_elements(2, GF3)[:6]])
+        closure(2, GF3, gl_elements(2, GF3)[:6])
 
 
 def test_gl_elements_complete_and_deterministic():
@@ -81,33 +99,21 @@ def test_gl_elements_complete_and_deterministic():
     assert list(elems) == sorted(elems)
     assert gl_elements(2, GF2) == elems
     # closure of the full list is the whole group
-    assert closure([Mat(GF2, c) for c in elems]).order == 6
+    assert closure(2, GF2, elems).order == 6
 
 
 # -- the integer kernel against FieldElem arithmetic ----------------------------
 
 
-def as_elems(m):
-    """The matrix as rows of FieldElem."""
-    n = m.alpha
-    return [[m.spec.from_index(e) for e in m.entries[i * n : i * n + n]] for i in range(n)]
-
-
-def indices(rows):
-    return tuple(e.index for row in rows for e in row)
-
-
 @pytest.mark.parametrize("alpha, s", [(2, 2), (2, 3), (3, 2)])
 def test_products_match_naive_on_all_pairs(alpha, s):
     spec = field_make(s, 1)
-    gl = [Mat(spec, c) for c in gl_elements(alpha, spec)]
+    gl = gl_elements(alpha, spec)
     code_mul = mat_ops(alpha, spec).mul
-    rows = {m: as_elems(m) for m in gl}
+    rows = {m: code_rows(spec, m) for m in gl}
     for a in gl:
         for b in gl:
-            naive = indices(naive_mat_mul(rows[a], rows[b]))
-            assert (a * b).entries == naive
-            assert code_mul(a.entries, b.entries) == naive
+            assert code_mul(a, b) == rows_code(naive_mat_mul(rows[a], rows[b]))
 
 
 # GF(s) as (t, k), for every field the compiled product is checked over
@@ -119,8 +125,7 @@ def assert_product_matches_naive(spec, a, b):
     """mat_ops' product of two codes, singular or not, against FieldElem
     arithmetic."""
     alpha = math.isqrt(len(a))
-    naive = naive_mat_mul(as_elems(Mat(spec, a)), as_elems(Mat(spec, b)))
-    assert mat_ops(alpha, spec).mul(a, b) == indices(naive)
+    assert mat_ops(alpha, spec).mul(a, b) == bf.naive_code_mul(spec, a, b)
 
 
 @pytest.mark.parametrize(
@@ -152,15 +157,15 @@ def test_det_matches_leibniz_on_every_matrix(alpha, t, k):
     # GL(alpha, s) is exactly the matrices of nonzero Leibniz determinant,
     # and the Gauss-Jordan inverse refuses exactly the others
     spec = field_make(t, k)
+    ops = mat_ops(alpha, spec)
     invertible = []
     for flat in itertools.product(range(spec.s), repeat=alpha * alpha):
-        m = Mat(spec, flat)
-        if naive_det(as_elems(m)).index:
-            assert (m * m.inverse()).is_identity()
+        if naive_det(code_rows(spec, flat)).index:
+            assert ops.mul(flat, ops.inv(flat)) == ops.identity
             invertible.append(flat)
         else:
             with pytest.raises(SingularGenerator):
-                m.inverse()
+                ops.inv(flat)
     assert list(gl_elements(alpha, spec)) == invertible
     assert len(invertible) == gl_order(alpha, spec)
 
@@ -178,43 +183,41 @@ def test_row_enumeration_is_sorted_gl(alpha, t, k):
 @pytest.mark.parametrize("t, k", [(2, 2), (5, 1)])
 def test_kernel_matches_naive_on_generator_pairs(t, k):
     spec = field_make(t, k)
-    gens = [
-        matgrp.singer_generator(2, spec),
-        Mat.from_ints(spec, ((1, 1), (0, 1))),
-        Mat.from_ints(spec, ((0, 1), (1, 0))),
-    ]
-    zero = spec.zero()
-    for m in (Mat(spec, c) for c in gl_elements(2, spec)):
-        assert (m * m.inverse()).is_identity()
+    ops = mat_ops(2, spec)
+    # the Singer generator, and two matrices of entries 0 and 1 (indices 0, 1)
+    gens = [matgrp.singer_generator(2, spec), (1, 1, 0, 1), (0, 1, 1, 0)]
+    for m in gl_elements(2, spec):
+        assert ops.mul(m, ops.inv(m)) == ops.identity
         for g in gens:
-            assert (m * g).entries == indices(naive_mat_mul(as_elems(m), as_elems(g)))
-            assert (g * m).entries == indices(naive_mat_mul(as_elems(g), as_elems(m)))
+            assert ops.mul(m, g) == bf.naive_code_mul(spec, m, g)
+            assert ops.mul(g, m) == bf.naive_code_mul(spec, g, m)
     for v in itertools.product(range(spec.s), repeat=2):
-        as_row = [[spec.from_index(c) for c in v], [zero, zero]]
+        # v as the first row of a matrix whose second row is zero
         for g in gens:
-            assert g.apply(v) == indices(naive_mat_mul(as_row, as_elems(g))[:1])
+            assert ops.apply(g, v) == bf.naive_code_mul(spec, v + (0, 0), g)[:2]
 
 
 # -- irreducibility -------------------------------------------------------------
 
 
 def test_irreducibility_examples():
-    companion = closure([M2((0, 1), (1, 1))])
+    companion = closure(2, GF2, [M2((0, 1), (1, 1))])
     assert matgrp.is_irreducible(companion)
-    trivial = closure([Mat.identity(2, GF2)])
+    trivial = closure(2, GF2, [M2((1, 0), (0, 1))])
     assert not matgrp.is_irreducible(trivial)
-    diagonal = closure([M3((2, 0), (0, 1))])
+    diagonal = closure(2, GF3, [M3((2, 0), (0, 1))])
     assert not matgrp.is_irreducible(diagonal)
 
 
 def test_irreducibility_matches_invariant_line_scan_gl23():
     # oracle: a 2-dimensional group is reducible iff some line is invariant
-    for mat in (Mat(GF3, c) for c in gl_elements(2, GF3)):
-        G = closure([mat])
+    apply = mat_ops(2, GF3).apply
+    for mat in gl_elements(2, GF3):
+        G = closure(2, GF3, [mat])
         lines = list(matgrp._lines(2, GF3))
         has_invariant_line = False
         for v in lines:
-            img = mat.apply(v)
+            img = apply(mat, v)
             # img parallel to v? (GF(3) element indices are residues)
             a, b = v
             c, d = img
@@ -228,23 +231,23 @@ def test_irreducibility_matches_invariant_line_scan_gl23():
 
 
 def test_singer_orders():
-    assert matgrp.singer_subgroup(2, GF2).order == 3
-    assert matgrp.singer_subgroup(2, GF3).order == 8
-    assert matgrp.singer_subgroup(3, GF2).order == 7
+    assert singer(2, GF2).order == 3
+    assert singer(2, GF3).order == 8
+    assert singer(3, GF2).order == 7
 
 
 def test_singer_irreducible_and_cyclic():
     for alpha, spec in [(2, GF2), (2, GF3), (3, GF2), (1, GF3)]:
-        S = matgrp.singer_subgroup(alpha, spec)
+        S = singer(alpha, spec)
         assert S.order == spec.s**alpha - 1
         assert matgrp.is_irreducible(S)
         gen = matgrp.singer_generator(alpha, spec)
-        assert gen.order() == S.order
+        assert matgrp._code_order(mat_ops(alpha, spec), gen) == S.order
 
 
 def test_singer_over_extension_field():
     gf4 = field_make(2, 2)
-    S = matgrp.singer_subgroup(2, gf4)
+    S = singer(2, gf4)
     assert S.order == 15
     assert matgrp.is_irreducible(S)
 
@@ -261,7 +264,7 @@ def test_maximal_ar_examples():
     assert H is not None and H.order == 4
     # diagonal +-1 type: every generator is diagonal
     for g in H.generators:
-        assert g.entries[1] == 0 and g.entries[2] == 0
+        assert g[1] == 0 and g[2] == 0
 
     K = matgrp.maximal_ar_subgroup(3, GF2, 3)
     assert K is not None and K.order == 3  # d = 2, k = 1, identity block
@@ -278,18 +281,18 @@ def test_maximal_ar_characteristic_conflict():
 
 
 def test_conjugate_in_gl_examples():
-    S1 = matgrp.singer_subgroup(2, GF2)
+    S1 = singer(2, GF2)
+    ops = S1.ops
     # a conjugate Singer subgroup
-    x = Mat(GF2, gl_elements(2, GF2)[3])
-    gens = [x.inverse() * g * x for g in S1.generators]
-    S2 = closure(gens)
+    x = gl_elements(2, GF2)[3]
+    S2 = closure(2, GF2, [ops.mul(ops.mul(ops.inv(x), g), x) for g in S1.generators])
     conj = matgrp.conjugate_in_gl(S1, S2)
     assert conj is not None
-    ci = conj.inverse()
-    assert all((ci * g * conj) in S2.elements for g in S1.generators)
+    ci = ops.inv(conj)
+    assert all(ops.mul(ops.mul(ci, g), conj) in S2.codes() for g in S1.generators)
 
-    minus_i = closure([M3((2, 0), (0, 2))])
-    diag = closure([M3((1, 0), (0, 2))])
+    minus_i = closure(2, GF3, [M3((2, 0), (0, 2))])
+    diag = closure(2, GF3, [M3((1, 0), (0, 2))])
     assert matgrp.conjugate_in_gl(minus_i, diag) is None
 
     assert matgrp.conjugate_in_gl(S1, S1) is not None
@@ -322,10 +325,11 @@ def test_classify_reps_pairwise_nonconjugate_and_maximal():
                 assert matgrp.conjugate_in_gl(a, b) is None
         # every rep is elementary abelian of exponent r
         for g in reps:
-            for m in g.elements:
-                assert m.is_identity() or m.order() == r
-                for m2 in g.elements:
-                    assert m * m2 == m2 * m
+            mul = g.ops.mul
+            for m in g.codes():
+                assert _power(g.ops, m, r) == g.ops.identity
+                for m2 in g.codes():
+                    assert mul(m, m2) == mul(m2, m)
 
 
 def test_constructed_group_lies_in_the_single_class():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroups import perm
+from agroups.cayley import _power
 from agroups.errors import DegreeMismatch, LimitExceeded, NotTransitive
-from agroups.perm import Perm, PermGroup, parse_cycles
+from agroups.perm import PermGroup, code_order, parse_cycles, perm_ops
 
 import bruteforce as bf
 
@@ -20,21 +21,27 @@ def group(degree, *cycle_texts, **kw):
     return PermGroup(degree, [P(t, degree) for t in cycle_texts], **kw)
 
 
-# -- Perm basics --------------------------------------------------------------
+def code(images):
+    """The code of a 1-based image tuple."""
+    return tuple(i - 1 for i in images)
+
+
+# -- codes -------------------------------------------------------------------
 
 
 def test_perm_mul_left_to_right():
     a = P("(1 2)", 3)
     b = P("(2 3)", 3)
     # x^(ab) = (x^a)^b: 1 -> 2 -> 3
-    assert (a * b).apply(1) == 3
+    assert perm_ops(3).mul(a, b)[0] == 2
 
 
 def test_perm_inverse_and_pow():
     g = P("(1 2 3 4 5)", 5)
-    assert (g * g.inverse()).is_identity()
-    assert g**5 == Perm.identity(5)
-    assert g**-2 == g**3
+    ops = perm_ops(5)
+    assert ops.mul(g, ops.inv(g)) == ops.identity
+    assert _power(ops, g, 5) == ops.identity
+    assert _power(ops, ops.inv(g), 2) == _power(ops, g, 3)
 
 
 @st.composite
@@ -48,29 +55,41 @@ def perm_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(perm_pairs())
 def test_perm_arithmetic_matches_bruteforce(case):
-    # Perm runs on the kernel's perm_ops; the brute force shares no code with it
+    # the kernel's perm_ops on codes; the brute force on 1-based images
+    # shares no code with it
     a, b, e = case
-    pa, pb = Perm(a), Perm(b)
-    assert (pa * pb).images == bf.mul(a, b)
-    assert pa.inverse().images == bf.inv(a)
+    ops = perm_ops(len(a))
+    ca, cb = code(a), code(b)
+    assert bf.images(ops.mul(ca, cb)) == bf.mul(a, b)
+    assert bf.images(ops.inv(ca)) == bf.inv(a)
     power = tuple(range(1, len(a) + 1))
     for _ in range(abs(e)):
         power = bf.mul(power, a if e >= 0 else bf.inv(a))
-    assert (pa**e).images == power
-    assert pa.order() == bf.perm_order(a)
-    assert pa.is_identity() == (a == tuple(range(1, len(a) + 1)))
+    assert bf.images(_power(ops, ca if e >= 0 else ops.inv(ca), abs(e))) == power
+    assert code_order(ca) == bf.perm_order(a)
 
 
 def test_cycle_roundtrip():
     g = P("(1 3)(2 5 4)", 6)
-    assert perm.cycle_string(g) == "(1 3)(2 4 5)" or g == parse_cycles(perm.cycle_string(g), 6)
-    assert g.order() == 6
-    assert g.cycle_type() == (3, 2)
+    assert bf.images(g) == (3, 5, 1, 2, 4, 6)
+    assert parse_cycles("(2 5 4)(3 1)(6)") == g
+    assert code_order(g) == 6
+    assert perm._cycle_type(g) == (3, 2)
+    assert parse_cycles("()") == (0,) and parse_cycles("(2 3)", 4) == (0, 2, 1, 3)
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_cycles("(1 2 x)")
+
+
+@pytest.mark.parametrize(
+    "text", ["(1 2)(1 2)", "(1 2 3)(1 2 3)", "(1 1)", "(1 2)(2 3)", "(3 1 2 1)"]
+)
+def test_parse_refuses_repeated_points(text):
+    # a point in two cycles, or twice in one, is not disjoint cycle notation
+    with pytest.raises(ValueError, match="appears twice"):
+        parse_cycles(text)
 
 
 # -- BSGS order and membership -------------------------------------------------
@@ -83,14 +102,14 @@ def test_s5_order():
 
 def test_a4_order_from_spec_generators():
     G = group(4, "(1 2)(3 4)", "(1 3)(2 4)", "(2 3 4)")
-    closure = bf.naive_closure(4, [g.images for g in G.generators])
+    closure = bf.naive_closure(4, [bf.images(g) for g in G.generators])
     assert G.order == len(closure) == 12
 
 
 def test_empty_generators_trivial_group():
     G = PermGroup(4, [])
     assert G.order == 1
-    assert G.elements() == [Perm.identity(4)]
+    assert G.codes() == [perm_ops(4).identity]
 
 
 def test_bsgs_order_matches_closure_on_standard_groups():
@@ -106,7 +125,7 @@ def test_bsgs_order_matches_closure_on_standard_groups():
     ]
     for degree, texts in cases:
         G = group(degree, *texts)
-        closure = bf.naive_closure(degree, [P(t, degree).images for t in texts])
+        closure = bf.naive_closure(degree, [bf.images(P(t, degree)) for t in texts])
         assert G.order == len(closure)
 
 
@@ -120,7 +139,7 @@ def test_bsgs_order_matches_closure_random_s6():
             images = points[:]
             rng.shuffle(images)
             gens.append(tuple(images))
-        G = PermGroup(6, [Perm(g) for g in gens])
+        G = PermGroup(6, [code(g) for g in gens])
         assert G.order == len(bf.naive_closure(6, gens))
 
 
@@ -133,23 +152,23 @@ def test_bsgs_order_matches_closure_random_s7():
             images = points[:]
             rng.shuffle(images)
             gens.append(tuple(images))
-        G = PermGroup(7, [Perm(g) for g in gens])
+        G = PermGroup(7, [code(g) for g in gens])
         assert G.order == len(bf.naive_closure(7, gens))
 
 
 def test_membership_exact():
     G = group(4, "(1 2)(3 4)", "(1 3)(2 4)", "(2 3 4)")  # A4
-    closure = bf.naive_closure(4, [g.images for g in G.generators])
+    closure = bf.naive_closure(4, [bf.images(g) for g in G.generators])
     for images in itertools.permutations(range(1, 5)):
-        assert G.contains(Perm(images)) == (images in closure)
+        assert G.contains(code(images)) == (images in closure)
 
 
 def test_elements_sorted_and_complete():
     G = group(4, "(1 2 3 4)", "(1 3)")  # D4
-    elems = G.elements()
+    elems = G.codes()
     assert len(elems) == G.order == 8
-    assert elems == sorted(elems, key=lambda g: g.images)
-    assert {e.images for e in elems} == bf.naive_closure(4, [g.images for g in G.generators])
+    assert elems == sorted(elems)
+    assert set(map(bf.images, elems)) == bf.naive_closure(4, list(map(bf.images, G.generators)))
 
 
 def test_degree_mismatch():
@@ -161,7 +180,7 @@ def test_elements_limit():
     G = group(8, "(1 2 3 4 5 6 7 8)", "(1 2)")
     assert G.order == 40320
     with pytest.raises(LimitExceeded):
-        G.elements()
+        G.codes()
 
 
 # -- orbits and transitivity ---------------------------------------------------
@@ -209,8 +228,7 @@ def test_primitivity_matches_bruteforce_block_enumeration():
     ]
     for degree, texts in cases:
         G = group(degree, *texts)
-        gens = [g.images for g in G.generators]
-        assert G.is_primitive() == bf.naive_is_primitive(degree, gens)
+        assert G.is_primitive() == bf.naive_is_primitive(degree, G.generators)
 
 
 def test_imprimitive_witness_is_a_block():
@@ -218,8 +236,8 @@ def test_imprimitive_witness_is_a_block():
     block = G.primitivity_block()
     assert block is not None and 1 in block and 1 < len(block) < 6
     # the witness really is a block: images are equal or disjoint
-    for g in G.elements():
-        image = frozenset(g.apply(p) for p in block)
+    for g in G.codes():
+        image = frozenset(g[p - 1] + 1 for p in block)
         assert image == block or not (image & block)
 
 
@@ -230,7 +248,7 @@ def test_point_stabilizer_examples():
     A4 = group(4, "(1 2 3)", "(2 3 4)")
     stab = A4.point_stabilizer(4)
     assert stab.order == 3
-    assert all(g.apply(4) == 4 for g in stab.elements())
+    assert all(g[3] == 3 for g in stab.codes())
     S3 = group(3, "(1 2 3)", "(1 2)")
     stab3 = S3.point_stabilizer(3)
     assert stab3.order == 2
@@ -262,8 +280,9 @@ def test_conjugate_three_cycles():
     ]:
         x = perm.subgroup_conjugate(A, B)
         assert x is not None
-        for g in A.elements():
-            assert B.contains(x.inverse() * g * x)
+        ops = A.ops
+        for g in A.codes():
+            assert B.contains(ops.mul(ops.mul(ops.inv(x), g), x))
 
 
 def test_conjugate_none_for_different_cycle_types():
@@ -319,7 +338,7 @@ def test_minimal_normal_subgroups_match_exhaustive_scan():
         group(4, "(1 2 3 4)", "(1 3)"),  # D4
         group(5, "(1 2 3 4 5)", "(2 3 5 4)"),  # F20
     ]:
-        elems = {g.images for g in G.elements()}
+        elems = set(map(bf.images, G.codes()))
         normals = bf.naive_normal_subgroups(G.degree, elems)
         nontrivial = [N for N in normals if 1 < len(N)]
         minimal = [
@@ -328,14 +347,15 @@ def test_minimal_normal_subgroups_match_exhaustive_scan():
             if not any(1 < len(M) < len(N) and M < N for M in nontrivial)
         ]
         got = perm.minimal_normal_subgroups(G)
-        assert sorted(tuple(sorted(m)) for m in ({g.images for g in M.elements()} for M in got)) == sorted(
+        assert sorted(tuple(sorted(map(bf.images, M.codes()))) for M in got) == sorted(
             tuple(sorted(N)) for N in minimal
         )
         # each result is normal and minimal by construction; double-check normality
+        ops = G.ops
         for M in got:
-            for g in G.elements():
-                for h in M.elements():
-                    assert M.contains(g.inverse() * h * g)
+            for g in G.codes():
+                for h in M.codes():
+                    assert M.contains(ops.mul(ops.mul(ops.inv(g), h), g))
 
 
 def test_fitting_subgroup_examples():
@@ -358,9 +378,9 @@ def test_fitting_subgroup_nilpotent_and_normal():
         group(6, "(1 2 3 4 5 6)", "(2 6)(3 5)"),  # D6
         group(4, "(1 2 3 4)", "(1 2)"),  # S4
     ]:
-        F = {g.images for g in perm.fitting_subgroup(G).elements()}
+        F = set(map(bf.images, perm.fitting_subgroup(G).codes()))
         assert bf.naive_is_nilpotent(F)
-        assert F == bf.naive_fitting_subgroup(G.degree, {g.images for g in G.elements()})
+        assert F == bf.naive_fitting_subgroup(G.degree, set(map(bf.images, G.codes())))
 
 
 # -- determinism and limits -----------------------------------------------------
@@ -373,7 +393,7 @@ def test_canonical_generators_independent_of_input_order():
     b = PermGroup(4, list(reversed(gens)))
     assert a.generators == b.generators
     assert a.order == b.order
-    assert [e.images for e in a.elements()] == [e.images for e in b.elements()]
+    assert a.codes() == b.codes()
 
 
 def test_exhaustive_ops_respect_degree_limit():
@@ -390,4 +410,4 @@ def test_json_roundtrip():
     data = perm.permgroup_to_json(G)
     H = perm.permgroup_from_json(data)
     assert H.order == G.order and H.degree == G.degree
-    assert data["generators"] == [list(g.images) for g in G.generators]
+    assert data["generators"] == [list(bf.images(g)) for g in G.generators]
