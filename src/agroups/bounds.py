@@ -11,11 +11,10 @@ every coefficient is rational. Nothing is ever compared through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import VarietyParams
-from .errors import InvalidParams
+from .errors import InvalidParams, LimitExceeded
 from .gf import is_prime
 
 _INTERVAL_PRECISIONS = (32, 64, 128, 256)
@@ -29,6 +28,15 @@ PRINTED_DIGITS = 4300
 def printable(n: int) -> bool:
     """n has at most PRINTED_DIGITS decimal digits."""
     return abs(n) < 10**PRINTED_DIGITS
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n >= 1, without converting it to a string."""
+    # 0.30102999 < log10(2): at most two below the answer up to 10^8 bits
+    d = (n.bit_length() - 1) * 30102999 // 10**8
+    while 10**d <= n:
+        d += 1
+    return d
 
 
 def _log2_fixed(b: int, prec: int) -> tuple[int, int]:
@@ -62,12 +70,22 @@ def _log2_fixed(b: int, prec: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
 class LogBound:
     """constant + sum of coeff * log2(base); canonical term order by base."""
 
-    constant: Fraction
-    terms: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("constant", "terms")
+
+    def __init__(self, constant: Fraction, terms: tuple[tuple[int, Fraction], ...]):
+        self.constant, self.terms = constant, terms
+
+    def _key(self) -> tuple:
+        return self.constant, self.terms
+
+    def __eq__(self, other):
+        return type(other) is LogBound and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def build(constant, term_map) -> "LogBound":
@@ -139,6 +157,12 @@ class LogBound:
         return (lhs > rhs) - (lhs < rhs)
 
     def to_json(self) -> dict:
+        for base, _ in self.terms:
+            if not printable(base):
+                raise LimitExceeded(
+                    f"a term base of the bound has {_digits(base)} decimal digits,"
+                    f" over the print limit PRINTED_DIGITS = {PRINTED_DIGITS}"
+                )
         lo, hi = self.log2_interval(64)
         out = {
             "log2": {"lower": str(lo), "upper": str(hi), "approx": round(self.approx_log2(), 6)},

@@ -19,7 +19,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidParams, LimitExceeded, NotNormal
@@ -28,12 +27,21 @@ from .gf import is_prime, prime_factors
 TABLE_LIMIT = 400
 
 
-@dataclass(frozen=True)
 class CayleyGroup:
     """Finite group given by its n x n multiplication table of indices."""
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
+    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int):
+        self.table, self.identity = table, identity
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return self.table, self.identity
+
+    def __eq__(self, other):
+        return type(other) is CayleyGroup and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __post_init__(self):
         n = len(self.table)
@@ -643,25 +651,30 @@ def homomorphisms_to_mats(G: CayleyGroup, ops, codes) -> list[list]:
 # variety parameters
 
 
-@dataclass(frozen=True)
 class VarietyParams:
     """The primes and exponents of one three-prime variety instance."""
 
-    p: int
-    q: int
-    r: int
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ("p", "q", "r", "alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        for u in (self.p, self.q, self.r):
+    def __init__(self, p: int, q: int, r: int, alpha: int, beta: int, gamma: int):
+        for u in (p, q, r):
             if not is_prime(u):
                 raise InvalidParams(f"{u} is not prime")
-        if len({self.p, self.q, self.r}) != 3:
+        if len({p, q, r}) != 3:
             raise InvalidParams("p, q, r must be pairwise distinct")
-        if min(self.alpha, self.beta, self.gamma) < 0:
+        if min(alpha, beta, gamma) < 0:
             raise InvalidParams("exponents must be nonnegative")
+        self.p, self.q, self.r = p, q, r
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+
+    def _key(self) -> tuple:
+        return self.p, self.q, self.r, self.alpha, self.beta, self.gamma
+
+    def __eq__(self, other):
+        return type(other) is VarietyParams and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:

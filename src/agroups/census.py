@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import printable
@@ -70,12 +69,12 @@ PRIMITIVE_DEGREE_LIMIT = 8
 CENSUS_ORDER_LIMIT = 400
 
 
-@dataclass(frozen=True)
 class ClassEntry:
-    representative: PermGroup
-    order: int
-    signature: tuple[int, int]
-    class_size: int
+    __slots__ = ("representative", "order", "signature", "class_size")
+
+    def __init__(self, representative: PermGroup, order: int, signature: tuple, class_size: int):
+        self.representative, self.order = representative, order
+        self.signature, self.class_size = signature, class_size
 
     def to_json(self) -> dict:
         return {
@@ -86,12 +85,12 @@ class ClassEntry:
         }
 
 
-@dataclass(frozen=True)
 class ClassInventory:
-    context: str
-    degree: int
-    filter_desc: str
-    classes: tuple[ClassEntry, ...]
+    __slots__ = ("context", "degree", "filter_desc", "classes")
+
+    def __init__(self, context: str, degree: int, filter_desc: str, classes: tuple):
+        self.context, self.degree = context, degree
+        self.filter_desc, self.classes = filter_desc, classes
 
     @property
     def count(self) -> int:
@@ -105,10 +104,11 @@ class ClassInventory:
         }
 
 
-@dataclass(frozen=True)
 class VarietyCensus:
-    params: VarietyParams
-    groups: tuple[CayleyGroup, ...]
+    __slots__ = ("params", "groups")
+
+    def __init__(self, params: VarietyParams, groups: tuple[CayleyGroup, ...]):
+        self.params, self.groups = params, groups
 
     @property
     def count(self) -> int:

@@ -10,7 +10,6 @@ facts from the built group and reports each check separately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .bounds import printable
 from .cayley import TABLE_LIMIT, CayleyGroup, _power, cayley_from, in_variety
@@ -35,15 +34,13 @@ CASE_AFFINE = "affine"
 DEGREE_LIMIT_DEFAULT = 16
 
 
-@dataclass(frozen=True)
 class PrimitiveSpec:
     """Parameters of one constructed primitive group."""
 
-    q: int
-    r: int
-    case: str
-    n: int
-    beta: int
+    __slots__ = ("q", "r", "case", "n", "beta")
+
+    def __init__(self, q: int, r: int, case: str, n: int, beta: int):
+        self.q, self.r, self.case, self.n, self.beta = q, r, case, n, beta
 
     def provenance(self) -> dict:
         return {

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -116,13 +115,22 @@ def _is_irreducible_int(poly, t):
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """A concrete GF(t^k): prime t, degree k, monic irreducible modulus."""
 
-    t: int
-    k: int
-    modulus: tuple[int, ...]
+    __slots__ = ("t", "k", "modulus")
+
+    def __init__(self, t: int, k: int, modulus: tuple[int, ...]):
+        self.t, self.k, self.modulus = t, k, modulus
+
+    def _key(self) -> tuple:
+        return self.t, self.k, self.modulus
+
+    def __eq__(self, other):
+        return type(other) is FieldSpec and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def s(self) -> int:
@@ -158,12 +166,22 @@ class FieldSpec:
         return {"t": self.t, "k": self.k, "modulus": list(self.modulus)}
 
 
-@dataclass(frozen=True)
 class FieldElem:
     """Element of GF(t^k): k coefficients on the basis 1, x, ..., x^(k-1)."""
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("spec", "coeffs")
+
+    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+        self.spec, self.coeffs = spec, coeffs
+
+    def _key(self) -> tuple:
+        return self.spec, self.coeffs
+
+    def __eq__(self, other):
+        return type(other) is FieldElem and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def _check(self, other):
         if self.spec != other.spec:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
@@ -91,15 +90,23 @@ def _row_sub(tab, row, factor, other) -> list[int]:
     return [tab.sub[a][mf[b]] for a, b in zip(row, other)]
 
 
-@dataclass(frozen=True)
 class MatGroup:
     """Matrix group with its full element set cached (desk scale): its
     canonical generators and its sorted elements, as matrix codes."""
 
-    spec: FieldSpec
-    alpha: int
-    generators: tuple[tuple[int, ...], ...]
-    _codes: tuple[tuple[int, ...], ...]
+    __slots__ = ("spec", "alpha", "generators", "_codes")
+
+    def __init__(self, spec: FieldSpec, alpha: int, generators: tuple, _codes: tuple):
+        self.spec, self.alpha, self.generators, self._codes = spec, alpha, generators, _codes
+
+    def _key(self) -> tuple:
+        return self.spec, self.alpha, self.generators, self._codes
+
+    def __eq__(self, other):
+        return type(other) is MatGroup and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def order(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import bounds as bnd
 from . import census, construct, matgrp, perm
@@ -26,13 +25,13 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass
 class CriterionOutcome:
-    cid: str
-    description: str
-    status: str = PASS
-    details: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("cid", "description", "status", "details", "elapsed")
+
+    def __init__(self, cid: str, description: str, status: str = PASS, details=None, elapsed=0.0):
+        self.cid, self.description, self.status = cid, description, status
+        self.details: list[str] = [] if details is None else details
+        self.elapsed = elapsed
 
     def note(self, line: str):
         self.details.append(line)

@@ -15,7 +15,7 @@ from agroups.bounds import (
     theorem_a_bound,
 )
 from agroups.cayley import VarietyParams
-from agroups.errors import InvalidParams
+from agroups.errors import InvalidParams, LimitExceeded
 
 
 def approx(bound):
@@ -222,3 +222,9 @@ def test_to_json_prints_exact_values_up_to_the_printed_digits():
     assert widest.to_json()["exact"] == 10**4299
     assert "exact" not in LogBound.build(0, {10: 4300}).to_json()
     assert "exact" not in LogBound.build(0, {2: 10**6}).to_json()
+
+
+def test_to_json_refuses_a_term_base_too_long_to_print():
+    assert LogBound.build(0, {10**4300 - 1: 1}).to_json()["terms"][0]["base"] == 10**4300 - 1
+    with pytest.raises(LimitExceeded, match="10001 decimal digits, over the print limit"):
+        LogBound.build(0, {10**10000: Fraction(1, 2)}).to_json()

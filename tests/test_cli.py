@@ -389,6 +389,20 @@ def test_check_bounds_leaves_out_n_too_long_to_print(capsys):
     assert rep["parameters"]["n"] == 9409
 
 
+@pytest.mark.parametrize("exponents", [["--beta", "1"], ["--gamma", "2"]], ids=["beta", "gamma"])
+def test_check_bounds_refuses_a_term_base_too_long_to_print(capsys, exponents):
+    # theorem A has the term (n, beta + gamma): n = 97^3000 * ... has 5,961+ digits
+    err = one_error_line(
+        capsys, "check-bounds", "--formula", "theorem-a",
+        "--p", "97", "--q", "3", "--r", "5", "--alpha", "3000", *exponents,
+    )
+    digits = 5961 if exponents[0] == "--beta" else 5962
+    assert err == (
+        f"error: LimitExceeded: a term base of the bound has {digits} decimal digits,"
+        " over the print limit PRINTED_DIGITS = 4300"
+    )
+
+
 def test_check_bounds_leaves_out_an_exact_value_too_long_to_print(capsys):
     code, rep = run_json(
         capsys, "check-bounds", "--formula", "theorem-a",
