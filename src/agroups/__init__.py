@@ -14,7 +14,6 @@ from .cayley import (
     CayleyGroup,
     VarietyParams,
     are_isomorphic,
-    cayley_from,
     in_variety,
     quotient,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "VarietyCensus",
     "VarietyParams",
     "are_isomorphic",
-    "cayley_from",
     "classify_elem_abelian_r",
     "closure",
     "compare_count",

@@ -1,11 +1,11 @@
 """Abstract finite groups as multiplication tables.
 
 Subgroups of a table group are frozensets of element indices. The subgroup
-kernel here (closure, coset extension, greedy generators, normal closure,
-verbal subgroups, lattice scan, conjugation orbits, conjugator scan, Fitting
-subgroup) runs on any group given by a product, an identity and an inverse,
-so the permutation and matrix layers bind it to their codes instead of
-keeping copies, and the table of one of their groups is read off its codes.
+kernel here (closure, coset extension, greedy and canonical generators,
+normal closure, verbal subgroups, lattice scan, conjugation orbits,
+conjugator scan, Fitting subgroup) runs on any group given by a product, an
+identity and an inverse, so the permutation and matrix layers bind it to
+their codes instead of keeping copies or building tables.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
 into GL, on matrix codes, for the census oracle. Each backtracking level
@@ -169,19 +169,6 @@ def direct_product_table(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
     return CayleyGroup(table, G.identity * m + H.identity)
 
 
-def cayley_from(source) -> CayleyGroup:
-    """Multiplication table of a PermGroup or MatGroup over its canonical
-    element codes, multiplied by its ops; index 0..order-1 in canonical
-    element order."""
-    if source.order > TABLE_LIMIT:
-        raise LimitExceeded(f"order {source.order} exceeds table limit {TABLE_LIMIT}")
-    elems, ops = source.codes(), source.ops
-    index = {e: i for i, e in enumerate(elems)}
-    mul = ops.mul
-    table = tuple(tuple(index[mul(a, b)] for b in elems) for a in elems)
-    return CayleyGroup(table, index[ops.identity])
-
-
 # ---------------------------------------------------------------------------
 # the subgroup kernel
 #
@@ -276,6 +263,15 @@ def greedy_generators(G, elems, key=None) -> list:
     return gens
 
 
+def canonical_generators(G, elems) -> list:
+    """The greedy generators of the subgroup elems taken by decreasing
+    element order, then by element: the generators every permutation,
+    matrix and table group is reported and searched by."""
+    elems = list(elems)
+    order = dict(zip(elems, _element_orders(G, elems)))
+    return greedy_generators(G, elems, key=lambda x: (-order[x], x))
+
+
 def normal_closure(G, seeds, ambient_gens) -> tuple[frozenset, list]:
     """Smallest subgroup containing the seeds and normalised by ambient_gens,
     with the generators it was built from. Only generators are conjugated,
@@ -359,9 +355,12 @@ def _coset_class(G, sub, x, index) -> int:
     return sum(1 << i for i in positions)
 
 
-def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators=None) -> dict:
-    """Every subgroup generated by universe elements, breadth first. Maps
-    each subgroup to the generators that built it, in discovery order.
+def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators=()) -> dict:
+    """The subgroups generated by universe elements, breadth first, up to
+    conjugacy under the group the conjugators generate (by default none:
+    every subgroup is its own class). Maps the first subgroup found in each
+    class to the generators that built it, in discovery order, and its class
+    as a conjugation_orbit.
 
     Subgroups above cap elements, or rejected by keep(subgroup), are neither
     recorded nor extended further. Rejection by keep must be upward-closed,
@@ -375,12 +374,10 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators
     so it is rejected too). The skipped extensions would have changed
     nothing, so the result is that of extending by every universe element.
 
-    Given conjugators (a possibly empty list), the scan runs up to conjugacy
-    under the group they generate, which must leave the universe and keep
-    invariant: only the first subgroup found in each class is recorded and
-    extended, and it maps to (generators, its class as a conjugation_orbit).
-    This misses no class: if K = <H^g, x>, then K^(g^-1) = <H, x^(g^-1)> is
-    an extension of H by a universe element.
+    The conjugators must leave the universe and keep invariant: only the
+    first subgroup found in each class is recorded and extended. This misses
+    no class: if K = <H^g, x>, then K^(g^-1) = <H, x^(g^-1)> is an extension
+    of H by a universe element.
     """
     index = {x: i for i, x in enumerate(universe)}
     trivial = frozenset({G.identity})
@@ -410,18 +407,13 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators
                 if bigger not in found:
                     seen[bigger] = gens + (x,)
                     below[bigger] = 0
-                    if conjugators is None:
-                        found.add(bigger)
-                    else:
-                        orbits[bigger] = conjugation_orbit(G, bigger, conjugators)
-                        found.update(orbits[bigger])
+                    orbits[bigger] = conjugation_orbit(G, bigger, conjugators)
+                    found.update(orbits[bigger])
                 if bigger in below:  # a class representative not extended yet
                     reached.append(bigger)  # it inherits rejections
             for bigger in reached:
                 below[bigger] |= rejected
         frontier = below
-    if conjugators is None:
-        return seen
     return {sub: (gens, orbits[sub]) for sub, gens in seen.items()}
 
 
@@ -542,8 +534,7 @@ def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:
 
 
 def minimal_generating_sequence(G: CayleyGroup) -> list[int]:
-    orders = G.element_orders
-    return greedy_generators(G, range(G.order), key=lambda a: (-orders[a], a))
+    return canonical_generators(G, range(G.order))
 
 
 def _hom_search(G, gens, candidates_per_gen, mul, identity_image, injective, find_all):

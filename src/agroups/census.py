@@ -31,7 +31,6 @@ from .cayley import (
     CayleyGroup,
     VarietyParams,
     are_isomorphic,
-    cayley_from,
     conjugation_orbit,
     cyclic_table,
     elementary_abelian_table,
@@ -46,9 +45,9 @@ from .gf import FieldSpec, field_make, is_prime, prime_factors
 from .matgrp import (
     GL_BRUTE_LIMIT,
     MatGroup,
+    _greedy_gens,
     gl_elements,
     gl_generators,
-    group_from_mats,
     is_irreducible,
     mat_ops,
 )
@@ -344,12 +343,13 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
 
 @lru_cache(maxsize=8)
 def _gl_lattice(alpha: int, spec: FieldSpec):
-    """The table of GL(alpha, s) over its gl_elements codes, and its
-    subgroups with their generators, as table indices."""
-    codes = gl_elements(alpha, spec, GL_BRUTE_LIMIT)
-    table = cayley_from(MatGroup(spec, alpha, gl_generators(alpha, spec, GL_BRUTE_LIMIT), codes))
-    lattice = subgroup_lattice(table, range(table.order))
-    return table, sorted(lattice.items(), key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))
+    """Every subgroup of GL(alpha, s) with the generators that built it, as
+    matrix codes, by order and then by sorted codes."""
+    lattice = subgroup_lattice(mat_ops(alpha, spec), gl_elements(alpha, spec, GL_BRUTE_LIMIT))
+    return sorted(
+        ((sub, gens) for sub, (gens, _) in lattice.items()),
+        key=lambda kv: (len(kv[0]), sorted(kv[0])),
+    )
 
 
 def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
@@ -357,18 +357,17 @@ def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
     variety subgroup of GL(alpha, s), exhaustively over the subgroup lattice
     of the full linear group."""
     _check_pair(q, r)
-    table, lattice = _gl_lattice(alpha, spec)
-    codes = gl_elements(alpha, spec, GL_BRUTE_LIMIT)
+    ops = mat_ops(alpha, spec)
     out = []
-    for sub, gens in lattice:
-        if not in_variety(table, [q, r], gens):
+    for sub, gens in _gl_lattice(alpha, spec):
+        if not in_variety(ops, [q, r], gens):
             continue
-        group = group_from_mats(alpha, spec, [codes[i] for i in sub])
+        group = MatGroup(spec, alpha, _greedy_gens(ops, sub), tuple(sorted(sub)))
         out.append(
             {
                 "order": len(sub),
                 "irreducible": is_irreducible(group),
-                "fitting_order": len(fitting_subgroup(table, sub, gens)),
+                "fitting_order": len(fitting_subgroup(ops, sub, gens)),
             }
         )
     return out
@@ -389,9 +388,9 @@ def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     homomorphism are homomorphisms, so the orbit holds exactly the conjugate
     actions).
     """
-    field = field_make(u, 1)
     if dim == 0:
         return [None]
+    field = field_make(u, 1)
     # one cached GL for both calls: lru_cache keys on the arguments as passed
     gl = gl_elements(dim, field, GL_BRUTE_LIMIT)
     ops, gl_gens = mat_ops(dim, field), gl_generators(dim, field, GL_BRUTE_LIMIT)
@@ -452,22 +451,13 @@ def enumerate_variety_groups(
         xs = list(xs)
         return xs[::-1] if traversal == "reverse" else xs
 
-    R = elementary_abelian_table(r, g) if g else cyclic_table(1)
-    h_candidates = []
-    if b == 0:
-        h_candidates.append(R)
-    else:
-        for action in maybe_reverse(_action_orbit_reps(R, b, q)):
-            h_candidates.append(_split_extension(q, b, action, R))
-    h_reps = _dedup_isomorphism(maybe_reverse(h_candidates))
-
-    g_candidates = []
-    for H in h_reps:
-        if a == 0:
-            g_candidates.append(H)
-            continue
-        for action in maybe_reverse(_action_orbit_reps(H, a, p)):
-            g_candidates.append(_split_extension(p, a, action, H))
-    reps = _dedup_isomorphism(maybe_reverse(g_candidates))
+    reps = [elementary_abelian_table(r, g) if g else cyclic_table(1)]
+    for u, dim in ((q, b), (p, a)):  # the Q layer on R, then the P layer
+        candidates = [
+            _split_extension(u, dim, action, H)
+            for H in reps
+            for action in maybe_reverse(_action_orbit_reps(H, dim, u))
+        ]
+        reps = _dedup_isomorphism(maybe_reverse(candidates))
     reps.sort(key=lambda t: sorted(t.element_orders))
     return VarietyCensus(params, tuple(reps))

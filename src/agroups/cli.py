@@ -33,17 +33,9 @@ def _field_from_s(s: int):
 
 def _checks_to_claims(verification: dict) -> list[dict]:
     failed = [c["name"] for c in verification["checks"] if not c["passed"]]
-    if failed:
-        return [
-            report.claim(
-                "primitive-structure",
-                report.STATUS_VIOLATED,
-                notes="failed checks: " + ", ".join(failed),
-                witness={"checks": verification["checks"]},
-            )
-        ]
-    notes = "; ".join(verification["notes"]) if verification["notes"] else ""
-    return [report.claim("primitive-structure", report.STATUS_VERIFIED, notes=notes)]
+    notes = "failed checks: " + ", ".join(failed) if failed else "; ".join(verification["notes"])
+    witness = {"checks": verification["checks"]}
+    return [report.verdict("primitive-structure", not failed, notes, witness)]
 
 
 def _cmd_construct_primitive(args) -> dict:
@@ -105,53 +97,41 @@ def _cmd_classify_gl(args) -> dict:
     built = matgrp.maximal_ar_subgroup(alpha, spec, r)
     d = multiplicative_order(spec.s, r)
 
-    claims = []
-    claims.append(
-        report.claim(
+    claims = [
+        report.verdict(
             "gl-maximal-single-class",
-            report.STATUS_VERIFIED if len(reps) <= 1 else report.STATUS_VIOLATED,
-            notes=f"{len(reps)} classes found",
-            witness=None if len(reps) <= 1 else [matgrp.matgroup_to_json(g) for g in reps],
-        )
-    )
-    claims.append(
-        report.claim(
+            len(reps) <= 1,
+            f"{len(reps)} classes found",
+            [matgrp.matgroup_to_json(g) for g in reps],
+        ),
+        report.verdict(
             "gl-irreducible-single-class",
-            report.STATUS_VERIFIED if len(irreducible) <= 1 else report.STATUS_VIOLATED,
-            notes=f"{len(irreducible)} irreducible classes found",
-            witness=None
-            if len(irreducible) <= 1
-            else [matgrp.matgroup_to_json(g) for g in irreducible],
-        )
-    )
+            len(irreducible) <= 1,
+            f"{len(irreducible)} irreducible classes found",
+            [matgrp.matgroup_to_json(g) for g in irreducible],
+        ),
+    ]
     if alpha % d != 0:
-        if reps:
-            claims.append(
-                report.claim(
-                    "gl-nonexistence-when-dimension-indivisible",
-                    report.STATUS_VIOLATED,
-                    notes=f"order of s mod r is {d}, alpha = {alpha}, yet classes exist"
-                    " (known discrepancy; the oracle is ground truth)",
-                    witness=matgrp.matgroup_to_json(reps[0]),
-                )
+        claims.append(
+            report.verdict(
+                "gl-nonexistence-when-dimension-indivisible",
+                not reps,
+                f"order of s mod r is {d}, alpha = {alpha}, yet classes exist"
+                " (known discrepancy; the oracle is ground truth)"
+                if reps
+                else f"no elementary abelian {r}-subgroups, d = {d}",
+                matgrp.matgroup_to_json(reps[0]) if reps else None,
             )
-        else:
-            claims.append(
-                report.claim(
-                    "gl-nonexistence-when-dimension-indivisible",
-                    report.STATUS_VERIFIED,
-                    notes=f"no elementary abelian {r}-subgroups, d = {d}",
-                )
-            )
+        )
 
     count_bound = bnd.remark43_gl_bound(spec.s, alpha)
     verdict = bnd.compare_count(len(reps), count_bound)
     claims.append(
-        report.claim(
+        report.verdict(
             "gl-class-count-bound",
-            report.STATUS_VERIFIED if verdict == "LE" else report.STATUS_VIOLATED,
-            notes=f"{len(reps)} classes vs the explicit count bound",
-            witness=None if verdict == "LE" else {"classes": len(reps)},
+            verdict == "LE",
+            f"{len(reps)} classes vs the explicit count bound",
+            {"classes": len(reps)},
         )
     )
 
@@ -191,11 +171,11 @@ def _cmd_census(args) -> dict:
     bound = bnd.theorem_a_bound(params)
     verdict = bnd.compare_count(cen.count, bound)
     claims = [
-        report.claim(
+        report.verdict(
             "census-count-bound",
-            report.STATUS_VERIFIED if verdict == "LE" else report.STATUS_VIOLATED,
-            notes=f"count {cen.count} vs the isomorphism-count bound",
-            witness=None if verdict == "LE" else {"count": cen.count},
+            verdict == "LE",
+            f"count {cen.count} vs the isomorphism-count bound",
+            {"count": cen.count},
         )
     ]
     notes = []

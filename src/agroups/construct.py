@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .bounds import printable
-from .cayley import TABLE_LIMIT, CayleyGroup, _power, cayley_from, in_variety
+from .cayley import TABLE_LIMIT, CayleyGroup, _power, in_variety
 from .errors import (
     DegreeLimit,
     LimitExceeded,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gf import field_make, is_prime, multiplicative_order, prime_factors
 from .matgrp import mat_ops, singer_generator
-from .perm import PermGroup, code_order, fitting_subgroup, minimal_normal_subgroups
+from .perm import PermGroup, code_order, fitting_subgroup, minimal_normal_subgroups, perm_ops
 
 CASE_CYCLIC_R = "cyclic-r"
 CASE_CYCLIC_Q = "cyclic-q"
@@ -120,8 +120,10 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
         raise NotPrimitive("group is not transitive")
     if not primitive:
         raise NotPrimitive(f"group has a nontrivial block: {sorted(G.primitivity_block())}")
-    table = cayley_from(G)
-    if not in_variety(table, [q, r]):
+    # the budget of the element-by-element checks below
+    if G.order > TABLE_LIMIT:
+        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
+    if not in_variety(perm_ops(G.degree), [q, r], G.generators):
         raise NotInVariety(f"group is not in the [{q}, {r}] variety")
 
     n = G.degree

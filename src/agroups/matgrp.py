@@ -28,7 +28,9 @@ from types import SimpleNamespace
 from .bounds import printable
 from .cayley import (
     _abelian_of_exponent,
+    _element_orders,
     _power,
+    canonical_generators,
     first_conjugator,
     greedy_generators,
     subgroup_closure,
@@ -191,27 +193,11 @@ def mat_ops(alpha: int, spec: FieldSpec) -> SimpleNamespace:
     )
 
 
-def _code_order(ops, code) -> int:
-    e, x = 1, code
-    while x != ops.identity:
-        x = ops.mul(x, code)
-        e += 1
-        if e > GL_BRUTE_LIMIT:
-            raise LimitExceeded("element order exceeds scan limit")
-    return e
-
-
 def _greedy_gens(ops, codes) -> tuple:
     """The generators of the MatGroup of a subgroup given by its matrix
-    codes: greedy generators taken in order of decreasing element order,
-    sorted (the identity alone for the trivial group)."""
-    gens = greedy_generators(ops, codes, key=lambda c: (-_code_order(ops, c), c))
-    return tuple(sorted(gens)) or (ops.identity,)
-
-
-def group_from_mats(alpha: int, spec: FieldSpec, codes) -> MatGroup:
-    """The subgroup with the given matrix codes, on its _greedy_gens."""
-    return closure(alpha, spec, _greedy_gens(mat_ops(alpha, spec), codes))
+    codes: its canonical generators, sorted (the identity alone for the
+    trivial group)."""
+    return tuple(sorted(canonical_generators(ops, codes))) or (ops.identity,)
 
 
 def _span_with(span: set, vec, tab) -> set:
@@ -356,10 +342,8 @@ def singer_generator(alpha: int, spec: FieldSpec) -> tuple[int, ...]:
         raise LimitExceeded(f"s^alpha = {size} exceeds limit {SPIN_LIMIT}")
     if alpha == 1:
         # GL(1, s): first generator of the multiplicative group
-        for c in range(1, spec.s):
-            if _code_order(mat_ops(1, spec), (c,)) == spec.s - 1:
-                return (c,)
-        raise AssertionError("multiplicative group of a field is cyclic; unreachable")
+        units = [(c,) for c in range(1, spec.s)]
+        return units[_element_orders(mat_ops(1, spec), units).index(spec.s - 1)]
     tab = spec.tables
     modulus = _ext_modulus(spec, alpha)
     order = size - 1
@@ -448,7 +432,7 @@ def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int, limit: int) -> 
     filter it. The universe, cap and keep of the scan are conjugation
     invariant, so it runs under GL's generators: one subgroup per class is
     extended and tested, and the class member least by its _greedy_gens is
-    the one made a MatGroup."""
+    the one made a MatGroup, from its own codes."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
     if r == spec.t:
@@ -468,8 +452,11 @@ def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int, limit: int) -> 
     for sub, (gens, orbit) in lattice.items():
         # maximal iff no order-r element outside commutes with the generators
         maximal = all(y in sub or any(mul(y, g) != mul(g, y) for g in gens) for y in order_r)
-        classes.append((len(sub), min(_greedy_gens(ops, s) for s in orbit), maximal))
-    return tuple((closure(alpha, spec, gens), maximal) for _, gens, maximal in sorted(classes))
+        least, member = min(((_greedy_gens(ops, m), m) for m in orbit), key=lambda gm: gm[0])
+        group = MatGroup(spec, alpha, least, tuple(sorted(member)))
+        classes.append((len(sub), least, group, maximal))
+    classes.sort(key=lambda c: c[:2])
+    return tuple((group, maximal) for _, _, group, maximal in classes)
 
 
 def classify_elem_abelian_r(

@@ -33,7 +33,6 @@ from .errors import DegreeMismatch, LimitExceeded, NotTransitive
 from .gf import is_prime
 
 EXHAUSTIVE_ORDER_LIMIT = 20160
-EXHAUSTIVE_DEGREE_LIMIT = 10
 CONJUGACY_DEGREE_LIMIT = 8
 
 
@@ -344,9 +343,8 @@ def extend_set(
 
 
 def greedy_generators(degree: int, elems) -> list[tuple]:
-    """Small canonical generating list of a code set: scan it by decreasing
-    order."""
-    return cayley.greedy_generators(perm_ops(degree), elems, key=lambda c: (-code_order(c), c))
+    """The canonical generators of a subgroup given as a code set."""
+    return cayley.canonical_generators(perm_ops(degree), elems)
 
 
 def group_from_set(degree: int, elems) -> PermGroup:
@@ -392,20 +390,12 @@ def subgroup_conjugate(A: PermGroup, B: PermGroup) -> tuple[int, ...] | None:
 # normal structure (exhaustive oracles)
 
 
-def _check_exhaustive(G: PermGroup):
-    if G.degree > EXHAUSTIVE_DEGREE_LIMIT:
-        raise LimitExceeded(
-            f"degree {G.degree} exceeds exhaustive degree limit {EXHAUSTIVE_DEGREE_LIMIT}"
-        )
-
-
 def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
     """All minimal nontrivial normal subgroups.
 
     Candidates are normal closures of prime-order elements (every nontrivial
     normal subgroup contains one), reduced to the minimal members.
     """
-    _check_exhaustive(G)
     ops = perm_ops(G.degree)
     closures: dict[tuple, frozenset] = {}
     for g in G.codes():
@@ -424,7 +414,6 @@ def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
 
 def fitting_subgroup(G: PermGroup) -> PermGroup:
     """Largest nilpotent normal subgroup: join of the normal u-radicals."""
-    _check_exhaustive(G)
     fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(), G.generators)
     return group_from_set(G.degree, fitting)
 

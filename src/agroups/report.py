@@ -126,6 +126,14 @@ def claim(claim_id: str, status: str, notes: str = "", witness=None) -> dict:
     return entry
 
 
+def verdict(claim_id: str, holds: bool, notes: str, witness) -> dict:
+    """A pass/fail claim: verified when it holds, else violated with the
+    witness."""
+    if holds:
+        return claim(claim_id, STATUS_VERIFIED, notes)
+    return claim(claim_id, STATUS_VIOLATED, notes, witness)
+
+
 def build_report(task: str, parameters: dict, results: dict, claims: list[dict],
                  bound_checks: list[dict] | None = None) -> dict:
     """The report of one task; the CLI sets "timing" itself under --timing."""

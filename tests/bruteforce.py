@@ -7,7 +7,8 @@ run it too; it shares no code with the block search it checks. The two
 exceptions check an engine reduction, not its parts: unreduced_census builds
 the census from every action with the engine's tables, and pairwise_inventory
 builds the S_n inventories from every subgroup with the engine's lattice scan
-(no conjugators) and filters.
+(no conjugators) and filters. table_of builds the tests' table fixtures with
+a group's own product.
 """
 
 import functools
@@ -51,6 +52,17 @@ def naive_closure(degree, gens):
                     new.append(y)
         frontier = new
     return elems
+
+
+def table_of(group):
+    """The multiplication table of a PermGroup or MatGroup over its sorted
+    element codes, multiplied by its ops: the tests' table fixtures."""
+    from agroups.cayley import CayleyGroup
+
+    elems, ops = group.codes(), group.ops
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(index[ops.mul(a, b)] for b in elems) for a in elems)
+    return CayleyGroup(table, index[ops.identity])
 
 
 def perm_order(a):
@@ -511,7 +523,8 @@ def full_sn_scan(n, primes, cap, fpf_only):
         if (not fpf_only or fixed_point_free(g)) and code_order(g) in primes
     ]
     keep = census._scan_keep(n, primes, fpf_only)
-    return tuple(subgroup_lattice(perm_ops(n), universe, cap, keep).items())
+    scan = subgroup_lattice(perm_ops(n), universe, cap, keep)
+    return tuple((elems, gens) for elems, (gens, _) in scan.items())
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,7 +533,7 @@ def regular_normal_candidates(n):
     T the least regular elementary abelian subgroup (all of them checked
     conjugate), S every subgroup of the point stabiliser of N(T), found from
     a scan of all of S_n and the stabiliser's multiplication table."""
-    from agroups.cayley import all_subgroups, cayley_from, conjugation_orbit
+    from agroups.cayley import all_subgroups, conjugation_orbit
     from agroups.perm import extend_set, greedy_generators, group_from_set, perm_ops, set_key
 
     u = min(p for p in range(2, n + 1) if n % p == 0)
@@ -538,7 +551,7 @@ def regular_normal_candidates(n):
     stab = group_from_set(n, normalizer).point_stabilizer(1)
     stab_codes = stab.codes()
     out = []
-    for sub in all_subgroups(cayley_from(stab)):
+    for sub in all_subgroups(table_of(stab)):
         elems, gens = T, list(t_gens)
         for x in sorted(stab_codes[i] for i in sub):
             if x not in elems:

@@ -12,7 +12,6 @@ from agroups.cayley import (
     VarietyParams,
     all_subgroups,
     are_isomorphic,
-    cayley_from,
     cyclic_table,
     direct_product_table,
     elementary_abelian_table,
@@ -22,7 +21,7 @@ from agroups.cayley import (
     subgroup_closure,
     verbal_subgroup,
 )
-from agroups.errors import InvalidParams, LimitExceeded, NotNormal
+from agroups.errors import InvalidParams, NotNormal
 from agroups.gf import field_make
 from agroups.perm import PermGroup, parse_cycles, perm_ops
 
@@ -34,32 +33,23 @@ def pgroup(degree, *texts):
     return PermGroup(degree, [parse_cycles(t, degree) for t in texts])
 
 
-S3 = cayley_from(pgroup(3, "(1 2 3)", "(1 2)"))
-A4 = cayley_from(pgroup(4, "(1 2 3)", "(2 3 4)"))
+S3 = bf.table_of(pgroup(3, "(1 2 3)", "(1 2)"))
+A4 = bf.table_of(pgroup(4, "(1 2 3)", "(2 3 4)"))
 C6 = cyclic_table(6)
 
 
 # -- construction and validation ------------------------------------------------
 
 
-def test_cayley_from_s3():
-    assert S3.order == 6
-    assert not S3.is_abelian()
-
-
-def test_cayley_from_trivial_and_singer():
-    triv = cayley_from(PermGroup(3, []))
-    assert triv.order == 1
-    gf2 = field_make(2, 1)
-    singer = cayley_from(matgrp.closure(2, gf2, [matgrp.singer_generator(2, gf2)]))
-    assert singer.order == 3
-    assert are_isomorphic(singer, cyclic_table(3))
-
-
-def test_cayley_from_limit():
-    big = pgroup(8, "(1 2 3 4 5 6 7 8)", "(1 2)")
-    with pytest.raises(LimitExceeded):
-        cayley_from(big)
+def test_canonical_generators_by_decreasing_order_then_code():
+    # the greedy pass over an independent order oracle: S4 and its subgroups
+    ops = perm_ops(4)
+    S4 = pgroup(4, "(1 2 3 4)", "(1 2)")
+    for sub in bf.naive_subgroup_lattice(ops, S4.codes()):
+        expected = cayley.greedy_generators(
+            ops, sub, key=lambda c: (-bf.perm_order(bf.images(c)), c)
+        )
+        assert cayley.canonical_generators(ops, sub) == expected
 
 
 def test_validation_rejects_bad_tables():
@@ -158,7 +148,7 @@ def test_fingerprint_fields():
 
 
 def test_center_matches_all_pairs_definition():
-    D4 = cayley_from(pgroup(4, "(1 2 3 4)", "(1 3)"))
+    D4 = bf.table_of(pgroup(4, "(1 2 3 4)", "(1 3)"))
     C2xA4 = direct_product_table(cyclic_table(2), A4)
     for G in (S3, A4, C6, D4, C2xA4, direct_product_table(cyclic_table(4), S3)):
         n = G.order
@@ -201,8 +191,8 @@ def small_tables():
     from agroups.census import enumerate_variety_groups
     from agroups.selftest import CENSUS_CASES
 
-    D4 = cayley_from(pgroup(4, "(1 2 3 4)", "(1 3)"))
-    Q8 = cayley_from(pgroup(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"))
+    D4 = bf.table_of(pgroup(4, "(1 2 3 4)", "(1 3)"))
+    Q8 = bf.table_of(pgroup(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"))
     C, X = cyclic_table, direct_product_table
     # C4 x| C4, b inverting a: <a> is normal and <b> is not, so its elements
     # of order 4 fall into several automorphism classes
@@ -370,15 +360,15 @@ def test_in_variety_order_30_complete_classification():
     # the four groups of order 30, built independently; exactly two lie in
     # the [3, 2, 5] chain (the census count at that order)
     c30 = cyclic_table(30)
-    d15 = cayley_from(
+    d15 = bf.table_of(
         pgroup(
             15,
             "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)",
             "(2 15)(3 14)(4 13)(5 12)(6 11)(7 10)(8 9)",
         )
     )
-    d5 = cayley_from(pgroup(5, "(1 2 3 4 5)", "(2 5)(3 4)"))
-    s3 = cayley_from(pgroup(3, "(1 2 3)", "(1 2)"))
+    d5 = bf.table_of(pgroup(5, "(1 2 3 4 5)", "(2 5)(3 4)"))
+    s3 = bf.table_of(pgroup(3, "(1 2 3)", "(1 2)"))
     c3xd5 = direct_product_table(cyclic_table(3), d5)
     c5xs3 = direct_product_table(cyclic_table(5), s3)
     for G in (c30, d15, c3xd5, c5xs3):
@@ -431,7 +421,7 @@ def test_fitting_indices_matches_permutation_route():
         pgroup(6, "(1 2 3 4 5 6)", "(2 6)(3 5)"),
         pgroup(4, "(1 2 3 4)", "(1 2)"),
     ]:
-        table = cayley_from(G)
+        table = bf.table_of(G)
         elems = list(map(bf.images, G.codes()))
         F = cayley.fitting_subgroup(table, range(table.order), table.generators)
         expected = bf.naive_fitting_subgroup(G.degree, set(elems))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from agroups import census, perm
-from agroups.cayley import VarietyParams, are_isomorphic, cayley_from, cyclic_table, direct_product_table, elementary_abelian_table, in_variety
+from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, cyclic_table, direct_product_table, elementary_abelian_table, in_variety
 from agroups.census import (
     enumerate_primitive_ar_classes,
     enumerate_primitive_classes,
@@ -307,6 +307,20 @@ def test_gl_variety_details_fitting_orders():
             assert d["fitting_order"] == d["order"]
 
 
+def test_gl_variety_details_build_no_table(monkeypatch):
+    # GL's lattice is scanned on matrix codes, and each member's MatGroup is
+    # made from its codes
+    spec = field_make(3, 1)
+    expected = census.gl_variety_subgroup_details(2, spec, 3, 2)
+    census._gl_lattice.cache_clear()
+
+    def refuse(*_):
+        raise AssertionError("a multiplication table was built")
+
+    monkeypatch.setattr(CayleyGroup, "__init__", refuse)
+    assert census.gl_variety_subgroup_details(2, spec, 3, 2) == expected
+
+
 # -- the three-prime census ----------------------------------------------------------------
 
 
@@ -327,7 +341,7 @@ def test_census_6_as_5_2_3():
 def test_census_12():
     cen = enumerate_variety_groups(VarietyParams(2, 3, 5, 2, 1, 0))
     assert cen.count == 2
-    a4 = cayley_from(pgroup(4, "(1 2 3)", "(2 3 4)"))
+    a4 = bf.table_of(pgroup(4, "(1 2 3)", "(2 3 4)"))
     assert any(are_isomorphic(t, a4) for t in cen.groups)
     c2c2c3 = direct_product_table(elementary_abelian_table(2, 2), cyclic_table(3))
     assert any(are_isomorphic(t, c2c2c3) for t in cen.groups)
@@ -343,7 +357,7 @@ def test_census_60():
     cen = enumerate_variety_groups(VarietyParams(2, 3, 5, 2, 1, 1))
     assert cen.count == 2
     a4c5 = direct_product_table(
-        cayley_from(pgroup(4, "(1 2 3)", "(2 3 4)")), cyclic_table(5)
+        bf.table_of(pgroup(4, "(1 2 3)", "(2 3 4)")), cyclic_table(5)
     )
     assert any(are_isomorphic(t, a4c5) for t in cen.groups)
 
@@ -396,7 +410,7 @@ def test_census_matches_unreduced_oracle(params, traversal):
 def test_action_orbit_reps_are_the_gl_classes():
     # every action is GL-conjugate to exactly one kept action, found by
     # trying every element of GL on the generator images
-    S3 = cayley_from(pgroup(3, "(1 2 3)", "(1 2)"))
+    S3 = bf.table_of(pgroup(3, "(1 2 3)", "(1 2)"))
     V4 = elementary_abelian_table(2, 2)
     # V4: unordered pairs of its four characters; C7: trivial and two faithful
     for H, dim, u, expected in [(S3, 2, 3, 5), (V4, 2, 3, 10), (cyclic_table(7), 3, 2, 3)]:

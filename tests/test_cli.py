@@ -165,6 +165,31 @@ def test_construct_primitive(capsys):
     assert report.validate_report(rep) == []
 
 
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (["--q", "2", "--r", "5"], 16),
+        (["--q", "2", "--r", "11", "--case", "cyclic-r"], 11),
+        (["--q", "13", "--r", "2", "--case", "cyclic-q"], 13),
+    ],
+    ids=["affine-16", "cyclic-r-11", "cyclic-q-13"],
+)
+def test_construct_primitive_verifies_degrees_up_to_the_limit(capsys, argv, degree):
+    # the normal-structure checks are bounded by the group's order, not its degree
+    code, rep = run_json(capsys, "construct-primitive", *argv)
+    assert code == 0 and rep["results"]["degree"] == degree
+    assert [(c["claim"], c["status"]) for c in rep["claims"]] == [
+        ("primitive-structure", "verified")
+    ]
+
+
+def test_verify_primitive_eleven_cycle(capsys):
+    code, rep = run_json(
+        capsys, "verify-primitive", "--q", "2", "--r", "11", "--gens", "(1 2 3 4 5 6 7 8 9 10 11)"
+    )
+    assert code == 0 and rep["results"]["verification"]["case"] == "cyclic-r"
+
+
 def test_classify_gl_discrepancy_exit_zero(capsys):
     code, rep = run_json(capsys, "classify-gl", "--alpha", "3", "--s", "2", "--r", "3")
     assert code == 0
@@ -474,6 +499,14 @@ def test_exit_code_two_on_true_violation():
         ],
     )
     assert report.exit_code(flagged) == 0  # known discrepancy
+
+
+def test_verdict_carries_the_witness_only_when_violated():
+    witness = {"count": 7}
+    held = report.verdict("census-count-bound", True, "fine", witness)
+    assert held == report.claim("census-count-bound", report.STATUS_VERIFIED, notes="fine")
+    failed = report.verdict("census-count-bound", False, "too many", witness)
+    assert failed["status"] == report.STATUS_VIOLATED and failed["witness"] == witness
 
 
 def test_claim_registry_integrity():

@@ -1,7 +1,7 @@
 import pytest
 
 from agroups import perm
-from agroups.cayley import are_isomorphic, cayley_from, cyclic_table, direct_product_table
+from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table, direct_product_table
 from agroups.construct import (
     CASE_AFFINE,
     CASE_CYCLIC_Q,
@@ -17,6 +17,8 @@ from agroups.errors import (
     SamePrime,
 )
 from agroups.perm import PermGroup, parse_cycles
+
+import bruteforce as bf
 
 # GF(2) matrix codes: the identity, and the powers I, C, C^2 of the companion
 # matrix C of x^2 + x + 1
@@ -116,14 +118,14 @@ def test_semidirect_a4():
     c3 = cyclic_table(3)
     G = semidirect_product(2, 2, COMPANION_POWERS, c3)
     assert G.order == 12 and not G.is_abelian()
-    A4 = cayley_from(pgroup(4, "(1 2 3)", "(2 3 4)"))
+    A4 = bf.table_of(pgroup(4, "(1 2 3)", "(2 3 4)"))
     assert are_isomorphic(G, A4)
 
 
 def test_semidirect_s3():
     c2 = cyclic_table(2)
     G = semidirect_product(3, 1, [(1,), (2,)], c2)  # 2 is minus one
-    S3 = cayley_from(pgroup(3, "(1 2 3)", "(1 2)"))
+    S3 = bf.table_of(pgroup(3, "(1 2 3)", "(1 2)"))
     assert are_isomorphic(G, S3)
 
 
@@ -163,3 +165,14 @@ def test_semidirect_kernel_is_normal_elementary_abelian():
         for b in kernel:
             assert G.mul(a, b) == G.mul(b, a)
         assert G.mul(a, a) == G.identity or G.element_orders[a] == 1
+
+
+def test_verify_builds_no_table(monkeypatch):
+    # the variety membership and the normal structure run on permutation codes
+    spec, G = primitive_aqar_group(2, 7)
+
+    def refuse(*_):
+        raise AssertionError("a multiplication table was built")
+
+    monkeypatch.setattr(CayleyGroup, "__init__", refuse)
+    assert spec.n == 8 and verify_theorem_b(G, 2, 7)["all_passed"]

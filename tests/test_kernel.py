@@ -16,6 +16,8 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 from agroups import cayley  # noqa: E402
 from agroups.perm import PermGroup, parse_cycles, perm_ops  # noqa: E402
 
+import bruteforce as bf  # noqa: E402
+
 
 @st.composite
 def perm_gens(draw):
@@ -54,12 +56,12 @@ def test_variety_verdicts_match_witness_search_on_every_subgroup(n):
     cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
     Sn = PermGroup(n, [parse_cycles(cycle), parse_cycles("(1 2)", n)])
     elems = Sn.codes()
-    lattice = cayley.subgroup_lattice(cayley.cayley_from(Sn), range(len(elems)))
+    lattice = cayley.subgroup_lattice(bf.table_of(Sn), range(len(elems)))
     assert len(lattice) == {4: 30, 5: 156}[n]
     verdicts = set()
-    for gens in lattice.values():
+    for gens, _ in lattice.values():
         perms = [elems[i] for i in gens]
-        table = cayley.cayley_from(PermGroup(n, perms))
+        table = bf.table_of(PermGroup(n, perms))
         for chain in CHAINS:
             fast = cayley.in_variety(perm_ops(n), chain, perms)
             assert fast == cayley.in_variety_exhaustive(table, chain), (table.order, chain)

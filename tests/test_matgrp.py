@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroups import matgrp
-from agroups.cayley import _power
+from agroups.cayley import _element_orders, _power
 from agroups.errors import (
     CharacteristicConflict,
     DegreeMismatch,
@@ -242,7 +242,7 @@ def test_singer_irreducible_and_cyclic():
         assert S.order == spec.s**alpha - 1
         assert matgrp.is_irreducible(S)
         gen = matgrp.singer_generator(alpha, spec)
-        assert matgrp._code_order(mat_ops(alpha, spec), gen) == S.order
+        assert _element_orders(mat_ops(alpha, spec), [gen]) == [S.order]
 
 
 def test_singer_over_extension_field():
@@ -397,7 +397,9 @@ def unpruned_elem_abelian(alpha, t, k, r):
 
     naive = set(bf.naive_subgroup_lattice(ops, order_r_codes(ops, gl, r), r_part, commute))
     naive.discard(frozenset({ops.identity}))
-    groups = {h: matgrp.group_from_mats(alpha, spec, h) for h in sorted(naive, key=sorted)}
+    groups = {
+        h: closure(alpha, spec, matgrp._greedy_gens(ops, h)) for h in sorted(naive, key=sorted)
+    }
     maximal = [g for h, g in groups.items() if not any(h < big for big in naive)]
     return list(groups.values()), maximal
 
@@ -420,6 +422,18 @@ def test_classes_match_pairwise_conjugacy_partition(alpha, t, k, r):
     assert matgrp.irreducible_elem_abelian_r_classes(
         alpha, field_make(t, k), r
     ) == bf.pairwise_class_reps(irreducible, matgrp.conjugate_in_gl)
+
+
+def test_classification_runs_no_closure(monkeypatch):
+    # each class's MatGroup is made from the member codes the scan holds
+    expected = matgrp.classify_elem_abelian_r(3, GF2, 3)
+    matgrp._elem_abelian_r_classes.cache_clear()
+
+    def refuse(*_):
+        raise AssertionError("closure ran")
+
+    monkeypatch.setattr(matgrp, "closure", refuse)
+    assert matgrp.classify_elem_abelian_r(3, GF2, 3) == expected
 
 
 def test_gl_brute_force_limit():

@@ -396,10 +396,14 @@ def test_canonical_generators_independent_of_input_order():
     assert a.codes() == b.codes()
 
 
-def test_exhaustive_ops_respect_degree_limit():
-    wide = PermGroup(11, [P("(1 2 3 4 5 6 7 8 9 10 11)", 11)])
+def test_exhaustive_ops_are_bounded_by_order_not_degree():
+    # S8 lists more elements than EXHAUSTIVE_ORDER_LIMIT; C11 is cheap at any degree
+    S8 = PermGroup(8, [P("(1 2 3 4 5 6 7 8)", 8), P("(1 2)", 8)])
     with pytest.raises(LimitExceeded):
-        perm.minimal_normal_subgroups(wide)
+        perm.minimal_normal_subgroups(S8)
+    C11 = PermGroup(11, [P("(1 2 3 4 5 6 7 8 9 10 11)", 11)])
+    [M] = perm.minimal_normal_subgroups(C11)
+    assert M.codes() == C11.codes()
 
 
 # -- wire format -------------------------------------------------------------------
