@@ -43,7 +43,6 @@ from .construct import _check_pair, semidirect_product
 from .errors import DegreeLimit, InvalidParams, LimitExceeded, NotPrime
 from .gf import FieldSpec, field_make, is_prime, prime_factors
 from .matgrp import (
-    GL_BRUTE_LIMIT,
     MatGroup,
     _greedy_gens,
     gl_elements,
@@ -345,7 +344,7 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
 def _gl_lattice(alpha: int, spec: FieldSpec):
     """Every subgroup of GL(alpha, s) with the generators that built it, as
     matrix codes, by order and then by sorted codes."""
-    lattice = subgroup_lattice(mat_ops(alpha, spec), gl_elements(alpha, spec, GL_BRUTE_LIMIT))
+    lattice = subgroup_lattice(mat_ops(alpha, spec), gl_elements(alpha, spec))
     return sorted(
         ((sub, gens) for sub, (gens, _) in lattice.items()),
         key=lambda kv: (len(kv[0]), sorted(kv[0])),
@@ -391,9 +390,8 @@ def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     if dim == 0:
         return [None]
     field = field_make(u, 1)
-    # one cached GL for both calls: lru_cache keys on the arguments as passed
-    gl = gl_elements(dim, field, GL_BRUTE_LIMIT)
-    ops, gl_gens = mat_ops(dim, field), gl_generators(dim, field, GL_BRUTE_LIMIT)
+    gl = gl_elements(dim, field)
+    ops, gl_gens = mat_ops(dim, field), gl_generators(dim, field)
     reps, conjugate_keys = [], set()
     for hom in homomorphisms_to_mats(group, ops, gl):
         key = tuple(hom[x] for x in group.generators)

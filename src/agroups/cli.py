@@ -170,14 +170,21 @@ def _cmd_census(args) -> dict:
     cen = census.enumerate_variety_groups(params, "forward")
     bound = bnd.theorem_a_bound(params)
     verdict = bnd.compare_count(cen.count, bound)
-    claims = [
-        report.verdict(
+    if params.n == 1:
+        claim = report.claim(
+            "census-count-bound",
+            report.STATUS_OUT_OF_SCOPE,
+            notes="n = 1 lies outside the claim: the bound's factor 2^(alpha-1) makes it"
+            " 1/2 there, below the one trivial group",
+        )
+    else:
+        claim = report.verdict(
             "census-count-bound",
             verdict == "LE",
             f"count {cen.count} vs the isomorphism-count bound",
             {"count": cen.count},
         )
-    ]
+    claims = [claim]
     notes = []
     if params.alpha == 0:
         notes.append("alpha = 0: the alpha log alpha term is taken as 0 (degenerate input)")

@@ -25,15 +25,7 @@ class BadModulus(EngineError):
     pass
 
 
-class DivisionByZero(EngineError):
-    pass
-
-
 class FieldMismatch(EngineError):
-    pass
-
-
-class ZeroElement(EngineError):
     pass
 
 

@@ -20,15 +20,7 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    BadModulus,
-    DivisionByZero,
-    FieldMismatch,
-    LimitExceeded,
-    NotCoprime,
-    NotPrime,
-    ZeroElement,
-)
+from .errors import BadModulus, FieldMismatch, LimitExceeded, NotCoprime, NotPrime
 
 FIELD_SIZE_LIMIT = 10_000
 # matrix work runs on s x s index tables, about 26 MB in all at this size
@@ -136,15 +128,6 @@ class FieldSpec:
     def s(self) -> int:
         return self.t**self.k
 
-    def element(self, coeffs) -> "FieldElem":
-        coeffs = tuple(c % self.t for c in coeffs)
-        if len(coeffs) != self.k:
-            raise FieldMismatch(f"need {self.k} coefficients, got {len(coeffs)}")
-        return FieldElem(self, coeffs)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(self, (1,) + (0,) * (self.k - 1))
-
     def from_index(self, i: int) -> "FieldElem":
         """Element number i in the canonical order (base-t digits, c0 first)."""
         coeffs = []
@@ -167,7 +150,9 @@ class FieldSpec:
 
 
 class FieldElem:
-    """Element of GF(t^k): k coefficients on the basis 1, x, ..., x^(k-1)."""
+    """Element of GF(t^k): k coefficients on the basis 1, x, ..., x^(k-1).
+    Its polynomial +, -, unary - and * are what the index tables are read
+    from; the engine multiplies, inverts and takes orders on the tables."""
 
     __slots__ = ("spec", "coeffs")
 
@@ -194,9 +179,6 @@ class FieldElem:
             i = i * self.spec.t + c
         return i
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __add__(self, other):
         self._check(other)
         t = self.spec.t
@@ -222,40 +204,6 @@ class FieldElem:
                     prod[i + j] = (prod[i + j] + a * b) % t
         rem = _poly_mod_div(tuple(prod), self.spec.modulus, t)
         return FieldElem(self.spec, rem + (0,) * (k - len(rem)))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self) -> "FieldElem":
-        if self.is_zero():
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return self ** (self.spec.s - 2)
-
-    def order(self) -> int:
-        """Multiplicative order; divides s - 1."""
-        if self.is_zero():
-            raise ZeroElement("0 has no multiplicative order")
-        one = self.spec.one()
-        e, x = 1, self
-        while x != one:
-            x = x * self
-            e += 1
-        return e
-
-    def to_json(self) -> list:
-        return list(self.coeffs)
-
-    def __repr__(self):
-        return f"FieldElem{self.coeffs}"
 
 
 class FieldTables(NamedTuple):

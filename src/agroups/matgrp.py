@@ -12,7 +12,9 @@ made a MatGroup. Every product of two matrices runs through one function per
 dimension and field, straight-line source compiled on first use against the
 field's index tables. GL(alpha, s) is enumerated row by row, each row
 outside the span of the rows above it, so listing it costs work in
-proportion to |GL|, not s^(alpha^2) determinants. Irreducibility is decided
+proportion to |GL|, not s^(alpha^2) determinants. A Singer generator is
+the regular representation of a generator of GF(s^alpha)*, built row by row
+through the matrix of x and tested by its powers. Irreducibility is decided
 by spinning every line; conjugate_in_gl, the independent conjugacy check,
 runs the kernel's conjugator scan over all of GL(alpha, s) in entry order.
 Limits guard each entry point so a bad input fails fast instead of grinding.
@@ -28,7 +30,6 @@ from types import SimpleNamespace
 from .bounds import printable
 from .cayley import (
     _abelian_of_exponent,
-    _element_orders,
     _power,
     canonical_generators,
     first_conjugator,
@@ -206,14 +207,19 @@ def _span_with(span: set, vec, tab) -> set:
     return {tuple(tab.add[x][y] for x, y in zip(u, m)) for u in span for m in multiples}
 
 
-@lru_cache(maxsize=32)
 def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[tuple, ...]:
-    """All of GL(alpha, s) as matrix codes in entry order (cached),
-    enumerated row by row: no determinants, work in proportion to |GL|."""
+    """All of GL(alpha, s) as matrix codes in entry order, enumerated row by
+    row: no determinants, work in proportion to |GL|. The limit is checked on
+    every call; the list is cached once per (alpha, field)."""
     order = gl_order(alpha, spec)
     if order > limit:
         shown = f" = {order}" if printable(order) else ""
         raise LimitExceeded(f"|GL({alpha}, {spec.s})|{shown} exceeds brute-force limit {limit}")
+    return _gl_elements(alpha, spec)
+
+
+@lru_cache(maxsize=32)
+def _gl_elements(alpha: int, spec: FieldSpec) -> tuple[tuple, ...]:
     tab = spec.tables
     vectors = list(itertools.product(range(spec.s), repeat=alpha))
     # prefixes of linearly independent rows with their spans, in increasing
@@ -232,10 +238,11 @@ def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tup
 
 
 @lru_cache(maxsize=32)
-def gl_generators(alpha: int, spec: FieldSpec, limit: int) -> tuple:
+def gl_generators(alpha: int, spec: FieldSpec) -> tuple:
     """Greedy generators of GL(alpha, s) as matrix codes, in entry order:
-    orbits under conjugation by GL are orbits under these (cached)."""
-    return tuple(greedy_generators(mat_ops(alpha, spec), gl_elements(alpha, spec, limit)))
+    orbits under conjugation by GL are orbits under these (cached). Callers
+    check their limit with gl_elements first."""
+    return tuple(greedy_generators(mat_ops(alpha, spec), _gl_elements(alpha, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +303,13 @@ def is_irreducible(G: MatGroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Singer subgroups: multiplication by a generator of GF(s^alpha)*.
-# Polynomials over GF(s) are tuples of element indices, ascending degree.
-
-
-def _ext_poly_mul(a, b, modulus, tab):
-    prod = [0] * (2 * len(a) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = tab.add[prod[i + j]][tab.mul[ai][bj]]
-    return _ext_rem(prod, modulus, tab)
+# Singer subgroups: multiplication by a generator of GF(s^alpha)*. The field
+# is GF(s)[x]/(f), f the least monic irreducible polynomial of degree alpha
+# over GF(s), on the basis 1, x, ..., x^(alpha-1). Multiplication by g is the
+# regular representation of g: row i of its matrix is the coordinate vector
+# of x^i g, which is row i - 1 times the matrix of x, so mat_ops builds it
+# and takes its powers. Polynomials are tuples of element indices, ascending
+# degree.
 
 
 def _ext_rem(num, div, tab) -> tuple[int, ...]:
@@ -334,46 +337,27 @@ def _ext_modulus(spec: FieldSpec, degree: int):
 
 
 def singer_generator(alpha: int, spec: FieldSpec) -> tuple[int, ...]:
-    """The code of the matrix of multiplication by a generator of
-    GF(s^alpha)* on the canonical polynomial basis. Cyclic of order
-    s^alpha - 1."""
+    """The code of the matrix of multiplication by the first generator of
+    GF(s^alpha)* in coefficient order. Cyclic of order s^alpha - 1."""
     size = spec.s**alpha
     if size > SPIN_LIMIT:
         raise LimitExceeded(f"s^alpha = {size} exceeds limit {SPIN_LIMIT}")
-    if alpha == 1:
-        # GL(1, s): first generator of the multiplicative group
-        units = [(c,) for c in range(1, spec.s)]
-        return units[_element_orders(mat_ops(1, spec), units).index(spec.s - 1)]
-    tab = spec.tables
-    modulus = _ext_modulus(spec, alpha)
+    neg, ops = spec.tables.neg, mat_ops(alpha, spec)
+    # multiplication by x, the companion matrix of f: row i < alpha - 1 is
+    # x^(i+1), and the last row is x^alpha, the negated lower coefficients of f
+    x = _identity_entries(alpha)[alpha:] + tuple(neg[c] for c in _ext_modulus(spec, alpha)[:-1])
     order = size - 1
     crit = [order // u for u in prime_factors(order)]
-    ident = (1,) + (0,) * (alpha - 1)
-
-    def ext_pow(g, e):
-        result = ident
-        base = g
-        while e:
-            if e & 1:
-                result = _ext_poly_mul(result, base, modulus, tab)
-            base = _ext_poly_mul(base, base, modulus, tab)
-            e >>= 1
-        return result
-
-    gen = None
-    for cand in itertools.product(range(spec.s), repeat=alpha):
-        if any(cand) and all(ext_pow(cand, c) != ident for c in crit):
-            gen = cand
-            break
-    assert gen is not None
-    # row i is the coordinate vector of basis_i * gen
-    entries = []
-    basis_elem = ident
-    x = (0, 1) + (0,) * (alpha - 2)
-    for _ in range(alpha):
-        entries += _ext_poly_mul(basis_elem, gen, modulus, tab)
-        basis_elem = _ext_poly_mul(basis_elem, x, modulus, tab)
-    return tuple(entries)
+    for g in itertools.product(range(spec.s), repeat=alpha):
+        if not any(g):
+            continue
+        rows = [g]
+        for _ in range(alpha - 1):
+            rows.append(ops.apply(x, rows[-1]))
+        m = tuple(itertools.chain.from_iterable(rows))
+        if all(_power(ops, m, c) != ops.identity for c in crit):
+            return m
+    raise AssertionError("GF(s^alpha)* has no generator; unreachable")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +430,7 @@ def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int, limit: int) -> 
     # nonabelian subgroup has only nonabelian overgroups
     r_part = r ** prime_factors(gl_order(alpha, spec)).get(r, 0)
     keep = partial(_abelian_of_exponent, ops, u=r)
-    lattice = subgroup_lattice(ops, order_r, r_part, keep, gl_generators(alpha, spec, limit))
+    lattice = subgroup_lattice(ops, order_r, r_part, keep, gl_generators(alpha, spec))
     del lattice[frozenset({ident})]
     classes = []
     for sub, (gens, orbit) in lattice.items():

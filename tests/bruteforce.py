@@ -8,7 +8,8 @@ exceptions check an engine reduction, not its parts: unreduced_census builds
 the census from every action with the engine's tables, and pairwise_inventory
 builds the S_n inventories from every subgroup with the engine's lattice scan
 (no conjugators) and filters. table_of builds the tests' table fixtures with
-a group's own product.
+a group's own product. poly_singer_generator takes the engine's modulus of
+GF(s^alpha) over GF(s) and does the rest in its own polynomial ring.
 """
 
 import functools
@@ -271,6 +272,67 @@ def naive_det(a):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = total - term if inversions % 2 else total + term
     return total
+
+
+# -- Singer generators in GF(s)[x]/(f), polynomials of element indices ---------------
+
+
+def _ext_poly_mul(a, b, modulus, tab):
+    from agroups.matgrp import _ext_rem
+
+    prod = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = tab.add[prod[i + j]][tab.mul[ai][bj]]
+    return _ext_rem(prod, modulus, tab)
+
+
+def poly_singer_generator(alpha, spec):
+    """The code of the matrix of multiplication by the first generator of
+    GF(s^alpha)* in coefficient order: the generator found by its powers in
+    the polynomial ring, row i the coordinate vector of x^i times it."""
+    from agroups.gf import prime_factors
+    from agroups.matgrp import _ext_modulus
+
+    tab = spec.tables
+    if alpha == 1:
+        # GL(1, s): the first unit of multiplicative order s - 1
+        for c in range(1, spec.s):
+            e, y = 1, c
+            while y != 1:
+                e, y = e + 1, tab.mul[y][c]
+            if e == spec.s - 1:
+                return (c,)
+    modulus = _ext_modulus(spec, alpha)
+    order = spec.s**alpha - 1
+    crit = [order // u for u in prime_factors(order)]
+    ident = (1,) + (0,) * (alpha - 1)
+
+    def ext_pow(g, e):
+        result = ident
+        base = g
+        while e:
+            if e & 1:
+                result = _ext_poly_mul(result, base, modulus, tab)
+            base = _ext_poly_mul(base, base, modulus, tab)
+            e >>= 1
+        return result
+
+    gen = None
+    for cand in itertools.product(range(spec.s), repeat=alpha):
+        if any(cand) and all(ext_pow(cand, c) != ident for c in crit):
+            gen = cand
+            break
+    assert gen is not None
+    # row i is the coordinate vector of basis_i * gen
+    entries = []
+    basis_elem = ident
+    x = (0, 1) + (0,) * (alpha - 2)
+    for _ in range(alpha):
+        entries += _ext_poly_mul(basis_elem, gen, modulus, tab)
+        basis_elem = _ext_poly_mul(basis_elem, x, modulus, tab)
+    return tuple(entries)
 
 
 # -- loops: Latin squares with an identity ---------------------------------------

@@ -34,6 +34,21 @@ def test_census_report(capsys):
     assert report.validate_report(rep) == []
 
 
+def test_census_at_order_one_is_out_of_scope(capsys):
+    code, rep = run_json(capsys, "census", "--p", "2", "--q", "3", "--r", "5")
+    assert code == 0
+    assert rep["results"]["count"] == 1
+    assert rep["bounds"][0]["verdict"] == "GT"  # the bound reads 1/2 at n = 1
+    [claim] = rep["claims"]
+    assert claim["claim"] == "census-count-bound" and claim["status"] == "out_of_scope"
+    assert "n = 1" in claim["notes"] and "witness" not in claim
+    assert report.validate_report(rep) == []
+    # one prime factor is enough to bring the claim back into scope
+    code, rep = run_json(capsys, "census", "--p", "2", "--q", "3", "--r", "5", "--beta", "1")
+    assert code == 0 and rep["bounds"][0]["verdict"] == "LE"
+    assert rep["claims"][0]["status"] == "verified"
+
+
 def test_census_byte_identical(capsys):
     argv = ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--beta", "1", "--gamma", "0"]
     code1, out1 = run_cli(capsys, *argv)
@@ -137,6 +152,18 @@ GOLDEN_STDOUT = [
         ["verify-primitive", "--q", "7", "--r", "3", "--file", str(FIXTURES / "affine-7-3.json")],
         "306eed3ee7d3122242997f32bf857f161cec2d7d9cd325783230a338abba9af1",
         id="verify-file-7",
+    ),
+    # recorded while the Singer generator was still found by powers in its
+    # own polynomial ring: d = 2 over the non-prime field GF(4), and alpha = 4
+    pytest.param(
+        ["classify-gl", "--alpha", "2", "--s", "4", "--r", "5"],
+        "323b1cffd80607965882e1ab027bd1acea597585484acc6edeb6f0d783215b5b",
+        id="gl-2.4-r5",
+    ),
+    pytest.param(
+        ["construct-primitive", "--q", "2", "--r", "5"],
+        "17ea74d56c522fd8931dbc7a4d83d358e28d61c318466d972cb2e2a095de94f8",
+        id="construct-16",
     ),
 ]
 

@@ -16,7 +16,7 @@ from agroups.errors import (
     LimitExceeded,
     SingularGenerator,
 )
-from agroups.gf import field_make
+from agroups.gf import field_make, is_prime
 from agroups.matgrp import closure, gl_elements, gl_order, mat_ops
 
 import bruteforce as bf
@@ -252,6 +252,26 @@ def test_singer_over_extension_field():
     assert matgrp.is_irreducible(S)
 
 
+# every field GF(s), s <= 37, and every alpha with s^alpha <= 10^4
+SINGER_CASES = [
+    (t, k, alpha)
+    for t in range(2, 38)
+    if is_prime(t)
+    for k in range(1, 6)
+    if t**k <= 37
+    for alpha in range(1, 14)
+    if t ** (k * alpha) <= matgrp.SPIN_LIMIT
+]
+
+
+def test_singer_generator_matches_the_polynomial_ring():
+    # the regular representation on mat_ops against powers in GF(s)[x]/(f)
+    assert len(SINGER_CASES) == 73
+    for t, k, alpha in SINGER_CASES:
+        spec = field_make(t, k)
+        assert matgrp.singer_generator(alpha, spec) == bf.poly_singer_generator(alpha, spec)
+
+
 # -- the classified subgroups ------------------------------------------------------
 
 
@@ -440,6 +460,19 @@ def test_gl_brute_force_limit():
     gf5 = field_make(5, 1)
     with pytest.raises(LimitExceeded):
         gl_elements(4, gf5, limit=10**6)
+
+
+def test_gl_is_cached_once_per_dimension_and_field():
+    gf2 = field_make(2, 1)
+    forms = [
+        gl_elements(4, gf2),
+        gl_elements(4, gf2, matgrp.GL_BRUTE_LIMIT),
+        gl_elements(4, gf2, limit=matgrp.GL_BRUTE_LIMIT),
+    ]
+    assert all(gl is forms[0] for gl in forms)
+    assert matgrp.gl_generators(4, gf2) is matgrp.gl_generators(4, gf2)
+    with pytest.raises(LimitExceeded, match="exceeds brute-force limit 20159"):
+        gl_elements(4, gf2, limit=gl_order(4, gf2) - 1)
 
 
 def test_classification_checks_the_limit_before_compiling_the_product(monkeypatch):

@@ -92,7 +92,7 @@ def equal_pairs():
     swap = (0, 1, 1, 0)
     return [
         (spec, rebuilt, other),
-        (spec.element((2,)), rebuilt.element((2,)), spec.element((1,))),
+        (gf.FieldElem(spec, (2,)), rebuilt.from_index(2), spec.from_index(1)),
         (VarietyParams(2, 3, 5, 1, 1, 0), VarietyParams(2, 3, 5, 1, 1, 0), VarietyParams(2, 3, 5, 1, 0, 1)),
         (LogBound.build(1, {3: 2}), LogBound.build(1, [(3, 1), (3, 1)]), LogBound.build(1, {3: 1})),
         (CayleyGroup(C3, 0), CayleyGroup(tuple(map(tuple, C3)), 0), CayleyGroup(((0, 1), (1, 0)), 0)),
