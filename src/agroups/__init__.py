@@ -26,7 +26,7 @@ from .census import (
     enumerate_variety_groups,
 )
 from .construct import PrimitiveSpec, primitive_aqar_group, semidirect_product, verify_theorem_b
-from .gf import FieldElem, FieldSpec, field_make, multiplicative_order
+from .gf import FieldSpec, field_make, multiplicative_order
 from .matgrp import (
     MatGroup,
     classify_elem_abelian_r,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CayleyGroup",
     "ClassInventory",
-    "FieldElem",
     "FieldSpec",
     "LogBound",
     "MatGroup",

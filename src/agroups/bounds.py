@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cayley import VarietyParams
 from .errors import InvalidParams, LimitExceeded
 from .gf import is_prime
 
@@ -213,8 +212,9 @@ def interval_verdict(count: int, bound: LogBound, prec: int) -> str | None:
 # the bound formulas
 
 
-def theorem_a_bound(params: VarietyParams) -> LogBound:
-    """Isomorphism-count bound for the three-prime variety at order n."""
+def theorem_a_bound(params) -> LogBound:
+    """Isomorphism-count bound for the three-prime variety at order n, from
+    its cayley.VarietyParams."""
     a, b, g = params.alpha, params.beta, params.gamma
     half_exp = (a + g) * b + (a + b) * g + a * (a - 1) // 2
     # a list of pairs: LogBound.build sums repeated bases and drops base 1

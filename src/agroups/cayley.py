@@ -21,6 +21,7 @@ import itertools
 import math
 from functools import cached_property
 
+from .bounds import printable
 from .errors import InvalidParams, LimitExceeded, NotNormal
 from .gf import is_prime, prime_factors
 
@@ -676,8 +677,6 @@ class VarietyParams:
 
     def to_json(self) -> dict:
         """The parameters, and n when it is short enough to print."""
-        from .bounds import printable  # bounds imports this module
-
         out = {
             "p": self.p,
             "q": self.q,

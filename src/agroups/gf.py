@@ -2,11 +2,17 @@
 throughout the engine (primality, factorisation, multiplicative orders).
 
 Fields stay desk-scale (t^k <= FIELD_SIZE_LIMIT) so direct scans beat any
-clever algorithm; multiplicative orders are found by plain iteration.
+clever algorithm; multiplicative orders are found by plain iteration. An
+element is its index, the base-t number of its coefficients on 1, x, ...,
+x^(k-1); FieldSpec.tables adds digit by digit and multiplies through the
+powers of the first element of order s - 1 (exp/log tables).
 
 Conventions:
-  * polynomials are coefficient tuples in ascending degree,
-  * the degree-1 modulus is x itself, so GF(t) elements are single residues,
+  * polynomials are coefficient tuples in ascending degree (element indices
+    over GF(s)); _poly_rem and _least_irreducible are the one remainder and
+    the one irreducibility search,
+  * the degree-1 modulus is x itself, so GF(t) elements are single residues
+    and GF(t)'s tables need no search,
   * the canonical modulus for (t, k) is the lexicographically least monic
     irreducible polynomial, comparing coefficients from highest to lowest
     degree.
@@ -16,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import BadModulus, FieldMismatch, LimitExceeded, NotCoprime, NotPrime
+from .errors import BadModulus, LimitExceeded, NotCoprime, NotPrime
 
 FIELD_SIZE_LIMIT = 10_000
 # matrix work runs on s x s index tables, about 26 MB in all at this size
@@ -68,45 +73,6 @@ def multiplicative_order(a: int, m: int) -> int:
     return e
 
 
-# ---------------------------------------------------------------------------
-# polynomials over GF(t), as int tuples in ascending degree
-
-
-def _poly_trim(p):
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-def _poly_mod_div(num, den, t):
-    """Remainder of num / den over GF(t); den must be monic."""
-    num = list(num)
-    dd = len(den) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % t
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % t
-    return _poly_trim([c % t for c in num[:dd]])
-
-
-def _monic_polys(degree, t):
-    """All monic degree-d polynomials over GF(t), ascending coefficient tuples."""
-    for lower in itertools.product(range(t), repeat=degree):
-        yield lower + (1,)
-
-
-def _is_irreducible_int(poly, t):
-    # no monic factor of degree <= deg/2 divides it; exhaustive at desk scale
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for div in _monic_polys(d, t):
-            if not _poly_mod_div(poly, div, t):
-                return False
-    return True
-
-
 class FieldSpec:
     """A concrete GF(t^k): prime t, degree k, monic irreducible modulus."""
 
@@ -128,17 +94,9 @@ class FieldSpec:
     def s(self) -> int:
         return self.t**self.k
 
-    def from_index(self, i: int) -> "FieldElem":
-        """Element number i in the canonical order (base-t digits, c0 first)."""
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(i % self.t)
-            i //= self.t
-        return FieldElem(self, tuple(coeffs))
-
-    def elements(self):
-        """All s field elements in canonical order."""
-        return [self.from_index(i) for i in range(self.s)]
+    def coefficients(self, i: int) -> tuple[int, ...]:
+        """The k coefficients of element number i: its base-t digits, c0 first."""
+        return tuple(i // self.t**j % self.t for j in range(self.k))
 
     @property
     def tables(self) -> "FieldTables":
@@ -147,63 +105,6 @@ class FieldSpec:
 
     def to_json(self) -> dict:
         return {"t": self.t, "k": self.k, "modulus": list(self.modulus)}
-
-
-class FieldElem:
-    """Element of GF(t^k): k coefficients on the basis 1, x, ..., x^(k-1).
-    Its polynomial +, -, unary - and * are what the index tables are read
-    from; the engine multiplies, inverts and takes orders on the tables."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
-        self.spec, self.coeffs = spec, coeffs
-
-    def _key(self) -> tuple:
-        return self.spec, self.coeffs
-
-    def __eq__(self, other):
-        return type(other) is FieldElem and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise FieldMismatch("operands belong to different fields")
-
-    @property
-    def index(self) -> int:
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * self.spec.t + c
-        return i
-
-    def __add__(self, other):
-        self._check(other)
-        t = self.spec.t
-        return FieldElem(self.spec, tuple((a + b) % t for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        t = self.spec.t
-        return FieldElem(self.spec, tuple((a - b) % t for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        t = self.spec.t
-        return FieldElem(self.spec, tuple((-a) % t for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        t = self.spec.t
-        k = self.spec.k
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % t
-        rem = _poly_mod_div(tuple(prod), self.spec.modulus, t)
-        return FieldElem(self.spec, rem + (0,) * (k - len(rem)))
 
 
 class FieldTables(NamedTuple):
@@ -217,25 +118,91 @@ class FieldTables(NamedTuple):
     inv: tuple[int, ...]
 
 
+def _times(v: list, g: list, modulus, t: int) -> list:
+    """v * g mod the modulus, on coefficient lists, by Horner's rule on g:
+    x * u is u shifted up, less its top coefficient times the modulus."""
+    acc = [0] * len(v)
+    for c in reversed(g):
+        top = acc[-1]
+        acc = [(lo - top * m + c * a) % t for lo, m, a in zip([0] + acc[:-1], modulus, v)]
+    return acc
+
+
+def _primitive_powers(spec: FieldSpec) -> list[int]:
+    """g^0, ..., g^(s-2) as element indices, g the first element of
+    multiplicative order s - 1."""
+    t, one = spec.t, [1] + [0] * (spec.k - 1)
+    place = [t**j for j in range(spec.k)]
+    for i in range(1, spec.s):
+        g = list(spec.coefficients(i))
+        powers, v = [1], g
+        while v != one:
+            powers.append(sum(c * p for c, p in zip(v, place)))
+            v = _times(v, g, spec.modulus, t)
+        if len(powers) == spec.s - 1:
+            return powers
+    raise AssertionError("GF(s)* has no generator; unreachable for an irreducible modulus")
+
+
 @lru_cache(maxsize=8)
 def _field_tables(spec: FieldSpec) -> FieldTables:
-    # read off the polynomial arithmetic once; the engine only looks these up
-    if spec.s > FIELD_TABLE_LIMIT:
-        raise LimitExceeded(f"s = {spec.s} exceeds the field table limit {FIELD_TABLE_LIMIT}")
-    elems = spec.elements()
-    ids = tuple(range(spec.s))  # one int object per index, shared by all rows
-
-    def table(op):
-        return tuple(tuple(ids[op(a, b).index] for b in elems) for a in elems)
-
-    mul = table(operator.mul)
+    # addition digit by digit; multiplication through the powers of one
+    # primitive element g, mul[a][b] = g^(log a + log b)
+    t, s = spec.t, spec.s
+    if s > FIELD_TABLE_LIMIT:
+        raise LimitExceeded(f"s = {s} exceeds the field table limit {FIELD_TABLE_LIMIT}")
+    ids = tuple(range(s))  # one int object per index, shared by all rows
+    add, neg, m = [(0,)], [0], 1  # on the low digits; one more digit a round
+    for _ in range(spec.k):
+        add = [
+            tuple(ids[x + m * ((high + b) % t)] for b in range(t) for x in low)
+            for high in range(t)
+            for low in add
+        ]
+        neg = [ids[x + m * (-high % t)] for high in range(t) for x in neg]
+        m *= t
+    # exp twice over needs no reduction mod s - 1; the log of zero, 2(s - 1),
+    # takes every sum with it into the zeros after that
+    exp = [ids[e] for e in _primitive_powers(spec)] * 2 + [0] * (2 * s - 1)
+    logs = [2 * s - 2] + sorted(range(s - 1), key=exp.__getitem__)
     return FieldTables(
-        add=table(operator.add),
-        sub=table(operator.sub),
-        mul=mul,
-        neg=tuple((-a).index for a in elems),
-        inv=tuple(row.index(1) if i else 0 for i, row in enumerate(mul)),
+        add=tuple(add),
+        sub=tuple(tuple(row[n] for n in neg) for row in add),
+        mul=tuple(tuple(exp[e + f] for f in logs) for e in logs),
+        neg=tuple(neg),
+        inv=(0,) + tuple(exp[-e % (s - 1)] for e in logs[1:]),
     )
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(s): tuples of element indices in ascending degree
+
+
+def _poly_rem(num, div, tab: FieldTables) -> tuple[int, ...]:
+    """Remainder of num modulo the monic div, with deg div coefficients."""
+    num, dd = list(num), len(div) - 1
+    for i in range(len(num) - 1, dd - 1, -1):
+        if num[i]:
+            mf = tab.mul[num[i]]
+            num[i - dd : i + 1] = [tab.sub[a][mf[b]] for a, b in zip(num[i - dd : i + 1], div)]
+    return tuple(num[:dd])
+
+
+@lru_cache(maxsize=32)
+def _least_irreducible(spec: FieldSpec, degree: int) -> tuple[int, ...]:
+    """Least monic irreducible degree-d polynomial over the field, comparing
+    coefficients from highest to lowest degree: no monic factor of degree at
+    most d/2 divides it (exhaustive at desk scale)."""
+    tab, s = spec.tables, spec.s
+    for high_to_low in itertools.product(range(s), repeat=degree):
+        poly = high_to_low[::-1] + (1,)
+        if all(
+            any(_poly_rem(poly, lower + (1,), tab))
+            for d in range(1, degree // 2 + 1)
+            for lower in itertools.product(range(s), repeat=d)
+        ):
+            return poly
+    raise AssertionError("no irreducible polynomial over the field; unreachable")
 
 
 def field_make(t: int, k: int) -> FieldSpec:
@@ -246,11 +213,5 @@ def field_make(t: int, k: int) -> FieldSpec:
         raise LimitExceeded("k must be at least 1")
     if t**k > FIELD_SIZE_LIMIT:
         raise LimitExceeded(f"t^k = {t ** k} exceeds the field size limit {FIELD_SIZE_LIMIT}")
-    if k == 1:
-        return FieldSpec(t, 1, (0, 1))
-    # scan coefficient tuples (c_{k-1}, ..., c_0), highest degree first
-    for high_to_low in itertools.product(range(t), repeat=k):
-        poly = tuple(reversed(high_to_low)) + (1,)
-        if _is_irreducible_int(poly, t):
-            return FieldSpec(t, k, poly)
-    raise AssertionError("no irreducible polynomial found; unreachable for prime t")
+    prime_field = FieldSpec(t, 1, (0, 1))  # its tables are residues mod t
+    return prime_field if k == 1 else FieldSpec(t, k, _least_irreducible(prime_field, k))

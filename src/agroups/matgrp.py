@@ -1,23 +1,24 @@
 """Matrix groups over GF(s).
 
 Everything here is an exhaustive desk-scale oracle. A matrix is its code,
-the flat row-major tuple of its field-element indices
-(FieldSpec.from_index), acting on row vectors, v * M; mat_ops binds the
-subgroup kernel in cayley to codes, and field coefficients appear only in
-matgroup_to_json. A MatGroup keeps its generators and its sorted elements as
-codes; closure materialises the full element set. The elementary abelian
-classification is one class scan of the subgroup lattice under GL's
-generators: one subgroup per GL-class is extended, tested for maximality and
-made a MatGroup. Every product of two matrices runs through one function per
-dimension and field, straight-line source compiled on first use against the
-field's index tables. GL(alpha, s) is enumerated row by row, each row
-outside the span of the rows above it, so listing it costs work in
-proportion to |GL|, not s^(alpha^2) determinants. A Singer generator is
-the regular representation of a generator of GF(s^alpha)*, built row by row
-through the matrix of x and tested by its powers. Irreducibility is decided
-by spinning every line; conjugate_in_gl, the independent conjugacy check,
-runs the kernel's conjugator scan over all of GL(alpha, s) in entry order.
-Limits guard each entry point so a bad input fails fast instead of grinding.
+the flat row-major tuple of its field-element indices, acting on row
+vectors, v * M; mat_ops binds the subgroup kernel in cayley to codes, and
+field coefficients appear only in matgroup_to_json. A MatGroup keeps its
+generators and its sorted elements as codes; closure materialises the full
+element set. The elementary abelian classification is one class scan of the
+subgroup lattice under GL's generators: one subgroup per GL-class is
+extended, tested for maximality and made a MatGroup. Every product of two
+matrices runs through one function per dimension and field, straight-line
+source compiled on first use against the field's index tables.
+GL(alpha, s) is enumerated row by row, each row outside the span of the
+rows above it, so listing it costs work in proportion to |GL|, not
+s^(alpha^2) determinants. A Singer generator is the regular representation
+of a generator of GF(s^alpha)*, built row by row through the companion
+matrix of gf's least irreducible polynomial of degree alpha over GF(s) and
+tested by its powers. Irreducibility is decided by spinning every line;
+conjugate_in_gl, the independent conjugacy check, runs the kernel's
+conjugator scan over all of GL(alpha, s) in entry order. Limits guard each
+entry point so a bad input fails fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     NotPrime,
     SingularGenerator,
 )
-from .gf import FieldSpec, is_prime, multiplicative_order, prime_factors
+from .gf import FieldSpec, _least_irreducible, is_prime, multiplicative_order, prime_factors
 
 GL_BRUTE_LIMIT = 1_000_000
 SPIN_LIMIT = 10_000
@@ -312,30 +313,6 @@ def is_irreducible(G: MatGroup) -> bool:
 # degree.
 
 
-def _ext_rem(num, div, tab) -> tuple[int, ...]:
-    """Remainder of num modulo the monic div, with deg div coefficients."""
-    num, dd = list(num), len(div) - 1
-    for i in range(len(num) - 1, dd - 1, -1):
-        if num[i]:
-            num[i - dd : i + 1] = _row_sub(tab, num[i - dd : i + 1], num[i], div)
-    return tuple(num[:dd])
-
-
-@lru_cache(maxsize=32)
-def _ext_modulus(spec: FieldSpec, degree: int):
-    """Least monic irreducible degree-d polynomial over GF(s), high-to-low order."""
-    tab = spec.tables
-    for high_to_low in itertools.product(range(spec.s), repeat=degree):
-        poly = high_to_low[::-1] + (1,)
-        if not any(
-            not any(_ext_rem(poly, lower + (1,), tab))
-            for d in range(1, degree // 2 + 1)
-            for lower in itertools.product(range(spec.s), repeat=d)
-        ):
-            return poly
-    raise AssertionError("no irreducible polynomial over the base field; unreachable")
-
-
 def singer_generator(alpha: int, spec: FieldSpec) -> tuple[int, ...]:
     """The code of the matrix of multiplication by the first generator of
     GF(s^alpha)* in coefficient order. Cyclic of order s^alpha - 1."""
@@ -345,7 +322,8 @@ def singer_generator(alpha: int, spec: FieldSpec) -> tuple[int, ...]:
     neg, ops = spec.tables.neg, mat_ops(alpha, spec)
     # multiplication by x, the companion matrix of f: row i < alpha - 1 is
     # x^(i+1), and the last row is x^alpha, the negated lower coefficients of f
-    x = _identity_entries(alpha)[alpha:] + tuple(neg[c] for c in _ext_modulus(spec, alpha)[:-1])
+    f = _least_irreducible(spec, alpha)
+    x = _identity_entries(alpha)[alpha:] + tuple(neg[c] for c in f[:-1])
     order = size - 1
     crit = [order // u for u in prime_factors(order)]
     for g in itertools.product(range(spec.s), repeat=alpha):
@@ -374,6 +352,13 @@ def _embed_block(block, position: int, alpha: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def _check_r(spec: FieldSpec, r: int) -> None:
+    if not is_prime(r):
+        raise NotPrime(f"{r} is not prime")
+    if r == spec.t:
+        raise CharacteristicConflict(f"r = {r} equals the field characteristic")
+
+
 def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
     """Block-diagonal (C_r)^k with k = floor(alpha / d), d = order of s mod r.
 
@@ -381,10 +366,7 @@ def maximal_ar_subgroup(alpha: int, spec: FieldSpec, r: int) -> MatGroup | None:
     an identity block; see classify_elem_abelian_r for the oracle that judges
     whether the result is a maximal class.
     """
-    if not is_prime(r):
-        raise NotPrime(f"{r} is not prime")
-    if r == spec.t:
-        raise CharacteristicConflict(f"r = {r} equals the field characteristic")
+    _check_r(spec, r)
     d = multiplicative_order(spec.s, r)
     k = alpha // d
     if k == 0:
@@ -409,20 +391,17 @@ def conjugate_in_gl(
 
 
 @lru_cache(maxsize=8)
-def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int, limit: int) -> tuple:
+def _elem_abelian_r_classes(alpha: int, spec: FieldSpec, r: int) -> tuple:
     """One representative per GL-class of nontrivial elementary abelian
     r-subgroups of GL(alpha, s), canonically ordered, each paired with
     whether the class is maximal among them. Cached: both classifications
-    filter it. The universe, cap and keep of the scan are conjugation
+    filter it, after checking r and then their limit with gl_elements (so
+    before alpha^3 of compiling the product), and one scan serves every
+    limit. The universe, cap and keep of the scan are conjugation
     invariant, so it runs under GL's generators: one subgroup per class is
     extended and tested, and the class member least by its _greedy_gens is
     the one made a MatGroup, from its own codes."""
-    if not is_prime(r):
-        raise NotPrime(f"{r} is not prime")
-    if r == spec.t:
-        raise CharacteristicConflict(f"r = {r} equals the field characteristic")
-    # gl_elements checks the limit first: compiling the product costs alpha^3
-    codes = gl_elements(alpha, spec, limit)
+    codes = _gl_elements(alpha, spec)
     ops = mat_ops(alpha, spec)
     mul, ident = ops.mul, ops.identity
     order_r = [c for c in codes if c != ident and _power(ops, c, r) == ident]
@@ -448,7 +427,9 @@ def classify_elem_abelian_r(
 ) -> list[MatGroup]:
     """One representative per conjugacy class of subgroups maximal among the
     elementary abelian r-subgroups of GL(alpha, s), canonically ordered."""
-    return [g for g, maximal in _elem_abelian_r_classes(alpha, spec, r, limit) if maximal]
+    _check_r(spec, r)
+    gl_elements(alpha, spec, limit)
+    return [g for g, maximal in _elem_abelian_r_classes(alpha, spec, r) if maximal]
 
 
 def irreducible_elem_abelian_r_classes(
@@ -457,7 +438,9 @@ def irreducible_elem_abelian_r_classes(
     """Conjugacy classes of nontrivial irreducible elementary abelian
     r-subgroups (the single-class claim oracle). Irreducibility is a class
     invariant, so one test per class suffices."""
-    return [g for g, _ in _elem_abelian_r_classes(alpha, spec, r, limit) if is_irreducible(g)]
+    _check_r(spec, r)
+    gl_elements(alpha, spec, limit)
+    return [g for g, _ in _elem_abelian_r_classes(alpha, spec, r) if is_irreducible(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +449,12 @@ def irreducible_elem_abelian_r_classes(
 
 def matgroup_to_json(G: MatGroup) -> dict:
     """The field, the dimension and each generator as rows of coefficient lists."""
-    n, coeffs = G.alpha, G.spec.from_index
+    n, coeffs = G.alpha, G.spec.coefficients
     return {
         "field": G.spec.to_json(),
         "alpha": n,
         "generators": [
-            [[list(coeffs(e).coeffs) for e in g[i : i + n]] for i in range(0, n * n, n)]
+            [[list(coeffs(e)) for e in g[i : i + n]] for i in range(0, n * n, n)]
             for g in G.generators
         ],
     }

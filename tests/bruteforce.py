@@ -9,12 +9,15 @@ the census from every action with the engine's tables, and pairwise_inventory
 builds the S_n inventories from every subgroup with the engine's lattice scan
 (no conjugators) and filters. table_of builds the tests' table fixtures with
 a group's own product. poly_singer_generator takes the engine's modulus of
-GF(s^alpha) over GF(s) and does the rest in its own polynomial ring.
+GF(s^alpha) over GF(s) and its remainder on index tables, and does the rest
+in its own polynomial ring. FieldElem takes only a field's modulus from the
+engine and does its arithmetic on integers mod t.
 """
 
 import functools
 import itertools
 import math
+import operator
 
 from agroups.selftest import naive_is_primitive  # noqa: F401
 
@@ -227,13 +230,86 @@ def naive_irreducible_quadratics(t):
     return out
 
 
+# -- GF(t^k) as polynomials over the integers mod t -----------------------------
+
+
+def poly_mod(num, den, t):
+    """Remainder of num / den over the integers mod t (den monic), padded
+    to deg den coefficients."""
+    num = [c % t for c in num]
+    dd = len(den) - 1
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            for j in range(dd + 1):
+                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % t
+    return tuple(num[:dd]) + (0,) * (dd - len(num))
+
+
+class FieldElem:
+    """Element of GF(t^k): k coefficients mod t on the basis 1, x, ...,
+    x^(k-1), multiplied as polynomials and reduced by the field's modulus.
+    It shares no code with the index tables it checks."""
+
+    __slots__ = ("spec", "coeffs")
+
+    def __init__(self, spec, coeffs):
+        self.spec, self.coeffs = spec, tuple(c % spec.t for c in coeffs)
+
+    @classmethod
+    def from_index(cls, spec, i):
+        """Element number i in the engine's order: base-t digits, c0 first."""
+        coeffs = []
+        for _ in range(spec.k):
+            i, c = divmod(i, spec.t)
+            coeffs.append(c)
+        return cls(spec, coeffs)
+
+    @classmethod
+    def elements(cls, spec):
+        return [cls.from_index(spec, i) for i in range(spec.t**spec.k)]
+
+    @property
+    def index(self):
+        i = 0
+        for c in reversed(self.coeffs):
+            i = i * self.spec.t + c
+        return i
+
+    def __eq__(self, other):
+        return type(other) is FieldElem and (self.spec, self.coeffs) == (other.spec, other.coeffs)
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def _operand(self, other):
+        assert self.spec == other.spec, "operands belong to different fields"
+        return other.coeffs
+
+    def __add__(self, other):
+        return FieldElem(self.spec, map(operator.add, self.coeffs, self._operand(other)))
+
+    def __sub__(self, other):
+        return FieldElem(self.spec, map(operator.sub, self.coeffs, self._operand(other)))
+
+    def __neg__(self):
+        return FieldElem(self.spec, (-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        prod = [0] * (2 * self.spec.k - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(self._operand(other)):
+                prod[i + j] += a * b
+        return FieldElem(self.spec, poly_mod(prod, self.spec.modulus, self.spec.t))
+
+
 # -- square matrices as rows of FieldElem ---------------------------------------
 
 
 def code_rows(spec, code):
     """A matrix code (row-major field-element indices) as rows of FieldElem."""
     n = math.isqrt(len(code))
-    return [[spec.from_index(e) for e in code[i * n : i * n + n]] for i in range(n)]
+    return [[FieldElem.from_index(spec, e) for e in code[i * n : i * n + n]] for i in range(n)]
 
 
 def rows_code(rows):
@@ -278,22 +354,21 @@ def naive_det(a):
 
 
 def _ext_poly_mul(a, b, modulus, tab):
-    from agroups.matgrp import _ext_rem
+    from agroups.gf import _poly_rem
 
     prod = [0] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = tab.add[prod[i + j]][tab.mul[ai][bj]]
-    return _ext_rem(prod, modulus, tab)
+    return _poly_rem(prod, modulus, tab)
 
 
 def poly_singer_generator(alpha, spec):
     """The code of the matrix of multiplication by the first generator of
     GF(s^alpha)* in coefficient order: the generator found by its powers in
     the polynomial ring, row i the coordinate vector of x^i times it."""
-    from agroups.gf import prime_factors
-    from agroups.matgrp import _ext_modulus
+    from agroups.gf import _least_irreducible, prime_factors
 
     tab = spec.tables
     if alpha == 1:
@@ -304,7 +379,7 @@ def poly_singer_generator(alpha, spec):
                 e, y = e + 1, tab.mul[y][c]
             if e == spec.s - 1:
                 return (c,)
-    modulus = _ext_modulus(spec, alpha)
+    modulus = _least_irreducible(spec, alpha)
     order = spec.s**alpha - 1
     crit = [order // u for u in prime_factors(order)]
     ident = (1,) + (0,) * (alpha - 1)

@@ -165,6 +165,19 @@ GOLDEN_STDOUT = [
         "17ea74d56c522fd8931dbc7a4d83d358e28d61c318466d972cb2e2a095de94f8",
         id="construct-16",
     ),
+    # recorded while the field tables were still read off the polynomial
+    # products of every pair of elements: GF(1024) at the field table limit,
+    # and GF(9), whose modulus x^2 + 1 is not primitive
+    pytest.param(
+        ["classify-gl", "--alpha", "1", "--s", "1024", "--r", "3"],
+        "10ab3cb756fffc1b66805c8e4c1228cd9c42e05103f8e0acd46bc9fae668233e",
+        id="gl-1.1024-r3",
+    ),
+    pytest.param(
+        ["classify-gl", "--alpha", "2", "--s", "9", "--r", "5"],
+        "86d613a0e18b2f1f92b75239b8f60a77c8b76faf28d75042eb6ae227621b60fd",
+        id="gl-2.9-r5",
+    ),
 ]
 
 

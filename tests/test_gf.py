@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,10 +6,9 @@ import pytest
 from agroups import gf
 from agroups.cayley import _power
 from agroups.errors import BadModulus, FieldMismatch, LimitExceeded, NotCoprime, NotPrime
-from agroups.gf import FieldElem
-from agroups.matgrp import mat_ops
+from agroups.matgrp import closure, mat_ops
 
-from bruteforce import naive_irreducible_quadratics, naive_multiplicative_order
+from bruteforce import FieldElem, naive_irreducible_quadratics, naive_multiplicative_order
 
 
 def test_multiplicative_order_examples():
@@ -70,19 +70,18 @@ def test_field_make_errors():
 
 
 def test_gf4_arithmetic():
-    spec = gf.field_make(2, 2)
-    x = FieldElem(spec, (0, 1))
-    one = spec.from_index(1)
-    assert x * x == FieldElem(spec, (1, 1))  # x^2 = x + 1
-    assert x * x * x == one
-    assert x * x - x == one and -x == x  # characteristic 2
+    tab = gf.field_make(2, 2).tables
+    x, one = 2, 1  # the indices of x and 1; x + 1 is index 3
+    assert tab.mul[x][x] == 3  # x^2 = x + 1
+    assert tab.mul[tab.mul[x][x]][x] == one
+    assert tab.sub[3][x] == one and tab.neg[x] == x  # characteristic 2
+    assert tab.inv[x] == 3
 
 
 def test_gf3_inverse():
-    spec = gf.field_make(3, 1)
-    two = FieldElem(spec, (2,))
-    assert two * two == spec.from_index(1)  # 2 * 2 = 4 = 1
-    assert spec.tables.inv[two.index] == two.index
+    tab = gf.field_make(3, 1).tables
+    assert tab.mul[2][2] == 1  # 2 * 2 = 4 = 1
+    assert tab.inv[2] == 2
 
 
 SMALL_FIELDS = [(t, k) for t in range(2, 33) if gf.is_prime(t) for k in range(1, 6) if t**k <= 32]
@@ -108,6 +107,57 @@ def test_field_tables_satisfy_the_axioms():
                     assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
+ORACLE_FIELDS = [(t, k) for t in range(2, 65) if gf.is_prime(t) for k in range(1, 7) if t**k <= 64]
+
+
+def test_tables_match_the_polynomial_oracle():
+    # exhaustive over every field with s <= 64: each table entry against the
+    # tests' FieldElem, which multiplies polynomials over the integers mod t
+    assert len(ORACLE_FIELDS) == 27
+    for t, k in ORACLE_FIELDS:
+        spec = gf.field_make(t, k)
+        tab = spec.tables
+        elems = FieldElem.elements(spec)
+        assert [e.index for e in elems] == list(range(spec.s))
+        for a, x in enumerate(elems):
+            assert tab.neg[a] == (-x).index
+            products = [(x * y).index for y in elems]
+            assert list(tab.mul[a]) == products
+            assert list(tab.add[a]) == [(x + y).index for y in elems]
+            assert list(tab.sub[a]) == [(x - y).index for y in elems]
+            assert tab.inv[a] == (products.index(1) if a else 0)
+
+
+# SHA-256 of repr(tuple(tables)), recorded while the tables were still read
+# off the polynomial products of every pair of elements
+LARGE_TABLE_DIGESTS = {
+    (2, 10): "15dd7f2443759b333ed006541bfcc60e718977d153b1640715b1bab6a83ed225",
+    (3, 6): "e70eeaf1a43b0ddd9d5ae1e2b9f5e5d6b38912d49fadb54fe3f910e086cd9eda",
+}
+
+
+@pytest.mark.parametrize("t, k", sorted(LARGE_TABLE_DIGESTS), ids=["GF(1024)", "GF(729)"])
+def test_large_field_tables_match_recorded_digest(t, k):
+    tab = gf.field_make(t, k).tables
+    digest = hashlib.sha256(repr(tuple(tab)).encode()).hexdigest()
+    assert digest == LARGE_TABLE_DIGESTS[t, k]
+
+
+def test_moduli_match_recorded_digest():
+    # every (t, k) with t^k <= 10^4, recorded while field_make searched with
+    # its own integer polynomial helpers
+    moduli = [
+        (t, k, gf.field_make(t, k).modulus)
+        for t in range(2, 10**4 + 1)
+        if gf.is_prime(t)
+        for k in range(1, 15)
+        if t**k <= 10**4
+    ]
+    assert len(moduli) == 1280
+    digest = hashlib.sha256(repr(moduli).encode()).hexdigest()
+    assert digest == "ddccd7480bda9d1de1e77485e97524ac45fcb7356d28a89810091225b90039c8"
+
+
 def test_prime_field_tables_are_residue_arithmetic():
     for t, k in SMALL_FIELDS:
         if k != 1:
@@ -123,10 +173,9 @@ def test_prime_field_tables_are_residue_arithmetic():
 
 
 def test_field_tables_limit():
-    big = gf.field_make(1031, 1)
+    big = gf.field_make(1031, 1)  # no search and no tables at degree 1
     assert big.s > gf.FIELD_TABLE_LIMIT
-    one = big.from_index(1)
-    assert (one + one).index == 2  # element arithmetic still works
+    assert big.coefficients(1030) == (1030,)
     with pytest.raises(LimitExceeded):
         big.tables
 
@@ -146,8 +195,9 @@ def test_field_tables_are_not_built_at_import():
 
 
 def test_field_axioms_sampled():
+    # the tests' polynomial oracle is a field
     spec = gf.field_make(3, 2)
-    elems = spec.elements()
+    elems = FieldElem.elements(spec)
     for a in elems:
         for b in elems:
             assert a + b == b + a
@@ -161,18 +211,18 @@ def test_field_axioms_sampled():
 
 def test_zero_division_and_mismatch():
     spec = gf.field_make(2, 2)
-    other = gf.field_make(3, 1)
     assert spec.tables.inv[0] == 0  # zero has no inverse; 0 stands for none
     with pytest.raises(FieldMismatch):
-        spec.from_index(1) + other.from_index(1)
+        closure(1, spec, [(4,)])  # 4 is no element of GF(4)
 
 
 def test_json_roundtrip():
     spec = gf.field_make(3, 2)
     data = spec.to_json()
     assert gf.FieldSpec(data["t"], data["k"], tuple(data["modulus"])) == spec
-    x = FieldElem(spec, (2, 1))
-    assert spec.from_index(x.index) == x
+    assert spec.coefficients(5) == (2, 1)  # 2 + x
+    for i in range(spec.s):
+        assert FieldElem(spec, spec.coefficients(i)).index == i
 
 
 def test_pow_large_exponent():

@@ -14,6 +14,7 @@ from agroups.errors import (
     FieldMismatch,
     InvalidParams,
     LimitExceeded,
+    NotPrime,
     SingularGenerator,
 )
 from agroups.gf import field_make, is_prime
@@ -483,3 +484,21 @@ def test_classification_checks_the_limit_before_compiling_the_product(monkeypatc
     monkeypatch.setattr(matgrp, "mat_ops", refuse)
     with pytest.raises(LimitExceeded):
         matgrp.classify_elem_abelian_r(40, GF2, 3)
+
+
+def test_class_scan_is_cached_once_whatever_the_limit():
+    # r is checked, then the limit, and only then is the cache read
+    matgrp._elem_abelian_r_classes.cache_clear()
+    first = matgrp.classify_elem_abelian_r(2, GF3, 2, 10**6)
+    assert matgrp.classify_elem_abelian_r(2, GF3, 2, 10**6 + 1) == first
+    matgrp.irreducible_elem_abelian_r_classes(2, GF3, 2, gl_order(2, GF3))
+    info = matgrp._elem_abelian_r_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for classify in (matgrp.classify_elem_abelian_r, matgrp.irreducible_elem_abelian_r_classes):
+        with pytest.raises(NotPrime):
+            classify(2, GF3, 4, 1)
+        with pytest.raises(CharacteristicConflict):
+            classify(2, GF3, 3, 1)
+        with pytest.raises(LimitExceeded, match="exceeds brute-force limit 47"):
+            classify(2, GF3, 2, gl_order(2, GF3) - 1)
+    assert matgrp._elem_abelian_r_classes.cache_info().misses == 1

@@ -51,7 +51,6 @@ def test_construction_by_position_and_by_keyword():
     rep = PermGroup(3, [(1, 2, 0)])
     pairs = [
         (gf.FieldSpec(2, 1, (0, 1)), gf.FieldSpec(t=2, k=1, modulus=(0, 1))),
-        (gf.FieldElem(spec, (1, 0)), gf.FieldElem(spec=spec, coeffs=(1, 0))),
         (VarietyParams(2, 3, 5, 1, 1, 0), VarietyParams(p=2, q=3, r=5, alpha=1, beta=1, gamma=0)),
         (LogBound(Fraction(1), TERMS), LogBound(constant=Fraction(1), terms=TERMS)),
         (CayleyGroup(C3, 0), CayleyGroup(table=C3, identity=0)),
@@ -92,7 +91,6 @@ def equal_pairs():
     swap = (0, 1, 1, 0)
     return [
         (spec, rebuilt, other),
-        (gf.FieldElem(spec, (2,)), rebuilt.from_index(2), spec.from_index(1)),
         (VarietyParams(2, 3, 5, 1, 1, 0), VarietyParams(2, 3, 5, 1, 1, 0), VarietyParams(2, 3, 5, 1, 0, 1)),
         (LogBound.build(1, {3: 2}), LogBound.build(1, [(3, 1), (3, 1)]), LogBound.build(1, {3: 1})),
         (CayleyGroup(C3, 0), CayleyGroup(tuple(map(tuple, C3)), 0), CayleyGroup(((0, 1), (1, 0)), 0)),
@@ -102,8 +100,8 @@ def equal_pairs():
 
 @pytest.mark.parametrize(
     "index",
-    range(6),
-    ids=["FieldSpec", "FieldElem", "VarietyParams", "LogBound", "CayleyGroup", "MatGroup"],
+    range(5),
+    ids=["FieldSpec", "VarietyParams", "LogBound", "CayleyGroup", "MatGroup"],
 )
 def test_equal_values_hash_equal(index):
     a, b, c = equal_pairs()[index]
