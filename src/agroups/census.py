@@ -1,15 +1,18 @@
-"""Independent brute-force oracles.
+"""The S_n subgroup inventories and the three-prime variety census.
 
 Subgroup inventories of small symmetric groups are produced by closing sets
 of prime-order generators upward through the subgroup lattice up to
 S_n-conjugacy, pruned only by facts that cannot exclude a target (order
-divisibility, the soluble order bound). One representative per class is
-extended, its class is its orbit under the generators (1 2 ... n) and (1 2),
-and the filters, all invariant under conjugation, read representatives only.
-Degrees 7 and 8 go through the normalizer of one regular elementary abelian
-subgroup T, whose copies the class scan finds to be one class: the targets
-are the T.S for the subgroups S of the normalizer's point stabiliser, taken
-up to conjugacy there.
+divisibility, the soluble order bound). The generators are built from their
+cycle types, as products of disjoint p-cycles, so no scan walks the n!
+permutations. One representative per class is extended, its class is its
+orbit under the generators (1 2 ... n) and (1 2), and the filters, all
+invariant under conjugation, read representatives only. Degrees 7 and 8 go
+through the normalizer of one regular elementary abelian subgroup T, whose
+copies the class scan finds to be one class: the targets are the T.S for
+the {q, r}-subgroups S of the normalizer's point stabiliser N(T)_0, taken up
+to conjugacy there. N(T)_0 is built as Aut(T), one permutation per image of
+T's basis.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
 variety as an iterated split extension P x| (Q x| R) with elementary abelian
@@ -34,6 +37,7 @@ from .cayley import (
     conjugation_orbit,
     cyclic_table,
     elementary_abelian_table,
+    extend_subgroup,
     fitting_subgroup,
     homomorphisms_to_mats,
     in_variety,
@@ -156,6 +160,37 @@ def _sn_generators(n) -> tuple:
     return tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))
 
 
+def _prime_order_codes(n, primes, fpf_only) -> list[tuple[int, ...]]:
+    """Every code of S_n whose order is one of the primes (with fpf_only,
+    that is fixed-point free), in lexicographic order. An element of prime
+    order p is a product of one or more disjoint p-cycles (n/p of them,
+    covering every point, with fpf_only). Each is written once: the least
+    free point is either fixed or leads a cycle through p - 1 further free
+    points, in every order."""
+    out, code = [], list(range(n))
+
+    def place(p, free, cycles):
+        if not free:
+            if cycles:
+                out.append(tuple(code))
+            return
+        lead, rest = free[0], free[1:]
+        if not fpf_only:
+            place(p, rest, cycles)  # lead is fixed
+        for others in itertools.permutations(rest, p - 1):
+            cycle = (lead, *others)
+            for x, y in zip(cycle, (*others, lead)):
+                code[x] = y
+            place(p, [x for x in rest if x not in others], cycles + 1)
+            for x in cycle:
+                code[x] = x
+
+    for p in primes:
+        if not (fpf_only and n % p):
+            place(p, list(range(n)), 0)
+    return sorted(out)
+
+
 @lru_cache(maxsize=64)
 def _scan_cached(n, primes, order_cap, fpf_only):
     """The S_n-classes of subgroups of S_n generated by elements of the given
@@ -163,13 +198,11 @@ def _scan_cached(n, primes, order_cap, fpf_only):
     order_cap (with fpf_only, only fixed-point-free elements generate). The
     keep must reject upward-closed sets and be invariant under conjugation,
     as subgroup_lattice requires. Returns a tuple of (representative,
-    (generators, class)) pairs, code frozensets; the universe is S_n as codes
-    in lexicographic order."""
-    universe = [
-        g
-        for g in itertools.permutations(range(n))
-        if (not fpf_only or fixed_point_free(g)) and code_order(g) in primes
-    ]
+    (generators, class)) pairs, code frozensets. The universe is built from
+    cycle types (_prime_order_codes), not by testing the n! codes, in the
+    lexicographic order that the scan's discovery order and generators
+    depend on."""
+    universe = _prime_order_codes(n, primes, fpf_only)
     keep = _scan_keep(n, primes, fpf_only)
     classes = subgroup_lattice(perm_ops(n), universe, order_cap, keep, _sn_generators(n))
     return tuple(classes.items())
@@ -260,6 +293,8 @@ def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple]:
     whose nontrivial elements are fixed-point free (the candidates that can
     be transitive: transitive abelian groups are regular), as a dict from
     each class representative to (its generators, its class), code sets."""
+    if not is_prime(r):
+        raise NotPrime(f"{r} is not prime")
     return _subgroup_scan(n, (r,), n, fpf_only=True)
 
 
@@ -279,6 +314,42 @@ def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
     return _build_inventory(n, 1, r, classes, f"primitive, variety [{r}]")
 
 
+def _normalizer_stabilizer(n, T_elems, t_gens) -> list[tuple[int, ...]]:
+    """N(T)_0, the point stabiliser of the normalizer of a regular elementary
+    abelian T = <t_gens> (a basis), as sorted codes: one per automorphism.
+
+    T is regular, so w -> w[0] identifies T with the points, and each
+    automorphism a of T gives the g with g[w[0]] = a(w)[0]: it fixes 0 and
+    g^-1 w g = a(w). Every g in N(T)_0 arises so, from the automorphism it
+    induces. The automorphisms are the image tuples (b_1, ..., b_k) of the
+    basis with each b_i outside the span of the earlier ones, and since
+    t_i g = g b_i, g is read off from g[0] = 0 by g[t_i[y]] = b_i[g[y]]
+    along a spanning tree of the points."""
+    ops = perm_ops(n)
+    points, tree = [0], []  # tree: (x, y, i) with x = t_i[y], y reached first
+    for y in points:  # points grows by each newly reached point
+        for i, t in enumerate(t_gens):
+            if t[y] not in points:
+                points.append(t[y])
+                tree.append((t[y], y, i))
+    stab = []
+
+    def choose(images, span):
+        if len(images) == len(t_gens):
+            g = [0] * n
+            for x, y, i in tree:
+                g[x] = images[i][g[y]]
+            stab.append(tuple(g))
+            return
+        last = len(images) + 1 == len(t_gens)  # the span of a full basis is T
+        for b in T_elems:
+            if b not in span:
+                choose(images + [b], span if last else extend_subgroup(ops, span, images, b))
+
+    choose([], frozenset({ops.identity}))
+    return sorted(stab)
+
+
 def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     """Primitive scan through the normalizer of one regular (C_u)^k, u^k = n.
 
@@ -295,6 +366,15 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     would centralise T, which is its own centraliser), so a conjugation
     between targets fixes T, lies in N(T) = T.N(T)_0 and conjugates the S
     in N(T)_0. A class size counts the T.S in the class.
+
+    N(T)_0 comes from the automorphisms of T (_normalizer_stabilizer), not
+    from the (n-1)! permutations fixing a point. Its lattice is scanned on
+    the elements of {q, r}-smooth order, keeping the subgroups of
+    {q, r}-smooth order, and the cut is exact: |T.S| = n |S| with n a power
+    of q or r, so T.S is a {q, r}-group exactly when S is, and every element
+    of such an S has smooth order. The cut is upward-closed and invariant
+    under N(T)_0, as the scan requires, and it only drops subgroups, so the
+    kept ones are found in the same order from the same generators.
     """
     empty = ClassInventory(f"S{n}", n, f"primitive, variety [{q}, {r}]", ())
     factors = prime_factors(n)
@@ -309,26 +389,20 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
         raise AssertionError("regular elementary abelian copies are not a single class")
     T_elems = min(regulars[0], key=set_key)
     ops = perm_ops(n)
-    mul, inv = ops.mul, ops.inv
-
-    # N(T)_0: the elements fixing point 0 that normalize T
     t_gens = greedy_generators(n, T_elems)
-    stab = []
-    for rest in itertools.permutations(range(1, n)):
-        g = (0, *rest)
-        gi = inv(g)
-        if all(mul(mul(gi, h), g) in T_elems for h in t_gens):
-            stab.append(g)
+    stab = _normalizer_stabilizer(n, T_elems, t_gens)
     stab_gens = greedy_generators(n, stab)
 
+    smooth = [g for g in stab if _divides_primes(code_order(g), (q, r))]
+    lattice = subgroup_lattice(
+        ops, smooth, keep=lambda sub: _divides_primes(len(sub), (q, r)), conjugators=stab_gens
+    )
     classes = []
-    for s_gens, _ in subgroup_lattice(ops, stab, conjugators=stab_gens).values():
+    for s_gens, _ in lattice.values():
         g_elems, gens = T_elems, list(t_gens)
         for x in s_gens:
             g_elems = extend_set(n, g_elems, gens, x)
             gens.append(x)
-        if not _divides_primes(len(g_elems), (q, r)):
-            continue
         grp = group_from_set(n, g_elems)  # transitive: it contains T
         if not grp.is_primitive() or not in_variety(ops, [q, r], gens):
             continue

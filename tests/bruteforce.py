@@ -646,21 +646,46 @@ def unreduced_census(params, traversal="forward"):
 
 
 @functools.lru_cache(maxsize=None)
+def _sn_orders(n):
+    """(code, order, fixed-point free) for every code of S_n, in
+    lexicographic order."""
+    return [
+        (g, perm_order(images(g)), all(x != i for i, x in enumerate(g)))
+        for g in itertools.permutations(range(n))
+    ]
+
+
+def naive_prime_order_codes(n, primes, fpf_only):
+    """The codes of S_n whose order is in primes (and that are fixed-point
+    free, with fpf_only), in lexicographic order: the n! codes filtered."""
+    return [g for g, order, fpf in _sn_orders(n) if order in primes and (fpf or not fpf_only)]
+
+
+def naive_normalizer(n, T, fixing=()):
+    """The codes of S_n that fix the given points and conjugate every member
+    of the code set T into T: the n! codes filtered."""
+    T = frozenset(T)
+    out = []
+    for g in itertools.permutations(range(n)):
+        if any(g[x] != x for x in fixing):
+            continue
+        gi = sorted(range(n), key=g.__getitem__)  # g^-1 h g sends x to g[h[gi[x]]]
+        if all(tuple(g[h[y]] for y in gi) in T for h in T):
+            out.append(g)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def full_sn_scan(n, primes, cap, fpf_only):
     """Every subgroup of S_n generated by elements of the given prime orders
     that census._scan_keep keeps, of order at most cap, with the generators
     that built it: the lattice scan without conjugators."""
     from agroups import census
     from agroups.cayley import subgroup_lattice
-    from agroups.perm import code_order, fixed_point_free, perm_ops
+    from agroups.perm import perm_ops
 
-    universe = [
-        g
-        for g in itertools.permutations(range(n))
-        if (not fpf_only or fixed_point_free(g)) and code_order(g) in primes
-    ]
     keep = census._scan_keep(n, primes, fpf_only)
-    scan = subgroup_lattice(perm_ops(n), universe, cap, keep)
+    scan = subgroup_lattice(perm_ops(n), naive_prime_order_codes(n, primes, fpf_only), cap, keep)
     return tuple((elems, gens) for elems, (gens, _) in scan.items())
 
 
@@ -680,12 +705,7 @@ def regular_normal_candidates(n):
     sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
     assert set(conjugation_orbit(ops, T, sn_gens)) == set(regulars)
     t_gens = greedy_generators(n, T)
-    normalizer = [
-        g
-        for g in itertools.permutations(range(n))
-        if all(ops.mul(ops.mul(ops.inv(g), h), g) in T for h in t_gens)
-    ]
-    stab = group_from_set(n, normalizer).point_stabilizer(1)
+    stab = group_from_set(n, naive_normalizer(n, T)).point_stabilizer(1)
     stab_codes = stab.codes()
     out = []
     for sub in all_subgroups(table_of(stab)):

@@ -15,7 +15,7 @@ from agroups.census import (
 )
 from agroups.cayley import homomorphisms_to_mats
 from agroups.construct import primitive_aqar_group
-from agroups.errors import DegreeLimit, InvalidParams
+from agroups.errors import DegreeLimit, InvalidParams, NotPrime
 from agroups.gf import field_make
 from agroups.matgrp import gl_elements, mat_ops
 from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
@@ -111,6 +111,14 @@ def test_nonpositive_degree_is_invalid(n):
         enumerate_primitive_ar_classes(n, 2)
 
 
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_regular_scan_refuses_a_composite_order(r):
+    # the scan's universe holds the products of disjoint r-cycles, which are
+    # the elements of order r only for prime r
+    with pytest.raises(NotPrime):
+        census.elementary_abelian_regular_scan(6, r)
+
+
 # -- the class scan against the pairwise route ------------------------------------------------
 
 
@@ -157,6 +165,85 @@ def test_generic_scan_agrees_with_regular_normal_route_at_degree_7(q, r):
         # the members containing its fixed C7, which is normal in each, and
         # the C7 are one class of 7!/42 = 120
         assert (g.class_size, h.class_size) == (120, 1)
+
+
+# -- the scans' universes without S_n -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prime_order_universe_matches_the_filtered_sn(n):
+    for p in (2, 3, 5, 7):
+        for fpf_only in (False, True):
+            built = census._prime_order_codes(n, (p,), fpf_only)
+            assert built == bf.naive_prime_order_codes(n, (p,), fpf_only), (p, fpf_only)
+            if p > n or (fpf_only and n % p):
+                assert built == [], (p, fpf_only)
+    for primes in ((2, 3), (2, 5, 7)):
+        assert census._prime_order_codes(n, primes, False) == bf.naive_prime_order_codes(
+            n, primes, False
+        )
+
+
+def translations(u, k):
+    """The degree, the elements and the unit-vector basis of the regular
+    (C_u)^k on the points 0 .. u^k - 1 read as base-u digit vectors."""
+    n = u**k
+
+    def add(x, v):
+        return sum((x // u**j + v // u**j) % u * u**j for j in range(k))
+
+    def code(v):
+        return tuple(add(x, v) for x in range(n))
+
+    return n, [code(v) for v in range(n)], [code(u**j) for j in range(k)]
+
+
+@pytest.mark.parametrize("u, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
+    # degree 9 (u = 3, k = 2) is the one case with odd u and k > 1; it lies
+    # past PRIMITIVE_DEGREE_LIMIT, so the function is called directly
+    n, T, basis = translations(u, k)
+    stab = census._normalizer_stabilizer(n, frozenset(T), basis)
+    assert stab == sorted(set(stab))
+    assert set(stab) == set(bf.naive_normalizer(n, T, fixing=(0,)))
+    gl_order = math.prod(u**k - u**i for i in range(k))
+    assert len(stab) == gl_order
+
+
+def test_degree_8_scan_walks_no_sn(monkeypatch):
+    # the degree-8 route tests no n! codes: the scan's universe comes from
+    # cycle types and N(T)_0 from the automorphisms of T; and N(T)_0's
+    # lattice runs on the {q, r}-elements under the {q, r}-order keep
+    q, r = 2, 7
+    counts = {"code_order": 0, "fixed_point_free": 0}
+    lattice_calls = []
+
+    def counting(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return spy
+
+    def lattice_spy(G, universe, cap=None, keep=None, conjugators=()):
+        lattice_calls.append((list(universe), keep, list(conjugators)))
+        return real_lattice(G, universe, cap, keep, conjugators)
+
+    real_lattice = census.subgroup_lattice
+    for name in counts:
+        monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
+    monkeypatch.setattr(census, "subgroup_lattice", lattice_spy)
+    census._scan_cached.cache_clear()
+    inventory = enumerate_primitive_classes(8, q, r)
+    census._scan_cached.cache_clear()
+    assert inventory.count
+    assert all(c < 40320 // 20 for c in counts.values()), counts
+    sn_gens = list(census._sn_generators(8))
+    (universe, keep, conjugators), = [c for c in lattice_calls if c[2] != sn_gens]
+    assert all(g[0] == 0 for g in universe + conjugators)  # N(T)_0 fixes point 0
+    assert keep is not None
+    assert universe and all(census._divides_primes(perm.code_order(g), (q, r)) for g in universe)
+    assert len(universe) == 168 - 56  # GL(3, 2) without its elements of order 3
 
 
 # -- primitive inventories ---------------------------------------------------------
