@@ -12,6 +12,12 @@ into GL, on matrix codes, for the census oracle. Each backtracking level
 extends the map by breadth-first search over the Cayley graph on the
 generators mapped so far, checking one product per graph edge. A table
 computes its element orders and fingerprint once and caches them.
+Construction validates every table: rows and columns are permutations of
+the indices, the identity is an index that acts as one, and Light's test
+checks associativity on a generating set, for each generator g comparing
+the rows at column g with each row gathered at the entries of row g. The
+abelianisation's element orders are read off the cosets of the derived
+subgroup, with no quotient table.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 from functools import cached_property
 
 from .bounds import printable
@@ -45,30 +52,36 @@ class CayleyGroup:
         return hash(self._key())
 
     def __post_init__(self):
-        n = len(self.table)
+        t, e = self.table, self.identity
+        n = len(t)
         idx = set(range(n))
-        for row in self.table:
-            if len(row) != n or set(row) != idx:
-                raise InvalidParams("table rows must be permutations of the indices")
-        for col in zip(*self.table):
-            if set(col) != idx:
-                raise InvalidParams("table columns must be permutations of the indices")
-        e = self.identity
-        if any(self.table[e][j] != j for j in range(n)) or any(
-            self.table[i][e] != i for i in range(n)
+        if any(map(n.__ne__, map(len, t))) or not all(map(idx.__eq__, map(set, t))):
+            raise InvalidParams("table rows must be permutations of the indices")
+        if not all(map(idx.__eq__, map(set, zip(*t)))):
+            raise InvalidParams("table columns must be permutations of the indices")
+        ident = tuple(range(n))
+        if (
+            not isinstance(e, int)
+            or e not in idx
+            or t[e] != ident
+            or tuple(map(operator.itemgetter(e), t)) != ident
         ):
             raise InvalidParams("identity index does not act as identity")
         # Light's test: the g with (x g) y = x (g y) for all x, y are closed
         # under products, so a generating set read off the table suffices
         # (coset extension only ever multiplies elements already reached).
         # Inverses exist already: every row is a permutation, so it holds e.
-        t = self.table
-        for g in self.generators:
-            for x, row in enumerate(t):
-                left, right = t[row[g]], tuple(map(row.__getitem__, t[g]))
-                if left != right:
-                    y = next(y for y in range(n) if left[y] != right[y])
-                    raise InvalidParams(f"associativity fails at ({x}, {g}, {y})")
+        # Row x (g y) over all y gathers row x at the entries of row g; the
+        # rows (x g) y are the rows at column g. A table of order 1 has no
+        # generators, and itemgetter needs two indices to return a tuple.
+        for g in self.generators if n > 1 else ():
+            gather = operator.itemgetter(*t[g])
+            xg_rows = map(t.__getitem__, map(operator.itemgetter(g), t))
+            if not all(map(operator.eq, xg_rows, map(gather, t))):
+                x = next(x for x, row in enumerate(t) if t[row[g]] != gather(row))
+                left, right = t[t[x][g]], gather(t[x])
+                y = next(y for y in range(n) if left[y] != right[y])
+                raise InvalidParams(f"associativity fails at ({x}, {g}, {y})")
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -107,17 +120,23 @@ class CayleyGroup:
         return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
 
     def center(self) -> frozenset[int]:
+        """The a with a g = g a for every generator g: column g against row g."""
         t = self.table
-        return frozenset(
-            a for a in range(self.order) if all(t[a][g] == t[g][a] for g in self.generators)
-        )
+        central = set(range(self.order))
+        for g in self.generators:
+            column = map(operator.itemgetter(g), t)
+            central.intersection_update(
+                itertools.compress(range(self.order), map(operator.eq, column, t[g]))
+            )
+        return frozenset(central)
 
     @cached_property
     def invariants(self) -> tuple:
         """Cheap isomorphism invariants, computed once per table, as a
         hashable tuple: the element-order histogram, the orders of the
         centre and the derived subgroup, the exponent and the sorted element
-        orders of the abelianisation."""
+        orders of the abelianisation, read off the cosets of the derived
+        subgroup without building the quotient's table."""
         histogram = collections.Counter(self.element_orders)
         derived = derived_subgroup(self)
         return (
@@ -125,7 +144,7 @@ class CayleyGroup:
             len(self.center()),
             len(derived),
             self.exponent(),
-            tuple(sorted(quotient(self, derived).element_orders)),
+            _quotient_orders(self, derived),
         )
 
     def fingerprint(self) -> dict:
@@ -508,6 +527,24 @@ def quotient(G: CayleyGroup, N: frozenset[int]) -> CayleyGroup:
         for i in range(len(reps))
     )
     return CayleyGroup(table, coset_of[G.identity])
+
+
+def _quotient_orders(G: CayleyGroup, N: frozenset[int]) -> tuple[int, ...]:
+    """The sorted element orders of G/N, for a normal subgroup N: the order
+    of the coset a N is the least k with a^k in N. Each coset is walked from
+    its least member, as quotient orders them."""
+    t = G.table
+    covered: set[int] = set()
+    orders = []
+    for a in range(len(t)):
+        if a not in covered:
+            row = t[a]
+            covered.update(map(row.__getitem__, N))
+            k, x = 1, a
+            while x not in N:
+                k, x = k + 1, row[x]
+            orders.append(k)
+    return tuple(sorted(orders))
 
 
 def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:

@@ -207,7 +207,9 @@ def semidirect_product(
     GF(u), its flat row-major entry tuple; it must be a homomorphism
     (verified on the table). That makes every matrix invertible: the
     identity acts trivially, so M(h) M(h^-1) = M(e) = I. Elements are pairs
-    (vector, h) ordered by (vector digits, h index).
+    (vector, h) ordered by (vector digits, h index). Vectors are rows, h
+    acts on the kernel by conjugation, h^-1 v h = v M(h), so the product is
+    (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2).
     """
     u, dim = kernel_prime, kernel_dim
     ops = mat_ops(dim, field_make(u, 1))
@@ -233,13 +235,24 @@ def semidirect_product(
     vec_index = {v: i for i, v in enumerate(vectors)}
     h_count = acting.order
     vsum = [[vec_index[tuple((a + b) % u for a, b in zip(v, w))] for w in vectors] for v in vectors]
-    # conjugation acts on the right: v^h = v * mat(h); products need mat(h)^-1,
-    # applied once per (h, vector) rather than once per table cell
+    # products need M(h^-1), applied once per (h, vector) rather than once
+    # per table cell
     moved = [[vec_index[ops.apply(codes[acting.inv(h)], v)] for v in vectors] for h in range(h_count)]
 
-    table = []
-    for v1 in range(len(vectors)):
-        for h1, h_row in enumerate(acting.table):
-            shifts = [vsum[v1][w] * h_count for w in moved[h1]]
-            table.append(tuple(shift + h for shift in shifts for h in h_row))
-    return CayleyGroup(tuple(table), acting.identity)
+    # row (v1, h1) is, for each w in order, the block of the pairs
+    # (vsum[v1][moved[h1][w]], h1 h2) over h2; block i of h1 holds the
+    # indices i |H| + h over the h in h1's row
+    blocks = [
+        [tuple(map((i * h_count).__add__, h_row)) for i in range(len(vectors))]
+        for h_row in acting.table
+    ]
+    table = tuple(
+        tuple(
+            itertools.chain.from_iterable(
+                map(blocks[h1].__getitem__, map(v_row.__getitem__, moved[h1]))
+            )
+        )
+        for v_row in vsum
+        for h1 in range(h_count)
+    )
+    return CayleyGroup(table, acting.identity)

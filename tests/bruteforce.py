@@ -5,7 +5,8 @@ obviously-correct reference computations the engine is checked against.
 The block-partition brute force lives in agroups.selftest, whose criteria
 run it too; it shares no code with the block search it checks. The two
 exceptions check an engine reduction, not its parts: unreduced_census builds
-the census from every action with the engine's tables, and pairwise_inventory
+the census from every action, its split extensions by naive_semidirect_table
+and validated as the engine's tables, and pairwise_inventory
 builds the S_n inventories from every subgroup with the engine's lattice scan
 (no conjugators) and filters. table_of builds the tests' table fixtures with
 a group's own product. poly_singer_generator takes the engine's modulus of
@@ -600,13 +601,68 @@ def allpairs_homomorphisms_to_mats(G, gens, spec, codes):
 # -- the census without its reductions ------------------------------------------------
 
 
+def census_split_params():
+    """The four census inputs of the census-split benchmark workload: orders
+    60 and 90, (2,3,5;2,1,1), (3,2,5;2,1,1), (5,3,2;1,2,1), (3,2,5;1,2,1)."""
+    from agroups.cayley import VarietyParams
+
+    return [
+        VarietyParams(2, 3, 5, 2, 1, 1),
+        VarietyParams(3, 2, 5, 2, 1, 1),
+        VarietyParams(5, 3, 2, 1, 2, 1),
+        VarietyParams(3, 2, 5, 1, 2, 1),
+    ]
+
+
+def naive_semidirect_table(u, dim, action_codes, acting):
+    """The multiplication table of (C_u)^dim x| acting by the definition in
+    semidirect_product's docstring: elements (v, h) in the order of (v's
+    digits, h), and (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2) with v2 a
+    row vector times the matrix of FieldElem rows of h1^-1's code."""
+    from agroups.gf import field_make
+
+    spec = field_make(u, 1)
+    vectors = list(itertools.product(range(u), repeat=dim))
+    index = {v: i for i, v in enumerate(vectors)}
+    h_count = len(acting.table)
+    inverse = [row.index(acting.identity) for row in acting.table]
+
+    def times(v, code):
+        rows = code_rows(spec, code)
+        out = []
+        for j in range(dim):
+            acc = FieldElem(spec, [0])
+            for i in range(dim):
+                acc = acc + FieldElem.from_index(spec, v[i]) * rows[i][j]
+            out.append(acc.index)
+        return tuple(out)
+
+    moved = {
+        (h, v): times(v, action_codes[inverse[h]]) for h in range(h_count) for v in vectors
+    }
+    return tuple(
+        tuple(
+            index[tuple((a + b) % u for a, b in zip(v1, moved[h1, v2]))] * h_count
+            + acting.table[h1][h2]
+            for v2 in vectors
+            for h2 in range(h_count)
+        )
+        for v1 in vectors
+        for h1 in range(h_count)
+    )
+
+
 def unreduced_census(params, traversal="forward"):
     """The three-prime census from every action homomorphism (no orbit
     reduction), each table compared with every kept one (no invariant
     buckets), in the traversal order enumerate_variety_groups documents."""
-    from agroups.cayley import cyclic_table, elementary_abelian_table, minimal_generating_sequence
+    from agroups.cayley import (
+        CayleyGroup,
+        cyclic_table,
+        elementary_abelian_table,
+        minimal_generating_sequence,
+    )
     from agroups.census import VarietyCensus
-    from agroups.construct import semidirect_product
     from agroups.gf import field_make
     from agroups.matgrp import gl_elements
 
@@ -620,7 +676,9 @@ def unreduced_census(params, traversal="forward"):
         gl = gl_elements(dim, field)
         homs = allpairs_homomorphisms_to_mats(H, minimal_generating_sequence(H), field, gl)
         actions = maybe_reverse([[m[i] for i in range(len(H.table))] for m in homs])
-        return [semidirect_product(u, dim, action, H) for action in actions]
+        return [
+            CayleyGroup(naive_semidirect_table(u, dim, action, H), H.identity) for action in actions
+        ]
 
     def dedup(groups):
         reps = []

@@ -402,6 +402,30 @@ def test_quotient_examples():
     assert are_isomorphic(quotient(C6, sub2), cyclic_table(3))
 
 
+def test_abelianisation_orders_match_the_quotient_table(monkeypatch):
+    # invariants read G/G''s element orders off the cosets of G'; quotient
+    # builds and validates G/G''s table: every small table, and every table
+    # the census-split inputs build in either traversal
+    from agroups.census import enumerate_variety_groups
+
+    built = []
+    real_init = CayleyGroup.__init__
+
+    def recording(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CayleyGroup, "__init__", recording)
+        for params in bf.census_split_params():
+            for traversal in ("forward", "reverse"):
+                enumerate_variety_groups(params, traversal)
+    assert len(built) == 2 * 25
+    for G in small_tables() + built:
+        derived = cayley.derived_subgroup(G)
+        assert G.invariants[4] == tuple(sorted(quotient(G, derived).element_orders))
+
+
 def test_quotient_rejects_nonnormal():
     two = next(s for s in all_subgroups(S3) if len(s) == 2)
     with pytest.raises(NotNormal):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from agroups import census, perm
+from agroups import cayley, census, perm
 from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, cyclic_table, direct_product_table, elementary_abelian_table, in_variety
 from agroups.census import (
     enumerate_primitive_ar_classes,
@@ -479,12 +479,7 @@ def test_census_traversal_invariance():
 
 
 # the five selftest cases and the four census-split benchmark inputs
-ORACLE_CENSUS_PARAMS = [params for params, _ in CENSUS_CASES] + [
-    VarietyParams(2, 3, 5, 2, 1, 1),
-    VarietyParams(3, 2, 5, 2, 1, 1),
-    VarietyParams(5, 3, 2, 1, 2, 1),
-    VarietyParams(3, 2, 5, 1, 2, 1),
-]
+ORACLE_CENSUS_PARAMS = [params for params, _ in CENSUS_CASES] + bf.census_split_params()
 
 
 @pytest.mark.parametrize("traversal", ["forward", "reverse"])
@@ -492,6 +487,27 @@ ORACLE_CENSUS_PARAMS = [params for params, _ in CENSUS_CASES] + [
 def test_census_matches_unreduced_oracle(params, traversal):
     expected = bf.unreduced_census(params, traversal).to_json()
     assert enumerate_variety_groups(params, traversal).to_json() == expected
+
+
+def test_census_split_builds_each_table_once_and_no_quotient(monkeypatch):
+    # the invariants read G/G''s element orders off the cosets of G', so the
+    # only tables built are the 4 base tables and the 21 split extensions
+    built = 0
+    real_init = CayleyGroup.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        real_init(self, *args)
+
+    def refuse(*_):
+        raise AssertionError("a quotient table was built")
+
+    monkeypatch.setattr(cayley, "quotient", refuse)
+    monkeypatch.setattr(CayleyGroup, "__init__", counting)
+    for params in bf.census_split_params():
+        enumerate_variety_groups(params)
+    assert built == 25
 
 
 def test_action_orbit_reps_are_the_gl_classes():

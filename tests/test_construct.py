@@ -1,6 +1,6 @@
 import pytest
 
-from agroups import perm
+from agroups import census, perm
 from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table, direct_product_table
 from agroups.construct import (
     CASE_AFFINE,
@@ -176,3 +176,20 @@ def test_verify_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(CayleyGroup, "__init__", refuse)
     assert spec.n == 8 and verify_theorem_b(G, 2, 7)["all_passed"]
+
+
+def test_semidirect_product_matches_the_naive_table_on_every_census_action(monkeypatch):
+    # every action census._action_orbit_reps gives the census-split inputs,
+    # in both layers: the rows chained from blocks are the definitional table
+    built = []
+
+    def checked(u, dim, action, H):
+        G = semidirect_product(u, dim, action, H)
+        assert G.table == bf.naive_semidirect_table(u, dim, action, H)
+        built.append(G)
+        return G
+
+    monkeypatch.setattr(census, "semidirect_product", checked)
+    for params in bf.census_split_params():
+        census.enumerate_variety_groups(params)
+    assert len(built) == 21

@@ -134,11 +134,33 @@ def test_equal_field_specs_share_the_cached_matrix_ops():
             ),
             "associativity fails at (1, 1, 2)",
         ),
+        (
+            # 0 is a left identity only: column 0 reads 0, 2, 1
+            lambda: CayleyGroup(((0, 1, 2), (2, 0, 1), (1, 2, 0)), 0),
+            "identity index does not act as identity",
+        ),
+        (lambda: CayleyGroup(((0,),), 5), "identity index does not act as identity"),
+        (lambda: CayleyGroup(((0, 1), (1, 0)), 2), "identity index does not act as identity"),
+        (lambda: CayleyGroup(((0,),), -1), "identity index does not act as identity"),
+        (lambda: CayleyGroup((), 0), "identity index does not act as identity"),
         (lambda: VarietyParams(2, 4, 5, 1, 1, 1), "4 is not prime"),
         (lambda: VarietyParams(2, 3, 3, 1, 1, 1), "p, q, r must be pairwise distinct"),
         (lambda: VarietyParams(2, 3, 5, 1, -1, 1), "exponents must be nonnegative"),
     ],
-    ids=["rows", "columns", "identity", "associativity", "not-prime", "equal-primes", "negative"],
+    ids=[
+        "rows",
+        "columns",
+        "identity",
+        "associativity",
+        "identity-on-the-left-only",
+        "identity-past-order-1",
+        "identity-past-order-2",
+        "identity-negative",
+        "order-0",
+        "not-prime",
+        "equal-primes",
+        "negative",
+    ],
 )
 def test_validation_messages(build, message):
     with pytest.raises(InvalidParams) as info:
