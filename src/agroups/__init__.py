@@ -38,7 +38,6 @@ from .matgrp import (
 )
 from .perm import (
     PermGroup,
-    fitting_subgroup,
     minimal_normal_subgroups,
     subgroup_conjugate,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "enumerate_transitive_classes",
     "enumerate_variety_groups",
     "field_make",
-    "fitting_subgroup",
     "gl_order",
     "in_variety",
     "is_irreducible",

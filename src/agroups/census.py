@@ -307,7 +307,7 @@ def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
     for elems, (gens, cls) in elementary_abelian_regular_scan(n, r).items():
         if len(elems) != n:
             continue  # transitive abelian means regular
-        grp = group_from_set(n, elems)
+        grp = PermGroup(n, gens)
         if grp.is_transitive() and grp.is_primitive():
             classes.append(cls)
     # q = 1 gives the single-prime signature (0, r-exponent)
@@ -403,7 +403,7 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
         for x in s_gens:
             g_elems = extend_set(n, g_elems, gens, x)
             gens.append(x)
-        grp = group_from_set(n, g_elems)  # transitive: it contains T
+        grp = PermGroup(n, gens)  # transitive: it contains T
         if not grp.is_primitive() or not in_variety(ops, [q, r], gens):
             continue
         classes.append(conjugation_orbit(ops, g_elems, stab_gens))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .bounds import printable
-from .cayley import TABLE_LIMIT, CayleyGroup, _power, in_variety
+from .cayley import TABLE_LIMIT, CayleyGroup, _power, fitting_subgroup, in_variety
 from .errors import (
     DegreeLimit,
     LimitExceeded,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .gf import field_make, is_prime, multiplicative_order, prime_factors
 from .matgrp import mat_ops, singer_generator
-from .perm import PermGroup, code_order, fitting_subgroup, minimal_normal_subgroups, perm_ops
+from .perm import PermGroup, code_order, minimal_normal_subgroups, perm_ops
 
 CASE_CYCLIC_R = "cyclic-r"
 CASE_CYCLIC_Q = "cyclic-q"
@@ -123,11 +123,13 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
     # the budget of the element-by-element checks below
     if G.order > TABLE_LIMIT:
         raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
-    if not in_variety(perm_ops(G.degree), [q, r], G.generators):
+    ops = perm_ops(G.degree)
+    if not in_variety(ops, [q, r], G.generators):
         raise NotInVariety(f"group is not in the [{q}, {r}] variety")
 
     n = G.degree
     order = G.order
+    elems = G.codes()
     factors = prime_factors(order)
     a = factors.get(q, 0)
     b = factors.get(r, 0)
@@ -144,14 +146,10 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
         f"found {len(mns)} minimal normal subgroups",
     )
     M = mns[0]
-    F = fitting_subgroup(G)
-    check(
-        "minimal-normal-equals-fitting",
-        M.codes() == F.codes(),
-        f"|M| = {M.order}, |F(G)| = {F.order}",
-    )
-    check("minimal-normal-regular", M.order == n, f"|M| = {M.order}, n = {n}")
-    m_factors = prime_factors(M.order)
+    F = fitting_subgroup(ops, elems, G.generators)
+    check("minimal-normal-equals-fitting", M == F, f"|M| = {len(M)}, |F(G)| = {len(F)}")
+    check("minimal-normal-regular", len(M) == n, f"|M| = {len(M)}, n = {n}")
+    m_factors = prime_factors(len(M))
     u, k = next(iter(m_factors.items()))
     if len(m_factors) == 1 and k == 1:
         notes.append(
@@ -163,21 +161,21 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
         case = CASE_CYCLIC_R
         check("order-is-n", order == n, f"|G| = {order}, n = {n}")
         check("degree-is-r", n == r, f"n = {n}, r = {r}")
-        check("cyclic", any(code_order(g) == order for g in G.codes()), "cyclic of prime order")
+        check("cyclic", any(code_order(g) == order for g in elems), "cyclic of prime order")
     elif b == 0:
         case = CASE_CYCLIC_Q
         check("order-is-n", order == n, f"|G| = {order}, n = {n}")
         check("degree-is-q", n == q, f"n = {n}, q = {q}")
-        check("cyclic", any(code_order(g) == order for g in G.codes()), "cyclic of prime order")
+        check("cyclic", any(code_order(g) == order for g in elems), "cyclic of prime order")
     else:
         case = CASE_AFFINE
         beta = multiplicative_order(q, r)
         check("degree-is-q-power", n == q**a, f"n = {n}, q^a = {q ** a}")
-        stab = G.point_stabilizer(1)
+        stab = [g for g in elems if g[0] == 0]
         check(
             "stabilizer-cyclic-of-order-r",
-            stab.order == r and any(code_order(g) == r for g in stab.codes()),
-            f"stabilizer order {stab.order}",
+            len(stab) == r and any(code_order(g) == r for g in stab),
+            f"stabilizer order {len(stab)}",
         )
         check(
             "dimension-is-order-of-q-mod-r",
@@ -204,12 +202,14 @@ def semidirect_product(
     """Split extension of (C_u)^dim by a table group.
 
     action maps each element index of the acting group to a matrix code over
-    GF(u), its flat row-major entry tuple; it must be a homomorphism
-    (verified on the table). That makes every matrix invertible: the
-    identity acts trivially, so M(h) M(h^-1) = M(e) = I. Elements are pairs
-    (vector, h) ordered by (vector digits, h index). Vectors are rows, h
-    acts on the kernel by conjugation, h^-1 v h = v M(h), so the product is
-    (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2).
+    GF(u), its flat row-major entry tuple; it must be a homomorphism,
+    verified on the edges of the acting group's Cayley graph: M(e) = I and
+    M(x g) = M(x) M(g) for every x and every generator g make M
+    multiplicative, M(x w) = M(x) M(w) for each word w by induction on its
+    length. That makes every matrix invertible: M(h) M(h^-1) = M(e) = I.
+    Elements are pairs (vector, h) ordered by (vector digits, h index).
+    Vectors are rows, h acts on the kernel by conjugation, h^-1 v h = v M(h),
+    so the product is (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2).
     """
     u, dim = kernel_prime, kernel_dim
     ops = mat_ops(dim, field_make(u, 1))
@@ -223,9 +223,9 @@ def semidirect_product(
         raise NotHomomorphism("identity must act trivially")
     mul = ops.mul
     for x, row in enumerate(acting.table):
-        for y, xy in enumerate(row):
-            if codes[xy] != mul(codes[x], codes[y]):
-                raise NotHomomorphism(f"action is not multiplicative at ({x}, {y})")
+        for g in acting.generators:
+            if codes[row[g]] != mul(codes[x], codes[g]):
+                raise NotHomomorphism(f"action is not multiplicative at ({x}, {g})")
 
     order = u**dim * acting.order
     if order > TABLE_LIMIT:

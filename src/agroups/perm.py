@@ -4,17 +4,19 @@ A permutation of the points 1..n is its code: the tuple of its 0-based point
 images, multiplied by one C-level map and hashed and compared as a plain
 tuple. perm_ops binds the subgroup kernel in cayley to codes. Products
 compose left to right: mul(a, b) sends x to b[a[x]], so x^(ab) = (x^a)^b.
-Points are 1-based only at the edges: cycle notation, base points, orbits,
-blocks and the JSON wire format. A code sorts exactly as its 1-based images
-do, so every canonical order is the same in both forms.
+Points are 1-based only at the edges: cycle notation, orbits, blocks and
+the JSON wire format. A code sorts exactly as its 1-based images do, so every
+canonical order is the same in both forms. The input formats refuse a degree
+above TABLE_LIMIT before any code is built.
 
-A PermGroup keeps its generators as codes and carries a base and strong
-generating set built with a deterministic incremental Schreier-Sims on codes,
-which gives exact orders and membership without listing elements.
-Element-set work (closures, extensions, generators, normal closures, the
-Fitting subgroup, the census lattice scans, conjugacy) runs on the subgroup
-kernel. The normal-structure operators deliberately work on exhaustive
-element lists: they are oracles, and at desk scale certainty beats
+A PermGroup is a group that arrives as generators: an input, a construction,
+an inventory representative. It keeps its generators as codes and carries a
+base and strong generating set built with a deterministic incremental
+Schreier-Sims on codes, which gives exact orders, membership, orbits and the
+element list. Every subgroup already listed stays a code set on the subgroup
+kernel (closures, extensions, generators, normal closures, the census lattice
+scans, conjugacy). The normal-structure operators deliberately work on
+exhaustive element lists: they are oracles, and at desk scale certainty beats
 sophistication. An exhaustive closure cross-check of the chain order is part
 of the test suite, not of construction.
 """
@@ -29,6 +31,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import cayley
+from .cayley import TABLE_LIMIT
 from .errors import DegreeMismatch, LimitExceeded, NotTransitive
 from .gf import is_prime
 
@@ -37,6 +40,17 @@ CONJUGACY_DEGREE_LIMIT = 8
 
 
 _CYCLE_RE = re.compile(r"\(([\d\s,]*)\)")
+
+
+def _check_input_degree(degree: int):
+    """The input formats carry groups to verify-primitive, which lists their
+    elements only up to TABLE_LIMIT; a primitive group is transitive, so its
+    order is a multiple of its degree."""
+    if degree > TABLE_LIMIT:
+        raise LimitExceeded(
+            f"degree {degree} exceeds the table limit {TABLE_LIMIT}:"
+            " a primitive group's order is a multiple of its degree"
+        )
 
 
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
@@ -57,6 +71,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
         repeated = next(x for x in points if points.count(x) > 1)
         raise ValueError(f"point {repeated + 1} appears twice in {text!r}: cycles must be disjoint")
     n = degree if degree is not None else max(points, default=0) + 1
+    _check_input_degree(n)
     if points and max(points) >= n:
         raise ValueError(f"point {max(points) + 1} exceeds degree {n}")
     code = list(range(n))
@@ -67,7 +82,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# stabiliser chains on codes; base points are 0-based
+# stabiliser chains on codes
 
 
 def _orbit_transversal(ops, point, gens):
@@ -97,22 +112,18 @@ def _sift(ops, h, base, transversals, start=0):
     return h, len(base)
 
 
-def _schreier_sims(degree, gens, base_prefix=()):
+def _schreier_sims(degree, gens):
     """Deterministic incremental Schreier-Sims on codes.
 
-    Returns (base, strong, transversals) where strong[i] lists the strong
-    generators fixing base[:i] and transversals[i] is the orbit transversal
-    of base[i] under <strong[i]>. Invariant on return: <strong[i+1]> is the
-    stabiliser of base[i] in <strong[i]> (every Schreier generator sifts to
-    the identity).
+    Returns (base, transversals) where transversals[i] is the orbit
+    transversal of base[i] under strong[i], the strong generators fixing
+    base[:i]. Invariant on return: <strong[i+1]> is the stabiliser of base[i]
+    in <strong[i]> (every Schreier generator sifts to the identity).
     """
     ops = perm_ops(degree)
     mul, inv, ident = ops.mul, ops.inv, ops.identity
     gens = [g for g in dict.fromkeys(gens) if g != ident]
-    base = list(base_prefix)
-    if not gens:
-        return base, [[] for _ in base], [{b: ident} for b in base]
-
+    base = []
     for g in gens:
         if all(g[b] == b for b in base):
             base.append(next(p for p, q in enumerate(g) if p != q))
@@ -146,16 +157,16 @@ def _schreier_sims(degree, gens, base_prefix=()):
             strong[level].append(h)
             transversals[level] = _orbit_transversal(ops, base[level], strong[level])
         i = j
-    return base, strong, transversals
+    return base, transversals
 
 
 class PermGroup:
     """Permutation group with exact order and membership via its chain.
 
     Generators are codes; the group keeps them sorted, without the identity
-    or repeats. base_prefix lists 1-based points the base starts with."""
+    or repeats."""
 
-    def __init__(self, degree: int, generators, base_prefix=()):
+    def __init__(self, degree: int, generators):
         codes = [tuple(g) for g in generators]
         for c in codes:
             if len(c) != degree:
@@ -163,9 +174,7 @@ class PermGroup:
         self.degree = degree
         identity = perm_ops(degree).identity
         self.generators = tuple(sorted({c for c in codes if c != identity}))
-        self._base, self._strong, self._transversals = _schreier_sims(
-            degree, self.generators, [p - 1 for p in base_prefix]
-        )
+        self._base, self._transversals = _schreier_sims(degree, self.generators)
         self._codes: list[tuple[int, ...]] | None = None
 
     @property
@@ -178,10 +187,6 @@ class PermGroup:
     @property
     def ops(self) -> SimpleNamespace:
         return perm_ops(self.degree)
-
-    @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(b + 1 for b in self._base)
 
     def contains(self, code) -> bool:
         if len(code) != self.degree:
@@ -210,22 +215,12 @@ class PermGroup:
     # -- orbits, blocks ----------------------------------------------------
 
     def orbits(self) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
+        ops, seen, out = perm_ops(self.degree), set(), []
         for start in range(self.degree):
-            if start in seen:
-                continue
-            orbit = {start}
-            queue = [start]
-            while queue:
-                pt = queue.pop()
-                for g in self.generators:
-                    q = g[pt]
-                    if q not in orbit:
-                        orbit.add(q)
-                        queue.append(q)
-            seen |= orbit
-            out.append(tuple(sorted(p + 1 for p in orbit)))
+            if start not in seen:
+                orbit = _orbit_transversal(ops, start, self.generators)
+                seen.update(orbit)
+                out.append(tuple(sorted(p + 1 for p in orbit)))
         return out
 
     def is_transitive(self) -> bool:
@@ -266,16 +261,6 @@ class PermGroup:
     def is_primitive(self) -> bool:
         return self.primitivity_block() is None
 
-    # -- stabilisers ---------------------------------------------------------
-
-    def point_stabilizer(self, point: int) -> "PermGroup":
-        """Subgroup fixing the point, from a chain based at that point."""
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range")
-        rebased = PermGroup(self.degree, self.generators, base_prefix=(point,))
-        stab_gens = rebased._strong[1] if len(rebased._base) > 1 else []
-        return PermGroup(self.degree, stab_gens)
-
 
 # ---------------------------------------------------------------------------
 # element sets as codes, through the subgroup kernel (exhaustive, desk scale)
@@ -299,16 +284,7 @@ def perm_ops(degree: int) -> SimpleNamespace:
 
 def code_order(code) -> int:
     """Order of a code: the lcm of its cycle lengths."""
-    order, seen = 1, bytearray(len(code))
-    for start in range(len(code)):
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = 1
-            x = code[x]
-            length += 1
-        if length > 1:
-            order = math.lcm(order, length)
-    return order
+    return math.lcm(*_cycle_type(code))
 
 
 def _cycle_type(code) -> tuple[int, ...]:
@@ -327,11 +303,6 @@ def _cycle_type(code) -> tuple[int, ...]:
 
 def fixed_point_free(code) -> bool:
     return all(map(operator.ne, code, range(len(code))))
-
-
-def close_set(degree: int, seeds) -> frozenset[tuple]:
-    """Subgroup generated by the seed codes, as a code set."""
-    return cayley.subgroup_closure(perm_ops(degree), seeds)
 
 
 def extend_set(
@@ -365,8 +336,8 @@ def subgroup_conjugate(A: PermGroup, B: PermGroup) -> tuple[int, ...] | None:
     """The code of some x in S_n with A^x = B, or None if no such x exists.
 
     Fingerprint rejection (order, element cycle types) first, then the first
-    x of S_n in lexicographic order that conjugates A's greedy generators
-    into B.
+    x of S_n in lexicographic order that conjugates A's generators into B.
+    Given |A| = |B|, that x is the same for every generating set of A.
     """
     if A.degree != B.degree:
         raise DegreeMismatch("conjugacy needs equal degrees")
@@ -379,10 +350,7 @@ def subgroup_conjugate(A: PermGroup, B: PermGroup) -> tuple[int, ...] | None:
     if sorted(map(_cycle_type, a_codes)) != sorted(map(_cycle_type, b_codes)):
         return None
     return cayley.first_conjugator(
-        perm_ops(n),
-        itertools.permutations(range(n)),
-        greedy_generators(n, a_codes),
-        set(b_codes),
+        perm_ops(n), itertools.permutations(range(n)), A.generators, set(b_codes)
     )
 
 
@@ -390,32 +358,20 @@ def subgroup_conjugate(A: PermGroup, B: PermGroup) -> tuple[int, ...] | None:
 # normal structure (exhaustive oracles)
 
 
-def minimal_normal_subgroups(G: PermGroup) -> list[PermGroup]:
-    """All minimal nontrivial normal subgroups.
+def minimal_normal_subgroups(G: PermGroup) -> list[frozenset[tuple]]:
+    """All minimal nontrivial normal subgroups, as code sets sorted by
+    set_key.
 
     Candidates are normal closures of prime-order elements (every nontrivial
     normal subgroup contains one), reduced to the minimal members.
     """
     ops = perm_ops(G.degree)
-    closures: dict[tuple, frozenset] = {}
-    for g in G.codes():
-        if g == ops.identity or not is_prime(code_order(g)):
-            continue
-        clo = cayley.normal_closure(ops, [g], G.generators)[0]
-        closures[set_key(clo)] = clo
-    minimal = []
-    for key, clo in closures.items():
-        if any(other < clo for k2, other in closures.items() if k2 != key):
-            continue
-        minimal.append(clo)
-    minimal.sort(key=set_key)
-    return [group_from_set(G.degree, m) for m in minimal]
-
-
-def fitting_subgroup(G: PermGroup) -> PermGroup:
-    """Largest nilpotent normal subgroup: join of the normal u-radicals."""
-    fitting = cayley.fitting_subgroup(perm_ops(G.degree), G.codes(), G.generators)
-    return group_from_set(G.degree, fitting)
+    closures = {
+        cayley.normal_closure(ops, [g], G.generators)[0]
+        for g in G.codes()
+        if is_prime(code_order(g))
+    }
+    return sorted((c for c in closures if not any(d < c for d in closures)), key=set_key)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +394,7 @@ def permgroup_from_json(obj) -> PermGroup:
     degree, gens = obj["degree"], obj["generators"]
     if not _is_int(degree):
         raise ValueError("the degree must be an integer")
+    _check_input_degree(degree)
     if not isinstance(gens, list) or not all(
         isinstance(g, list) and all(map(_is_int, g)) for g in gens
     ):

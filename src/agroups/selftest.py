@@ -14,11 +14,11 @@ import random
 import time
 
 from . import bounds as bnd
-from . import census, construct, matgrp, perm
-from .cayley import VarietyParams, in_variety, in_variety_exhaustive
+from . import census, construct, matgrp
+from .cayley import VarietyParams, in_variety, in_variety_exhaustive, subgroup_closure
 from .errors import LimitExceeded
 from .gf import field_make
-from .perm import PermGroup, subgroup_conjugate
+from .perm import PermGroup, perm_ops, subgroup_conjugate
 
 PASS = "pass"
 FAIL = "fail"
@@ -306,7 +306,7 @@ def criterion_engine_properties() -> CriterionOutcome:
             rng.shuffle(code)
             gens.append(tuple(code))
         G = PermGroup(6, gens)
-        closure = perm.close_set(6, gens)
+        closure = subgroup_closure(perm_ops(6), gens)
         if G.order != len(closure):
             out.fail(f"random subgroup {i}: chain order {G.order} != closure {len(closure)}")
     out.note("30 seeded random subgroups of S6: chain order == closure size")

@@ -62,9 +62,14 @@ def naive_closure(degree, gens):
 def table_of(group):
     """The multiplication table of a PermGroup or MatGroup over its sorted
     element codes, multiplied by its ops: the tests' table fixtures."""
+    return codes_table(group.codes(), group.ops)
+
+
+def codes_table(elems, ops):
+    """The multiplication table of the group of the given sorted codes,
+    multiplied by ops."""
     from agroups.cayley import CayleyGroup
 
-    elems, ops = group.codes(), group.ops
     index = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(index[ops.mul(a, b)] for b in elems) for a in elems)
     return CayleyGroup(table, index[ops.identity])
@@ -652,6 +657,13 @@ def naive_semidirect_table(u, dim, action_codes, acting):
     )
 
 
+def naive_is_homomorphism(table, images, mul):
+    """Whether images (by element index of the table) is a homomorphism:
+    every pair of elements, none of the Cayley-graph argument."""
+    n = len(table)
+    return all(images[table[x][y]] == mul(images[x], images[y]) for x in range(n) for y in range(n))
+
+
 def unreduced_census(params, traversal="forward"):
     """The three-prime census from every action homomorphism (no orbit
     reduction), each table compared with every kept one (no invariant
@@ -754,7 +766,7 @@ def regular_normal_candidates(n):
     conjugate), S every subgroup of the point stabiliser of N(T), found from
     a scan of all of S_n and the stabiliser's multiplication table."""
     from agroups.cayley import all_subgroups, conjugation_orbit
-    from agroups.perm import extend_set, greedy_generators, group_from_set, perm_ops, set_key
+    from agroups.perm import extend_set, greedy_generators, perm_ops, set_key
 
     u = min(p for p in range(2, n + 1) if n % p == 0)
     regulars = [elems for elems, _ in full_sn_scan(n, (u,), n, True) if len(elems) == n]
@@ -763,10 +775,9 @@ def regular_normal_candidates(n):
     sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
     assert set(conjugation_orbit(ops, T, sn_gens)) == set(regulars)
     t_gens = greedy_generators(n, T)
-    stab = group_from_set(n, naive_normalizer(n, T)).point_stabilizer(1)
-    stab_codes = stab.codes()
+    stab_codes = naive_normalizer(n, T, fixing=(0,))
     out = []
-    for sub in all_subgroups(table_of(stab)):
+    for sub in all_subgroups(codes_table(stab_codes, ops)):
         elems, gens = T, list(t_gens)
         for x in sorted(stab_codes[i] for i in sub):
             if x not in elems:

@@ -246,6 +246,27 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
     assert len(universe) == 168 - 56  # GL(3, 2) without its elements of order 3
 
 
+def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
+    # each candidate T.S is tested for blocks on the generators it was built
+    # from: canonical generators are taken for T's basis, for N(T)_0 and for
+    # the reported representatives only
+    calls = []
+    real = cayley.canonical_generators
+
+    def spy(G, elems):
+        elems = frozenset(elems)
+        calls.append(elems)
+        return real(G, elems)
+
+    monkeypatch.setattr(cayley, "canonical_generators", spy)
+    census._scan_cached.cache_clear()
+    inventory = enumerate_primitive_classes(8, 2, 7)
+    census._scan_cached.cache_clear()
+    reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
+    assert inventory.count and len(calls) == 2 + inventory.count
+    assert sorted(calls[2:], key=perm.set_key) == sorted(reps, key=perm.set_key)
+
+
 # -- primitive inventories ---------------------------------------------------------
 
 

@@ -5,8 +5,8 @@ Generators are drawn in S_n for n <= 8 in three shapes, so that besides the
 S_n and A_n that random permutations mostly generate, intransitive groups
 (permutations of an initial segment of the points) and imprimitive ones
 (permutations of the blocks of a fixed partition) come up too. Order,
-membership, orbits, minimal blocks, primitivity and point-stabiliser orders
-are compared with sympy's.
+membership, orbits, minimal blocks, primitivity, the element list and
+point-stabiliser orders are compared with sympy's.
 """
 
 import pytest
@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from agroups.perm import PermGroup, perm_ops  # noqa: E402
+from agroups.errors import LimitExceeded  # noqa: E402
+from agroups.perm import EXHAUSTIVE_ORDER_LIMIT, PermGroup, perm_ops  # noqa: E402
 
 
 @st.composite
@@ -83,7 +84,15 @@ def test_orbits_blocks_and_primitivity_match_sympy(case):
 @settings(max_examples=100, deadline=None)
 @given(generator_sets())
 def test_point_stabilizer_orders_match_sympy(case):
+    """The element list is sympy's, and the members fixing each point count
+    its stabiliser; above the exhaustive limit the list is refused."""
     n, gens = case
     G, S = both(n, gens)
-    for point in range(1, n + 1):
-        assert G.point_stabilizer(point).order == S.stabilizer(point - 1).order()
+    if G.order > EXHAUSTIVE_ORDER_LIMIT:
+        with pytest.raises(LimitExceeded):
+            G.codes()
+        return
+    codes = G.codes()
+    assert codes == sorted(tuple(p.array_form) for p in S.generate())
+    for point in range(n):
+        assert sum(g[point] == point for g in codes) == S.stabilizer(point).order()

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from agroups import census, perm
+from agroups import census, cli, perm
 from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table, direct_product_table
 from agroups.construct import (
     CASE_AFFINE,
@@ -12,10 +14,13 @@ from agroups.construct import (
 )
 from agroups.errors import (
     DegreeLimit,
+    LimitExceeded,
     NotHomomorphism,
     NotPrimitive,
     SamePrime,
 )
+from agroups.gf import field_make
+from agroups.matgrp import gl_elements, mat_ops
 from agroups.perm import PermGroup, parse_cycles
 
 import bruteforce as bf
@@ -152,6 +157,30 @@ def test_semidirect_rejects_non_homomorphism():
         semidirect_product(2, 2, [identity, companion, (0, 2, 1, 1)], c3)
 
 
+def test_semidirect_rejects_exactly_the_non_homomorphisms():
+    # the action check walks the Cayley graph's edges; the all-pairs oracle
+    # decides every map with f(e) = I into GL(1, 3) and GL(2, 2)
+    s3 = bf.table_of(pgroup(3, "(1 2 3)", "(1 2)"))
+    actings = [cyclic_table(2), cyclic_table(3), cyclic_table(4), s3]
+    checked = 0
+    for u, dim in [(3, 1), (2, 2)]:
+        ops = mat_ops(dim, field_make(u, 1))
+        gl = gl_elements(dim, field_make(u, 1))
+        for H in actings:
+            others = [x for x in range(H.order) if x != H.identity]
+            for images in itertools.product(gl, repeat=len(others)):
+                action = [ops.identity] * H.order
+                for x, m in zip(others, images):
+                    action[x] = m
+                if bf.naive_is_homomorphism(H.table, action, ops.mul):
+                    assert semidirect_product(u, dim, action, H).order == u**dim * H.order
+                else:
+                    with pytest.raises(NotHomomorphism):
+                        semidirect_product(u, dim, action, H)
+                checked += 1
+    assert checked == 2 + 4 + 8 + 32 + 6 + 36 + 216 + 6**5
+
+
 def test_semidirect_kernel_is_normal_elementary_abelian():
     c3 = cyclic_table(3)
     G = semidirect_product(2, 2, COMPANION_POWERS, c3)
@@ -176,6 +205,42 @@ def test_verify_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(CayleyGroup, "__init__", refuse)
     assert spec.n == 8 and verify_theorem_b(G, 2, 7)["all_passed"]
+
+
+def test_construct_primitive_builds_one_chain(monkeypatch, capsys):
+    # the construction is the only group built from generators: the
+    # verification reads M, F(G) and the point stabiliser off its element list
+    chains = []
+    real = perm._schreier_sims
+
+    def spy(degree, *args):
+        chains.append(degree)
+        return real(degree, *args)
+
+    monkeypatch.setattr(perm, "_schreier_sims", spy)
+    assert cli.main(["construct-primitive", "--q", "2", "--r", "7"]) == 0
+    assert '"status": "verified"' in capsys.readouterr().out
+    assert chains == [8]
+
+
+def test_verify_primitive_refuses_a_degree_above_the_table_limit(capsys, tmp_path):
+    # refused before any code of that degree is built: a primitive group's
+    # order is a multiple of its degree
+    wire = tmp_path / "group.json"
+    wire.write_text('{"degree": 100000, "generators": []}')
+    for degree, argv in [
+        (100000, ["--gens", "(1 2)", "--degree", "100000"]),
+        (100000, ["--gens", "(1 100000)"]),
+        (100000, ["--file", str(wire)]),
+        (401, ["--gens", "(1 2)", "--degree", "401"]),
+    ]:
+        assert cli.main(["verify-primitive", "--q", "2", "--r", "7", *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: LimitExceeded: degree {degree} exceeds the table limit 400:"
+            " a primitive group's order is a multiple of its degree"
+        ]
+    with pytest.raises(LimitExceeded):
+        parse_cycles("(1 2)", 401)
 
 
 def test_semidirect_product_matches_the_naive_table_on_every_census_action(monkeypatch):
