@@ -36,11 +36,7 @@ from .matgrp import (
     is_irreducible,
     maximal_ar_subgroup,
 )
-from .perm import (
-    PermGroup,
-    minimal_normal_subgroups,
-    subgroup_conjugate,
-)
+from .perm import PermGroup, subgroup_conjugate
 
 __version__ = "0.1.0"
 
@@ -68,7 +64,6 @@ __all__ = [
     "in_variety",
     "is_irreducible",
     "maximal_ar_subgroup",
-    "minimal_normal_subgroups",
     "multiplicative_order",
     "primitive_aqar_group",
     "prop41_bound",

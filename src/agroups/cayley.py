@@ -3,9 +3,12 @@
 Subgroups of a table group are frozensets of element indices. The subgroup
 kernel here (closure, coset extension, greedy and canonical generators,
 normal closure, verbal subgroups, lattice scan, conjugation orbits,
-conjugator scan, Fitting subgroup) runs on any group given by a product, an
-identity and an inverse, so the permutation and matrix layers bind it to
-their codes instead of keeping copies or building tables.
+conjugator scan, minimal normal subgroups, Fitting subgroup) runs on any
+group given by a product, an identity and an inverse, so the permutation and
+matrix layers bind it to their codes instead of keeping copies. A group whose
+elements are already listed becomes a table (table_group) where the kernel
+then runs on its indices: the generators' rows are code products, and every
+other row is a row gather.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
 into GL, on matrix codes, for the census oracle. Each backtracking level
@@ -187,6 +190,34 @@ def direct_product_table(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
         for a in range(n * m)
     )
     return CayleyGroup(table, G.identity * m + H.identity)
+
+
+def table_group(G, elems, gens) -> CayleyGroup:
+    """The table of the group elems = <gens>, a sorted element list of a
+    group given by G.mul and G.identity (permutation or matrix codes), on the
+    indices of elems. Only the generators' rows are products, |elems| each;
+    every other row is chained from them along the Cayley graph as a C-level
+    gather, row(a g) = row(a) gathered at the entries of row(g), since
+    a g b = a (g b). The table is validated like any other."""
+    index = {x: i for i, x in enumerate(elems)}
+    mul = G.mul
+    gathers = [
+        (index[g], operator.itemgetter(*[index[mul(g, b)] for b in elems])) for g in gens
+    ]
+    e = index[G.identity]
+    rows: list = [None] * len(elems)
+    rows[e] = tuple(range(len(elems)))
+    reached = [e]
+    for a in reached:  # reached grows by each newly chained row
+        row = rows[a]
+        for g, gather in gathers:
+            ag = row[g]
+            if rows[ag] is None:
+                rows[ag] = gather(row)
+                reached.append(ag)
+    if len(reached) != len(elems):
+        raise InvalidParams("the generators do not generate the element list")
+    return CayleyGroup(tuple(rows), e)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +466,20 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators
                 below[bigger] |= rejected
         frontier = below
     return {sub: (gens, orbits[sub]) for sub, gens in seen.items()}
+
+
+def minimal_normal_subgroups(G, elems, gens) -> list[frozenset]:
+    """All minimal nontrivial normal subgroups of the group elems = <gens>,
+    sorted by their sorted elements. Candidates are normal closures of
+    prime-order elements (every nontrivial normal subgroup contains one),
+    reduced to the minimal members."""
+    elems = list(elems)
+    closures = {
+        normal_closure(G, [x], gens)[0]
+        for x, o in zip(elems, _element_orders(G, elems))
+        if is_prime(o)
+    }
+    return sorted((c for c in closures if not any(d < c for d in closures)), key=sorted)
 
 
 def fitting_subgroup(G, elems, gens) -> frozenset:

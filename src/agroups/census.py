@@ -8,11 +8,12 @@ cycle types, as products of disjoint p-cycles, so no scan walks the n!
 permutations. One representative per class is extended, its class is its
 orbit under the generators (1 2 ... n) and (1 2), and the filters, all
 invariant under conjugation, read representatives only. Degrees 7 and 8 go
-through the normalizer of one regular elementary abelian subgroup T, whose
-copies the class scan finds to be one class: the targets are the T.S for
-the {q, r}-subgroups S of the normalizer's point stabiliser N(T)_0, taken up
-to conjugacy there. N(T)_0 is built as Aut(T), one permutation per image of
-T's basis.
+through the normalizer of one regular elementary abelian subgroup T, the
+translations of GF(u)^k, which is the least of its S_n-class: the targets
+are the T.S for the {q, r}-subgroups S of the normalizer's point stabiliser
+N(T)_0, taken up to conjugacy there. N(T)_0 is built as Aut(T), one
+permutation per image of T's basis, and its lattice runs on its
+multiplication table.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
 variety as an iterated split extension P x| (Q x| R) with elementary abelian
@@ -42,6 +43,7 @@ from .cayley import (
     homomorphisms_to_mats,
     in_variety,
     subgroup_lattice,
+    table_group,
 )
 from .construct import _check_pair, semidirect_product
 from .errors import DegreeLimit, InvalidParams, LimitExceeded, NotPrime
@@ -238,18 +240,19 @@ def _build_inventory(n, q, r, classes, filter_desc) -> ClassInventory:
     return ClassInventory(f"S{n}", n, filter_desc, tuple(entries))
 
 
-def _transitive_variety_classes(n: int, q: int, r: int) -> list[list[frozenset]]:
+def _transitive_variety_classes(n: int, q: int, r: int) -> list[tuple[tuple, list[frozenset]]]:
     """The S_n-classes of transitive subgroups of S_n in the variety [q, r],
-    as lists of code sets. A transitive group's order is divisible by n, and
-    the scan keeps only {q, r}-smooth orders: unless n is {q, r}-smooth there
-    is none to scan for."""
+    each as the generators the scan built its first member from and the
+    class, a list of code sets. A transitive group's order is divisible by n,
+    and the scan keeps only {q, r}-smooth orders: unless n is {q, r}-smooth
+    there is none to scan for."""
     if not _divides_primes(n, (q, r)):
         return []
     # the soluble order bound: order^2 <= 6^(n-1) iff order <= isqrt(6^(n-1))
     cap = math.isqrt(6 ** (n - 1))
     ops = perm_ops(n)
     return [
-        cls
+        (gens, cls)
         for elems, (gens, cls) in _subgroup_scan(n, (q, r), cap).items()
         if len(elems) % n == 0  # transitive needs n | order
         and len({g[0] for g in elems}) == n  # the orbit of point 0
@@ -261,7 +264,7 @@ def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of transitive two-prime-variety subgroups of S_n."""
     _check_pair(q, r)
     _check_degree(n, TRANSITIVE_DEGREE_LIMIT, "transitive")
-    classes = _transitive_variety_classes(n, q, r)
+    classes = [cls for _, cls in _transitive_variety_classes(n, q, r)]
     return _build_inventory(n, q, r, classes, f"transitive, variety [{q}, {r}]")
 
 
@@ -282,9 +285,14 @@ def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
 
 
 def _generic_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
-    """The primitive inventory from the transitive class scan, at any degree."""
-    classes = _transitive_variety_classes(n, q, r)
-    classes = [cls for cls in classes if group_from_set(n, cls[0]).is_primitive()]
+    """The primitive inventory from the transitive class scan, at any degree.
+    Each class is tested for blocks on the generators the scan built its
+    first member from."""
+    classes = [
+        cls
+        for gens, cls in _transitive_variety_classes(n, q, r)
+        if PermGroup(n, gens).is_primitive()
+    ]
     return _build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
 
 
@@ -350,14 +358,42 @@ def _normalizer_stabilizer(n, T_elems, t_gens) -> list[tuple[int, ...]]:
     return sorted(stab)
 
 
+def _translations(u: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The translations of GF(u)^k on the points 0 .. u^k - 1, each point
+    numbered by its base-u digits, as codes sorted by the vector they add,
+    which is also their order as codes (the translation by v takes 0 to v);
+    and the unit-vector basis, its canonical generators."""
+    n = u**k
+    places = [u**j for j in range(k)]
+
+    def add(x, v):
+        return sum((x // w + v // w) % u * w for w in places)
+
+    T = [tuple(add(x, v) for x in range(n)) for v in range(n)]
+    return T, [T[w] for w in places]
+
+
 def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     """Primitive scan through the normalizer of one regular (C_u)^k, u^k = n.
 
     A primitive soluble group of prime-power degree has a regular elementary
     abelian minimal normal subgroup of order n = u^k, so u must be one of the
-    two primes; otherwise the inventory is empty. The regular copies must form
-    one S_n-class; fix its least member T, and every target is conjugate to
-    T.S for a subgroup S of N(T)_0, the point stabiliser of the normalizer.
+    two primes; otherwise the inventory is empty. All regular copies of
+    (C_u)^k are conjugate in S_n; fix their least member T by set_key, and
+    every target is conjugate to T.S for a subgroup S of N(T)_0, the point
+    stabiliser of the normalizer.
+
+    T is the translations of GF(u)^k with the points numbered by their base-u
+    digits (_translations). A regular T holds one element t_i taking 0 to
+    each point i, so its sorted codes are the rows t_i = (x -> x * i) of the
+    Cayley table of a group law on the points with 0 as identity, and the
+    least T is the least such table, row by row. Entry by entry the least
+    choice is forced: row 1 makes 0, 1, ..., u - 1 the powers of t_1 and each
+    run of u points from a multiple of u a coset of them; row u then makes u
+    a new generator and each run of u^2 points a coset of <t_1, t_u>; and so
+    on for u^2, ..., u^(k-1). That is digitwise addition. The tests check it
+    against the least regular member of the class scan at every prime power
+    up to 9.
 
     S is taken up to N(T)_0-conjugacy: g in N(T)_0 maps T.S to T.S^g, and S
     is the point stabiliser of T.S, so each N(T)_0-class of S gives a class
@@ -368,8 +404,13 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     in N(T)_0. A class size counts the T.S in the class.
 
     N(T)_0 comes from the automorphisms of T (_normalizer_stabilizer), not
-    from the (n-1)! permutations fixing a point. Its lattice is scanned on
-    the elements of {q, r}-smooth order, keeping the subgroups of
+    from the (n-1)! permutations fixing a point, and its lattice runs on its
+    multiplication table (table_group), on indices in the order of its sorted
+    codes, so the scan finds the classes in the same order from the same
+    generators as on codes (a class, and so the first member found of it,
+    does not depend on which generators of N(T)_0 conjugate). Codes come
+    back for the generators of each S, which build T.S, and for the class of
+    each target. The lattice is scanned on the elements of {q, r}-smooth order, keeping the subgroups of
     {q, r}-smooth order, and the cut is exact: |T.S| = n |S| with n a power
     of q or r, so T.S is a {q, r}-group exactly when S is, and every element
     of such an S has smooth order. The cut is upward-closed and invariant
@@ -380,32 +421,32 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     factors = prime_factors(n)
     if len(factors) != 1:
         return empty  # degree is not a prime power: no regular abelian copy
-    u = next(iter(factors))
+    ((u, k),) = factors.items()
     if u not in (q, r):
         return empty
-    scan = elementary_abelian_regular_scan(n, u)
-    regulars = [cls for elems, (_, cls) in scan.items() if len(elems) == n]
-    if len(regulars) != 1:
-        raise AssertionError("regular elementary abelian copies are not a single class")
-    T_elems = min(regulars[0], key=set_key)
+    T, t_gens = _translations(u, k)
+    T_elems = frozenset(T)
     ops = perm_ops(n)
-    t_gens = greedy_generators(n, T_elems)
     stab = _normalizer_stabilizer(n, T_elems, t_gens)
     stab_gens = greedy_generators(n, stab)
+    table = table_group(ops, stab, stab_gens)
 
-    smooth = [g for g in stab if _divides_primes(code_order(g), (q, r))]
+    smooth = [i for i, o in enumerate(table.element_orders) if _divides_primes(o, (q, r))]
     lattice = subgroup_lattice(
-        ops, smooth, keep=lambda sub: _divides_primes(len(sub), (q, r)), conjugators=stab_gens
+        table,
+        smooth,
+        keep=lambda sub: _divides_primes(len(sub), (q, r)),
+        conjugators=table.generators,
     )
     classes = []
     for s_gens, _ in lattice.values():
-        g_elems, gens = T_elems, list(t_gens)
-        for x in s_gens:
-            g_elems = extend_set(n, g_elems, gens, x)
-            gens.append(x)
-        grp = PermGroup(n, gens)  # transitive: it contains T
-        if not grp.is_primitive() or not in_variety(ops, [q, r], gens):
+        gens = t_gens + [stab[i] for i in s_gens]
+        # transitive: it contains T
+        if not PermGroup(n, gens).is_primitive() or not in_variety(ops, [q, r], gens):
             continue
+        g_elems = T_elems  # grows to T.S
+        for i in range(len(t_gens), len(gens)):
+            g_elems = extend_set(n, g_elems, gens[:i], gens[i])
         classes.append(conjugation_orbit(ops, g_elems, stab_gens))
     return _build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
 

@@ -13,12 +13,14 @@ A PermGroup is a group that arrives as generators: an input, a construction,
 an inventory representative. It keeps its generators as codes and carries a
 base and strong generating set built with a deterministic incremental
 Schreier-Sims on codes, which gives exact orders, membership, orbits and the
-element list. Every subgroup already listed stays a code set on the subgroup
-kernel (closures, extensions, generators, normal closures, the census lattice
-scans, conjugacy). The normal-structure operators deliberately work on
-exhaustive element lists: they are oracles, and at desk scale certainty beats
-sophistication. An exhaustive closure cross-check of the chain order is part
-of the test suite, not of construction.
+element list. A subgroup stays a code set on the subgroup kernel (closures,
+extensions, generators, normal closures, the S_n lattice scans, conjugacy)
+unless a listed group becomes a table (cayley.table_group), as N(T)_0 in the
+primitive route and the group under the Theorem B checks do, so the kernel
+runs on its indices; the normal structure (minimal normal subgroups, the
+Fitting subgroup) is read off such a table by exhaustive element scans. An
+exhaustive closure cross-check of the chain order is part of the test suite,
+not of construction.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from types import SimpleNamespace
 from . import cayley
 from .cayley import TABLE_LIMIT
 from .errors import DegreeMismatch, LimitExceeded, NotTransitive
-from .gf import is_prime
 
 EXHAUSTIVE_ORDER_LIMIT = 20160
 CONJUGACY_DEGREE_LIMIT = 8
@@ -352,26 +353,6 @@ def subgroup_conjugate(A: PermGroup, B: PermGroup) -> tuple[int, ...] | None:
     return cayley.first_conjugator(
         perm_ops(n), itertools.permutations(range(n)), A.generators, set(b_codes)
     )
-
-
-# ---------------------------------------------------------------------------
-# normal structure (exhaustive oracles)
-
-
-def minimal_normal_subgroups(G: PermGroup) -> list[frozenset[tuple]]:
-    """All minimal nontrivial normal subgroups, as code sets sorted by
-    set_key.
-
-    Candidates are normal closures of prime-order elements (every nontrivial
-    normal subgroup contains one), reduced to the minimal members.
-    """
-    ops = perm_ops(G.degree)
-    closures = {
-        cayley.normal_closure(ops, [g], G.generators)[0]
-        for g in G.codes()
-        if is_prime(code_order(g))
-    }
-    return sorted((c for c in closures if not any(d < c for d in closures)), key=set_key)
 
 
 # ---------------------------------------------------------------------------

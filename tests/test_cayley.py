@@ -69,6 +69,27 @@ def test_validation_rejects_bad_tables():
         CayleyGroup(rows, 0)
 
 
+def test_table_group_matches_the_all_pairs_table():
+    # permutation and matrix groups, from any generating list, against the
+    # table of every product; the trivial group too
+    groups = [
+        pgroup(4, "(1 2 3 4)", "(1 2)"),
+        pgroup(5, "(1 2 3 4 5)", "(2 3 5 4)"),
+        pgroup(3),
+        matgrp.closure(2, field_make(3, 1), matgrp.gl_generators(2, field_make(3, 1))),
+    ]
+    for G in groups:
+        codes = G.codes()
+        for gens in (G.generators, codes):
+            assert cayley.table_group(G.ops, codes, gens) == bf.table_of(G)
+
+
+def test_table_group_refuses_generators_of_a_proper_subgroup():
+    S3 = pgroup(3, "(1 2 3)", "(1 2)")
+    with pytest.raises(InvalidParams):
+        cayley.table_group(S3.ops, S3.codes(), [parse_cycles("(1 2 3)", 3)])
+
+
 def accepts(table, identity):
     try:
         CayleyGroup(table, identity)

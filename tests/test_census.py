@@ -198,6 +198,15 @@ def translations(u, k):
     return n, [code(v) for v in range(n)], [code(u**j) for j in range(k)]
 
 
+def all_pairs_table(codes):
+    """The table of a sorted list of codes from every pairwise product, by
+    the brute-force product on 1-based images."""
+    elems = [bf.images(c) for c in codes]
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(index[bf.mul(a, b)] for b in elems) for a in elems)
+    return CayleyGroup(table, 0)
+
+
 @pytest.mark.parametrize("u, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
     # degree 9 (u = 3, k = 2) is the one case with odd u and k > 1; it lies
@@ -211,12 +220,13 @@ def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
 
 
 def test_degree_8_scan_walks_no_sn(monkeypatch):
-    # the degree-8 route tests no n! codes: the scan's universe comes from
-    # cycle types and N(T)_0 from the automorphisms of T; and N(T)_0's
-    # lattice runs on the {q, r}-elements under the {q, r}-order keep
+    # the degree-8 route tests no n! codes and makes no scan of S_8: T is
+    # written down as translations, N(T)_0 comes from the automorphisms of T,
+    # and N(T)_0's lattice runs on the indices of its table, on the
+    # {q, r}-elements under the {q, r}-order keep
     q, r = 2, 7
     counts = {"code_order": 0, "fixed_point_free": 0}
-    lattice_calls = []
+    lattice_calls, stabs = [], []
 
     def counting(name, fn):
         def spy(*args):
@@ -229,27 +239,37 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
         lattice_calls.append((list(universe), keep, list(conjugators)))
         return real_lattice(G, universe, cap, keep, conjugators)
 
-    real_lattice = census.subgroup_lattice
+    def stab_spy(*args):
+        stabs.append(real_stab(*args))
+        return stabs[-1]
+
+    real_lattice, real_stab = census.subgroup_lattice, census._normalizer_stabilizer
     for name in counts:
         monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
     monkeypatch.setattr(census, "subgroup_lattice", lattice_spy)
+    monkeypatch.setattr(census, "_normalizer_stabilizer", stab_spy)
     census._scan_cached.cache_clear()
     inventory = enumerate_primitive_classes(8, q, r)
     census._scan_cached.cache_clear()
     assert inventory.count
     assert all(c < 40320 // 20 for c in counts.values()), counts
     sn_gens = list(census._sn_generators(8))
-    (universe, keep, conjugators), = [c for c in lattice_calls if c[2] != sn_gens]
-    assert all(g[0] == 0 for g in universe + conjugators)  # N(T)_0 fixes point 0
+    assert all(c[2] != sn_gens for c in lattice_calls)  # no scan of S_8 remains
+    (universe, keep, conjugators), = lattice_calls
+    [stab] = stabs
+    assert all(isinstance(i, int) for i in universe + conjugators)
+    assert all(stab[i][0] == 0 for i in universe + conjugators)  # N(T)_0 fixes point 0
     assert keep is not None
-    assert universe and all(census._divides_primes(perm.code_order(g), (q, r)) for g in universe)
+    assert universe and all(
+        census._divides_primes(perm.code_order(stab[i]), (q, r)) for i in universe
+    )
     assert len(universe) == 168 - 56  # GL(3, 2) without its elements of order 3
 
 
 def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
     # each candidate T.S is tested for blocks on the generators it was built
-    # from: canonical generators are taken for T's basis, for N(T)_0 and for
-    # the reported representatives only
+    # from: canonical generators are taken for N(T)_0 and for the reported
+    # representatives only (T's basis is written down with T)
     calls = []
     real = cayley.canonical_generators
 
@@ -263,8 +283,54 @@ def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
     inventory = enumerate_primitive_classes(8, 2, 7)
     census._scan_cached.cache_clear()
     reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
-    assert inventory.count and len(calls) == 2 + inventory.count
-    assert sorted(calls[2:], key=perm.set_key) == sorted(reps, key=perm.set_key)
+    assert inventory.count and len(calls) == 1 + inventory.count
+    assert sorted(calls[1:], key=perm.set_key) == sorted(reps, key=perm.set_key)
+
+
+def test_generic_block_tests_take_no_canonical_generators(monkeypatch):
+    # the generic primitive inventory tests each transitive class for blocks
+    # on the generators the scan built it from: canonical generators are
+    # taken for the reported representatives only
+    calls = []
+    real = cayley.canonical_generators
+
+    def spy(G, elems):
+        calls.append(frozenset(elems))
+        return real(G, elems)
+
+    monkeypatch.setattr(cayley, "canonical_generators", spy)
+    for n, q, r in [(5, 5, 2), (4, 2, 3), (6, 2, 3)]:
+        calls.clear()
+        inventory = enumerate_primitive_classes(n, q, r)
+        assert len(calls) == inventory.count, (n, q, r)
+
+
+def test_translations_are_the_least_regular_member_of_the_scan():
+    # T written down as the translations of GF(u)^k is the set_key-least
+    # member of the one class of regular elementary abelian subgroups that
+    # the fixed-point-free scan finds, at every prime power n <= 9
+    for n, u, k in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]:
+        T, basis = census._translations(u, k)
+        regulars = [
+            cls
+            for elems, (_, cls) in census.elementary_abelian_regular_scan(n, u).items()
+            if len(elems) == n
+        ]
+        assert len(regulars) == 1, n
+        assert tuple(T) == min(map(perm.set_key, regulars[0])), n
+        assert basis == perm.greedy_generators(n, T), n
+    census._scan_cached.cache_clear()
+
+
+@pytest.mark.parametrize("n", [4, 7, 8])
+def test_normalizer_stabilizer_table_matches_all_pairs(n):
+    # N(T)_0's table, chained from its generators' rows, against every
+    # product of two of its elements with the brute-force product
+    u, k = next(iter(census.prime_factors(n).items()))
+    T, basis = census._translations(u, k)
+    stab = census._normalizer_stabilizer(n, frozenset(T), basis)
+    table = cayley.table_group(perm.perm_ops(n), stab, perm.greedy_generators(n, stab))
+    assert table == all_pairs_table(stab)
 
 
 # -- primitive inventories ---------------------------------------------------------

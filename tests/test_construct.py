@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from agroups import census, cli, perm
+from agroups import cayley, census, cli, construct, perm
 from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table, direct_product_table
 from agroups.construct import (
     CASE_AFFINE,
@@ -196,15 +196,60 @@ def test_semidirect_kernel_is_normal_elementary_abelian():
         assert G.mul(a, a) == G.identity or G.element_orders[a] == 1
 
 
-def test_verify_builds_no_table(monkeypatch):
-    # the variety membership and the normal structure run on permutation codes
+def test_verify_builds_one_table(monkeypatch):
+    # the variety membership and the normal structure run on one
+    # multiplication table, of G's order, built from G's element list
     spec, G = primitive_aqar_group(2, 7)
+    orders = []
+    real = CayleyGroup.__init__
 
-    def refuse(*_):
-        raise AssertionError("a multiplication table was built")
+    def spy(self, table, identity):
+        orders.append(len(table))
+        real(self, table, identity)
 
-    monkeypatch.setattr(CayleyGroup, "__init__", refuse)
+    monkeypatch.setattr(CayleyGroup, "__init__", spy)
     assert spec.n == 8 and verify_theorem_b(G, 2, 7)["all_passed"]
+    assert orders == [G.order] == [56]
+
+
+AFFINE_PAIRS = [(2, 3), (7, 3), (2, 7)]
+
+
+@pytest.mark.parametrize("q, r", AFFINE_PAIRS)
+def test_table_group_matches_all_pairs(q, r):
+    # the table chained from the generators' rows against every product of
+    # two elements by the brute-force product on 1-based images
+    _, G = primitive_aqar_group(q, r)
+    elems = [bf.images(c) for c in G.codes()]
+    index = {e: i for i, e in enumerate(elems)}
+    expected = tuple(tuple(index[bf.mul(a, b)] for b in elems) for a in elems)
+    table = cayley.table_group(G.ops, G.codes(), G.generators)
+    assert table == CayleyGroup(expected, index[bf.images(G.ops.identity)])
+
+
+@pytest.mark.parametrize("q, r", AFFINE_PAIRS)
+def test_theorem_b_normal_structure_matches_brute_force(monkeypatch, q, r):
+    # M and F(G), read off the table by the verification, are the minimal
+    # normal subgroup and the largest nilpotent normal subgroup of the
+    # brute-force closure of G's elements
+    seen = {}
+    for name in ("minimal_normal_subgroups", "fitting_subgroup"):
+        real = getattr(construct, name)
+
+        def spy(*args, real=real, name=name):
+            seen[name] = real(*args)
+            return seen[name]
+
+        monkeypatch.setattr(construct, name, spy)
+    _, G = primitive_aqar_group(q, r)
+    assert verify_theorem_b(G, q, r)["all_passed"]
+    elems = [bf.images(c) for c in G.codes()]
+    normals = bf.naive_normal_subgroups(G.degree, elems)
+    nontrivial = [N for N in normals if len(N) > 1]
+    minimal = [N for N in nontrivial if not any(K < N for K in nontrivial)]
+    assert [{elems[i] for i in M} for M in seen["minimal_normal_subgroups"]] == minimal
+    F = {elems[i] for i in seen["fitting_subgroup"]}
+    assert F == bf.naive_fitting_subgroup(G.degree, elems)
 
 
 def test_construct_primitive_builds_one_chain(monkeypatch, capsys):

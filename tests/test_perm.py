@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroups import perm
-from agroups.cayley import _power, fitting_subgroup
+from agroups.cayley import _power, fitting_subgroup, minimal_normal_subgroups
 from agroups.errors import DegreeMismatch, LimitExceeded, NotTransitive
 from agroups.perm import PermGroup, code_order, parse_cycles, perm_ops
 
@@ -325,14 +325,18 @@ def fitting(G):
     return fitting_subgroup(G.ops, G.codes(), G.generators)
 
 
+def minimal_normals(G):
+    return minimal_normal_subgroups(G.ops, G.codes(), G.generators)
+
+
 def test_minimal_normal_subgroups_examples():
     A4 = group(4, "(1 2 3)", "(2 3 4)")
-    mns = perm.minimal_normal_subgroups(A4)
+    mns = minimal_normals(A4)
     assert _orders(mns) == [4]
     S3 = group(3, "(1 2 3)", "(1 2)")
-    assert _orders(perm.minimal_normal_subgroups(S3)) == [3]
+    assert _orders(minimal_normals(S3)) == [3]
     C6 = group(6, "(1 2 3 4 5 6)")
-    assert _orders(perm.minimal_normal_subgroups(C6)) == [2, 3]
+    assert _orders(minimal_normals(C6)) == [2, 3]
 
 
 def test_minimal_normal_subgroups_match_exhaustive_scan():
@@ -351,7 +355,7 @@ def test_minimal_normal_subgroups_match_exhaustive_scan():
             for N in nontrivial
             if not any(1 < len(M) < len(N) and M < N for M in nontrivial)
         ]
-        got = perm.minimal_normal_subgroups(G)
+        got = minimal_normals(G)
         assert got == sorted(got, key=perm.set_key)
         assert sorted(tuple(sorted(map(bf.images, M))) for M in got) == sorted(
             tuple(sorted(N)) for N in minimal
@@ -405,9 +409,9 @@ def test_exhaustive_ops_are_bounded_by_order_not_degree():
     # S8 lists more elements than EXHAUSTIVE_ORDER_LIMIT; C11 is cheap at any degree
     S8 = PermGroup(8, [P("(1 2 3 4 5 6 7 8)", 8), P("(1 2)", 8)])
     with pytest.raises(LimitExceeded):
-        perm.minimal_normal_subgroups(S8)
+        minimal_normals(S8)
     C11 = PermGroup(11, [P("(1 2 3 4 5 6 7 8 9 10 11)", 11)])
-    [M] = perm.minimal_normal_subgroups(C11)
+    [M] = minimal_normals(C11)
     assert sorted(M) == C11.codes()
 
 
