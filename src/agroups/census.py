@@ -1,18 +1,20 @@
 """The S_n subgroup inventories and the three-prime variety census.
 
-Subgroup inventories of small symmetric groups are produced by closing sets
-of prime-order generators upward through the subgroup lattice up to
+The transitive inventories of small symmetric groups are produced by closing
+sets of prime-order generators upward through the subgroup lattice up to
 S_n-conjugacy, pruned only by facts that cannot exclude a target (order
 divisibility, the soluble order bound). The generators are built from their
 cycle types, as products of disjoint p-cycles, so no scan walks the n!
 permutations. One representative per class is extended, its class is its
 orbit under the generators (1 2 ... n) and (1 2), and the filters, all
-invariant under conjugation, read representatives only. Degrees 7 and 8 go
-through the normalizer of one regular elementary abelian subgroup T, the
-translations of GF(u)^k, which is the least of its S_n-class: the targets
-are the T.S for the {q, r}-subgroups S of the normalizer's point stabiliser
-N(T)_0, taken up to conjugacy there. N(T)_0 is built as Aut(T), one
-permutation per image of T's basis, and its lattice runs on its
+invariant under conjugation, read representatives only. The primitive
+inventories, two-prime and single-prime, run no scan of S_n: a primitive
+soluble group is affine, so at every degree they go through the normalizer
+of one regular elementary abelian subgroup T, the translations of GF(u)^k,
+which is the least of its S_n-class. The targets are the T.S for the
+subgroups S of the normalizer's point stabiliser N(T)_0 whose orders use
+the variety's primes, taken up to conjugacy there. N(T)_0 is built as
+Aut(T), one permutation per image of T's basis, and its lattice runs on its
 multiplication table.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
@@ -58,13 +60,12 @@ from .matgrp import (
 )
 from .perm import (
     PermGroup,
-    code_order,
     extend_set,
-    fixed_point_free,
     greedy_generators,
     group_from_set,
     perm_ops,
     permgroup_to_json,
+    primitivity_block,
     set_key,
 )
 
@@ -134,25 +135,13 @@ def _divides_primes(order: int, primes) -> bool:
     return order == 1
 
 
-def _scan_keep(n, primes, fpf_only):
-    """The keep of a census lattice scan of S_n. Its rejection is
-    upward-closed, as subgroup_lattice requires: by Lagrange, an overgroup of
-    a subgroup whose order is not primes-smooth is not either; and with
-    fpf_only (keep the abelian subgroups whose nontrivial elements are
-    fixed-point free of a prime order in primes: elementary abelian ones), an
-    overgroup keeps the offending element or noncommuting pair."""
-    if not fpf_only:
-        return lambda sub: _divides_primes(len(sub), primes)
-    ops = perm_ops(n)
-    mul, identity = ops.mul, ops.identity
-
-    def keep(sub):
-        members = [g for g in sub if g != identity]
-        return all(code_order(g) in primes and fixed_point_free(g) for g in members) and all(
-            mul(x, y) == mul(y, x) for i, x in enumerate(members) for y in members[i + 1 :]
-        )
-
-    return keep
+def _scan_keep(primes):
+    """The keep of the inventories' lattice scans, of S_n and of N(T)_0: the
+    subgroups of primes-smooth order. Its rejection is upward-closed, as
+    subgroup_lattice requires: by Lagrange, an overgroup of a subgroup whose
+    order is not primes-smooth is not either; and it is invariant under
+    conjugation."""
+    return lambda sub: _divides_primes(len(sub), primes)
 
 
 def _sn_generators(n) -> tuple:
@@ -162,13 +151,11 @@ def _sn_generators(n) -> tuple:
     return tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))
 
 
-def _prime_order_codes(n, primes, fpf_only) -> list[tuple[int, ...]]:
-    """Every code of S_n whose order is one of the primes (with fpf_only,
-    that is fixed-point free), in lexicographic order. An element of prime
-    order p is a product of one or more disjoint p-cycles (n/p of them,
-    covering every point, with fpf_only). Each is written once: the least
-    free point is either fixed or leads a cycle through p - 1 further free
-    points, in every order."""
+def _prime_order_codes(n, primes) -> list[tuple[int, ...]]:
+    """Every code of S_n whose order is one of the primes, in lexicographic
+    order. An element of prime order p is a product of one or more disjoint
+    p-cycles. Each is written once: the least free point is either fixed or
+    leads a cycle through p - 1 further free points, in every order."""
     out, code = [], list(range(n))
 
     def place(p, free, cycles):
@@ -177,8 +164,7 @@ def _prime_order_codes(n, primes, fpf_only) -> list[tuple[int, ...]]:
                 out.append(tuple(code))
             return
         lead, rest = free[0], free[1:]
-        if not fpf_only:
-            place(p, rest, cycles)  # lead is fixed
+        place(p, rest, cycles)  # lead is fixed
         for others in itertools.permutations(rest, p - 1):
             cycle = (lead, *others)
             for x, y in zip(cycle, (*others, lead)):
@@ -188,31 +174,27 @@ def _prime_order_codes(n, primes, fpf_only) -> list[tuple[int, ...]]:
                 code[x] = x
 
     for p in primes:
-        if not (fpf_only and n % p):
-            place(p, list(range(n)), 0)
+        place(p, list(range(n)), 0)
     return sorted(out)
 
 
 @lru_cache(maxsize=64)
-def _scan_cached(n, primes, order_cap, fpf_only):
+def _scan_cached(n, primes, order_cap):
     """The S_n-classes of subgroups of S_n generated by elements of the given
-    prime orders that _scan_keep(n, primes, fpf_only) keeps, of order at most
-    order_cap (with fpf_only, only fixed-point-free elements generate). The
-    keep must reject upward-closed sets and be invariant under conjugation,
-    as subgroup_lattice requires. Returns a tuple of (representative,
-    (generators, class)) pairs, code frozensets. The universe is built from
-    cycle types (_prime_order_codes), not by testing the n! codes, in the
-    lexicographic order that the scan's discovery order and generators
-    depend on."""
-    universe = _prime_order_codes(n, primes, fpf_only)
-    keep = _scan_keep(n, primes, fpf_only)
+    prime orders, of primes-smooth order at most order_cap (_scan_keep).
+    Returns a tuple of (representative, (generators, class)) pairs, code
+    frozensets. The universe is built from cycle types (_prime_order_codes),
+    not by testing the n! codes, in the lexicographic order that the scan's
+    discovery order and generators depend on."""
+    universe = _prime_order_codes(n, primes)
+    keep = _scan_keep(primes)
     classes = subgroup_lattice(perm_ops(n), universe, order_cap, keep, _sn_generators(n))
     return tuple(classes.items())
 
 
-def _subgroup_scan(n, primes, cap=None, fpf_only=False):
+def _subgroup_scan(n, primes, cap=None):
     """Dict view of the cached lattice scan; see _scan_cached."""
-    return dict(_scan_cached(n, tuple(sorted(set(primes))), cap, fpf_only))
+    return dict(_scan_cached(n, tuple(sorted(set(primes))), cap))
 
 
 def _signature(order: int, q: int, r: int) -> tuple[int, int]:
@@ -228,10 +210,10 @@ def _check_degree(n: int, limit: int, scan: str):
 
 
 def _build_inventory(n, q, r, classes, filter_desc) -> ClassInventory:
-    """The entries of the given S_n-classes (lists of code sets): each is
-    represented by its least member by set_key and sized by its length. The
-    entries are in order of representative, then stably by signature and
-    order."""
+    """The entries of the given classes (lists of code sets, conjugation
+    orbits): each is represented by its least member by set_key and sized by
+    its length. The entries are in order of representative, then stably by
+    signature and order."""
     entries = []
     for key, size in sorted((min(map(set_key, cls)), len(cls)) for cls in classes):
         rep = group_from_set(n, key)
@@ -240,84 +222,57 @@ def _build_inventory(n, q, r, classes, filter_desc) -> ClassInventory:
     return ClassInventory(f"S{n}", n, filter_desc, tuple(entries))
 
 
-def _transitive_variety_classes(n: int, q: int, r: int) -> list[tuple[tuple, list[frozenset]]]:
-    """The S_n-classes of transitive subgroups of S_n in the variety [q, r],
-    each as the generators the scan built its first member from and the
-    class, a list of code sets. A transitive group's order is divisible by n,
-    and the scan keeps only {q, r}-smooth orders: unless n is {q, r}-smooth
-    there is none to scan for."""
-    if not _divides_primes(n, (q, r)):
-        return []
-    # the soluble order bound: order^2 <= 6^(n-1) iff order <= isqrt(6^(n-1))
-    cap = math.isqrt(6 ** (n - 1))
-    ops = perm_ops(n)
-    return [
-        (gens, cls)
-        for elems, (gens, cls) in _subgroup_scan(n, (q, r), cap).items()
-        if len(elems) % n == 0  # transitive needs n | order
-        and len({g[0] for g in elems}) == n  # the orbit of point 0
-        and in_variety(ops, [q, r], gens)
-    ]
-
-
 def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
-    """Conjugacy classes of transitive two-prime-variety subgroups of S_n."""
+    """Conjugacy classes of transitive two-prime-variety subgroups of S_n,
+    from the class scan of S_n: a class size is the length of the S_n-class.
+    A transitive group's order is divisible by n, and the scan keeps only
+    {q, r}-smooth orders: unless n is {q, r}-smooth there is none to scan
+    for."""
     _check_pair(q, r)
     _check_degree(n, TRANSITIVE_DEGREE_LIMIT, "transitive")
-    classes = [cls for _, cls in _transitive_variety_classes(n, q, r)]
+    classes = []
+    if _divides_primes(n, (q, r)):
+        # the soluble order bound: order^2 <= 6^(n-1) iff order <= isqrt(6^(n-1))
+        cap = math.isqrt(6 ** (n - 1))
+        ops = perm_ops(n)
+        classes = [
+            cls
+            for elems, (gens, cls) in _subgroup_scan(n, (q, r), cap).items()
+            if len(elems) % n == 0  # transitive needs n | order
+            and len({g[0] for g in elems}) == n  # the orbit of point 0
+            and in_variety(ops, [q, r], gens)
+        ]
     return _build_inventory(n, q, r, classes, f"transitive, variety [{q}, {r}]")
 
 
 def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of primitive two-prime-variety subgroups of S_n.
 
-    Degrees up to 6 run the generic class scan, and a class size is the
-    length of the S_n-class. Degrees 7 and 8 go through the normalizer of one
-    regular elementary abelian subgroup T, and a class size counts the class
-    members that contain T. (At degree 7 the generic scan finds the same
-    classes, in under a second.)
+    Every degree runs the affine route (_affine_primitive_groups). Up to
+    degree 6 a class is the whole S_n-class of a target T.S, and its size is
+    that class's length. At degrees 7 and 8 a class is the N(T)_0-class of
+    T.S, and its size counts the members of the S_n-class that contain T:
+    n!/(n |Aut T|) times fewer, since the S_n-class holds one N(T)_0-class
+    per conjugate of T.
     """
     _check_pair(q, r)
     _check_degree(n, PRIMITIVE_DEGREE_LIMIT, "primitive")
-    if n in (7, 8):
-        return _primitive_regular_normal(n, q, r)
-    return _generic_primitive_classes(n, q, r)
-
-
-def _generic_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
-    """The primitive inventory from the transitive class scan, at any degree.
-    Each class is tested for blocks on the generators the scan built its
-    first member from."""
-    classes = [
-        cls
-        for gens, cls in _transitive_variety_classes(n, q, r)
-        if PermGroup(n, gens).is_primitive()
-    ]
+    targets, stab_gens = _affine_primitive_groups(n, (q, r))
+    conjugators = stab_gens if n in (7, 8) else _sn_generators(n)
+    classes = [conjugation_orbit(perm_ops(n), g, conjugators) for g in targets]
     return _build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
 
 
-def elementary_abelian_regular_scan(n: int, r: int) -> dict[frozenset, tuple]:
-    """The S_n-classes of elementary abelian r-subgroups of S_n of order <= n
-    whose nontrivial elements are fixed-point free (the candidates that can
-    be transitive: transitive abelian groups are regular), as a dict from
-    each class representative to (its generators, its class), code sets."""
-    if not is_prime(r):
-        raise NotPrime(f"{r} is not prime")
-    return _subgroup_scan(n, (r,), n, fpf_only=True)
-
-
 def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
-    """Primitive single-prime-variety (elementary abelian r) subgroups of S_n."""
+    """Primitive single-prime-variety (elementary abelian r) subgroups of S_n,
+    by the affine route, each class the whole S_n-class and sized by its
+    length. A primitive abelian group is regular of prime degree, so the
+    inventory holds C_r at n = r and the trivial group at n = 1."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
     _check_degree(n, PRIMITIVE_DEGREE_LIMIT, "primitive")
-    classes = []
-    for elems, (gens, cls) in elementary_abelian_regular_scan(n, r).items():
-        if len(elems) != n:
-            continue  # transitive abelian means regular
-        grp = PermGroup(n, gens)
-        if grp.is_transitive() and grp.is_primitive():
-            classes.append(cls)
+    targets, _ = _affine_primitive_groups(n, (r,))
+    classes = [conjugation_orbit(perm_ops(n), g, _sn_generators(n)) for g in targets]
     # q = 1 gives the single-prime signature (0, r-exponent)
     return _build_inventory(n, 1, r, classes, f"primitive, variety [{r}]")
 
@@ -373,15 +328,18 @@ def _translations(u: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int
     return T, [T[w] for w in places]
 
 
-def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
-    """Primitive scan through the normalizer of one regular (C_u)^k, u^k = n.
+def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], list]:
+    """The primitive subgroups of S_n in the variety of the chain ([q, r] or
+    [r]), one T.S per N(T)_0-class, as code sets, with generators of N(T)_0.
 
-    A primitive soluble group of prime-power degree has a regular elementary
-    abelian minimal normal subgroup of order n = u^k, so u must be one of the
-    two primes; otherwise the inventory is empty. All regular copies of
-    (C_u)^k are conjugate in S_n; fix their least member T by set_key, and
-    every target is conjugate to T.S for a subgroup S of N(T)_0, the point
-    stabiliser of the normalizer.
+    A group in the variety is soluble, and a primitive soluble group is
+    affine: its one minimal normal subgroup T is regular elementary abelian
+    of order n = u^k (Dixon & Mortimer, Permutation Groups, GTM 163), so u
+    must be one of the chain's primes; otherwise there is none. The trivial
+    group of degree 1 is the case k = 0, with T trivial. All regular copies
+    of (C_u)^k are conjugate in S_n; fix their least member T by set_key,
+    and every target is conjugate to T.S for a subgroup S of N(T)_0, the
+    point stabiliser of the normalizer.
 
     T is the translations of GF(u)^k with the points numbered by their base-u
     digits (_translations). A regular T holds one element t_i taking 0 to
@@ -401,7 +359,7 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     S_n: T is the only minimal normal subgroup of a primitive T.S (another
     would centralise T, which is its own centraliser), so a conjugation
     between targets fixes T, lies in N(T) = T.N(T)_0 and conjugates the S
-    in N(T)_0. A class size counts the T.S in the class.
+    in N(T)_0.
 
     N(T)_0 comes from the automorphisms of T (_normalizer_stabilizer), not
     from the (n-1)! permutations fixing a point, and its lattice runs on its
@@ -409,21 +367,23 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     codes, so the scan finds the classes in the same order from the same
     generators as on codes (a class, and so the first member found of it,
     does not depend on which generators of N(T)_0 conjugate). Codes come
-    back for the generators of each S, which build T.S, and for the class of
-    each target. The lattice is scanned on the elements of {q, r}-smooth order, keeping the subgroups of
-    {q, r}-smooth order, and the cut is exact: |T.S| = n |S| with n a power
-    of q or r, so T.S is a {q, r}-group exactly when S is, and every element
-    of such an S has smooth order. The cut is upward-closed and invariant
-    under N(T)_0, as the scan requires, and it only drops subgroups, so the
-    kept ones are found in the same order from the same generators.
+    back for the generators of each S, which build T.S. The lattice is
+    scanned on the elements of smooth order for the chain's primes, keeping
+    the subgroups of smooth order, and the cut is exact: |T.S| = n |S| with
+    n a power of u, so T.S is a smooth group exactly when S is, and every
+    element of such an S has smooth order. The cut is upward-closed and
+    invariant under N(T)_0, as the scan requires, and it only drops
+    subgroups, so the kept ones are found in the same order from the same
+    generators. Each candidate T.S is tested for blocks and the variety on
+    the generators it is built from, and only the targets are built as code
+    sets.
     """
-    empty = ClassInventory(f"S{n}", n, f"primitive, variety [{q}, {r}]", ())
-    factors = prime_factors(n)
+    factors = prime_factors(n) if n > 1 else {chain[0]: 0}
     if len(factors) != 1:
-        return empty  # degree is not a prime power: no regular abelian copy
+        return [], []  # degree is not a prime power: no regular abelian copy
     ((u, k),) = factors.items()
-    if u not in (q, r):
-        return empty
+    if u not in chain:
+        return [], []
     T, t_gens = _translations(u, k)
     T_elems = frozenset(T)
     ops = perm_ops(n)
@@ -431,24 +391,18 @@ def _primitive_regular_normal(n: int, q: int, r: int) -> ClassInventory:
     stab_gens = greedy_generators(n, stab)
     table = table_group(ops, stab, stab_gens)
 
-    smooth = [i for i, o in enumerate(table.element_orders) if _divides_primes(o, (q, r))]
-    lattice = subgroup_lattice(
-        table,
-        smooth,
-        keep=lambda sub: _divides_primes(len(sub), (q, r)),
-        conjugators=table.generators,
-    )
-    classes = []
+    smooth = [i for i, o in enumerate(table.element_orders) if _divides_primes(o, chain)]
+    lattice = subgroup_lattice(table, smooth, keep=_scan_keep(chain), conjugators=table.generators)
+    targets = []
     for s_gens, _ in lattice.values():
         gens = t_gens + [stab[i] for i in s_gens]
-        # transitive: it contains T
-        if not PermGroup(n, gens).is_primitive() or not in_variety(ops, [q, r], gens):
+        if primitivity_block(n, gens) is not None or not in_variety(ops, chain, gens):
             continue
         g_elems = T_elems  # grows to T.S
         for i in range(len(t_gens), len(gens)):
             g_elems = extend_set(n, g_elems, gens[:i], gens[i])
-        classes.append(conjugation_orbit(ops, g_elems, stab_gens))
-    return _build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
+        targets.append(g_elems)
+    return targets, stab_gens
 
 
 # ---------------------------------------------------------------------------

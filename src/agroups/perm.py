@@ -12,22 +12,22 @@ above TABLE_LIMIT before any code is built.
 A PermGroup is a group that arrives as generators: an input, a construction,
 an inventory representative. It keeps its generators as codes and carries a
 base and strong generating set built with a deterministic incremental
-Schreier-Sims on codes, which gives exact orders, membership, orbits and the
-element list. A subgroup stays a code set on the subgroup kernel (closures,
-extensions, generators, normal closures, the S_n lattice scans, conjugacy)
-unless a listed group becomes a table (cayley.table_group), as N(T)_0 in the
-primitive route and the group under the Theorem B checks do, so the kernel
-runs on its indices; the normal structure (minimal normal subgroups, the
-Fitting subgroup) is read off such a table by exhaustive element scans. An
-exhaustive closure cross-check of the chain order is part of the test suite,
-not of construction.
+Schreier-Sims on codes, which gives exact orders, membership and the element
+list; orbits and blocks need its generators only, so the primitive route
+tests its candidates for blocks without a chain. A subgroup stays a code set
+on the subgroup kernel (closures, extensions, generators, normal closures,
+the S_n lattice scans, conjugacy) unless a listed group becomes a table
+(cayley.table_group), as N(T)_0 in the primitive route and the group under
+the Theorem B checks do, so the kernel runs on its indices; the normal
+structure (minimal normal subgroups, the Fitting subgroup) is read off such
+a table by exhaustive element scans. An exhaustive closure cross-check of
+the chain order is part of the test suite, not of construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from functools import lru_cache
 from types import SimpleNamespace
@@ -216,10 +216,10 @@ class PermGroup:
     # -- orbits, blocks ----------------------------------------------------
 
     def orbits(self) -> list[tuple[int, ...]]:
-        ops, seen, out = perm_ops(self.degree), set(), []
+        seen, out = set(), []
         for start in range(self.degree):
             if start not in seen:
-                orbit = _orbit_transversal(ops, start, self.generators)
+                orbit = _orbit(start, self.generators)
                 seen.update(orbit)
                 out.append(tuple(sorted(p + 1 for p in orbit)))
         return out
@@ -227,40 +227,63 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def minimal_block(self, a: int, b: int) -> frozenset[int]:
-        """Smallest block of a G-invariant partition containing {a, b}."""
-        parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        stack = [(a - 1, b - 1)]
-        while stack:
-            x, y = stack.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            parent[ry] = rx
-            stack += [(g[rx], g[ry]) for g in self.generators]
-        root = find(a - 1)
-        return frozenset(p + 1 for p in range(self.degree) if find(p) == root)
-
     def primitivity_block(self) -> frozenset[int] | None:
         """A nontrivial minimal block containing point 1, or None if primitive."""
-        if not self.is_transitive():
-            raise NotTransitive("primitivity is defined for transitive groups only")
-        n = self.degree
-        for b in range(2, n + 1):
-            block = self.minimal_block(1, b)
-            if 1 < len(block) < n:
-                return block
-        return None
+        return primitivity_block(self.degree, self.generators)
 
     def is_primitive(self) -> bool:
         return self.primitivity_block() is None
+
+
+# ---------------------------------------------------------------------------
+# blocks on generators alone
+
+
+def _orbit(point: int, gens) -> list[int]:
+    """The orbit of a 0-based point under the codes gens, breadth first."""
+    orbit, seen = [point], {point}
+    for x in orbit:  # orbit grows by each newly reached point
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                orbit.append(g[x])
+    return orbit
+
+
+def minimal_block(degree: int, gens, a: int, b: int) -> frozenset[int]:
+    """Smallest block of a <gens>-invariant partition of the points 1..degree
+    containing {a, b}: the union-find closure of the pair under gens."""
+    parent = list(range(degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack = [(a - 1, b - 1)]
+    while stack:
+        x, y = stack.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[ry] = rx
+        stack += [(g[rx], g[ry]) for g in gens]
+    root = find(a - 1)
+    return frozenset(p + 1 for p in range(degree) if find(p) == root)
+
+
+def primitivity_block(degree: int, gens) -> frozenset[int] | None:
+    """A nontrivial minimal block containing point 1 of the transitive group
+    <gens>, or None if it is primitive. It needs the generator codes only,
+    no stabiliser chain."""
+    if len(_orbit(0, gens)) != degree:
+        raise NotTransitive("primitivity is defined for transitive groups only")
+    for b in range(2, degree + 1):
+        block = minimal_block(degree, gens, 1, b)
+        if 1 < len(block) < degree:
+            return block
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +323,6 @@ def _cycle_type(code) -> tuple[int, ...]:
         if length > 1:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def fixed_point_free(code) -> bool:
-    return all(map(operator.ne, code, range(len(code))))
 
 
 def extend_set(

@@ -8,11 +8,15 @@ exceptions check an engine reduction, not its parts: unreduced_census builds
 the census from every action, its split extensions by naive_semidirect_table
 and validated as the engine's tables, and pairwise_inventory
 builds the S_n inventories from every subgroup with the engine's lattice scan
-(no conjugators) and filters. table_of builds the tests' table fixtures with
-a group's own product. poly_singer_generator takes the engine's modulus of
-GF(s^alpha) over GF(s) and its remainder on index tables, and does the rest
-in its own polynomial ring. FieldElem takes only a field's modulus from the
-engine and does its arithmetic on integers mod t.
+(no conjugators) and filters; its single-prime members come from the
+fixed-point-free scan under the oracle's own keep (regular_keep), which
+regular_scan also runs with the engine's lattice scan up to S_n-conjugacy
+to find the least regular elementary abelian subgroup. table_of builds the
+tests' table fixtures with a group's own product. poly_singer_generator
+takes the engine's modulus of GF(s^alpha) over GF(s) and its remainder on
+index tables, and does the rest in its own polynomial ring. FieldElem takes
+only a field's modulus from the engine and does its arithmetic on integers
+mod t.
 """
 
 import functools
@@ -731,6 +735,49 @@ def naive_prime_order_codes(n, primes, fpf_only):
     return [g for g, order, fpf in _sn_orders(n) if order in primes and (fpf or not fpf_only)]
 
 
+def fixed_point_free(code):
+    """Whether a code moves every point."""
+    return all(x != i for i, x in enumerate(code))
+
+
+def regular_keep(n, primes):
+    """The oracle's keep for the regular elementary abelian candidates: the
+    abelian subgroups of S_n whose nontrivial elements are fixed-point free
+    of an order in primes (elementary abelian ones, for one prime), tested
+    with the brute-force product. Its rejection is upward-closed, as the
+    lattice scan requires: an overgroup keeps the offending element or
+    noncommuting pair."""
+    identity = tuple(range(n))
+
+    def keep(sub):
+        members = [g for g in sub if g != identity]
+        elems = [images(g) for g in members]
+        return (
+            all(map(fixed_point_free, members))
+            and all(perm_order(a) in primes for a in elems)
+            and all(mul(a, b) == mul(b, a) for i, a in enumerate(elems) for b in elems[i + 1 :])
+        )
+
+    return keep
+
+
+def regular_scan(n, r):
+    """The S_n-classes of the elementary abelian r-subgroups of S_n of order
+    at most n whose nontrivial elements are fixed-point free (the candidates
+    that can be transitive: transitive abelian groups are regular), by the
+    lattice scan under regular_keep, as a dict from each class
+    representative to (its generators, its class), code sets. The universe
+    is the engine's prime-order codes, which the tests check against the n!
+    codes filtered up to degree 8, with the fixed points dropped here."""
+    from agroups import census
+    from agroups.cayley import subgroup_lattice
+    from agroups.perm import perm_ops
+
+    universe = [g for g in census._prime_order_codes(n, (r,)) if fixed_point_free(g)]
+    keep = regular_keep(n, (r,))
+    return subgroup_lattice(perm_ops(n), universe, n, keep, census._sn_generators(n))
+
+
 def naive_normalizer(n, T, fixing=()):
     """The codes of S_n that fix the given points and conjugate every member
     of the code set T into T: the n! codes filtered."""
@@ -748,13 +795,14 @@ def naive_normalizer(n, T, fixing=()):
 @functools.lru_cache(maxsize=None)
 def full_sn_scan(n, primes, cap, fpf_only):
     """Every subgroup of S_n generated by elements of the given prime orders
-    that census._scan_keep keeps, of order at most cap, with the generators
-    that built it: the lattice scan without conjugators."""
+    that census._scan_keep keeps (with fpf_only, fixed-point-free elements
+    under regular_keep), of order at most cap, with the generators that
+    built it: the lattice scan without conjugators."""
     from agroups import census
     from agroups.cayley import subgroup_lattice
     from agroups.perm import perm_ops
 
-    keep = census._scan_keep(n, primes, fpf_only)
+    keep = regular_keep(n, primes) if fpf_only else census._scan_keep(primes)
     scan = subgroup_lattice(perm_ops(n), naive_prime_order_codes(n, primes, fpf_only), cap, keep)
     return tuple((elems, gens) for elems, (gens, _) in scan.items())
 

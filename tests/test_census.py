@@ -113,10 +113,10 @@ def test_nonpositive_degree_is_invalid(n):
 
 @pytest.mark.parametrize("r", [1, 4, 6])
 def test_regular_scan_refuses_a_composite_order(r):
-    # the scan's universe holds the products of disjoint r-cycles, which are
-    # the elements of order r only for prime r
+    # the single-prime variety [r] is elementary abelian of exponent r only
+    # for prime r
     with pytest.raises(NotPrime):
-        census.elementary_abelian_regular_scan(6, r)
+        enumerate_primitive_ar_classes(6, r)
 
 
 # -- the class scan against the pairwise route ------------------------------------------------
@@ -150,21 +150,26 @@ def test_regular_normal_inventories_match_pairwise_oracle(n):
     assert nonempty
 
 
-@pytest.mark.parametrize("q, r", [(7, 2), (2, 7), (7, 3), (3, 7)])
-def test_generic_scan_agrees_with_regular_normal_route_at_degree_7(q, r):
-    generic = census._generic_primitive_classes(7, q, r)
-    regular = census._primitive_regular_normal(7, q, r)
-    assert generic.filter_desc == regular.filter_desc
-    assert [(e.order, e.signature) for e in generic.classes] == [
-        (e.order, e.signature) for e in regular.classes
-    ]
-    assert generic.count
-    for g, h in zip(generic.classes, regular.classes):
-        assert subgroup_conjugate(g.representative, h.representative) is not None
-        # the generic size is the whole S_7-class; the regular route counts
-        # the members containing its fixed C7, which is normal in each, and
-        # the C7 are one class of 7!/42 = 120
-        assert (g.class_size, h.class_size) == (120, 1)
+@pytest.mark.parametrize("n", [7, 8])
+def test_sn_class_length_is_the_index_times_the_class_size(n):
+    # at degrees 7 and 8 a class size counts the members of the S_n-class
+    # that contain T, which is normal in each; the S_n-class holds one
+    # N(T)_0-class per conjugate of T, and the conjugates of T are one class
+    # of n!/(n |Aut T|), 120 of them at degree 7 and 30 at degree 8
+    ((u, k),) = census.prime_factors(n).items()
+    aut_order = math.prod(u**k - u**i for i in range(k))
+    index = math.factorial(n) // (n * aut_order)
+    ops, sn_gens = perm.perm_ops(n), census._sn_generators(n)
+    checked = 0
+    for q, r in itertools.permutations((2, 3, 5, 7), 2):
+        for entry in enumerate_primitive_classes(n, q, r).classes:
+            members = frozenset(entry.representative.codes())
+            length = len(cayley.conjugation_orbit(ops, members, sn_gens))
+            assert length == index * entry.class_size, (q, r, entry.order)
+            if n == 7:
+                assert (length, entry.class_size) == (120, 1), (q, r, entry.order)
+            checked += 1
+    assert checked
 
 
 # -- the scans' universes without S_n -------------------------------------------------
@@ -173,13 +178,16 @@ def test_generic_scan_agrees_with_regular_normal_route_at_degree_7(q, r):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_prime_order_universe_matches_the_filtered_sn(n):
     for p in (2, 3, 5, 7):
-        for fpf_only in (False, True):
-            built = census._prime_order_codes(n, (p,), fpf_only)
-            assert built == bf.naive_prime_order_codes(n, (p,), fpf_only), (p, fpf_only)
-            if p > n or (fpf_only and n % p):
-                assert built == [], (p, fpf_only)
+        built = census._prime_order_codes(n, (p,))
+        assert built == bf.naive_prime_order_codes(n, (p,), False), p
+        if p > n:
+            assert built == [], p
+        # the oracle's fixed-point-free universe (bf.regular_scan)
+        assert [g for g in built if bf.fixed_point_free(g)] == bf.naive_prime_order_codes(
+            n, (p,), True
+        ), p
     for primes in ((2, 3), (2, 5, 7)):
-        assert census._prime_order_codes(n, primes, False) == bf.naive_prime_order_codes(
+        assert census._prime_order_codes(n, primes) == bf.naive_prime_order_codes(
             n, primes, False
         )
 
@@ -225,7 +233,7 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
     # and N(T)_0's lattice runs on the indices of its table, on the
     # {q, r}-elements under the {q, r}-order keep
     q, r = 2, 7
-    counts = {"code_order": 0, "fixed_point_free": 0}
+    counts = {"_prime_order_codes": 0, "_divides_primes": 0}
     lattice_calls, stabs = [], []
 
     def counting(name, fn):
@@ -253,6 +261,7 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
     census._scan_cached.cache_clear()
     assert inventory.count
     assert all(c < 40320 // 20 for c in counts.values()), counts
+    assert counts["_prime_order_codes"] == 0, counts  # no universe of S_8
     sn_gens = list(census._sn_generators(8))
     assert all(c[2] != sn_gens for c in lattice_calls)  # no scan of S_8 remains
     (universe, keep, conjugators), = lattice_calls
@@ -287,10 +296,12 @@ def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
     assert sorted(calls[1:], key=perm.set_key) == sorted(reps, key=perm.set_key)
 
 
-def test_generic_block_tests_take_no_canonical_generators(monkeypatch):
-    # the generic primitive inventory tests each transitive class for blocks
-    # on the generators the scan built it from: canonical generators are
-    # taken for the reported representatives only
+def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
+    # below degree 7 too, and in the single-prime inventories, each
+    # candidate T.S is tested for blocks on the generators it was built
+    # from: canonical generators are taken for N(T)_0 and for the reported
+    # representatives only, and for nothing at a degree that is no prime
+    # power
     calls = []
     real = cayley.canonical_generators
 
@@ -299,27 +310,70 @@ def test_generic_block_tests_take_no_canonical_generators(monkeypatch):
         return real(G, elems)
 
     monkeypatch.setattr(cayley, "canonical_generators", spy)
-    for n, q, r in [(5, 5, 2), (4, 2, 3), (6, 2, 3)]:
+    for inventory_of, args in [
+        (enumerate_primitive_classes, (5, 5, 2)),
+        (enumerate_primitive_classes, (4, 2, 3)),
+        (enumerate_primitive_classes, (1, 2, 3)),
+        (enumerate_primitive_ar_classes, (7, 7)),
+        (enumerate_primitive_ar_classes, (4, 2)),
+    ]:
         calls.clear()
-        inventory = enumerate_primitive_classes(n, q, r)
-        assert len(calls) == inventory.count, (n, q, r)
+        inventory = inventory_of(*args)
+        assert len(calls) == 1 + inventory.count, args
+    calls.clear()
+    assert enumerate_primitive_classes(6, 2, 3).count == 0 and not calls
+
+
+def test_primitive_inventories_build_chains_for_representatives_only(monkeypatch):
+    # a candidate T.S is tested for blocks on its generators alone, so a
+    # Schreier-Sims chain is built for each reported representative only
+    chains = 0
+    real = perm._schreier_sims
+
+    def spy(degree, gens):
+        nonlocal chains
+        chains += 1
+        return real(degree, gens)
+
+    monkeypatch.setattr(perm, "_schreier_sims", spy)
+    for args in [(8, 2, 7), (7, 7, 2), (7, 7, 3), (5, 5, 2), (4, 2, 3)]:
+        chains = 0
+        inventory = enumerate_primitive_classes(*args)
+        assert inventory.count and chains == inventory.count, (args, chains)
+
+
+def test_primitive_inventories_scan_no_sn(monkeypatch):
+    # every primitive inventory, two-prime or single-prime, at every degree,
+    # runs one lattice: N(T)_0's, on its table; no class scan of S_n runs
+    # and the S_n scans' cache stays empty
+    lattices = []
+    real = census.subgroup_lattice
+
+    def spy(G, universe, cap=None, keep=None, conjugators=()):
+        lattices.append(G)
+        return real(G, universe, cap, keep, conjugators)
+
+    monkeypatch.setattr(census, "subgroup_lattice", spy)
+    census._scan_cached.cache_clear()
+    for n in range(1, 9):
+        for q, r in itertools.permutations((2, 3, 5, 7), 2):
+            enumerate_primitive_classes(n, q, r)
+        for r in (2, 3, 5, 7):
+            enumerate_primitive_ar_classes(n, r)
+    assert census._scan_cached.cache_info().currsize == 0
+    assert lattices and all(isinstance(G, CayleyGroup) for G in lattices)
 
 
 def test_translations_are_the_least_regular_member_of_the_scan():
     # T written down as the translations of GF(u)^k is the set_key-least
     # member of the one class of regular elementary abelian subgroups that
-    # the fixed-point-free scan finds, at every prime power n <= 9
+    # the oracle's fixed-point-free scan finds, at every prime power n <= 9
     for n, u, k in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]:
         T, basis = census._translations(u, k)
-        regulars = [
-            cls
-            for elems, (_, cls) in census.elementary_abelian_regular_scan(n, u).items()
-            if len(elems) == n
-        ]
+        regulars = [cls for elems, (_, cls) in bf.regular_scan(n, u).items() if len(elems) == n]
         assert len(regulars) == 1, n
         assert tuple(T) == min(map(perm.set_key, regulars[0])), n
         assert basis == perm.greedy_generators(n, T), n
-    census._scan_cached.cache_clear()
 
 
 @pytest.mark.parametrize("n", [4, 7, 8])
@@ -434,11 +488,12 @@ def test_primitive_ar_grid():
 
 def test_primitive_ar_regular_v4_is_imprimitive():
     # n = 4, r = 2: the regular V4 exists and is transitive but imprimitive
-    subs = census.elementary_abelian_regular_scan(4, 2)
+    subs = bf.regular_scan(4, 2)
     regular = [s for _, cls in subs.values() for s in cls if len(s) == 4]
     assert len(regular) == 1
     grp = perm.group_from_set(4, regular[0])
     assert grp.is_transitive() and not grp.is_primitive()
+    assert enumerate_primitive_ar_classes(4, 2).count == 0
 
 
 # -- GL subgroup scans ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from agroups.errors import LimitExceeded  # noqa: E402
-from agroups.perm import EXHAUSTIVE_ORDER_LIMIT, PermGroup, perm_ops  # noqa: E402
+from agroups.perm import EXHAUSTIVE_ORDER_LIMIT, PermGroup, minimal_block, perm_ops  # noqa: E402
 
 
 @st.composite
@@ -77,7 +77,8 @@ def test_orbits_blocks_and_primitivity_match_sympy(case):
         return
     for b in range(2, n + 1):
         labels = S.minimal_block([0, b - 1])
-        assert G.minimal_block(1, b) == {p + 1 for p in range(n) if labels[p] == labels[0]}
+        block = minimal_block(n, G.generators, 1, b)
+        assert block == {p + 1 for p in range(n) if labels[p] == labels[0]}
     assert G.is_primitive() == S.is_primitive(randomized=False)
 
 

@@ -1,9 +1,10 @@
 """Permutation codes (0-based image tuples) against sympy.
 
 perm.perm_ops binds the subgroup kernel to codes: its product, inverse and
-identity, and the coded order and fixed-point-free helpers, are compared
-with sympy.combinatorics.Permutation, whose products also compose left to
-right. The brute-force differential of the code arithmetic on 1-based image
+identity, and the coded order, are compared with
+sympy.combinatorics.Permutation, whose products also compose left to
+right; so is the brute-force oracle's fixed-point-free test. The
+brute-force differential of the code arithmetic on 1-based image
 tuples, without sympy, is in test_perm.py.
 """
 
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroups.perm import code_order, fixed_point_free, perm_ops
+from agroups.perm import code_order, perm_ops
+
+import bruteforce as bf
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -51,4 +54,4 @@ def test_code_order_and_fixed_point_free_on_s6():
     for code in itertools.permutations(range(6)):
         p = combinatorics.Permutation(list(code))
         assert code_order(code) == p.order()
-        assert fixed_point_free(code) == (p.support() == list(range(6)))
+        assert bf.fixed_point_free(code) == (p.support() == list(range(6)))

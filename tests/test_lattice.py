@@ -5,14 +5,14 @@ class of an element already tried, and elements whose extension of a smaller
 subgroup was rejected). bruteforce.naive_subgroup_lattice tries every
 extension; both must return the same subgroups with the same generators in
 the same order. The skipping is exact only when rejection by keep is
-upward-closed, so every keep the census and GL scans use is checked for
-that too.
+upward-closed, so every keep the census and GL scans use, and the regular
+keep of the brute-force oracle, is checked for that too.
 
 Without conjugators every subgroup is its own class. Given conjugators, the
 scan keeps one subgroup per conjugacy class with its class: the classes must
 partition the unpruned scan's subgroups, each being the set of conjugates of
 its representative by every element. That is exact only when keep is
-invariant under conjugation, which is checked for every census keep.
+invariant under conjugation, which is checked for every S_n scan's keep.
 """
 
 import functools
@@ -23,7 +23,7 @@ import pytest
 from agroups import cayley, census
 from agroups.gf import field_make
 from agroups.matgrp import gl_elements, mat_ops
-from agroups.perm import PermGroup, code_order, fixed_point_free, perm_ops
+from agroups.perm import PermGroup, code_order, perm_ops
 
 import bruteforce as bf
 
@@ -100,7 +100,7 @@ PERM_SCANS = [
 @functools.lru_cache(maxsize=None)
 def perm_scan_inputs(n, primes, cap, smooth):
     universe = [g for g in sn_codes(n) if code_order(g) in primes]
-    keep = census._scan_keep(n, primes, False) if smooth else None
+    keep = census._scan_keep(primes) if smooth else None
     return universe, keep, bf.naive_subgroup_lattice(perm_ops(n), universe, cap, keep)
 
 
@@ -121,13 +121,13 @@ def test_prime_order_perm_classes_match_unpruned_scan(n, primes, cap, smooth):
 
 
 def old_regular_post_filter(n, subs, r):
-    """The filter elementary_abelian_regular_scan applied after an unfiltered
+    """The filter of the oracle's regular scan applied after an unfiltered
     scan: every nontrivial element fixed-point free of order r, and abelian."""
     ops = perm_ops(n)
     out = {}
     for elems, gens in subs.items():
         if not all(
-            g == ops.identity or (code_order(g) == r and fixed_point_free(g)) for g in elems
+            g == ops.identity or (code_order(g) == r and bf.fixed_point_free(g)) for g in elems
         ):
             continue
         members = sorted(elems)
@@ -144,24 +144,27 @@ def test_regular_scan_matches_unpruned_scan_then_filter(n):
     for r in (2, 3, 5):
         if r > n:
             continue
-        universe = [g for g in sn_codes(n) if code_order(g) == r and fixed_point_free(g)]
+        universe = [g for g in sn_codes(n) if code_order(g) == r and bf.fixed_point_free(g)]
         naive = bf.naive_subgroup_lattice(
             ops, universe, n, lambda sub: census._divides_primes(len(sub), (r,))
         )
         expected = old_regular_post_filter(n, naive, r)
-        keep = census._scan_keep(n, (r,), True)
+        keep = bf.regular_keep(n, (r,))
         scan = cayley.subgroup_lattice(ops, universe, n, keep)
         assert list(scan.items()) == one_per_class(expected)
-        classes = census.elementary_abelian_regular_scan(n, r)
+        classes = bf.regular_scan(n, r)
         assert_classes(ops, classes, expected, sn_codes(n))
 
 
-# (primes, fpf_only) for every scan the census runs: the smooth keep of one
-# prime or a pair, and the elementary abelian fixed-point-free keep of one
-CENSUS_KEEPS = [
-    *(((u,), fpf_only) for u in (2, 3, 5) for fpf_only in (False, True)),
-    *(((q, r), False) for q, r in ((2, 3), (2, 5), (3, 5))),
-]
+def sn_keeps(n):
+    """(label, keep) for every keep an S_n scan runs: the census's smooth
+    keep of one prime or a pair, and the oracle's regular elementary abelian
+    keep of one prime."""
+    return [
+        *((primes, census._scan_keep(primes)) for primes in ((2,), (3,), (5,))),
+        *(((q, r), census._scan_keep((q, r))) for q, r in ((2, 3), (2, 5), (3, 5))),
+        *((("regular", u), bf.regular_keep(n, (u,))) for u in (2, 3, 5)),
+    ]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -175,10 +178,9 @@ def test_census_keeps_are_conjugation_invariant(n):
         for H in subgroups
         for g in census._sn_generators(n)
     ]
-    for primes, fpf_only in CENSUS_KEEPS:
-        keep = census._scan_keep(n, primes, fpf_only)
+    for label, keep in sn_keeps(n):
         for H, K in conjugates:
-            assert keep(H) == keep(K), (primes, fpf_only, len(H))
+            assert keep(H) == keep(K), (label, len(H))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -188,12 +190,11 @@ def test_census_keeps_are_upward_closed(n):
     table = bf.table_of(Sn)
     subgroups = [frozenset(elems[i] for i in sub) for sub in cayley.all_subgroups(table)]
     rejections = 0
-    for primes, fpf_only in CENSUS_KEEPS:
-        keep = census._scan_keep(n, primes, fpf_only)
+    for label, keep in sn_keeps(n):
         rejected = [H for H in subgroups if not keep(H)]
         kept = [K for K in subgroups if keep(K)]
         for H in rejected:
-            assert not any(H < K for K in kept), (primes, fpf_only, len(H))
+            assert not any(H < K for K in kept), (label, len(H))
         rejections += len(rejected)
     assert rejections
 
