@@ -835,6 +835,27 @@ def regular_normal_candidates(n):
     return u, out
 
 
+def generic_primitive_inventory(n, q, r):
+    """The primitive inventory from the S_n class scan, at any degree (the
+    engine's transitive inventory stops at degree 6): the transitive classes
+    in the variety, each tested for blocks on the generators the scan built
+    its first member from, and sized by the length of its S_n-class."""
+    from agroups import census
+    from agroups.cayley import in_variety
+    from agroups.perm import PermGroup, perm_ops
+
+    ops = perm_ops(n)
+    classes = [
+        cls
+        for elems, (gens, cls) in census._subgroup_scan(n, (q, r), math.isqrt(6 ** (n - 1))).items()
+        if len(elems) % n == 0
+        and len({g[0] for g in elems}) == n  # the orbit of point 0
+        and in_variety(ops, [q, r], gens)
+        and PermGroup(n, gens).is_primitive()
+    ]
+    return census._build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
+
+
 def pairwise_inventory(kind, n, q, r):
     """The inventory enumerate_<kind>_classes(n, q, r) returns (kind
     "transitive" or "primitive"; "primitive_ar" for

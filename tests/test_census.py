@@ -150,6 +150,23 @@ def test_regular_normal_inventories_match_pairwise_oracle(n):
     assert nonempty
 
 
+@pytest.mark.parametrize("q, r", [(7, 2), (2, 7), (7, 3), (3, 7)])
+def test_generic_scan_agrees_with_regular_normal_route_at_degree_7(q, r):
+    generic = bf.generic_primitive_inventory(7, q, r)
+    regular = enumerate_primitive_classes(7, q, r)
+    assert generic.filter_desc == regular.filter_desc
+    assert [(e.order, e.signature) for e in generic.classes] == [
+        (e.order, e.signature) for e in regular.classes
+    ]
+    assert generic.count
+    for g, h in zip(generic.classes, regular.classes):
+        assert subgroup_conjugate(g.representative, h.representative) is not None
+        # the generic size is the whole S_7-class; the regular route counts
+        # the members containing its fixed C7, which is normal in each, and
+        # the C7 are one class of 7!/42 = 120
+        assert (g.class_size, h.class_size) == (120, 1)
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_sn_class_length_is_the_index_times_the_class_size(n):
     # at degrees 7 and 8 a class size counts the members of the S_n-class
