@@ -29,6 +29,25 @@ def printable(n: int) -> bool:
     return abs(n) < 10**PRINTED_DIGITS
 
 
+# the trial divisions the prime-power test of a field size may make
+_TRIAL_DIVISION_LIMIT = 10**6
+
+
+def _check_field_size(s: int) -> None:
+    """InvalidParams unless the field size s is a power of its least prime
+    factor, found by trial division. A size above the trial limit squared
+    with no factor up to the limit is LimitExceeded: no trial decides it."""
+    shown = s if printable(s) else f"an integer of over {PRINTED_DIGITS} digits"
+    trials = range(2, min(math.isqrt(max(s, 0)), _TRIAL_DIVISION_LIMIT) + 1)
+    least, rest = next((d for d in trials if s % d == 0), s), s
+    if least == s > _TRIAL_DIVISION_LIMIT**2:
+        raise LimitExceeded(f"s = {shown} has no prime factor up to {_TRIAL_DIVISION_LIMIT}")
+    while least > 1 and rest % least == 0:
+        rest //= least
+    if s < 2 or rest != 1:
+        raise InvalidParams(f"s = {shown} is not a prime power")
+
+
 def _digits(n: int) -> int:
     """The number of decimal digits of n >= 1, without converting it to a string."""
     # 0.30102999 < log10(2): at most two below the answer up to 10^8 bits
@@ -228,8 +247,7 @@ def remark43_gl_bound(s: int, alpha: int) -> LogBound:
     """Class-count bound for maximal two-prime-variety subgroups of GL(alpha, s)."""
     if alpha < 1:
         raise InvalidParams("alpha must be at least 1")
-    if s < 2:
-        raise InvalidParams("s must be a prime power >= 2")
+    _check_field_size(s)
     terms = [
         (s, 5 * alpha * alpha),
         (6, Fraction(alpha * (alpha - 1), 4)),
@@ -255,6 +273,7 @@ def prop41_bound(alpha: int, q: int, r: int, s: int) -> LogBound:
             raise InvalidParams(f"{u} is not prime")
     if q == r:
         raise InvalidParams("q and r must be distinct")
+    _check_field_size(s)
     d = min(q * r, s)
     # list of pairs: d may equal 6 and the coefficients must accumulate
     return LogBound.build(Fraction(0), [(6, Fraction(alpha - 1, 2)), (d, Fraction(alpha))])

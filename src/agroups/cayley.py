@@ -29,7 +29,7 @@ import collections
 import itertools
 import math
 import operator
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .bounds import printable
 from .errors import InvalidParams, LimitExceeded, NotNormal
@@ -117,11 +117,6 @@ class CayleyGroup:
     def exponent(self) -> int:
         return math.lcm(*self.element_orders)
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
-
     def center(self) -> frozenset[int]:
         """The a with a g = g a for every generator g: column g against row g."""
         t = self.table
@@ -175,21 +170,40 @@ def cyclic_table(n: int) -> CayleyGroup:
 
 def elementary_abelian_table(u: int, dim: int) -> CayleyGroup:
     """(C_u)^dim with elements ordered by their base-u digit vectors."""
-    vecs = list(itertools.product(range(u), repeat=dim))
-    index = {v: i for i, v in enumerate(vecs)}
-    table = tuple(
-        tuple(index[tuple((a + b) % u for a, b in zip(v, w))] for w in vecs) for v in vecs
-    )
-    return CayleyGroup(table, 0)
+    return CayleyGroup(_vector_sums(u, dim), 0)
 
 
-def direct_product_table(G: CayleyGroup, H: CayleyGroup) -> CayleyGroup:
-    n, m = G.order, H.order
-    table = tuple(
-        tuple(G.mul(a // m, b // m) * m + H.mul(a % m, b % m) for b in range(n * m))
-        for a in range(n * m)
-    )
-    return CayleyGroup(table, G.identity * m + H.identity)
+@lru_cache(maxsize=None)
+def _vector_sums(u: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The addition table of GF(u)^k, u prime, the one numbering of its
+    vectors in the engine: itertools.product order, base-u digits with the
+    first coordinate the most significant. Row v is the translation by v."""
+    rows: list[tuple[int, ...]] = [(0,)]
+    for _ in range(k):  # a new most significant coordinate: (a, x) + (b, y)
+        m = len(rows)
+        rows = [
+            tuple((a + b) % u * m + y for b in range(u) for y in row)
+            for a in range(u)
+            for row in rows
+        ]
+    return tuple(rows)
+
+
+def _linear_points(u: int, k: int, code) -> tuple[int, ...]:
+    """The point map x -> x M of GF(u)^k for a matrix code M over GF(u),
+    whose element indices are the residues. The image of c e_i + y, y on the
+    later coordinates, is c M_i + y M: one lookup in row M_i per point."""
+    sums = _vector_sums(u, k)
+    image = [0]
+    for i in reversed(range(k)):
+        v = 0
+        for digit in code[i * k : i * k + k]:
+            v = v * u + digit
+        block = image
+        for _ in range(u - 1):
+            block = list(map(sums[v].__getitem__, block))
+            image += block
+    return tuple(image)
 
 
 def table_group(G, elems, gens) -> CayleyGroup:
@@ -468,36 +482,45 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators
     return {sub: (gens, orbits[sub]) for sub, gens in seen.items()}
 
 
+def _class_closures(G, elems, gens, covered: set):
+    """The normal closure in <gens> of one x per conjugacy class met in elems
+    outside covered, which grows by each class met: ncl(x) = ncl(x^g)."""
+    for x in elems:
+        if x not in covered:
+            covered.update(y for (y,) in conjugation_orbit(G, (x,), gens))
+            yield normal_closure(G, [x], gens)
+
+
 def minimal_normal_subgroups(G, elems, gens) -> list[frozenset]:
     """All minimal nontrivial normal subgroups of the group elems = <gens>,
     sorted by their sorted elements. Candidates are normal closures of
     prime-order elements (every nontrivial normal subgroup contains one),
-    reduced to the minimal members."""
+    one per class, reduced to the minimal members."""
     elems = list(elems)
-    closures = {
-        normal_closure(G, [x], gens)[0]
-        for x, o in zip(elems, _element_orders(G, elems))
-        if is_prime(o)
-    }
+    prime_order = [x for x, o in zip(elems, _element_orders(G, elems)) if is_prime(o)]
+    closures = {c for c, _ in _class_closures(G, prime_order, gens, set())}
     return sorted((c for c in closures if not any(d < c for d in closures)), key=sorted)
 
 
 def fitting_subgroup(G, elems, gens) -> frozenset:
     """Largest nilpotent normal subgroup of the group elems = <gens>: the join
-    of the normal u-radicals, where a u-element lies in the u-radical iff its
-    normal closure is a u-group."""
+    of the normal u-radicals. A u-element lies in the u-radical iff its
+    normal closure is a u-group, so the u-radical is the join of those
+    closures, one per class; a class in the join so far is skipped."""
     elems = list(elems)
     e = G.identity
     join: frozenset = frozenset({e})
     join_gens: list = []
     for u, k in sorted(prime_factors(len(elems)).items()) if len(elems) > 1 else []:
-        part = u**k
-        for x in elems:
-            if x in join or _power(G, x, part) != e:
-                continue
-            if part % len(normal_closure(G, [x], gens)[0]) == 0:
-                join = extend_subgroup(G, join, join_gens, x)
-                join_gens.append(x)
+        part, covered = u**k, set(join)
+        u_elements = [x for x in elems if _power(G, x, part) == e]
+        for closure, closure_gens in _class_closures(G, u_elements, gens, covered):
+            if part % len(closure) == 0:
+                covered.update(closure)
+                for x in closure_gens:
+                    if x not in join:
+                        join = extend_subgroup(G, join, join_gens, x)
+                        join_gens.append(x)
     return join
 
 

@@ -13,8 +13,8 @@ soluble group is affine, so at every degree they go through the normalizer
 of one regular elementary abelian subgroup T, the translations of GF(u)^k,
 which is the least of its S_n-class. The targets are the T.S for the
 subgroups S of the normalizer's point stabiliser N(T)_0 whose orders use
-the variety's primes, taken up to conjugacy there. N(T)_0 is built as
-Aut(T), one permutation per image of T's basis, and its lattice runs on its
+the variety's primes, taken up to conjugacy there. N(T)_0 is GL(k, u), each
+matrix read off as a permutation of the points, and its lattice runs on its
 multiplication table.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
@@ -36,11 +36,11 @@ from .bounds import printable
 from .cayley import (
     CayleyGroup,
     VarietyParams,
+    _linear_points,
+    _vector_sums,
     are_isomorphic,
     conjugation_orbit,
-    cyclic_table,
     elementary_abelian_table,
-    extend_subgroup,
     fitting_subgroup,
     homomorphisms_to_mats,
     in_variety,
@@ -277,58 +277,26 @@ def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
     return _build_inventory(n, 1, r, classes, f"primitive, variety [{r}]")
 
 
-def _normalizer_stabilizer(n, T_elems, t_gens) -> list[tuple[int, ...]]:
-    """N(T)_0, the point stabiliser of the normalizer of a regular elementary
-    abelian T = <t_gens> (a basis), as sorted codes: one per automorphism.
-
-    T is regular, so w -> w[0] identifies T with the points, and each
-    automorphism a of T gives the g with g[w[0]] = a(w)[0]: it fixes 0 and
-    g^-1 w g = a(w). Every g in N(T)_0 arises so, from the automorphism it
-    induces. The automorphisms are the image tuples (b_1, ..., b_k) of the
-    basis with each b_i outside the span of the earlier ones, and since
-    t_i g = g b_i, g is read off from g[0] = 0 by g[t_i[y]] = b_i[g[y]]
-    along a spanning tree of the points."""
-    ops = perm_ops(n)
-    points, tree = [0], []  # tree: (x, y, i) with x = t_i[y], y reached first
-    for y in points:  # points grows by each newly reached point
-        for i, t in enumerate(t_gens):
-            if t[y] not in points:
-                points.append(t[y])
-                tree.append((t[y], y, i))
-    stab = []
-
-    def choose(images, span):
-        if len(images) == len(t_gens):
-            g = [0] * n
-            for x, y, i in tree:
-                g[x] = images[i][g[y]]
-            stab.append(tuple(g))
-            return
-        last = len(images) + 1 == len(t_gens)  # the span of a full basis is T
-        for b in T_elems:
-            if b not in span:
-                choose(images + [b], span if last else extend_subgroup(ops, span, images, b))
-
-    choose([], frozenset({ops.identity}))
-    return sorted(stab)
-
-
-def _translations(u: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The translations of GF(u)^k on the points 0 .. u^k - 1, each point
-    numbered by its base-u digits, as codes sorted by the vector they add,
-    which is also their order as codes (the translation by v takes 0 to v);
-    and the unit-vector basis, its canonical generators."""
+@lru_cache(maxsize=None)
+def _affine_setup(u: int, k: int) -> tuple:
+    """T as a code set, its unit-vector basis, N(T)_0 as sorted codes, its
+    generators and its table, for the degree u^k; trivial at k = 0. T is the
+    rows of GF(u)^k's addition table. An element of N(T)_0 induces an
+    automorphism of T, a linear map M as u is prime, and it is the point map
+    v -> v M: so N(T)_0 is GL(k, u), not a search of the points' images."""
     n = u**k
-    places = [u**j for j in range(k)]
+    rows = _vector_sums(u, k)
+    t_gens = tuple(rows[u**j] for j in range(k))
+    if k:
+        field = field_make(u, 1)
+        stab = tuple(sorted(_linear_points(u, k, M) for M in gl_elements(k, field)))
+    else:
+        stab = ((0,),)
+    stab_gens = tuple(greedy_generators(n, stab))
+    return frozenset(rows), t_gens, stab, stab_gens, table_group(perm_ops(n), stab, stab_gens)
 
-    def add(x, v):
-        return sum((x // w + v // w) % u * w for w in places)
 
-    T = [tuple(add(x, v) for x in range(n)) for v in range(n)]
-    return T, [T[w] for w in places]
-
-
-def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], list]:
+def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], tuple]:
     """The primitive subgroups of S_n in the variety of the chain ([q, r] or
     [r]), one T.S per N(T)_0-class, as code sets, with generators of N(T)_0.
 
@@ -341,8 +309,8 @@ def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], list]:
     and every target is conjugate to T.S for a subgroup S of N(T)_0, the
     point stabiliser of the normalizer.
 
-    T is the translations of GF(u)^k with the points numbered by their base-u
-    digits (_translations). A regular T holds one element t_i taking 0 to
+    T is the translations of GF(u)^k, the points numbered by their base-u
+    digits (_affine_setup). A regular T holds one element t_i taking 0 to
     each point i, so its sorted codes are the rows t_i = (x -> x * i) of the
     Cayley table of a group law on the points with 0 as identity, and the
     least T is the least such table, row by row. Entry by entry the least
@@ -361,9 +329,8 @@ def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], list]:
     between targets fixes T, lies in N(T) = T.N(T)_0 and conjugates the S
     in N(T)_0.
 
-    N(T)_0 comes from the automorphisms of T (_normalizer_stabilizer), not
-    from the (n-1)! permutations fixing a point, and its lattice runs on its
-    multiplication table (table_group), on indices in the order of its sorted
+    N(T)_0 is GL(k, u) (_affine_setup), and its lattice runs on its
+    multiplication table, on indices in the order of its sorted
     codes, so the scan finds the classes in the same order from the same
     generators as on codes (a class, and so the first member found of it,
     does not depend on which generators of N(T)_0 conjugate). Codes come
@@ -380,25 +347,21 @@ def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], list]:
     """
     factors = prime_factors(n) if n > 1 else {chain[0]: 0}
     if len(factors) != 1:
-        return [], []  # degree is not a prime power: no regular abelian copy
+        return [], ()  # degree is not a prime power: no regular abelian copy
     ((u, k),) = factors.items()
     if u not in chain:
-        return [], []
-    T, t_gens = _translations(u, k)
-    T_elems = frozenset(T)
+        return [], ()
+    T, t_gens, stab, stab_gens, table = _affine_setup(u, k)
     ops = perm_ops(n)
-    stab = _normalizer_stabilizer(n, T_elems, t_gens)
-    stab_gens = greedy_generators(n, stab)
-    table = table_group(ops, stab, stab_gens)
 
     smooth = [i for i, o in enumerate(table.element_orders) if _divides_primes(o, chain)]
     lattice = subgroup_lattice(table, smooth, keep=_scan_keep(chain), conjugators=table.generators)
     targets = []
     for s_gens, _ in lattice.values():
-        gens = t_gens + [stab[i] for i in s_gens]
+        gens = [*t_gens, *(stab[i] for i in s_gens)]
         if primitivity_block(n, gens) is not None or not in_variety(ops, chain, gens):
             continue
-        g_elems = T_elems  # grows to T.S
+        g_elems = T  # grows to T.S
         for i in range(len(t_gens), len(gens)):
             g_elems = extend_set(n, g_elems, gens[:i], gens[i])
         targets.append(g_elems)
@@ -470,12 +433,6 @@ def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     return reps
 
 
-def _split_extension(u: int, dim: int, action, acting: CayleyGroup) -> CayleyGroup:
-    if dim == 0:
-        return acting
-    return semidirect_product(u, dim, action, acting)
-
-
 def _dedup_isomorphism(groups) -> list[CayleyGroup]:
     """The first group of each isomorphism class, in input order. Only groups
     with equal invariants can be isomorphic, so each is tested against the
@@ -518,13 +475,16 @@ def enumerate_variety_groups(
         xs = list(xs)
         return xs[::-1] if traversal == "reverse" else xs
 
-    reps = [elementary_abelian_table(r, g) if g else cyclic_table(1)]
+    reps = [elementary_abelian_table(r, g)]
     for u, dim in ((q, b), (p, a)):  # the Q layer on R, then the P layer
-        candidates = [
-            _split_extension(u, dim, action, H)
-            for H in reps
-            for action in maybe_reverse(_action_orbit_reps(H, dim, u))
+        pairs = [
+            (H, action) for H in reps for action in maybe_reverse(_action_orbit_reps(H, dim, u))
         ]
-        reps = _dedup_isomorphism(maybe_reverse(candidates))
+        # each table is built when the deduplication reaches it, so a layer
+        # holds its kept tables and the candidate at hand, not every candidate
+        reps = _dedup_isomorphism(
+            semidirect_product(u, dim, action, H) if dim else H
+            for H, action in maybe_reverse(pairs)
+        )
     reps.sort(key=lambda t: sorted(t.element_orders))
     return VarietyCensus(params, tuple(reps))

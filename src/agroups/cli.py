@@ -15,6 +15,11 @@ import json
 import sys
 import time
 
+# The engine modules are imported here, not inside the command handlers
+# that use them, although that would save a command the import of the
+# others: perfbench's tracer wraps only the modules loaded before cli.main
+# runs, and its job runner hooks _build_parser, so a lazy import would take
+# that work out of the trace.
 from . import bounds as bnd
 from . import census, construct, matgrp, report, selftest
 from .cayley import VarietyParams

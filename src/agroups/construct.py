@@ -17,7 +17,9 @@ from .bounds import printable
 from .cayley import (
     TABLE_LIMIT,
     CayleyGroup,
+    _linear_points,
     _power,
+    _vector_sums,
     fitting_subgroup,
     in_variety,
     minimal_normal_subgroups,
@@ -94,22 +96,12 @@ def primitive_aqar_group(
         shown = n if printable(n) else f"{q}^{beta}"
         raise DegreeLimit(f"degree {shown} exceeds the limit {max_degree}")
     field = field_make(q, 1)
-    vectors = sorted(itertools.product(range(q), repeat=beta))
-    index = {v: i for i, v in enumerate(vectors)}  # point i + 1 is vectors[i]
-
-    gens = []
-    for axis in range(beta):
-        images = []
-        for v in vectors:
-            w = list(v)
-            w[axis] = (w[axis] + 1) % q
-            images.append(index[tuple(w)])
-        gens.append(tuple(images))
-
-    # over a prime field the element indices are the residues themselves
-    ops = mat_ops(beta, field)
-    linear = _power(ops, singer_generator(beta, field), (q**beta - 1) // r)
-    gens.append(tuple(index[ops.apply(linear, v)] for v in vectors))
+    # the translations by the unit vectors, rows of GF(q)^beta's addition
+    # table, and the linear map v -> v M of the Singer power M
+    sums = _vector_sums(q, beta)
+    gens = [sums[q ** (beta - 1 - axis)] for axis in range(beta)]
+    linear = _power(mat_ops(beta, field), singer_generator(beta, field), (q**beta - 1) // r)
+    gens.append(_linear_points(q, beta, linear))
 
     spec = PrimitiveSpec(q, r, CASE_AFFINE, n, beta)
     return spec, PermGroup(n, gens)
@@ -219,7 +211,8 @@ def semidirect_product(
     M(x g) = M(x) M(g) for every x and every generator g make M
     multiplicative, M(x w) = M(x) M(w) for each word w by induction on its
     length. That makes every matrix invertible: M(h) M(h^-1) = M(e) = I.
-    Elements are pairs (vector, h) ordered by (vector digits, h index).
+    Elements are pairs (vector, h) ordered by (vector index, h index), the
+    vectors numbered as in GF(u)^dim's addition table (cayley._vector_sums).
     Vectors are rows, h acts on the kernel by conjugation, h^-1 v h = v M(h),
     so the product is (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2).
     """
@@ -243,19 +236,17 @@ def semidirect_product(
     if order > TABLE_LIMIT:
         raise LimitExceeded(f"product order {order} exceeds the table limit")
 
-    vectors = list(itertools.product(range(u), repeat=dim))  # element indices, sorted
-    vec_index = {v: i for i, v in enumerate(vectors)}
+    vsum = _vector_sums(u, dim)
     h_count = acting.order
-    vsum = [[vec_index[tuple((a + b) % u for a, b in zip(v, w))] for w in vectors] for v in vectors]
-    # products need M(h^-1), applied once per (h, vector) rather than once
-    # per table cell
-    moved = [[vec_index[ops.apply(codes[acting.inv(h)], v)] for v in vectors] for h in range(h_count)]
+    # products need v -> v M(h^-1), read off once per h rather than once per
+    # table cell
+    moved = [_linear_points(u, dim, codes[acting.inv(h)]) for h in range(h_count)]
 
     # row (v1, h1) is, for each w in order, the block of the pairs
     # (vsum[v1][moved[h1][w]], h1 h2) over h2; block i of h1 holds the
     # indices i |H| + h over the h in h1's row
     blocks = [
-        [tuple(map((i * h_count).__add__, h_row)) for i in range(len(vectors))]
+        [tuple(map((i * h_count).__add__, h_row)) for i in range(len(vsum))]
         for h_row in acting.table
     ]
     table = tuple(

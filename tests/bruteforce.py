@@ -69,6 +69,24 @@ def table_of(group):
     return codes_table(group.codes(), group.ops)
 
 
+def direct_product_table(G, H):
+    """The table of G x H, the pair (a, b) at index a |H| + b."""
+    from agroups.cayley import CayleyGroup
+
+    n, m = G.order, H.order
+    table = tuple(
+        tuple(G.mul(a // m, b // m) * m + H.mul(a % m, b % m) for b in range(n * m))
+        for a in range(n * m)
+    )
+    return CayleyGroup(table, G.identity * m + H.identity)
+
+
+def is_abelian(G):
+    """Every pair of elements of the table group G commutes."""
+    t = G.table
+    return all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(a))
+
+
 def codes_table(elems, ops):
     """The multiplication table of the group of the given sorted codes,
     multiplied by ops."""

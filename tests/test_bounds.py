@@ -152,6 +152,21 @@ def test_invalid_params():
         remark43_transitive_bound(1)
 
 
+def test_gl_bounds_take_prime_power_field_sizes_only():
+    # the least prime factor, by trial division, must be the only one; a
+    # size with no factor up to the trial limit is prime below its square
+    # and refused above it
+    for s in (2, 4, 7**5, 2**100, 3**40, 999_999_999_989):
+        remark43_gl_bound(s, 2)
+        prop41_bound(2, 2, 3, s)
+    for s in (-3, 0, 1, 6, 12, 10**12, 2 * 3**40, 73 * 137 * 99_990_001):
+        for bound in (lambda: remark43_gl_bound(s, 2), lambda: prop41_bound(2, 2, 3, s)):
+            with pytest.raises(InvalidParams, match=f"s = {s} is not a prime power"):
+                bound()
+    with pytest.raises(LimitExceeded, match="no prime factor up to 1000000"):
+        prop41_bound(2, 2, 3, 2**61 - 1)
+
+
 # -- comparison properties ---------------------------------------------------------
 
 

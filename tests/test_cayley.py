@@ -13,7 +13,6 @@ from agroups.cayley import (
     all_subgroups,
     are_isomorphic,
     cyclic_table,
-    direct_product_table,
     elementary_abelian_table,
     in_variety,
     in_variety_exhaustive,
@@ -26,6 +25,7 @@ from agroups.gf import field_make
 from agroups.perm import PermGroup, parse_cycles, perm_ops
 
 import bruteforce as bf
+from bruteforce import direct_product_table
 from bruteforce import naive_is_associative, reduced_latin_squares
 
 
@@ -359,7 +359,7 @@ def test_verbal_subgroup_is_normal_with_abelian_exponent_r_quotient():
         K = verbal_ar_subgroup(G, r)
         assert cayley.is_normal(G, K)
         Q = quotient(G, K)
-        assert Q.is_abelian()
+        assert bf.is_abelian(Q)
         assert all(cayley._power(Q, a, r) == Q.identity for a in range(Q.order))
 
 
@@ -471,6 +471,34 @@ def test_fitting_indices_matches_permutation_route():
         F = cayley.fitting_subgroup(table, range(table.order), table.generators)
         expected = bf.naive_fitting_subgroup(G.degree, set(elems))
         assert {elems[i] for i in F} == expected
+
+
+# -- GF(u)^k ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "u, k, stride",
+    [(2, 0, 1), (2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (2, 3, 1), (3, 2, 1), (2, 4, 7),
+     (5, 2, 1), (3, 3, 13)],
+)
+def test_vector_sums_and_linear_points_match_digit_vectors(u, k, stride):
+    # GF(u)^k numbered by itertools.product: row v of the addition table is
+    # the translation by v, and a matrix's point map is v -> v M, each
+    # against coordinatewise arithmetic mod u (every stride-th matrix)
+    vectors = list(itertools.product(range(u), repeat=k))
+    index = {v: i for i, v in enumerate(vectors)}
+    expected = tuple(
+        tuple(index[tuple((a + b) % u for a, b in zip(v, w))] for w in vectors) for v in vectors
+    )
+    assert cayley._vector_sums(u, k) == expected
+    assert elementary_abelian_table(u, k).table == expected
+    if k:
+        for M in matgrp.gl_elements(k, field_make(u, 1))[::stride]:
+            image = [
+                tuple(sum(v[i] * M[i * k + j] for i in range(k)) % u for j in range(k))
+                for v in vectors
+            ]
+            assert cayley._linear_points(u, k, M) == tuple(map(index.__getitem__, image))
 
 
 # -- variety parameters -----------------------------------------------------------------

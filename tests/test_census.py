@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
+import weakref
 
 import pytest
 
 from agroups import cayley, census, perm
-from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, cyclic_table, direct_product_table, elementary_abelian_table, in_variety
+from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, cyclic_table, elementary_abelian_table, in_variety
 from agroups.census import (
     enumerate_primitive_ar_classes,
     enumerate_primitive_classes,
@@ -22,6 +24,7 @@ from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
 from agroups.selftest import CENSUS_CASES
 
 import bruteforce as bf
+from bruteforce import direct_product_table
 
 
 def pgroup(degree, *texts):
@@ -234,11 +237,13 @@ def all_pairs_table(codes):
 
 @pytest.mark.parametrize("u, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
-    # degree 9 (u = 3, k = 2) is the one case with odd u and k > 1; it lies
-    # past PRIMITIVE_DEGREE_LIMIT, so the function is called directly
+    # N(T)_0 read off GL(k, u), each automorphism of T a matrix; degree 9
+    # (u = 3, k = 2) is the one case with odd u and k > 1; it lies past
+    # PRIMITIVE_DEGREE_LIMIT, so the setup is called directly
     n, T, basis = translations(u, k)
-    stab = census._normalizer_stabilizer(n, frozenset(T), basis)
-    assert stab == sorted(set(stab))
+    setup_T, setup_basis, stab, _, _ = census._affine_setup(u, k)
+    assert setup_T == frozenset(T) and list(setup_basis) == basis
+    assert list(stab) == sorted(set(stab))
     assert set(stab) == set(bf.naive_normalizer(n, T, fixing=(0,)))
     gl_order = math.prod(u**k - u**i for i in range(k))
     assert len(stab) == gl_order
@@ -246,8 +251,8 @@ def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
 
 def test_degree_8_scan_walks_no_sn(monkeypatch):
     # the degree-8 route tests no n! codes and makes no scan of S_8: T is
-    # written down as translations, N(T)_0 comes from the automorphisms of T,
-    # and N(T)_0's lattice runs on the indices of its table, on the
+    # written down as translations, N(T)_0 comes from GL(3, 2), the
+    # automorphisms of T, and N(T)_0's lattice runs on the indices of its table, on the
     # {q, r}-elements under the {q, r}-order keep
     q, r = 2, 7
     counts = {"_prime_order_codes": 0, "_divides_primes": 0}
@@ -264,15 +269,16 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
         lattice_calls.append((list(universe), keep, list(conjugators)))
         return real_lattice(G, universe, cap, keep, conjugators)
 
-    def stab_spy(*args):
-        stabs.append(real_stab(*args))
-        return stabs[-1]
+    def setup_spy(*args):
+        setup = real_setup(*args)
+        stabs.append(setup[2])
+        return setup
 
-    real_lattice, real_stab = census.subgroup_lattice, census._normalizer_stabilizer
+    real_lattice, real_setup = census.subgroup_lattice, census._affine_setup
     for name in counts:
         monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
     monkeypatch.setattr(census, "subgroup_lattice", lattice_spy)
-    monkeypatch.setattr(census, "_normalizer_stabilizer", stab_spy)
+    monkeypatch.setattr(census, "_affine_setup", setup_spy)
     census._scan_cached.cache_clear()
     inventory = enumerate_primitive_classes(8, q, r)
     census._scan_cached.cache_clear()
@@ -306,6 +312,7 @@ def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
 
     monkeypatch.setattr(cayley, "canonical_generators", spy)
     census._scan_cached.cache_clear()
+    census._affine_setup.cache_clear()  # N(T)_0's generators are counted
     inventory = enumerate_primitive_classes(8, 2, 7)
     census._scan_cached.cache_clear()
     reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
@@ -335,6 +342,7 @@ def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
         (enumerate_primitive_ar_classes, (4, 2)),
     ]:
         calls.clear()
+        census._affine_setup.cache_clear()  # N(T)_0's generators are counted
         inventory = inventory_of(*args)
         assert len(calls) == 1 + inventory.count, args
     calls.clear()
@@ -385,12 +393,15 @@ def test_translations_are_the_least_regular_member_of_the_scan():
     # T written down as the translations of GF(u)^k is the set_key-least
     # member of the one class of regular elementary abelian subgroups that
     # the oracle's fixed-point-free scan finds, at every prime power n <= 9
+    # (the rows of GF(u)^k's addition table, in code order)
     for n, u, k in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]:
-        T, basis = census._translations(u, k)
+        T, basis = census._affine_setup(u, k)[:2]
+        T = sorted(T)
+        assert tuple(T) == cayley._vector_sums(u, k), n
         regulars = [cls for elems, (_, cls) in bf.regular_scan(n, u).items() if len(elems) == n]
         assert len(regulars) == 1, n
         assert tuple(T) == min(map(perm.set_key, regulars[0])), n
-        assert basis == perm.greedy_generators(n, T), n
+        assert list(basis) == perm.greedy_generators(n, T), n
 
 
 @pytest.mark.parametrize("n", [4, 7, 8])
@@ -398,9 +409,8 @@ def test_normalizer_stabilizer_table_matches_all_pairs(n):
     # N(T)_0's table, chained from its generators' rows, against every
     # product of two of its elements with the brute-force product
     u, k = next(iter(census.prime_factors(n).items()))
-    T, basis = census._translations(u, k)
-    stab = census._normalizer_stabilizer(n, frozenset(T), basis)
-    table = cayley.table_group(perm.perm_ops(n), stab, perm.greedy_generators(n, stab))
+    _, _, stab, stab_gens, table = census._affine_setup(u, k)
+    assert list(stab_gens) == perm.greedy_generators(n, stab)
     assert table == all_pairs_table(stab)
 
 
@@ -574,14 +584,14 @@ def test_census_6_as_3_2_5():
     cen = enumerate_variety_groups(VarietyParams(3, 2, 5, 1, 1, 0))
     assert cen.count == 2
     tables = list(cen.groups)
-    assert any(t.is_abelian() for t in tables)  # C6
-    assert any(not t.is_abelian() for t in tables)  # S3
+    assert any(bf.is_abelian(t) for t in tables)  # C6
+    assert any(not bf.is_abelian(t) for t in tables)  # S3
 
 
 def test_census_6_as_5_2_3():
     cen = enumerate_variety_groups(VarietyParams(5, 2, 3, 0, 1, 1))
     assert cen.count == 1
-    assert cen.groups[0].is_abelian()
+    assert bf.is_abelian(cen.groups[0])
 
 
 def test_census_12():
@@ -667,6 +677,52 @@ def test_census_split_builds_each_table_once_and_no_quotient(monkeypatch):
     for params in bf.census_split_params():
         enumerate_variety_groups(params)
     assert built == 25
+
+
+@pytest.mark.parametrize("traversal", ["forward", "reverse"])
+def test_census_layer_holds_its_kept_tables_and_one_candidate(monkeypatch, traversal):
+    # (3,2,7;1,3,1), order 168: 12 split extensions fall to 3 groups. Each is
+    # built when the deduplication reaches it, so while one is built the
+    # live tables are the groups kept so far, in every layer, and at most
+    # one candidate; building the whole layer first would hold 11
+    refs, live, kept = [], [], []
+    real_extension, real_dedup = census.semidirect_product, census._dedup_isomorphism
+
+    def extension_spy(*args):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in refs))
+        G = real_extension(*args)
+        refs.append(weakref.ref(G))
+        return G
+
+    def dedup_spy(groups):
+        reps = real_dedup(groups)
+        kept.extend(reps)
+        return reps
+
+    monkeypatch.setattr(census, "semidirect_product", extension_spy)
+    monkeypatch.setattr(census, "_dedup_isomorphism", dedup_spy)
+    census_168 = enumerate_variety_groups(VarietyParams(3, 2, 7, 1, 3, 1), traversal)
+    assert (len(refs), census_168.count) == (12, 3)
+    assert max(live) <= len(kept) + 1, (live, len(kept))
+
+
+def test_affine_setup_is_built_once_per_degree(monkeypatch):
+    # T, N(T)_0 and its table depend on the degree alone: the degree-8
+    # inventories of several pairs build N(T)_0's table once between them
+    tables = []
+    real = census.table_group
+
+    def spy(*args):
+        tables.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(census, "table_group", spy)
+    census._affine_setup.cache_clear()
+    for q, r in [(2, 7), (2, 3), (7, 2), (3, 2), (2, 5)]:
+        enumerate_primitive_classes(8, q, r)
+    enumerate_primitive_ar_classes(8, 2)
+    assert len(tables) == 1
 
 
 def test_action_orbit_reps_are_the_gl_classes():

@@ -366,6 +366,19 @@ def test_classify_gl_rejects_s_below_two(capsys, s):
     assert err == f"error: EngineError: s = {s} is not a prime power"
 
 
+@pytest.mark.parametrize("s", ["-3", "0", "1", "6", "12"])
+@pytest.mark.parametrize(
+    "formula",
+    [["gl-classes", "--alpha", "2"], ["gl-order", "--alpha", "2", "--q", "2", "--r", "3"]],
+    ids=["gl-classes", "gl-order"],
+)
+def test_check_bounds_refuses_a_field_size_that_is_no_prime_power(capsys, formula, s):
+    # there is no GL(alpha, s) to bound, with or without a count to compare
+    for count in ([], ["--count", "3"]):
+        err = one_error_line(capsys, "check-bounds", "--formula", *formula, "--s", s, *count)
+        assert err == f"error: InvalidParams: s = {s} is not a prime power"
+
+
 def test_verify_primitive_rejects_degree_one(capsys):
     err = one_error_line(capsys, "verify-primitive", "--q", "2", "--r", "3", "--gens", "()")
     assert err.startswith("error: NotPrimitive: degree 1")

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from agroups import cayley, census, cli, construct, perm
-from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table, direct_product_table
+from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table
 from agroups.construct import (
     CASE_AFFINE,
     CASE_CYCLIC_Q,
@@ -24,6 +24,7 @@ from agroups.matgrp import gl_elements, mat_ops
 from agroups.perm import PermGroup, parse_cycles
 
 import bruteforce as bf
+from bruteforce import direct_product_table
 
 # GF(2) matrix codes: the identity, and the powers I, C, C^2 of the companion
 # matrix C of x^2 + x + 1
@@ -122,7 +123,7 @@ def test_provenance_block():
 def test_semidirect_a4():
     c3 = cyclic_table(3)
     G = semidirect_product(2, 2, COMPANION_POWERS, c3)
-    assert G.order == 12 and not G.is_abelian()
+    assert G.order == 12 and not bf.is_abelian(G)
     A4 = bf.table_of(pgroup(4, "(1 2 3)", "(2 3 4)"))
     assert are_isomorphic(G, A4)
 
@@ -138,7 +139,7 @@ def test_semidirect_trivial_action_is_direct_product():
     c4 = cyclic_table(4)
     G = semidirect_product(3, 1, [(1,)] * 4, c4)
     assert are_isomorphic(G, direct_product_table(cyclic_table(3), c4))
-    assert G.is_abelian()
+    assert bf.is_abelian(G)
 
 
 def test_semidirect_rejects_non_homomorphism():
@@ -250,6 +251,42 @@ def test_theorem_b_normal_structure_matches_brute_force(monkeypatch, q, r):
     assert [{elems[i] for i in M} for M in seen["minimal_normal_subgroups"]] == minimal
     F = {elems[i] for i in seen["fitting_subgroup"]}
     assert F == bf.naive_fitting_subgroup(G.degree, elems)
+
+
+def test_normal_structure_takes_one_closure_per_class(monkeypatch):
+    # ncl(x) = ncl(x^g): M and F(G) of 2^3:7 take at most one normal
+    # closure per conjugacy class of G, in each function
+    _, G = primitive_aqar_group(2, 7)
+    table = cayley.table_group(perm.perm_ops(G.degree), G.codes(), G.generators)
+    classes = {
+        frozenset(x for (x,) in cayley.conjugation_orbit(table, (a,), table.generators))
+        for a in range(table.order)
+    }
+    calls = 0
+    real = cayley.normal_closure
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(cayley, "normal_closure", spy)
+    for fn in (cayley.minimal_normal_subgroups, cayley.fitting_subgroup):
+        calls = 0
+        fn(table, range(table.order), table.generators)
+        assert 0 < calls <= len(classes) == 8, (fn.__name__, calls)
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (2, 5), (2, 7), (3, 2)])
+def test_affine_translations_are_rows_of_the_addition_table(q, r):
+    # the construction numbers GF(q)^beta as the rest of the engine does:
+    # its translations are the unit-vector rows of the addition table, and
+    # its linear generator fixes the zero vector
+    spec, G = primitive_aqar_group(q, r)
+    sums = cayley._vector_sums(q, spec.beta)
+    translations = sorted(g for g in G.generators if g[0] != 0)
+    assert translations == sorted(sums[q**j] for j in range(spec.beta))
+    assert len(G.generators) == spec.beta + 1
 
 
 def test_construct_primitive_builds_one_chain(monkeypatch, capsys):
