@@ -482,13 +482,14 @@ def subgroup_lattice(G, universe, cap: int | None = None, keep=None, conjugators
     return {sub: (gens, orbits[sub]) for sub, gens in seen.items()}
 
 
-def _class_closures(G, elems, gens, covered: set):
-    """The normal closure in <gens> of one x per conjugacy class met in elems
-    outside covered, which grows by each class met: ncl(x) = ncl(x^g)."""
+def _class_reps(G, elems, gens, covered=None):
+    """The first x of each class under conjugation by <gens> met in elems outside
+    covered, which grows by each class met, and may grow between yields."""
+    covered = set() if covered is None else covered
     for x in elems:
         if x not in covered:
             covered.update(y for (y,) in conjugation_orbit(G, (x,), gens))
-            yield normal_closure(G, [x], gens)
+            yield x
 
 
 def minimal_normal_subgroups(G, elems, gens) -> list[frozenset]:
@@ -498,7 +499,7 @@ def minimal_normal_subgroups(G, elems, gens) -> list[frozenset]:
     one per class, reduced to the minimal members."""
     elems = list(elems)
     prime_order = [x for x, o in zip(elems, _element_orders(G, elems)) if is_prime(o)]
-    closures = {c for c, _ in _class_closures(G, prime_order, gens, set())}
+    closures = {normal_closure(G, [x], gens)[0] for x in _class_reps(G, prime_order, gens)}
     return sorted((c for c in closures if not any(d < c for d in closures)), key=sorted)
 
 
@@ -506,7 +507,7 @@ def fitting_subgroup(G, elems, gens) -> frozenset:
     """Largest nilpotent normal subgroup of the group elems = <gens>: the join
     of the normal u-radicals. A u-element lies in the u-radical iff its
     normal closure is a u-group, so the u-radical is the join of those
-    closures, one per class; a class in the join so far is skipped."""
+    closures, one per class (ncl(x^g) = ncl(x)), skipping any class in the join so far."""
     elems = list(elems)
     e = G.identity
     join: frozenset = frozenset({e})
@@ -514,13 +515,14 @@ def fitting_subgroup(G, elems, gens) -> frozenset:
     for u, k in sorted(prime_factors(len(elems)).items()) if len(elems) > 1 else []:
         part, covered = u**k, set(join)
         u_elements = [x for x in elems if _power(G, x, part) == e]
-        for closure, closure_gens in _class_closures(G, u_elements, gens, covered):
+        for x in _class_reps(G, u_elements, gens, covered):
+            closure, closure_gens = normal_closure(G, [x], gens)
             if part % len(closure) == 0:
                 covered.update(closure)
-                for x in closure_gens:
-                    if x not in join:
-                        join = extend_subgroup(G, join, join_gens, x)
-                        join_gens.append(x)
+                for y in closure_gens:
+                    if y not in join:
+                        join = extend_subgroup(G, join, join_gens, y)
+                        join_gens.append(y)
     return join
 
 
@@ -720,28 +722,35 @@ def _embeds(G: CayleyGroup, H: CayleyGroup) -> bool:
     gens = minimal_generating_sequence(G)
     candidates = [h_by_order.get(G.element_orders[g], []) for g in gens]
     if gens:
-        first, classes = [], set()
-        for y in candidates[0]:
-            if y not in classes:
-                first.append(y)
-                classes.update(x for (x,) in conjugation_orbit(H, (y,), H.generators))
-        candidates[0] = first
+        candidates[0] = list(_class_reps(H, candidates[0], H.generators))
     return bool(
         _hom_search(G, gens, candidates, H.mul, H.identity, injective=True, find_all=False)
     )
 
 
-def homomorphisms_to_mats(G: CayleyGroup, ops, codes) -> list[list]:
-    """All homomorphisms from G into a list of matrix codes closed under the
-    product of ops (matgrp.mat_ops), each as the list of its image codes by
-    element index. Deterministic order."""
+def homomorphisms_to_mats(G: CayleyGroup, ops, codes, conjugators) -> list[list]:
+    """One homomorphism from G into matrix codes, a list closed under the
+    product of ops (matgrp.mat_ops) and conjugation by the conjugators, per
+    class under simultaneous conjugation by them (with none, every one), as
+    the list of its image codes by element index: the first of its class.
+    The search is depth first in the order of codes, so the first member of
+    a class maps the first generator to the first element of a conjugacy
+    class, and that generator tries only those images (_class_reps)."""
     codes = list(codes)
     orders = _element_orders(ops, codes)
     gens = minimal_generating_sequence(G)
     by_div = [
         [c for c, o in zip(codes, orders) if G.element_orders[g] % o == 0] for g in gens
     ]
-    return _hom_search(G, gens, by_div, ops.mul, ops.identity, injective=False, find_all=True)
+    if gens:
+        by_div[0] = list(_class_reps(ops, by_div[0], conjugators))
+    homs, conjugate_keys = [], set()
+    for hom in _hom_search(G, gens, by_div, ops.mul, ops.identity, injective=False, find_all=True):
+        key = tuple(hom[x] for x in gens)
+        if key not in conjugate_keys:
+            conjugate_keys.update(conjugation_orbit(ops, key, conjugators))
+            homs.append(hom)
+    return homs
 
 
 # ---------------------------------------------------------------------------

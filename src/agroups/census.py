@@ -411,26 +411,13 @@ def gl_variety_subgroup_details(alpha: int, spec: FieldSpec, q: int, r: int):
 def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     """One action homomorphism group -> GL(dim, u) per GL-conjugacy class, as
     lists of image codes by element index: the first of each class in
-    homomorphisms_to_mats order.
-
-    An action is keyed by its images of group.generators (which determine
-    it), and each kept action drops its whole class: the orbit of its key
-    under simultaneous conjugation by the generators of GL (conjugates of a
-    homomorphism are homomorphisms, so the orbit holds exactly the conjugate
-    actions).
-    """
+    homomorphisms_to_mats order (conjugates of a homomorphism are
+    homomorphisms, so a class holds exactly the conjugate actions)."""
     if dim == 0:
         return [None]
     field = field_make(u, 1)
-    gl = gl_elements(dim, field)
-    ops, gl_gens = mat_ops(dim, field), gl_generators(dim, field)
-    reps, conjugate_keys = [], set()
-    for hom in homomorphisms_to_mats(group, ops, gl):
-        key = tuple(hom[x] for x in group.generators)
-        if key not in conjugate_keys:
-            conjugate_keys.update(conjugation_orbit(ops, key, gl_gens))
-            reps.append(hom)
-    return reps
+    ops, gl = mat_ops(dim, field), gl_elements(dim, field)
+    return homomorphisms_to_mats(group, ops, gl, gl_generators(dim, field))
 
 
 def _dedup_isomorphism(groups) -> list[CayleyGroup]:

@@ -23,12 +23,15 @@ import time
 from . import bounds as bnd
 from . import census, construct, matgrp, report, selftest
 from .cayley import VarietyParams
-from .errors import EngineError
-from .gf import field_make, multiplicative_order, prime_factors
+from .errors import EngineError, LimitExceeded
+from .gf import FIELD_TABLE_LIMIT, field_make, multiplicative_order, prime_factors
 from .perm import PermGroup, parse_cycles, permgroup_from_json, permgroup_to_json
 
 
 def _field_from_s(s: int):
+    # before any factoring: trial division of a huge s would not end
+    if s > FIELD_TABLE_LIMIT:
+        raise LimitExceeded(f"s = {s} exceeds the field table limit {FIELD_TABLE_LIMIT}")
     factors = prime_factors(s) if s > 1 else {}
     if len(factors) != 1:
         raise EngineError(f"s = {s} is not a prime power")

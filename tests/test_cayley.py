@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import random
 
@@ -276,9 +277,21 @@ def test_homomorphisms_to_mats_match_the_allpairs_search():
         for G in (cyclic_table(2), cyclic_table(3), V4, S3):
             gens = minimal_generating_sequence(G)
             expected = bf.allpairs_homomorphisms_to_mats(G, gens, field, codes)
-            found = homomorphisms_to_mats(G, matgrp.mat_ops(2, field), codes)
+            found = homomorphisms_to_mats(G, matgrp.mat_ops(2, field), codes, ())
             assert found == [[f[x] for x in range(G.order)] for f in expected]
             assert found, (u, G.order)
+            # under GL-conjugacy: the first of each class, where f ~ f' iff
+            # x f(g) = f'(g) x for one x in GL and every generator g
+            mul = functools.lru_cache(maxsize=None)(functools.partial(bf.naive_code_mul, field))
+            firsts = []
+            for f in expected:
+                if not any(
+                    all(mul(x, f[g]) == mul(h[g], x) for g in gens) for h in firsts for x in codes
+                ):
+                    firsts.append(f)
+            gl_gens = matgrp.gl_generators(2, field)
+            found = homomorphisms_to_mats(G, matgrp.mat_ops(2, field), codes, gl_gens)
+            assert found == [[f[x] for x in range(G.order)] for f in firsts]
 
 
 def test_element_orders_cached_and_exact():

@@ -738,13 +738,42 @@ def test_action_orbit_reps_are_the_gl_classes():
         assert len(reps) == expected
         rep_keys = [tuple(a[x] for x in H.generators) for a in reps]
         firsts = []
-        for hom in homomorphisms_to_mats(H, ops, gl):
+        for hom in homomorphisms_to_mats(H, ops, gl, ()):
             key = tuple(hom[x] for x in H.generators)
             conjugates = {tuple(ops.mul(ops.mul(ops.inv(x), m), x) for m in key) for x in gl}
             assert sum(k in conjugates for k in rep_keys) == 1
             if not any(k in conjugates for k in firsts):
                 firsts.append(key)
         assert firsts == rep_keys  # each kept action is the first of its class
+
+
+def test_action_search_tries_one_first_image_per_gl_class(monkeypatch):
+    # C7 -> GL(3, 2): the first generator tries the identity and one element
+    # of each of the two classes of order 7, not all 49 elements of order
+    # dividing 7
+    firsts = []
+    real = cayley._hom_search
+
+    def spy(G, gens, candidates_per_gen, *args, **kwargs):
+        firsts.append(len(candidates_per_gen[0]))
+        return real(G, gens, candidates_per_gen, *args, **kwargs)
+
+    monkeypatch.setattr(cayley, "_hom_search", spy)
+    assert len(census._action_orbit_reps(cyclic_table(7), 3, 2)) == 3
+    assert firsts == [3]
+
+
+@pytest.mark.parametrize(
+    "H",
+    [cyclic_table(21), bf.table_of(pgroup(7, "(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"))],
+    ids=["C21", "7:3"],
+)
+def test_action_classes_are_the_modules_of_dimension_four(H):
+    # 2 does not divide 21, so every GF(2)H-module is semisimple (Maschke).
+    # The irreducibles of dimension at most 4 have dimensions 1, 2, 3 and 3'
+    # (C21's others have dimension 6), so the 4-dimensional modules, up to
+    # GL(4, 2)-conjugacy, are 1+1+1+1, 1+1+2, 2+2, 1+3 and 1+3'
+    assert len(census._action_orbit_reps(H, 4, 2)) == 5
 
 
 def test_census_trivial_order():

@@ -360,6 +360,20 @@ def test_classify_gl_rejects_alpha_below_one(capsys, alpha):
     assert err == "error: DegreeMismatch: alpha must be at least 1"
 
 
+def test_classify_gl_refuses_a_huge_s_before_factoring_it(capsys, monkeypatch):
+    # trial division of a 31-digit s would not finish
+    real = cli.prime_factors
+
+    def bounded(n):
+        assert n <= 1024, f"prime_factors({n})"
+        return real(n)
+
+    monkeypatch.setattr(cli, "prime_factors", bounded)
+    s = "1000000000000000000000000000057"
+    err = one_error_line(capsys, "classify-gl", "--alpha", "1", "--s", s, "--r", "3")
+    assert err == f"error: LimitExceeded: s = {s} exceeds the field table limit 1024"
+
+
 @pytest.mark.parametrize("s", ["0", "-4", "1"])
 def test_classify_gl_rejects_s_below_two(capsys, s):
     err = one_error_line(capsys, "classify-gl", "--alpha", "2", "--s", s, "--r", "3")
