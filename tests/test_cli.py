@@ -1,14 +1,21 @@
 import argparse
+import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from agroups import cli, matgrp, report, selftest
+from agroups import census, cli, matgrp, report, selftest
+from agroups.cayley import VarietyParams
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -599,3 +606,80 @@ def test_readme_synopsis_lists_exactly_the_global_options():
         for option in action.option_strings
     }
     assert documented == actual
+
+
+def run_main(capsys, argv):
+    """cli.main in this process: exit code, stdout and stderr, as a shell sees them."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help and usage errors leave through argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+CENSUS_ARGV = ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--beta", "1", "--gamma", "1"]
+
+
+# main freezes the heap, so the interpreter skips collecting it at exit; a
+# separate process shows that no output is lost on the way out
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        pytest.param(CENSUS_ARGV, 0, "", id="census-json"),
+        pytest.param(["--format", "text", *CENSUS_ARGV], 0, "", id="census-text"),
+        pytest.param(["classify-gl", "--alpha", "2", "--s", "4", "--r", "3"], 0, "", id="classify-gl"),
+        pytest.param(
+            ["census", "--p", "4", "--q", "2", "--r", "5"],
+            1,
+            "error: InvalidParams: 4 is not prime\n",
+            id="engine-error",
+        ),
+        pytest.param(["census", "--p", "2", "--r", "5"], 1, None, id="usage-error"),
+        pytest.param(["--help"], 0, "", id="help"),
+    ],
+)
+def test_subprocess_matches_in_process_run(monkeypatch, capsys, argv, code, err):
+    # argparse wraps usage and help text to COLUMNS; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-m", "agroups", *argv], env=env, capture_output=True, timeout=60
+    )
+    in_code, in_out, in_err = run_main(capsys, argv)
+    assert done.returncode == in_code == code
+    assert done.stdout == in_out.encode()
+    assert done.stderr.decode() == in_err
+    if err is not None:
+        assert in_err == err
+    else:
+        assert in_err.endswith("error: the following arguments are required: --q\n")
+
+
+class _Node:
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["census", "--p", "3", "--q", "2", "--r", "5", "--alpha", "1", "--beta", "1"], id="report"),
+        pytest.param(["census", "--p", "4", "--q", "2", "--r", "5"], id="engine-error"),
+        pytest.param(["census", "--p", "2"], id="usage-error"),
+        pytest.param(["--help"], id="help"),
+    ],
+)
+def test_main_freezes_the_heap_and_library_calls_do_not(capsys, argv):
+    before = gc.get_freeze_count()
+    census.enumerate_variety_groups(VarietyParams(3, 2, 5, 1, 1, 0))
+    assert gc.get_freeze_count() == before
+    run_main(capsys, argv)
+    assert gc.get_freeze_count() > before
+    # frozen, not disabled: a cycle made afterwards is still reclaimed
+    assert gc.isenabled()
+    node = _Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
