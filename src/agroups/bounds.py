@@ -1,17 +1,17 @@
 """Exact evaluation of the counting bounds.
 
-A bound value is constant + sum coeff * log2(base) with rational
-coefficients over integer bases (LogBound). Comparison against an integer
-count runs outward-rounded interval arithmetic first, doubling the precision
-until the intervals separate; exact equality (and any stubborn case) falls
-through to a powered big-integer comparison, which is total here because
-every coefficient is rational. Nothing is ever compared through floats.
+A bound value is (constant + sum coeff * log2(base)) / D over integer bases,
+with integer constant and coefficients over one positive denominator D
+(LogBound). Comparison against an integer count runs outward-rounded
+interval arithmetic first, on integers over D * 2^prec, doubling the
+precision until the intervals separate; exact equality (and any stubborn
+case) falls through to comparing count^D with the powered bases. Only
+integers: no rational type, and nothing is compared through floats.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InvalidParams, LimitExceeded
 from .gf import is_prime
@@ -88,16 +88,23 @@ def _log2_fixed(b: int, prec: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as str(Fraction) prints it: n alone over 1."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class LogBound:
-    """constant + sum of coeff * log2(base); canonical term order by base."""
+    """(constant + sum of coeff * log2(base)) / den on integers; build makes
+    it canonical: lowest terms, term order by base."""
 
-    __slots__ = ("constant", "terms")
+    __slots__ = ("constant", "terms", "den")
 
-    def __init__(self, constant: Fraction, terms: tuple[tuple[int, Fraction], ...]):
-        self.constant, self.terms = constant, terms
+    def __init__(self, constant: int, terms: tuple[tuple[int, int], ...], den: int):
+        self.constant, self.terms, self.den = constant, terms, den
 
     def _key(self) -> tuple:
-        return self.constant, self.terms
+        return self.constant, self.terms, self.den
 
     def __eq__(self, other):
         return type(other) is LogBound and self._key() == other._key()
@@ -106,25 +113,29 @@ class LogBound:
         return hash(self._key())
 
     @staticmethod
-    def build(constant, term_map) -> "LogBound":
-        merged: dict[int, Fraction] = {}
-        for base, coeff in term_map.items() if isinstance(term_map, dict) else term_map:
+    def build(constant, terms, den: int = 1) -> "LogBound":
+        """From a {base: coeff} dict or (base, coeff) pairs and den >= 1; the
+        constant and coefficients may be ints or have integer numerator and
+        denominator. Repeated bases add up; base 1 and zero terms drop out."""
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        scale = math.lcm(constant.denominator, *(c.denominator for _, c in pairs))
+        merged: dict[int, int] = {}
+        for base, coeff in pairs:
             base = int(base)
-            coeff = Fraction(coeff)
             if base < 1:
                 raise InvalidParams(f"log base {base} must be a positive integer")
-            if base == 1 or coeff == 0:
-                continue
-            merged[base] = merged.get(base, Fraction(0)) + coeff
-        terms = tuple(sorted((b, c) for b, c in merged.items() if c != 0))
-        return LogBound(Fraction(constant), terms)
+            if base > 1:
+                merged[base] = merged.get(base, 0) + coeff.numerator * (scale // coeff.denominator)
+        top = constant.numerator * (scale // constant.denominator)
+        terms = tuple(sorted((b, c) for b, c in merged.items() if c))
+        g = math.gcd(den * scale, top, *(c for _, c in terms))
+        return LogBound(top // g, tuple((b, c // g) for b, c in terms), den * scale // g)
 
-    def log2_interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(self.constant)
-        unit = Fraction(1, 1 << prec)
+    def log2_interval(self, prec: int) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= value * den * 2^prec <= hi."""
+        lo = hi = self.constant << prec
         for base, coeff in self.terms:
             blo, bhi = _log2_fixed(base, prec)
-            blo, bhi = blo * unit, bhi * unit
             if coeff >= 0:
                 lo += coeff * blo
                 hi += coeff * bhi
@@ -135,32 +146,26 @@ class LogBound:
 
     def approx_log2(self) -> float:
         lo, hi = self.log2_interval(64)
-        return float((lo + hi) / 2)
+        # int true division rounds correctly, as float(Fraction) does
+        return (lo + hi) / (self.den << 65)
 
     def exact_int(self) -> int | None:
         """2^value as an exact integer when all exponents are nonneg integers."""
-        if self.constant.denominator != 1 or self.constant < 0:
+        if self.den != 1 or self.constant < 0 or any(c < 0 for _, c in self.terms):
             return None
-        value = 1 << int(self.constant)
+        value = 1 << self.constant
         for base, coeff in self.terms:
-            if coeff.denominator != 1 or coeff < 0:
-                return None
-            value *= base ** int(coeff)
+            value *= base**coeff
         return value
 
     def _sides_against(self, count: int) -> tuple[int, int]:
         """Integers (lhs, rhs) with count <= 2^value iff lhs <= rhs."""
-        denoms = [self.constant.denominator] + [c.denominator for _, c in self.terms]
-        d = math.lcm(*denoms) if denoms else 1
-        lhs = count**d
-        rhs = 1
-        c0 = self.constant * d
-        if c0 >= 0:
-            rhs <<= int(c0)
+        lhs, rhs = count**self.den, 1
+        if self.constant >= 0:
+            rhs <<= self.constant
         else:
-            lhs <<= int(-c0)
-        for base, coeff in self.terms:
-            e = int(coeff * d)
+            lhs <<= -self.constant
+        for base, e in self.terms:
             if e >= 0:
                 rhs *= base**e
             else:
@@ -182,14 +187,16 @@ class LogBound:
                     f" over the print limit PRINTED_DIGITS = {PRINTED_DIGITS}"
                 )
         lo, hi = self.log2_interval(64)
+        unit = self.den << 64
+        approx = round((lo + hi) / (2 * unit), 6)  # approx_log2, without a second interval
         out = {
-            "log2": {"lower": str(lo), "upper": str(hi), "approx": round(self.approx_log2(), 6)},
-            "constant": str(self.constant),
-            "terms": [{"base": b, "coeff": str(c)} for b, c in self.terms],
+            "log2": {"lower": _ratio(lo, unit), "upper": _ratio(hi, unit), "approx": approx},
+            "constant": _ratio(self.constant, self.den),
+            "terms": [{"base": b, "coeff": _ratio(c, self.den)} for b, c in self.terms],
         }
         # log2(10) < 10/3: above that lower bound exact is not printable,
         # and is not built
-        exact = self.exact_int() if 3 * lo <= 10 * PRINTED_DIGITS else None
+        exact = self.exact_int() if 3 * lo <= 10 * PRINTED_DIGITS * unit else None
         if exact is not None and printable(exact):
             out["exact"] = exact
         return out
@@ -218,7 +225,8 @@ def interval_verdict(count: int, bound: LogBound, prec: int) -> str | None:
     """
     if count == 0:
         return "LE"
-    clo, chi = (Fraction(x, 1 << prec) for x in _log2_fixed(count, prec))
+    # all four ends over den * 2^prec
+    clo, chi = (x * bound.den for x in _log2_fixed(count, prec))
     blo, bhi = bound.log2_interval(prec)
     if chi < blo or (clo == chi == blo == bhi):
         return "LE"
@@ -236,11 +244,11 @@ def theorem_a_bound(params) -> LogBound:
     its cayley.VarietyParams."""
     a, b, g = params.alpha, params.beta, params.gamma
     half_exp = (a + g) * b + (a + b) * g + a * (a - 1) // 2
-    # a list of pairs: LogBound.build sums repeated bases and drops base 1
-    terms = [(params.p, 6 * a * a), (6, a), (6, Fraction(half_exp, 2)), (params.n, b + g)]
+    # over 12; a list of pairs: LogBound.build sums repeated bases and drops base 1
+    terms = [(params.p, 72 * a * a), (6, 12 * a), (6, 6 * half_exp), (params.n, 12 * (b + g))]
     if a:  # alpha * log2(alpha), defined as 0 at alpha = 0
-        terms.append((a, Fraction(23, 6) * a))
-    return LogBound.build(Fraction(a - 1), terms)
+        terms.append((a, 46 * a))
+    return LogBound.build(12 * (a - 1), terms, 12)
 
 
 def remark43_gl_bound(s: int, alpha: int) -> LogBound:
@@ -248,20 +256,17 @@ def remark43_gl_bound(s: int, alpha: int) -> LogBound:
     if alpha < 1:
         raise InvalidParams("alpha must be at least 1")
     _check_field_size(s)
-    terms = [
-        (s, 5 * alpha * alpha),
-        (6, Fraction(alpha * (alpha - 1), 4)),
-        (alpha, Fraction(23, 6) * alpha),
-        (6, alpha),
-    ]
-    return LogBound.build(Fraction(alpha - 1), terms)
+    # over 12: 5 alpha^2, alpha (alpha - 1) / 4, (23/6) alpha and alpha
+    terms = [(s, 60 * alpha * alpha), (6, 3 * alpha * (alpha - 1))]
+    terms += [(alpha, 46 * alpha), (6, 12 * alpha)]
+    return LogBound.build(12 * (alpha - 1), terms, 12)
 
 
 def remark43_transitive_bound(n: int) -> LogBound:
     """Count bound for transitive two-prime-variety subgroups of S_n."""
     if n < 2:
         raise InvalidParams("n must be at least 2")
-    return LogBound.build(Fraction(0), [(6, Fraction(n * (n - 1), 4)), (n, n + 2)])
+    return LogBound.build(0, [(6, n * (n - 1)), (n, 4 * (n + 2))], 4)
 
 
 def prop41_bound(alpha: int, q: int, r: int, s: int) -> LogBound:
@@ -276,11 +281,11 @@ def prop41_bound(alpha: int, q: int, r: int, s: int) -> LogBound:
     _check_field_size(s)
     d = min(q * r, s)
     # list of pairs: d may equal 6 and the coefficients must accumulate
-    return LogBound.build(Fraction(0), [(6, Fraction(alpha - 1, 2)), (d, Fraction(alpha))])
+    return LogBound.build(0, [(6, alpha - 1), (d, 2 * alpha)], 2)
 
 
 def soluble_sn_bound(n: int) -> LogBound:
     """Order bound (6^(1/2))^(n-1) for soluble A-subgroups of S_n."""
     if n < 1:
         raise InvalidParams("n must be at least 1")
-    return LogBound.build(Fraction(0), {6: Fraction(n - 1, 2)})
+    return LogBound.build(0, {6: n - 1}, 2)

@@ -164,10 +164,6 @@ class CayleyGroup:
         }
 
 
-def cyclic_table(n: int) -> CayleyGroup:
-    return CayleyGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)), 0)
-
-
 def elementary_abelian_table(u: int, dim: int) -> CayleyGroup:
     """(C_u)^dim with elements ordered by their base-u digit vectors."""
     return CayleyGroup(_vector_sums(u, dim), 0)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import BadModulus, LimitExceeded, NotCoprime, NotPrime
 
@@ -107,15 +106,15 @@ class FieldSpec:
         return {"t": self.t, "k": self.k, "modulus": list(self.modulus)}
 
 
-class FieldTables(NamedTuple):
+class FieldTables:
     """GF(s) arithmetic on element indices: index 0 is zero, index 1 is one.
-    add/sub/mul are s x s; inv[0] is 0 and stands for no inverse."""
+    add/sub/mul are s x s tuples of rows, neg and inv tuples; inv[0] is 0 and
+    stands for no inverse."""
 
-    add: tuple[tuple[int, ...], ...]
-    sub: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
-    inv: tuple[int, ...]
+    __slots__ = ("add", "sub", "mul", "neg", "inv")
+
+    def __init__(self, add, sub, mul, neg, inv):
+        self.add, self.sub, self.mul, self.neg, self.inv = add, sub, mul, neg, inv
 
 
 def _times(v: list, g: list, modulus, t: int) -> list:

@@ -27,7 +27,6 @@ the chain order is part of the test suite, not of construction.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from functools import lru_cache
 from types import SimpleNamespace
@@ -304,11 +303,6 @@ def perm_ops(degree: int) -> SimpleNamespace:
     kernel in cayley takes them. Products compose left to right: mul(a, b)
     sends x to b[a[x]]."""
     return SimpleNamespace(mul=_code_mul, identity=tuple(range(degree)), inv=_code_inv)
-
-
-def code_order(code) -> int:
-    """Order of a code: the lcm of its cycle lengths."""
-    return math.lcm(*_cycle_type(code))
 
 
 def _cycle_type(code) -> tuple[int, ...]:

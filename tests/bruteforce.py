@@ -16,13 +16,15 @@ tests' table fixtures with a group's own product. poly_singer_generator
 takes the engine's modulus of GF(s^alpha) over GF(s) and its remainder on
 index tables, and does the rest in its own polynomial ring. FieldElem takes
 only a field's modulus from the engine and does its arithmetic on integers
-mod t.
+mod t. FractionLogBound takes the fixed-point log2 enclosure and the print
+limit from agroups.bounds and does the rest on Fractions.
 """
 
 import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 from agroups.selftest import naive_is_primitive  # noqa: F401
 
@@ -81,6 +83,13 @@ def direct_product_table(G, H):
     return CayleyGroup(table, G.identity * m + H.identity)
 
 
+def cyclic_table(n):
+    """C_n as a table: i * j = i + j mod n."""
+    from agroups.cayley import CayleyGroup
+
+    return CayleyGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)), 0)
+
+
 def is_abelian(G):
     """Every pair of elements of the table group G commutes."""
     t = G.table
@@ -95,6 +104,20 @@ def codes_table(elems, ops):
     index = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(index[ops.mul(a, b)] for b in elems) for a in elems)
     return CayleyGroup(table, index[ops.identity])
+
+
+def code_order(code):
+    """The order of a permutation code (0-based images): the lcm of the
+    lengths of its cycles, each walked point by point."""
+    order, seen = 1, set()
+    for start in range(len(code)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = code[x]
+            length += 1
+        order = math.lcm(order, max(length, 1))
+    return order
 
 
 def perm_order(a):
@@ -692,7 +715,6 @@ def unreduced_census(params, traversal="forward"):
     buckets), in the traversal order enumerate_variety_groups documents."""
     from agroups.cayley import (
         CayleyGroup,
-        cyclic_table,
         elementary_abelian_table,
         minimal_generating_sequence,
     )
@@ -944,3 +966,125 @@ def pairwise_inventory(kind, n, q, r):
             for e in entries
         ]
     return census.ClassInventory(f"S{n}", n, desc, tuple(entries))
+
+
+# -- the counting bounds on Fractions ------------------------------------------------------
+
+
+class FractionLogBound:
+    """constant + sum of coeff * log2(base) with Fraction coefficients: the
+    rational LogBound that agroups.bounds replaced by integers over one
+    denominator. It shares only the fixed-point log2 enclosure and the print
+    limit with the engine, so every interval end, verdict and printed string
+    of the integer form is checked against plain rational arithmetic."""
+
+    def __init__(self, constant, terms):
+        self.constant, self.terms = constant, terms
+
+    @staticmethod
+    def build(constant, term_map):
+        from agroups.errors import InvalidParams
+
+        merged = {}
+        for base, coeff in term_map.items() if isinstance(term_map, dict) else term_map:
+            base = int(base)
+            coeff = Fraction(coeff)
+            if base < 1:
+                raise InvalidParams(f"log base {base} must be a positive integer")
+            if base == 1 or coeff == 0:
+                continue
+            merged[base] = merged.get(base, Fraction(0)) + coeff
+        terms = tuple(sorted((b, c) for b, c in merged.items() if c != 0))
+        return FractionLogBound(Fraction(constant), terms)
+
+    def log2_interval(self, prec):
+        from agroups.bounds import _log2_fixed
+
+        lo = hi = Fraction(self.constant)
+        unit = Fraction(1, 1 << prec)
+        for base, coeff in self.terms:
+            blo, bhi = _log2_fixed(base, prec)
+            blo, bhi = blo * unit, bhi * unit
+            if coeff >= 0:
+                lo += coeff * blo
+                hi += coeff * bhi
+            else:
+                lo += coeff * bhi
+                hi += coeff * blo
+        return lo, hi
+
+    def approx_log2(self):
+        lo, hi = self.log2_interval(64)
+        return float((lo + hi) / 2)
+
+    def exact_int(self):
+        if self.constant.denominator != 1 or self.constant < 0:
+            return None
+        value = 1 << int(self.constant)
+        for base, coeff in self.terms:
+            if coeff.denominator != 1 or coeff < 0:
+                return None
+            value *= base ** int(coeff)
+        return value
+
+    def exact_cmp_count(self, count):
+        """-1, 0, 1 for count <, =, > the bound value: count^d against the
+        powered bases, d the lcm of the denominators."""
+        if count == 0:
+            return -1
+        denoms = [self.constant.denominator] + [c.denominator for _, c in self.terms]
+        d = math.lcm(*denoms)
+        lhs, rhs = count**d, 1
+        c0 = self.constant * d
+        if c0 >= 0:
+            rhs <<= int(c0)
+        else:
+            lhs <<= int(-c0)
+        for base, coeff in self.terms:
+            e = int(coeff * d)
+            if e >= 0:
+                rhs *= base**e
+            else:
+                lhs *= base ** (-e)
+        return (lhs > rhs) - (lhs < rhs)
+
+    def interval_verdict(self, count, prec):
+        from agroups.bounds import _log2_fixed
+
+        if count == 0:
+            return "LE"
+        clo, chi = (Fraction(x, 1 << prec) for x in _log2_fixed(count, prec))
+        blo, bhi = self.log2_interval(prec)
+        if chi < blo or (clo == chi == blo == bhi):
+            return "LE"
+        if clo > bhi:
+            return "GT"
+        return None
+
+    def compare_count(self, count):
+        for prec in (32, 64, 128, 256):
+            verdict = self.interval_verdict(count, prec)
+            if verdict is not None:
+                return verdict
+        return "LE" if self.exact_cmp_count(count) <= 0 else "GT"
+
+    def to_json(self):
+        from agroups.bounds import PRINTED_DIGITS, _digits, printable
+        from agroups.errors import LimitExceeded
+
+        for base, _ in self.terms:
+            if not printable(base):
+                raise LimitExceeded(
+                    f"a term base of the bound has {_digits(base)} decimal digits,"
+                    f" over the print limit PRINTED_DIGITS = {PRINTED_DIGITS}"
+                )
+        lo, hi = self.log2_interval(64)
+        out = {
+            "log2": {"lower": str(lo), "upper": str(hi), "approx": round(self.approx_log2(), 6)},
+            "constant": str(self.constant),
+            "terms": [{"base": b, "coeff": str(c)} for b, c in self.terms],
+        }
+        exact = self.exact_int() if 3 * lo <= 10 * PRINTED_DIGITS else None
+        if exact is not None and printable(exact):
+            out["exact"] = exact
+        return out

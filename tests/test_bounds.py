@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroups import bounds
 from agroups.bounds import (
@@ -15,7 +17,9 @@ from agroups.bounds import (
     theorem_a_bound,
 )
 from agroups.cayley import VarietyParams
-from agroups.errors import InvalidParams, LimitExceeded
+from agroups.errors import EngineError, InvalidParams, LimitExceeded
+
+import bruteforce as bf
 
 
 def approx(bound):
@@ -23,11 +27,10 @@ def approx(bound):
 
 
 def exact_le(a, b):
-    """2^a <= 2^b exactly: 2^(a - b) <= 1."""
-    terms = dict(a.terms)
-    for base, coeff in b.terms:
-        terms[base] = terms.get(base, Fraction(0)) - coeff
-    return LogBound.build(a.constant - b.constant, terms).exact_cmp_count(1) >= 0
+    """2^a <= 2^b exactly: 2^(a - b) <= 1, a - b over the product of the denominators."""
+    terms = [(base, c * b.den) for base, c in a.terms] + [(base, -c * a.den) for base, c in b.terms]
+    diff = LogBound.build(a.constant * b.den - b.constant * a.den, terms, a.den * b.den)
+    return diff.exact_cmp_count(1) >= 0
 
 
 # -- log2 interval machinery -------------------------------------------------
@@ -61,8 +64,8 @@ def test_log2_interval_width_shrinks():
     bound = LogBound.build(0, {3: Fraction(7, 2), 5: 2})
     widths = []
     for prec in (16, 32, 64):
-        lo, hi = bound.log2_interval(prec)
-        widths.append(hi - lo)
+        lo, hi = bound.log2_interval(prec)  # integers over den * 2^prec
+        widths.append(Fraction(hi - lo, bound.den << prec))
     assert widths[0] > widths[1] > widths[2]
 
 
@@ -95,7 +98,7 @@ def test_theorem_a_bound_value_3_2_5():
 def test_theorem_a_degenerate_empty_group():
     params = VarietyParams(2, 3, 5, 0, 0, 0)
     bound = theorem_a_bound(params)
-    assert bound.constant == Fraction(-1)
+    assert (bound.constant, bound.den) == (-1, 1)
     assert bound.terms == ()
     assert compare_count(0, bound) == "LE"
     assert compare_count(1, bound) == "GT"  # 1 > 2^-1
@@ -243,3 +246,67 @@ def test_to_json_refuses_a_term_base_too_long_to_print():
     assert LogBound.build(0, {10**4300 - 1: 1}).to_json()["terms"][0]["base"] == 10**4300 - 1
     with pytest.raises(LimitExceeded, match="10001 decimal digits, over the print limit"):
         LogBound.build(0, {10**10000: Fraction(1, 2)}).to_json()
+
+
+# -- the integer form against the Fraction oracle -------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 12]))
+# repeated small bases and base 1 are frequent; a huge base takes a small
+# coefficient, so that its powers in the exact comparison stay cheap
+SMALL_TERMS = st.tuples(st.integers(1, 12) | st.integers(13, 10**12), st.integers(-8, 8) | RATIONALS)
+HUGE_TERMS = st.tuples(
+    st.sampled_from([2**61 - 1, 3**200, 10**4299, 10**4300 - 1, 10**4300, 7**6000]),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]),
+)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-20, 20) | RATIONALS,
+    st.lists(SMALL_TERMS | HUGE_TERMS, max_size=6),
+    st.sampled_from([1, 2, 3, 4, 12]),
+    st.integers(0, 10**6),
+)
+def test_integer_bound_matches_the_fraction_oracle(constant, terms, den, count):
+    bound = LogBound.build(constant, terms, den)
+    oracle = bf.FractionLogBound.build(Fraction(constant, den), [(b, Fraction(c) / den) for b, c in terms])
+    # lowest terms: den is the lcm of the oracle's reduced denominators
+    assert bound.den == math.lcm(oracle.constant.denominator, *(c.denominator for _, c in oracle.terms))
+    assert Fraction(bound.constant, bound.den) == oracle.constant
+    assert [(b, Fraction(c, bound.den)) for b, c in bound.terms] == list(oracle.terms)
+    assert outcome(bound.to_json) == outcome(oracle.to_json)
+    assert bound.exact_int() == oracle.exact_int()
+    for prec in (32, 64, 128, 256):
+        lo, hi = bound.log2_interval(prec)
+        assert (Fraction(lo, bound.den << prec), Fraction(hi, bound.den << prec)) == oracle.log2_interval(prec)
+    counts = {0, 1, 2, count}
+    exact = oracle.exact_int()
+    if exact is not None:  # exact equality and its neighbours
+        counts |= {exact - 1, exact, exact + 1}
+    if oracle.approx_log2() < 200:
+        near = math.floor(2 ** oracle.approx_log2())
+        counts |= {near - 1, near, near + 1}
+    for n in sorted(c for c in counts if c >= 0):
+        assert bound.exact_cmp_count(n) == oracle.exact_cmp_count(n)
+        assert compare_count(n, bound) == oracle.compare_count(n)
+        for prec in (32, 64, 128, 256):
+            assert interval_verdict(n, bound, prec) == oracle.interval_verdict(n, prec)
+
+
+def test_oracle_cases_with_exact_equality_off_the_integers():
+    # 2^((1/2) log2 4) = 2 and 2^(log2 3 - 1/2 log2 9 + 3) = 8: the intervals
+    # cannot separate these, so the verdict is the powered comparison's
+    for constant, terms, count in [(0, [(4, Fraction(1, 2))], 2), (3, [(3, 1), (9, Fraction(-1, 2))], 8)]:
+        bound = LogBound.build(constant, terms)
+        oracle = bf.FractionLogBound.build(constant, terms)
+        assert bound.exact_cmp_count(count) == oracle.exact_cmp_count(count) == 0
+        assert bound.exact_int() is oracle.exact_int() is None
+        assert compare_count(count, bound) == oracle.compare_count(count) == "LE"
+        assert compare_count(count + 1, bound) == oracle.compare_count(count + 1) == "GT"

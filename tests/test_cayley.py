@@ -13,7 +13,6 @@ from agroups.cayley import (
     VarietyParams,
     all_subgroups,
     are_isomorphic,
-    cyclic_table,
     elementary_abelian_table,
     in_variety,
     in_variety_exhaustive,
@@ -26,7 +25,7 @@ from agroups.gf import field_make
 from agroups.perm import PermGroup, parse_cycles, perm_ops
 
 import bruteforce as bf
-from bruteforce import direct_product_table
+from bruteforce import cyclic_table, direct_product_table
 from bruteforce import naive_is_associative, reduced_latin_squares
 
 

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from agroups import cayley, census, perm
-from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, cyclic_table, elementary_abelian_table, in_variety
+from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, elementary_abelian_table, in_variety
 from agroups.census import (
     enumerate_primitive_ar_classes,
     enumerate_primitive_classes,
@@ -24,7 +24,7 @@ from agroups.perm import PermGroup, parse_cycles, subgroup_conjugate
 from agroups.selftest import CENSUS_CASES
 
 import bruteforce as bf
-from bruteforce import direct_product_table
+from bruteforce import cyclic_table, direct_product_table
 
 
 def pgroup(degree, *texts):
@@ -293,7 +293,7 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
     assert all(stab[i][0] == 0 for i in universe + conjugators)  # N(T)_0 fixes point 0
     assert keep is not None
     assert universe and all(
-        census._divides_primes(perm.code_order(stab[i]), (q, r)) for i in universe
+        census._divides_primes(bf.code_order(stab[i]), (q, r)) for i in universe
     )
     assert len(universe) == 168 - 56  # GL(3, 2) without its elements of order 3
 

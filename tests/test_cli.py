@@ -683,3 +683,32 @@ def test_main_freezes_the_heap_and_library_calls_do_not(capsys, argv):
     del node
     gc.collect()
     assert ref() is None
+
+
+# under python -S no site module preloads anything, so sys.modules shows what
+# the commands themselves import; bounds work on plain integers
+IMPORT_SET_CHILD = """
+import json, sys
+from agroups import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in ("fractions", "decimal", "numbers", "typing") if m in sys.modules)))
+"""
+
+
+def test_commands_load_no_fractions_decimal_numbers_or_typing():
+    argvs = [
+        CENSUS_ARGV,
+        ["classify-gl", "--alpha", "2", "--s", "4", "--r", "3"],
+        ["check-bounds", "--formula", "theorem-a", "--p", "2", "--q", "3", "--r", "5",
+         "--alpha", "1", "--beta", "1", "--gamma", "1", "--count", "5"],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_SET_CHILD, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -1,9 +1,9 @@
 """Permutation codes (0-based image tuples) against sympy.
 
 perm.perm_ops binds the subgroup kernel to codes: its product, inverse and
-identity, and the coded order, are compared with
-sympy.combinatorics.Permutation, whose products also compose left to
-right; so is the brute-force oracle's fixed-point-free test. The
+identity are compared with sympy.combinatorics.Permutation, whose products
+also compose left to right; so are the brute-force oracle's order of a
+code and its fixed-point-free test. The
 brute-force differential of the code arithmetic on 1-based image
 tuples, without sympy, is in test_perm.py.
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroups.perm import code_order, perm_ops
+from agroups.perm import perm_ops
 
 import bruteforce as bf
 
@@ -27,6 +27,7 @@ def check_pair(n, a, b):
     assert ops.mul(a, b) == tuple((sa * sb).array_form)
     assert ops.inv(a) == tuple((~sa).array_form)
     assert ops.mul(a, ops.inv(a)) == ops.identity
+    assert bf.code_order(a) == sa.order()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -53,5 +54,5 @@ def test_code_ops_on_random_pairs(case):
 def test_code_order_and_fixed_point_free_on_s6():
     for code in itertools.permutations(range(6)):
         p = combinatorics.Permutation(list(code))
-        assert code_order(code) == p.order()
+        assert bf.code_order(code) == p.order()
         assert bf.fixed_point_free(code) == (p.support() == list(range(6)))

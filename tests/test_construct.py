@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from agroups import cayley, census, cli, construct, perm
-from agroups.cayley import CayleyGroup, are_isomorphic, cyclic_table
+from agroups.cayley import CayleyGroup, are_isomorphic
 from agroups.construct import (
     CASE_AFFINE,
     CASE_CYCLIC_Q,
@@ -24,7 +24,7 @@ from agroups.matgrp import gl_elements, mat_ops
 from agroups.perm import PermGroup, parse_cycles
 
 import bruteforce as bf
-from bruteforce import direct_product_table
+from bruteforce import cyclic_table, direct_product_table
 
 # GF(2) matrix codes: the identity, and the powers I, C, C^2 of the companion
 # matrix C of x^2 + x + 1

@@ -23,7 +23,7 @@ import pytest
 from agroups import cayley, census
 from agroups.gf import field_make
 from agroups.matgrp import gl_elements, mat_ops
-from agroups.perm import PermGroup, code_order, perm_ops
+from agroups.perm import PermGroup, perm_ops
 
 import bruteforce as bf
 
@@ -99,7 +99,7 @@ PERM_SCANS = [
 
 @functools.lru_cache(maxsize=None)
 def perm_scan_inputs(n, primes, cap, smooth):
-    universe = [g for g in sn_codes(n) if code_order(g) in primes]
+    universe = [g for g in sn_codes(n) if bf.code_order(g) in primes]
     keep = census._scan_keep(primes) if smooth else None
     return universe, keep, bf.naive_subgroup_lattice(perm_ops(n), universe, cap, keep)
 
@@ -127,7 +127,7 @@ def old_regular_post_filter(n, subs, r):
     out = {}
     for elems, gens in subs.items():
         if not all(
-            g == ops.identity or (code_order(g) == r and bf.fixed_point_free(g)) for g in elems
+            g == ops.identity or (bf.code_order(g) == r and bf.fixed_point_free(g)) for g in elems
         ):
             continue
         members = sorted(elems)
@@ -144,7 +144,7 @@ def test_regular_scan_matches_unpruned_scan_then_filter(n):
     for r in (2, 3, 5):
         if r > n:
             continue
-        universe = [g for g in sn_codes(n) if code_order(g) == r and bf.fixed_point_free(g)]
+        universe = [g for g in sn_codes(n) if bf.code_order(g) == r and bf.fixed_point_free(g)]
         naive = bf.naive_subgroup_lattice(
             ops, universe, n, lambda sub: census._divides_primes(len(sub), (r,))
         )

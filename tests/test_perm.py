@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from agroups import perm
 from agroups.cayley import _power, fitting_subgroup, minimal_normal_subgroups
 from agroups.errors import DegreeMismatch, LimitExceeded, NotTransitive
-from agroups.perm import PermGroup, code_order, parse_cycles, perm_ops
+from agroups.perm import PermGroup, parse_cycles, perm_ops
 
 import bruteforce as bf
 
@@ -66,14 +66,13 @@ def test_perm_arithmetic_matches_bruteforce(case):
     for _ in range(abs(e)):
         power = bf.mul(power, a if e >= 0 else bf.inv(a))
     assert bf.images(_power(ops, ca if e >= 0 else ops.inv(ca), abs(e))) == power
-    assert code_order(ca) == bf.perm_order(a)
 
 
 def test_cycle_roundtrip():
     g = P("(1 3)(2 5 4)", 6)
     assert bf.images(g) == (3, 5, 1, 2, 4, 6)
     assert parse_cycles("(2 5 4)(3 1)(6)") == g
-    assert code_order(g) == 6
+    assert bf.code_order(g) == 6
     assert perm._cycle_type(g) == (3, 2)
     assert parse_cycles("()") == (0,) and parse_cycles("(2 3)", 4) == (0, 2, 1, 3)
 
