@@ -14,23 +14,9 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParams, LimitExceeded
-from .gf import is_prime
+from .gf import PRINTED_DIGITS, TRIAL_DIVISION_LIMIT, is_prime, printable
 
 _INTERVAL_PRECISIONS = (32, 64, 128, 256)
-
-# The most decimal digits a report or message prints of an integer: Python's
-# default int-to-str limit, fixed here so that output does not depend on the
-# limit an interpreter is run with. Longer integers are left out or named.
-PRINTED_DIGITS = 4300
-
-
-def printable(n: int) -> bool:
-    """n has at most PRINTED_DIGITS decimal digits."""
-    return abs(n) < 10**PRINTED_DIGITS
-
-
-# the trial divisions the prime-power test of a field size may make
-_TRIAL_DIVISION_LIMIT = 10**6
 
 
 def _check_field_size(s: int) -> None:
@@ -38,10 +24,10 @@ def _check_field_size(s: int) -> None:
     factor, found by trial division. A size above the trial limit squared
     with no factor up to the limit is LimitExceeded: no trial decides it."""
     shown = s if printable(s) else f"an integer of over {PRINTED_DIGITS} digits"
-    trials = range(2, min(math.isqrt(max(s, 0)), _TRIAL_DIVISION_LIMIT) + 1)
+    trials = range(2, min(math.isqrt(max(s, 0)), TRIAL_DIVISION_LIMIT) + 1)
     least, rest = next((d for d in trials if s % d == 0), s), s
-    if least == s > _TRIAL_DIVISION_LIMIT**2:
-        raise LimitExceeded(f"s = {shown} has no prime factor up to {_TRIAL_DIVISION_LIMIT}")
+    if least == s > TRIAL_DIVISION_LIMIT**2:
+        raise LimitExceeded(f"s = {shown} has no prime factor up to {TRIAL_DIVISION_LIMIT}")
     while least > 1 and rest % least == 0:
         rest //= least
     if s < 2 or rest != 1:

@@ -31,9 +31,8 @@ import math
 import operator
 from functools import cached_property, lru_cache
 
-from .bounds import printable
 from .errors import InvalidParams, LimitExceeded, NotNormal
-from .gf import is_prime, prime_factors
+from .gf import is_prime, prime_factors, printable_product
 
 TABLE_LIMIT = 400
 
@@ -782,6 +781,10 @@ class VarietyParams:
     def n(self) -> int:
         return self.p**self.alpha * self.q**self.beta * self.r**self.gamma
 
+    def printable_n(self) -> int | None:
+        """n, or None when it is too long to print, and then never formed."""
+        return printable_product(((self.p, self.alpha), (self.q, self.beta), (self.r, self.gamma)))
+
     def chain(self) -> list[int]:
         return [self.p, self.q, self.r]
 
@@ -795,6 +798,7 @@ class VarietyParams:
             "beta": self.beta,
             "gamma": self.gamma,
         }
-        if printable(self.n):
-            out["n"] = self.n
+        n = self.printable_n()
+        if n is not None:
+            out["n"] = n
         return out

@@ -21,9 +21,10 @@ The variety census builds every group of order p^a q^b r^c in the three-prime
 variety as an iterated split extension P x| (Q x| R) with elementary abelian
 layers, enumerating the action homomorphisms up to GL-conjugacy (conjugate
 actions give isomorphic extensions, so one per orbit under GL's generators is
-complete) and deduplicating the tables by isomorphism within buckets of equal
-invariants. GL, the actions and the split extensions they build run on
-matrix codes, as does the exhaustive subgroup scan of small GL.
+complete) and deduplicating the tables by isomorphism within the block of
+each acting group, as tables over different ones are never isomorphic. GL,
+the actions and the split extensions they build run on matrix codes, as does
+the exhaustive subgroup scan of small GL.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import itertools
 import math
 from functools import lru_cache
 
-from .bounds import printable
 from .cayley import (
     CayleyGroup,
     VarietyParams,
@@ -420,20 +420,6 @@ def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     return homomorphisms_to_mats(group, ops, gl, gl_generators(dim, field))
 
 
-def _dedup_isomorphism(groups) -> list[CayleyGroup]:
-    """The first group of each isomorphism class, in input order. Only groups
-    with equal invariants can be isomorphic, so each is tested against the
-    kept groups in its invariant bucket."""
-    reps: list[CayleyGroup] = []
-    buckets: dict[tuple, list[CayleyGroup]] = {}
-    for g in groups:
-        bucket = buckets.setdefault(g.invariants, [])
-        if not any(are_isomorphic(g, h) for h in bucket):
-            bucket.append(g)
-            reps.append(g)
-    return reps
-
-
 def enumerate_variety_groups(
     params: VarietyParams, traversal: str = "forward"
 ) -> VarietyCensus:
@@ -444,34 +430,35 @@ def enumerate_variety_groups(
     subgroup and is normal), so enumerating all action homomorphisms is
     complete. Actions are taken up to GL-conjugacy, which loses no group:
     conjugate actions A and A^x give isomorphic split extensions, by
-    (v, h) -> (v x, h). The first action of each class in its acting group's
-    block stands for the class, and the deduplication sees each block in that
-    order, so the first table of every isomorphism class is one it would
-    have seen without the reduction. traversal="reverse" walks the blocks
-    backwards; the census must not change.
+    (v, h) -> (v x, h). A layer's G = V x| H has V = GF(u)^d as its normal
+    Sylow u-subgroup (u does not divide |H|), so G/V is H, and tables over
+    different kept H are never isomorphic: each is compared only with the
+    tables kept over its H, and the first of each class in its block stands
+    for the class. traversal="reverse" walks the blocks backwards and the
+    actions within each forwards (at d = 0 a block is H alone); the census
+    must not change.
     """
     if traversal not in ("forward", "reverse"):
         raise ValueError("traversal must be 'forward' or 'reverse'")
     p, q, r = params.p, params.q, params.r
     a, b, g = params.alpha, params.beta, params.gamma
-    if params.n > CENSUS_ORDER_LIMIT:
-        shown = params.n if printable(params.n) else f"{p}^{a}*{q}^{b}*{r}^{g}"
+    n = params.printable_n()
+    if n is None or n > CENSUS_ORDER_LIMIT:
+        shown = f"{p}^{a}*{q}^{b}*{r}^{g}" if n is None else n
         raise LimitExceeded(f"order {shown} exceeds the census limit {CENSUS_ORDER_LIMIT}")
-
-    def maybe_reverse(xs):
-        xs = list(xs)
-        return xs[::-1] if traversal == "reverse" else xs
 
     reps = [elementary_abelian_table(r, g)]
     for u, dim in ((q, b), (p, a)):  # the Q layer on R, then the P layer
-        pairs = [
-            (H, action) for H in reps for action in maybe_reverse(_action_orbit_reps(H, dim, u))
-        ]
-        # each table is built when the deduplication reaches it, so a layer
-        # holds its kept tables and the candidate at hand, not every candidate
-        reps = _dedup_isomorphism(
-            semidirect_product(u, dim, action, H) if dim else H
-            for H, action in maybe_reverse(pairs)
-        )
+        layer = []
+        for H in reps[::-1] if traversal == "reverse" else reps:
+            # each table is built when the comparison reaches it, so a layer
+            # holds its kept tables and the candidate at hand
+            block: list[CayleyGroup] = []
+            for action in _action_orbit_reps(H, dim, u):
+                G = semidirect_product(u, dim, action, H) if dim else H
+                if not any(are_isomorphic(G, K) for K in block):
+                    block.append(G)
+            layer += block
+        reps = layer
     reps.sort(key=lambda t: sorted(t.element_orders))
     return VarietyCensus(params, tuple(reps))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 
-from .bounds import printable
 from .cayley import (
     TABLE_LIMIT,
     CayleyGroup,
@@ -35,7 +34,7 @@ from .errors import (
     NotTransitive,
     SamePrime,
 )
-from .gf import field_make, is_prime, multiplicative_order, prime_factors
+from .gf import field_make, is_prime, multiplicative_order, prime_factors, printable_product
 from .matgrp import mat_ops, singer_generator
 from .perm import PermGroup, perm_ops
 
@@ -91,16 +90,16 @@ def primitive_aqar_group(
         raise ValueError(f"unknown case {case!r}")
 
     beta = multiplicative_order(q, r)
-    n = q**beta
-    if n > max_degree:
-        shown = n if printable(n) else f"{q}^{beta}"
+    n = printable_product(((q, beta),))
+    if n is None or n > max_degree:
+        shown = f"{q}^{beta}" if n is None else n
         raise DegreeLimit(f"degree {shown} exceeds the limit {max_degree}")
     field = field_make(q, 1)
     # the translations by the unit vectors, rows of GF(q)^beta's addition
     # table, and the linear map v -> v M of the Singer power M
     sums = _vector_sums(q, beta)
     gens = [sums[q ** (beta - 1 - axis)] for axis in range(beta)]
-    linear = _power(mat_ops(beta, field), singer_generator(beta, field), (q**beta - 1) // r)
+    linear = _power(mat_ops(beta, field), singer_generator(beta, field), (n - 1) // r)
     gens.append(_linear_points(q, beta, linear))
 
     spec = PrimitiveSpec(q, r, CASE_AFFINE, n, beta)

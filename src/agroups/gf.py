@@ -2,10 +2,11 @@
 throughout the engine (primality, factorisation, multiplicative orders).
 
 Fields stay desk-scale (t^k <= FIELD_SIZE_LIMIT) so direct scans beat any
-clever algorithm; multiplicative orders are found by plain iteration. An
-element is its index, the base-t number of its coefficients on 1, x, ...,
-x^(k-1); FieldSpec.tables adds digit by digit and multiplies through the
-powers of the first element of order s - 1 (exp/log tables).
+clever algorithm. Primality and factoring run trial division, primality
+within TRIAL_DIVISION_LIMIT; a multiplicative order is phi(m) with primes
+divided out. An element is its index, the base-t number of its coefficients
+on 1, x, ..., x^(k-1); FieldSpec.tables adds digit by digit and multiplies
+through the powers of the first element of order s - 1 (exp/log tables).
 
 Conventions:
   * polynomials are coefficient tuples in ascending degree (element indices
@@ -31,14 +32,45 @@ FIELD_SIZE_LIMIT = 10_000
 FIELD_TABLE_LIMIT = 1024
 
 
+# The most decimal digits a report or message prints of an integer: Python's
+# default int-to-str limit, fixed here so that output does not depend on the
+# limit an interpreter is run with. Longer integers are left out or named.
+PRINTED_DIGITS = 4300
+
+# the trial divisions a primality or prime-power test may make
+TRIAL_DIVISION_LIMIT = 10**6
+
+
+def printable(n: int) -> bool:
+    """n has at most PRINTED_DIGITS decimal digits."""
+    return abs(n) < 10**PRINTED_DIGITS
+
+
+def printable_product(powers) -> int | None:
+    """The product of b**e over the pairs (b, e), b >= 2 and e >= 0, when it
+    is printable, else None. As b**e >= 2**(e * (b.bit_length() - 1)) and
+    log2(10) < 10/3, a product that this bound puts past the print limit is
+    never formed; one that is formed has at most twice the bound's bits."""
+    if 3 * sum(e * (b.bit_length() - 1) for b, e in powers) > 10 * PRINTED_DIGITS:
+        return None
+    n = math.prod(b**e for b, e in powers)
+    return n if printable(n) else None
+
+
 def is_prime(n: int) -> bool:
+    """By trial division. An n above TRIAL_DIVISION_LIMIT squared with no
+    factor up to the limit is LimitExceeded: no trial decides it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
+    for d in range(2, min(math.isqrt(n), TRIAL_DIVISION_LIMIT) + 1):
         if n % d == 0:
             return False
-        d += 1
+    if n > TRIAL_DIVISION_LIMIT**2:
+        shown = n if printable(n) else f"an integer of over {PRINTED_DIGITS} digits"
+        raise LimitExceeded(
+            f"{shown} has no prime factor up to {TRIAL_DIVISION_LIMIT}:"
+            " its primality is beyond the trial-division budget"
+        )
     return True
 
 
@@ -59,16 +91,17 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Least e >= 1 with a^e = 1 (mod m), by direct iteration."""
+    """Least e >= 1 with a^e = 1 (mod m). It divides phi(m): start from
+    phi(m) and divide each of its primes out while a^e stays 1."""
     if m < 2:
         raise BadModulus(f"modulus {m} must be at least 2")
     a %= m
     if math.gcd(a, m) != 1:
         raise NotCoprime(f"{a} is not invertible mod {m}")
-    e, x = 1, a
-    while x != 1:
-        x = x * a % m
-        e += 1
+    e = math.prod((t - 1) * t ** (k - 1) for t, k in prime_factors(m).items())
+    for t in prime_factors(e):
+        while e % t == 0 and pow(a, e // t, m) == 1:
+            e //= t
     return e
 
 

@@ -756,6 +756,46 @@ def unreduced_census(params, traversal="forward"):
     return VarietyCensus(params, tuple(reps))
 
 
+def naive_gl(k, r):
+    """GL(k, r) as tuples of rows over the integers mod r prime: every
+    matrix whose map v -> v M on the r^k row vectors is injective."""
+    vectors = list(itertools.product(range(r), repeat=k))
+
+    def times(v, M):
+        return tuple(sum(v[i] * M[i][j] for i in range(k)) % r for j in range(k))
+
+    return [
+        M
+        for M in itertools.product(vectors, repeat=k)
+        if len({times(v, M) for v in vectors}) == len(vectors)
+    ]
+
+
+def abelian_module_count(r, gamma, d):
+    """The number of GL(gamma, r)-orbits on multisets of d points of
+    F_r^gamma, counted without a table. It is the number of groups
+    GF(u)^d x| C_r^gamma when r divides u - 1: every irreducible
+    GF(u)C_r^gamma-module is then 1-dimensional, a character of C_r^gamma
+    into the r-th roots of unity in GF(u), so an action up to GL(d, u) is a
+    multiset of d characters, points of the dual F_r^gamma, and Aut(C_r^gamma)
+    = GL(gamma, r) permutes them (Schur-Zassenhaus: the isomorphism classes
+    of the split extensions are the orbits of Aut(H) x GL(d, u) on the
+    actions)."""
+    points = list(itertools.product(range(r), repeat=gamma))
+    gl = naive_gl(gamma, r)
+
+    def image(point, M):
+        return tuple(sum(point[i] * M[i][j] for i in range(gamma)) % r for j in range(gamma))
+
+    seen, orbits = set(), 0
+    for multiset in itertools.combinations_with_replacement(points, d):
+        if multiset in seen:
+            continue
+        orbits += 1
+        seen.update(tuple(sorted(image(x, M) for x in multiset)) for M in gl)
+    return orbits
+
+
 # -- the S_n inventories without the class scan ------------------------------------------
 
 

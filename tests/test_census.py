@@ -658,6 +658,30 @@ def test_census_matches_unreduced_oracle(params, traversal):
     assert enumerate_variety_groups(params, traversal).to_json() == expected
 
 
+# one acting layer, H = C_r^gamma, and r | u - 1: the census count is the
+# number of GL(gamma, r)-orbits on multisets of d points of F_r^gamma
+@pytest.mark.parametrize(
+    "params, count",
+    [
+        ((3, 5, 2, 3, 0, 2), 7),
+        ((3, 5, 2, 0, 2, 3), 4),
+        ((3, 7, 2, 0, 2, 2), 4),
+        ((2, 13, 3, 0, 1, 2), 2),
+        ((5, 3, 2, 0, 3, 1), 4),
+        ((3, 5, 2, 2, 0, 3), 4),
+        ((7, 3, 2, 2, 0, 2), 4),
+        ((2, 31, 5, 0, 1, 1), 2),
+    ],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_census_counts_the_abelian_modules(params, count):
+    p, q, r, alpha, beta, gamma = params
+    u, d = (q, beta) if alpha == 0 else (p, alpha)
+    assert (u - 1) % r == 0
+    assert bf.abelian_module_count(r, gamma, d) == count
+    assert enumerate_variety_groups(VarietyParams(*params)).count == count
+
+
 def test_census_split_builds_each_table_once_and_no_quotient(monkeypatch):
     # the invariants read G/G''s element orders off the cosets of G', so the
     # only tables built are the 4 base tables and the 21 split extensions
@@ -682,11 +706,12 @@ def test_census_split_builds_each_table_once_and_no_quotient(monkeypatch):
 @pytest.mark.parametrize("traversal", ["forward", "reverse"])
 def test_census_layer_holds_its_kept_tables_and_one_candidate(monkeypatch, traversal):
     # (3,2,7;1,3,1), order 168: 12 split extensions fall to 3 groups. Each is
-    # built when the deduplication reaches it, so while one is built the
-    # live tables are the groups kept so far, in every layer, and at most
-    # one candidate; building the whole layer first would hold 11
-    refs, live, kept = [], [], []
-    real_extension, real_dedup = census.semidirect_product, census._dedup_isomorphism
+    # built when the comparison reaches it, so while one is built the live
+    # tables are the groups kept so far, in every layer, and at most one
+    # candidate; building the whole layer first would hold 11. A table is
+    # dropped when it is found isomorphic to one built before it
+    refs, live, dropped = [], [], set()
+    real_extension, real_isomorphic = census.semidirect_product, census.are_isomorphic
 
     def extension_spy(*args):
         gc.collect()
@@ -695,16 +720,41 @@ def test_census_layer_holds_its_kept_tables_and_one_candidate(monkeypatch, trave
         refs.append(weakref.ref(G))
         return G
 
-    def dedup_spy(groups):
-        reps = real_dedup(groups)
-        kept.extend(reps)
-        return reps
+    def isomorphic_spy(G, K):
+        found = real_isomorphic(G, K)
+        if found:
+            dropped.add(max(i for i, ref in enumerate(refs) if ref() is G or ref() is K))
+        return found
 
     monkeypatch.setattr(census, "semidirect_product", extension_spy)
-    monkeypatch.setattr(census, "_dedup_isomorphism", dedup_spy)
+    monkeypatch.setattr(census, "are_isomorphic", isomorphic_spy)
     census_168 = enumerate_variety_groups(VarietyParams(3, 2, 7, 1, 3, 1), traversal)
+    kept = len(refs) - len(dropped)
     assert (len(refs), census_168.count) == (12, 3)
-    assert max(live) <= len(kept) + 1, (live, len(kept))
+    assert max(live) <= kept + 1, (live, kept)
+
+
+def test_census_compares_tables_only_over_the_same_acting_group(monkeypatch):
+    # a layer's table G = V x| H has G/V = H, V its normal Sylow subgroup, so
+    # tables over different kept H are never isomorphic and are not compared.
+    # (2,7,3;1,2,1), order 294, keeps 4 H at the Q layer; the P layer once
+    # compared tables over two of them
+    acting, pairs = {}, []
+    real_extension, real_isomorphic = census.semidirect_product, census.are_isomorphic
+
+    def extension_spy(u, dim, action, H):
+        G = real_extension(u, dim, action, H)
+        acting[id(G)] = (G, H)  # G is held, so its id is not reused
+        return G
+
+    def isomorphic_spy(G, K):
+        pairs.append((acting[id(G)][1], acting[id(K)][1]))
+        return real_isomorphic(G, K)
+
+    monkeypatch.setattr(census, "semidirect_product", extension_spy)
+    monkeypatch.setattr(census, "are_isomorphic", isomorphic_spy)
+    enumerate_variety_groups(VarietyParams(2, 7, 3, 1, 2, 1))
+    assert pairs and all(H is K for H, K in pairs)
 
 
 def test_affine_setup_is_built_once_per_degree(monkeypatch):

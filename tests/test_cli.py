@@ -425,6 +425,55 @@ def test_refusals_name_the_limit(capsys, argv, err):
     assert one_error_line(capsys, *argv) == "error: " + err
 
 
+# 2^89 - 1 is prime and above the trial budget's 10^12: no trial up to 10^6
+# decides it. Each refusal below is decided before any huge integer is
+# formed or any long loop runs; each once hung, so they run in a subprocess
+# under a timeout
+BIG_PRIME = str(2**89 - 1)
+UNTESTED = f"LimitExceeded: {BIG_PRIME} has no prime factor up to 1000000"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["census", "--p", "2", "--q", "3", "--r", "5", "--beta", "10000000"],
+         "LimitExceeded: order 2^0*3^10000000*5^0 exceeds the census limit 400"),
+        (["census", "--p", "2", "--q", "3", "--r", "5", "--beta", "100000000"],
+         "LimitExceeded: order 2^0*3^100000000*5^0 exceeds the census limit 400"),
+        (["census", "--p", BIG_PRIME, "--q", "3", "--r", "5"], UNTESTED),
+        (["classify-gl", "--alpha", "2", "--s", "4", "--r", BIG_PRIME], UNTESTED),
+        (["construct-primitive", "--q", "2", "--r", BIG_PRIME], UNTESTED),
+        (["check-bounds", "--formula", "theorem-a", "--p", BIG_PRIME, "--q", "3", "--r", "5"],
+         UNTESTED),
+        (["construct-primitive", "--q", "2", "--r", "999999999989"],
+         "DegreeLimit: degree 2^999999999988 exceeds the limit 16"),
+    ],
+    ids=["census-beta-1e7", "census-beta-1e8", "census-p", "classify-gl-r",
+         "construct-r", "check-bounds-p", "construct-order-of-2"],
+)
+def test_refusals_need_no_huge_integer(argv, err):
+    done = subprocess.run(
+        [sys.executable, "-m", "agroups", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=20,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode().startswith("error: " + err)
+
+
+def test_classify_gl_reports_a_twelve_digit_r():
+    # 999999999989, the largest prime below 10^12, passes the trial budget;
+    # the order of 4 mod r is computed from r - 1, not by r - 1 products
+    done = subprocess.run(
+        [sys.executable, "-m", "agroups", "classify-gl", "--alpha", "2", "--s", "4",
+         "--r", "999999999989"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)
+    assert rep["results"]["classes"] == 0
+    assert rep["results"]["order_of_s_mod_r"] == 499999999994
+
+
 @pytest.mark.parametrize(
     "gens, point", [("(1 2)(1 2)", 1), ("(1 2 3)(1 2 3)", 1), ("(1 1)", 1), ("(1 2)(2 3)", 2)]
 )

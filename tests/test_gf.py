@@ -29,6 +29,41 @@ def test_multiplicative_order_matches_naive_scan():
             assert all(pow(a, f, m) != 1 for f in range(1, e))
 
 
+def test_multiplicative_order_of_twelve_digit_moduli():
+    # phi(m) with its primes divided out, not up to m products; sympy's
+    # n_order is the independent check
+    ntheory = pytest.importorskip("sympy.ntheory")
+    for a, m in [(2, 999999999989), (4, 999999999989), (10, 999999999999), (3, 2**40)]:
+        assert gf.multiplicative_order(a, m) == ntheory.n_order(a, m)
+
+
+def test_is_prime_within_the_trial_budget(monkeypatch):
+    assert [n for n in range(60) if gf.is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    ]
+    assert gf.is_prime(999999999989)  # the largest prime below 10^12
+    assert not gf.is_prime(10**12 + 1)  # 73 divides it
+    assert not gf.is_prime(3 * 2**89)  # a factor decides any size
+    # above 10^12 with no factor up to 10^6, prime or not, no trial decides
+    for n in (2**89 - 1, 1000003**2):
+        with pytest.raises(LimitExceeded, match=f"{n} has no prime factor up to 1000000"):
+            gf.is_prime(n)
+    monkeypatch.setattr(gf, "TRIAL_DIVISION_LIMIT", 10)
+    with pytest.raises(LimitExceeded, match="an integer of over 4300 digits has no prime factor"):
+        gf.is_prime(11**5000)
+
+
+def test_printable_product_forms_only_printable_products():
+    assert gf.printable_product([]) == 1
+    assert gf.printable_product([(2, 3), (3, 0), (5, 2)]) == 200
+    assert gf.printable_product([(10, 4299)]) == 10**4299
+    assert gf.printable_product([(10, 4300)]) is None  # 4301 digits
+    assert gf.printable_product([(2, 14284)]) == 2**14284  # 4300 digits
+    assert gf.printable_product([(2, 14285)]) is None
+    # far past the limit: decided on bit-lengths, in no time
+    assert gf.printable_product([(3, 10**12), (5, 1)]) is None
+
+
 def test_multiplicative_order_errors():
     with pytest.raises(NotCoprime):
         gf.multiplicative_order(2, 4)
