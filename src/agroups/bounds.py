@@ -231,7 +231,8 @@ def theorem_a_bound(params) -> LogBound:
     a, b, g = params.alpha, params.beta, params.gamma
     half_exp = (a + g) * b + (a + b) * g + a * (a - 1) // 2
     # over 12; a list of pairs: LogBound.build sums repeated bases and drops base 1
-    terms = [(params.p, 72 * a * a), (6, 12 * a), (6, 6 * half_exp), (params.n, 12 * (b + g))]
+    n = params.n if b + g else 1  # its term is 0 then: a huge n is not formed for it
+    terms = [(params.p, 72 * a * a), (6, 12 * a), (6, 6 * half_exp), (n, 12 * (b + g))]
     if a:  # alpha * log2(alpha), defined as 0 at alpha = 0
         terms.append((a, 46 * a))
     return LogBound.build(12 * (a - 1), terms, 12)

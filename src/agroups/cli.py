@@ -6,26 +6,31 @@ check-bounds, selftest. Reports go to stdout as JSON (or aligned text with
 the known-discrepancy registry is violated, 1 on usage or input errors.
 Identical invocations produce byte-identical reports; wall-clock timing is
 recorded only under --timing so the default output stays reproducible.
+A well-formed command line is parsed from the option table alone; argparse,
+built from the same table, parses the rest and prints the help and every
+usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import time
+from types import SimpleNamespace
 
-# The engine modules are imported here, not inside the command handlers
-# that use them, although that would save a command the import of the
-# others: perfbench's tracer wraps only the modules loaded before cli.main
-# runs, and its job runner hooks _build_parser, so a lazy import would take
-# that work out of the trace.
+# The engine layers are imported here, not inside the command handlers that
+# use them, although that would save a command the import of the others:
+# perfbench's tracer wraps only the modules loaded before cli.main runs, and
+# its job runner hooks _build_parser, so a lazy import would take that work
+# out of the trace. What no traced layer needs loads where it is used:
+# argparse (with gettext and locale) only when the strict parse declines a
+# command line, and selftest (with random) inside its own handler.
 from . import bounds as bnd
-from . import census, construct, matgrp, report, selftest
+from . import census, construct, matgrp, report
 from .cayley import VarietyParams
 from .errors import EngineError, LimitExceeded
-from .gf import FIELD_TABLE_LIMIT, field_make, multiplicative_order, prime_factors
+from .gf import FIELD_TABLE_LIMIT, PRINTED_DIGITS, field_make, multiplicative_order, prime_factors
 from .perm import PermGroup, parse_cycles, permgroup_from_json, permgroup_to_json
 
 
@@ -219,6 +224,13 @@ def _cmd_check_bounds(args) -> dict:
     name = args.formula
     if name == "theorem-a":
         params = VarietyParams(args.p, args.q, args.r, args.alpha, args.beta, args.gamma)
+        # n is a term base of the bound when beta + gamma > 0: one too long
+        # to print is refused from its bit-lengths, before it is formed
+        if params.beta + params.gamma and params.printable_n() is None:
+            raise LimitExceeded(
+                f"a term base of the bound, n = {args.p}^{args.alpha}*{args.q}^{args.beta}"
+                f"*{args.r}^{args.gamma}, has over PRINTED_DIGITS = {PRINTED_DIGITS} decimal digits"
+            )
         bound = bnd.theorem_a_bound(params)
         parameters = params.to_json()
     elif name == "gl-classes":
@@ -273,6 +285,8 @@ _CRITERION_CLAIMS = {
 
 
 def _cmd_selftest(args) -> dict:
+    from . import selftest
+
     outcomes = selftest.run_selftest(args.scale, gl_limit=args.max_order)
     claims = []
     for outcome in outcomes:
@@ -299,67 +313,142 @@ def _cmd_selftest(args) -> dict:
     return report.build_report("selftest", {"scale": args.scale}, results, claims)
 
 
-class _Parser(argparse.ArgumentParser):
-    # exit code 2 is reserved for violated claims; usage errors exit 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+# The command line, described once: the global options, then each command's
+# handler, help and options. An option is its flag and the keywords that
+# argparse's add_argument takes for it; the dest is the flag without its
+# dashes, '-' read as '_'. Both parsers below are built from this table.
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_INT_OR_ZERO = {"type": int, "default": 0}
+_FLAG = {"action": "store_true", "default": False}
+_CASES = (construct.CASE_AFFINE, construct.CASE_CYCLIC_R, construct.CASE_CYCLIC_Q)
+_GLOBAL_OPTIONS = (
+    ("--format", {"choices": ("json", "text"), "default": "json"}),
+    ("--timing", {**_FLAG, "help": "record wall-clock seconds"}),
+    ("--max-order", {"type": int, "default": matgrp.GL_BRUTE_LIMIT}),
+    ("--max-degree", {"type": int, "default": construct.DEGREE_LIMIT_DEFAULT}),
+)
+_COMMANDS = {
+    "construct-primitive": (_cmd_construct_primitive, "build a primitive two-prime-variety group", (
+        ("--q", _REQUIRED_INT),
+        ("--r", _REQUIRED_INT),
+        ("--case", {"choices": _CASES, "default": construct.CASE_AFFINE}),
+    )),
+    "verify-primitive": (_cmd_verify_primitive, "verify the structure of a primitive group", (
+        ("--q", _REQUIRED_INT),
+        ("--r", _REQUIRED_INT),
+        ("--file", {"help": "permutation group JSON file"}),
+        ("--gens", {"help": "semicolon-separated cycle notation, e.g. '(1 2 3);(1 2)'"}),
+        ("--degree", _INT),
+    )),
+    "classify-gl": (_cmd_classify_gl, "classify maximal elementary abelian r-subgroups", (
+        ("--alpha", _REQUIRED_INT),
+        ("--s", {**_REQUIRED_INT, "help": "field size (prime power)"}),
+        ("--r", _REQUIRED_INT),
+    )),
+    "census": (_cmd_census, "exact census of the three-prime variety at one order", (
+        *((flag, {**_REQUIRED_INT, "default": 0}) for flag in ("--p", "--q", "--r")),
+        *((flag, _INT_OR_ZERO) for flag in ("--alpha", "--beta", "--gamma")),
+        ("--emit-tables", {**_FLAG, "help": "include full multiplication tables"}),
+    )),
+    "check-bounds": (_cmd_check_bounds, "evaluate a bound formula, optionally against a count", (
+        ("--formula", {"choices": _FORMULAS, "required": True}),
+        ("--count", _INT),
+        *((flag, _INT_OR_ZERO) for flag in ("--p", "--q", "--r", "--alpha", "--beta", "--gamma")),
+        ("--s", _INT_OR_ZERO),
+        ("--n", _INT_OR_ZERO),
+    )),
+    "selftest": (_cmd_selftest, "run the acceptance suite", (
+        ("--scale", {"choices": ("quick", "full"), "default": "quick"}),
+    )),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _strict_parse(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, when argv has the strict shape:
+    global options, the command, then its options; each option spelled in
+    full and given at most once; each value the next token, not empty and
+    not starting with '-', converted and checked against the choices as
+    argparse would; every required option present. None for any other argv
+    (abbreviations, --flag=value, repeats, negative numbers, help and every
+    usage error), which is argparse's to parse."""
+    values = {}
+    options, command = dict(_GLOBAL_OPTIONS), None
+    tokens = iter(argv)
+    for token in tokens:
+        kwargs = options.get(token)
+        if kwargs is None:
+            if command is not None or token not in _COMMANDS:
+                return None
+            command, options = token, dict(_COMMANDS[token][2])
+            continue
+        dest = token[2:].replace("-", "_")
+        if dest in values:
+            return None
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        text = next(tokens, "")
+        if not text or text[0] == "-":
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if command is None:
+        return None
+    run, _, own = _COMMANDS[command]
+    for flag, kwargs in (*_GLOBAL_OPTIONS, *own):
+        dest = flag[2:].replace("-", "_")
+        if dest not in values:
+            if kwargs.get("required"):
+                return None
+            values[dest] = kwargs.get("default")
+    return SimpleNamespace(command=command, run=run, **values)
+
+
+def _argparse_parser():
+    """argparse's parser of the whole grammar, built from the table: it
+    parses what the strict parse declines, and prints the help and every
+    usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # exit code 2 is reserved for violated claims; usage errors exit 1
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(
         prog="agroups",
         description="constructions, exhaustive oracles and exact bound checks"
         " for soluble A-groups in products of abelian varieties",
     )
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--timing", action="store_true", help="record wall-clock seconds")
-    parser.add_argument("--max-order", type=int, default=matgrp.GL_BRUTE_LIMIT)
-    parser.add_argument("--max-degree", type=int, default=construct.DEGREE_LIMIT_DEFAULT)
+    for flag, kwargs in _GLOBAL_OPTIONS:
+        parser.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct-primitive", help="build a primitive two-prime-variety group")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument(
-        "--case",
-        choices=(construct.CASE_AFFINE, construct.CASE_CYCLIC_R, construct.CASE_CYCLIC_Q),
-        default=construct.CASE_AFFINE,
-    )
-    c.set_defaults(run=_cmd_construct_primitive)
-
-    v = sub.add_parser("verify-primitive", help="verify the structure of a primitive group")
-    v.add_argument("--q", type=int, required=True)
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--file", help="permutation group JSON file")
-    v.add_argument("--gens", help="semicolon-separated cycle notation, e.g. '(1 2 3);(1 2)'")
-    v.add_argument("--degree", type=int)
-    v.set_defaults(run=_cmd_verify_primitive)
-
-    g = sub.add_parser("classify-gl", help="classify maximal elementary abelian r-subgroups")
-    g.add_argument("--alpha", type=int, required=True)
-    g.add_argument("--s", type=int, required=True, help="field size (prime power)")
-    g.add_argument("--r", type=int, required=True)
-    g.set_defaults(run=_cmd_classify_gl)
-
-    n = sub.add_parser("census", help="exact census of the three-prime variety at one order")
-    for flag in ("--p", "--q", "--r", "--alpha", "--beta", "--gamma"):
-        n.add_argument(flag, type=int, required=flag in ("--p", "--q", "--r"), default=0)
-    n.add_argument("--emit-tables", action="store_true", help="include full multiplication tables")
-    n.set_defaults(run=_cmd_census)
-
-    b = sub.add_parser("check-bounds", help="evaluate a bound formula, optionally against a count")
-    b.add_argument("--formula", choices=_FORMULAS, required=True)
-    b.add_argument("--count", type=int)
-    for flag in ("--p", "--q", "--r", "--alpha", "--beta", "--gamma", "--s", "--n"):
-        b.add_argument(flag, type=int, default=0)
-    b.set_defaults(run=_cmd_check_bounds)
-
-    s = sub.add_parser("selftest", help="run the acceptance suite")
-    s.add_argument("--scale", choices=("quick", "full"), default="quick")
-    s.set_defaults(run=_cmd_selftest)
+    for name, (run, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(run=run)
     return parser
+
+
+def _parse_args(args=None, namespace=None):
+    argv = sys.argv[1:] if args is None else list(args)
+    parsed = _strict_parse(argv) if namespace is None else None
+    return parsed if parsed is not None else _argparse_parser().parse_args(argv, namespace)
+
+
+def _build_parser() -> SimpleNamespace:
+    """The parser main uses: parse_args(args=None, namespace=None), with the
+    strict parse first and argparse for whatever it declines."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv=None) -> int:

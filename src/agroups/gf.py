@@ -90,9 +90,12 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=32)
 def multiplicative_order(a: int, m: int) -> int:
     """Least e >= 1 with a^e = 1 (mod m). It divides phi(m): start from
-    phi(m) and divide each of its primes out while a^e stays 1."""
+    phi(m) and divide each of its primes out while a^e stays 1. Cached:
+    factoring m takes up to sqrt(m) trial divisions, and classify-gl asks
+    for the order of s mod r in its handler and in maximal_ar_subgroup."""
     if m < 2:
         raise BadModulus(f"modulus {m} must be at least 2")
     a %= m

@@ -6,12 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agroups import census, cli, matgrp, report, selftest
+from agroups import census, cli, gf, matgrp, report, selftest
 from agroups.cayley import VarietyParams
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -544,11 +547,42 @@ def test_check_bounds_refuses_a_term_base_too_long_to_print(capsys, exponents):
         capsys, "check-bounds", "--formula", "theorem-a",
         "--p", "97", "--q", "3", "--r", "5", "--alpha", "3000", *exponents,
     )
-    digits = 5961 if exponents[0] == "--beta" else 5962
+    beta, gamma = (1, 0) if exponents[0] == "--beta" else (0, 2)
     assert err == (
-        f"error: LimitExceeded: a term base of the bound has {digits} decimal digits,"
-        " over the print limit PRINTED_DIGITS = 4300"
+        f"error: LimitExceeded: a term base of the bound, n = 97^3000*3^{beta}*5^{gamma},"
+        " has over PRINTED_DIGITS = 4300 decimal digits"
     )
+
+
+def test_check_bounds_refuses_a_huge_n_before_forming_it(capsys):
+    # 3^(10^7) has 4,771,213 digits: forming it and counting them took 12 s
+    start = time.perf_counter()
+    err = one_error_line(
+        capsys, "check-bounds", "--formula", "theorem-a", "--p", "2", "--q", "3", "--r", "5",
+        "--beta", "10000000",
+    )
+    assert time.perf_counter() - start < 1
+    assert err == (
+        "error: LimitExceeded: a term base of the bound, n = 2^0*3^10000000*5^0,"
+        " has over PRINTED_DIGITS = 4300 decimal digits"
+    )
+
+
+def test_classify_gl_tests_r_once_and_factors_it_once(monkeypatch, capsys):
+    # 1000003 is prime and no other test uses it, so no cached answer counts
+    r = 1000003
+    matgrp._check_r.cache_clear()
+    gf.multiplicative_order.cache_clear()
+    calls = []
+    is_prime, prime_factors = matgrp.is_prime, gf.prime_factors
+    monkeypatch.setattr(matgrp, "is_prime", lambda n: calls.append(("is_prime", n)) or is_prime(n))
+    monkeypatch.setattr(
+        gf, "prime_factors", lambda n: calls.append(("prime_factors", n)) or prime_factors(n)
+    )
+    code, rep = run_json(capsys, "classify-gl", "--alpha", "2", "--s", "4", "--r", str(r))
+    assert code == 0 and rep["results"]["order_of_s_mod_r"] == gf.multiplicative_order(4, r)
+    assert calls.count(("is_prime", r)) == 1
+    assert calls.count(("prime_factors", r)) == 1
 
 
 def test_check_bounds_leaves_out_an_exact_value_too_long_to_print(capsys):
@@ -647,7 +681,7 @@ def test_readme_synopsis_lists_exactly_the_global_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     synopsis = readme.split("## CLI", 1)[1].split("```")[1]
     documented = set(re.findall(r"\[(--[\w-]+)", synopsis))
-    parser = cli._build_parser()
+    parser = cli._argparse_parser()
     actual = {
         option
         for action in parser._actions
@@ -655,6 +689,152 @@ def test_readme_synopsis_lists_exactly_the_global_options():
         for option in action.option_strings
     }
     assert documented == actual
+
+
+CENSUS_ARGV = ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--beta", "1", "--gamma", "1"]
+
+
+def test_table_and_argparse_list_the_same_options():
+    # the strict parse reads the table, argparse its own actions: the same
+    # flags, dests and keywords per command, in the same order
+    def described(parser):
+        return [
+            (action.option_strings, action.dest, action.type, action.choices, action.default,
+             action.required)
+            for action in parser._actions
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        ]
+
+    def tabled(options):
+        return [
+            ([flag], flag[2:].replace("-", "_"), kwargs.get("type"), kwargs.get("choices"),
+             kwargs.get("default"), kwargs.get("required", False))
+            for flag, kwargs in options
+        ]
+
+    parser = cli._argparse_parser()
+    assert described(parser) == tabled(cli._GLOBAL_OPTIONS)
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli._COMMANDS)
+    for name, (run, _, options) in cli._COMMANDS.items():
+        assert described(commands.choices[name]) == tabled(options)
+        assert commands.choices[name].get_default("run") is run
+
+
+def _option_tokens(flag, kwargs):
+    """The flag, with a value that argparse takes when it takes one."""
+    if kwargs.get("action") == "store_true":
+        return st.just([flag])
+    if "choices" in kwargs:
+        value = st.sampled_from(kwargs["choices"])
+    elif kwargs.get("type") is int:
+        value = st.integers(0, 12).map(str)
+    else:
+        value = st.sampled_from(["(1 2)", "x"])
+    return value.map(lambda text: [flag, text])
+
+
+@st.composite
+def _section(draw, options):
+    """The required options and some others, each once, in any order."""
+    required = [i for i, (_, kwargs) in enumerate(options) if kwargs.get("required")]
+    others = [i for i in range(len(options)) if i not in required]
+    picks = required + (draw(st.lists(st.sampled_from(others), unique=True)) if others else [])
+    return [draw(_option_tokens(*options[i])) for i in draw(st.permutations(picks))]
+
+
+JUNK = st.sampled_from(
+    ["", "-1", " 5", "x", "json", "census", "extra", "-h", "--help", "--", "--alp", "--form",
+     "--format=text", "--p=2", "--bogus"]
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, then up to two changes that most often
+    leave it ill-formed: a junk token, a part moved or given twice or left
+    out, a junk value."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    parts = [*draw(_section(cli._GLOBAL_OPTIONS)), [name], *draw(_section(cli._COMMANDS[name][2]))]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        if not parts:
+            break
+        where = draw(st.integers(0, len(parts) - 1))
+        change = draw(st.sampled_from(["junk", "move", "twice", "leave out", "junk value"]))
+        if change == "junk":
+            parts.insert(where, [draw(JUNK)])
+        elif change == "move":
+            parts.insert(draw(st.integers(0, len(parts) - 1)), parts.pop(where))
+        elif change == "twice":
+            parts.insert(where, draw(st.sampled_from(parts)))
+        elif change == "leave out":
+            del parts[where]
+        else:
+            parts[where] = [parts[where][0], draw(JUNK)]
+    return [token for part in parts for token in part]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_strict_parse_agrees_with_argparse(argv):
+    # argparse is the oracle: whatever the strict parse accepts, argparse
+    # parses to the same namespace (and a usage error would fail the test)
+    parsed = cli._strict_parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == vars(cli._argparse_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--format", "text"],
+        ["census", "--p", "2", "--q", "3"],
+        ["--format", "xml", *CENSUS_ARGV],
+        ["--max-order", "x", *CENSUS_ARGV],
+        ["--max-order", "", *CENSUS_ARGV],
+        ["--max-order", "-5", *CENSUS_ARGV],
+        ["--format=text", *CENSUS_ARGV],
+        ["--form", "text", *CENSUS_ARGV],
+        ["--timing", "--timing", *CENSUS_ARGV],
+        [*CENSUS_ARGV, "--timing"],
+        ["--max-order", "5", "census", "--max-order", "5", *CENSUS_ARGV[1:]],
+        [*CENSUS_ARGV, "--p", "2"],
+        [*CENSUS_ARGV, "--alp", "2"],
+        [*CENSUS_ARGV, "--alpha"],
+        [*CENSUS_ARGV, "extra"],
+        [*CENSUS_ARGV, "census"],
+        [*CENSUS_ARGV, "--"],
+        ["--", *CENSUS_ARGV],
+        [*CENSUS_ARGV, "-h"],
+        ["census", "--help"],
+        ["-h", *CENSUS_ARGV],
+        ["census", "--p", "-2", "--q", "3", "--r", "5"],
+        ["verify-primitive", "--q", "2", "--r", "3", "--gens", "-h"],
+        ["verify-primitive", "--q", "2", "--r", "3", "--gens", ""],
+        ["check-bounds", "--formula", "bogus"],
+        ["selftest", "--scale", "json"],
+        ["construct-primitive", "--q", "2", "--r", "5", "--case", "cyclic"],
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_strict_parse_declines_what_argparse_must_parse(argv):
+    # help, usage errors and the grammar beyond the strict shape
+    assert cli._strict_parse(argv) is None
+
+
+def test_strict_parse_accepts_every_well_formed_command():
+    # the benchmark's and CI's command lines never reach argparse
+    for argv in (
+        CENSUS_ARGV,
+        ["--format", "text", "--max-order", "100", "--timing", *CENSUS_ARGV, "--emit-tables"],
+        ["classify-gl", "--alpha", "2", "--s", "4", "--r", "3"],
+        ["check-bounds", "--formula", "theorem-a", "--p", "2", "--q", "3", "--r", "5", "--count", "5"],
+        ["construct-primitive", "--q", "2", "--r", "5", "--case", "cyclic-r"],
+        ["verify-primitive", "--q", "2", "--r", "7", "--gens", "(1 2);(2 3)", "--degree", "8"],
+        ["--max-degree", "16", "selftest", "--scale", "full"],
+    ):
+        assert cli._strict_parse(argv) is not None, argv
 
 
 def run_main(capsys, argv):
@@ -665,9 +845,6 @@ def run_main(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-CENSUS_ARGV = ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--beta", "1", "--gamma", "1"]
 
 
 # main freezes the heap, so the interpreter skips collecting it at exit; a
@@ -686,6 +863,11 @@ CENSUS_ARGV = ["census", "--p", "2", "--q", "3", "--r", "5", "--alpha", "2", "--
         ),
         pytest.param(["census", "--p", "2", "--r", "5"], 1, None, id="usage-error"),
         pytest.param(["--help"], 0, "", id="help"),
+        # argparse's grammar beyond the strict parse's: argparse parses these
+        pytest.param(["--format=text", *CENSUS_ARGV], 0, "", id="flag-equals-value"),
+        pytest.param(["census", "--alp", "2", "--p", "2", "--q", "3", "--r", "5"], 0, "", id="abbreviation"),
+        pytest.param(["census", "--p", "3", *CENSUS_ARGV[1:]], 0, "", id="repeated-flag"),
+        pytest.param(["census", "-h"], 0, "", id="command-help"),
     ],
 )
 def test_subprocess_matches_in_process_run(monkeypatch, capsys, argv, code, err):
@@ -735,13 +917,17 @@ def test_main_freezes_the_heap_and_library_calls_do_not(capsys, argv):
 
 
 # under python -S no site module preloads anything, so sys.modules shows what
-# the commands themselves import; bounds work on plain integers
+# the commands themselves import; bounds work on plain integers, a
+# well-formed command line never reaches argparse (nor gettext, locale and
+# shutil), and only the selftest command loads selftest and random
 IMPORT_SET_CHILD = """
 import json, sys
 from agroups import cli
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in ("fractions", "decimal", "numbers", "typing") if m in sys.modules)))
+unwanted = ("fractions", "decimal", "numbers", "typing", "argparse", "gettext", "locale",
+            "shutil", "agroups.selftest", "random")
+print(json.dumps(sorted(m for m in unwanted if m in sys.modules)))
 """
 
 

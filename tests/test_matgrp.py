@@ -502,3 +502,21 @@ def test_class_scan_is_cached_once_whatever_the_limit():
         with pytest.raises(LimitExceeded, match="exceeds brute-force limit 47"):
             classify(2, GF3, 2, gl_order(2, GF3) - 1)
     assert matgrp._elem_abelian_r_classes.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "r, error, message",
+    [(4, NotPrime, "4 is not prime"), (3, CharacteristicConflict, "r = 3 equals the field characteristic")],
+    ids=["not-prime", "characteristic"],
+)
+def test_each_public_function_refuses_a_bad_r_alone(r, error, message):
+    # r's check is cached for the functions to share, but a refusal is not:
+    # every call refuses again, with the same error
+    for fn in (
+        matgrp.classify_elem_abelian_r,
+        matgrp.irreducible_elem_abelian_r_classes,
+        matgrp.maximal_ar_subgroup,
+    ):
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{message}$"):
+                fn(2, GF3, r)
