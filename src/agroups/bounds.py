@@ -14,20 +14,20 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParams, LimitExceeded
-from .gf import PRINTED_DIGITS, TRIAL_DIVISION_LIMIT, is_prime, printable
+from .gf import PRINTED_DIGITS, TRIAL_DIVISION_LIMIT, _least_factor, is_prime, printable
 
 _INTERVAL_PRECISIONS = (32, 64, 128, 256)
 
 
 def _check_field_size(s: int) -> None:
     """InvalidParams unless the field size s is a power of its least prime
-    factor, found by trial division. A size above the trial limit squared
+    factor, found by gf's trial search. A size above the trial limit squared
     with no factor up to the limit is LimitExceeded: no trial decides it."""
     shown = s if printable(s) else f"an integer of over {PRINTED_DIGITS} digits"
-    trials = range(2, min(math.isqrt(max(s, 0)), TRIAL_DIVISION_LIMIT) + 1)
-    least, rest = next((d for d in trials if s % d == 0), s), s
-    if least == s > TRIAL_DIVISION_LIMIT**2:
+    least = _least_factor(s, TRIAL_DIVISION_LIMIT) if s >= 2 else 1
+    if least is None:
         raise LimitExceeded(f"s = {shown} has no prime factor up to {TRIAL_DIVISION_LIMIT}")
+    rest = s
     while least > 1 and rest % least == 0:
         rest //= least
     if s < 2 or rest != 1:

@@ -1,7 +1,7 @@
 """Abstract finite groups as multiplication tables.
 
 Subgroups of a table group are frozensets of element indices. The subgroup
-kernel here (closure, coset extension, greedy and canonical generators,
+kernel here (closure by coset extension, greedy and canonical generators,
 normal closure, verbal subgroups, lattice scan, conjugation orbits,
 conjugator scan, minimal normal subgroups, Fitting subgroup) runs on any
 group given by a product, an identity and an inverse, so the permutation and
@@ -266,23 +266,16 @@ def _element_orders(G, elems) -> list[int]:
 
 
 def subgroup_closure(G, seed, cap: int | None = None) -> frozenset | None:
-    """Subgroup generated by the seed elements (word closure; finiteness
-    supplies inverses). With a cap, None once it exceeds cap elements."""
-    mul, e = G.mul, G.identity
-    gens = [g for g in dict.fromkeys(seed) if g != e]
-    elems, frontier = {e, *gens}, gens
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-                    if cap is not None and len(elems) > cap:
-                        return None
-        frontier = new
-    return frozenset(elems) if cap is None or len(elems) <= cap else None
+    """Subgroup generated by the seed elements: {e} extended by each in turn
+    (extend_subgroup). With a cap, None once it exceeds cap elements."""
+    sub, gens = frozenset({G.identity}), []
+    for g in dict.fromkeys(seed):
+        if g not in sub:
+            sub = extend_subgroup(G, sub, gens, g, cap)
+            if sub is None:
+                return None
+            gens.append(g)
+    return sub
 
 
 def extend_subgroup(G, sub, gens, new, cap: int | None = None) -> frozenset | None:

@@ -2,11 +2,12 @@
 throughout the engine (primality, factorisation, multiplicative orders).
 
 Fields stay desk-scale (t^k <= FIELD_SIZE_LIMIT) so direct scans beat any
-clever algorithm. Primality and factoring run trial division, primality
-within TRIAL_DIVISION_LIMIT; a multiplicative order is phi(m) with primes
-divided out. An element is its index, the base-t number of its coefficients
-on 1, x, ..., x^(k-1); FieldSpec.tables adds digit by digit and multiplies
-through the powers of the first element of order s - 1 (exp/log tables).
+clever algorithm. Primality and factoring share one cached trial-division
+search for the least prime factor, within TRIAL_DIVISION_LIMIT; a
+multiplicative order is phi(m) with primes divided out. An element is its
+index, the base-t number of its coefficients on 1, x, ..., x^(k-1);
+FieldSpec.tables adds digit by digit and multiplies through the powers of
+the first element of order s - 1 (exp/log tables).
 
 Conventions:
   * polynomials are coefficient tuples in ascending degree (element indices
@@ -37,7 +38,7 @@ FIELD_TABLE_LIMIT = 1024
 # limit an interpreter is run with. Longer integers are left out or named.
 PRINTED_DIGITS = 4300
 
-# the trial divisions a primality or prime-power test may make
+# the trial divisions one search for a least prime factor may make
 TRIAL_DIVISION_LIMIT = 10**6
 
 
@@ -57,45 +58,53 @@ def printable_product(powers) -> int | None:
     return n if printable(n) else None
 
 
-def is_prime(n: int) -> bool:
-    """By trial division. An n above TRIAL_DIVISION_LIMIT squared with no
-    factor up to the limit is LimitExceeded: no trial decides it."""
-    if n < 2:
-        return False
-    for d in range(2, min(math.isqrt(n), TRIAL_DIVISION_LIMIT) + 1):
+@lru_cache(maxsize=1024)
+def _least_factor(n: int, limit: int) -> int | None:
+    """The least prime factor of n >= 2 by trial division up to limit: n
+    itself when none divides it, None when none does and n > limit^2 (no
+    trial decides it). The one search behind is_prime, prime_factors and
+    bounds' field-size check; cached, so a command searches each integer once."""
+    for d in range(2, min(math.isqrt(n), limit) + 1):
         if n % d == 0:
-            return False
-    if n > TRIAL_DIVISION_LIMIT**2:
+            return d
+    return n if n <= limit * limit else None
+
+
+def _least_prime_factor(n: int) -> int:
+    """_least_factor within TRIAL_DIVISION_LIMIT, LimitExceeded when no trial decides n."""
+    least = _least_factor(n, TRIAL_DIVISION_LIMIT)
+    if least is None:
         shown = n if printable(n) else f"an integer of over {PRINTED_DIGITS} digits"
         raise LimitExceeded(
             f"{shown} has no prime factor up to {TRIAL_DIVISION_LIMIT}:"
             " its primality is beyond the trial-division budget"
         )
-    return True
+    return least
+
+
+def is_prime(n: int) -> bool:
+    """By trial division. An n above TRIAL_DIVISION_LIMIT squared with no
+    factor up to the limit is LimitExceeded: no trial decides it."""
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor a positive integer by trial division: {prime: exponent}."""
+    """Factor a positive integer by trial division: {prime: exponent}. A
+    cofactor that is_prime would refuse is LimitExceeded."""
     if n < 1:
         raise ValueError("prime_factors needs a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    while n > 1:
+        d = _least_prime_factor(n)
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
     return out
 
 
-@lru_cache(maxsize=32)
 def multiplicative_order(a: int, m: int) -> int:
     """Least e >= 1 with a^e = 1 (mod m). It divides phi(m): start from
-    phi(m) and divide each of its primes out while a^e stays 1. Cached:
-    factoring m takes up to sqrt(m) trial divisions, and classify-gl asks
-    for the order of s mod r in its handler and in maximal_ar_subgroup."""
+    phi(m) and divide each of its primes out while a^e stays 1."""
     if m < 2:
         raise BadModulus(f"modulus {m} must be at least 2")
     a %= m

@@ -352,12 +352,8 @@ def _embed_block(block, position: int, alpha: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-@lru_cache(maxsize=8)
 def _check_r(spec: FieldSpec, r: int) -> None:
-    """NotPrime or CharacteristicConflict for a bad r. Cached, so that the
-    three public functions below, which classify-gl calls in turn, test r
-    once between them (up to 10^6 trial divisions); a refusal is not
-    cached, and each call refuses again."""
+    """NotPrime or CharacteristicConflict for a bad r."""
     if not is_prime(r):
         raise NotPrime(f"{r} is not prime")
     if r == spec.t:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import weakref
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -568,21 +569,35 @@ def test_check_bounds_refuses_a_huge_n_before_forming_it(capsys):
     )
 
 
-def test_classify_gl_tests_r_once_and_factors_it_once(monkeypatch, capsys):
-    # 1000003 is prime and no other test uses it, so no cached answer counts
-    r = 1000003
-    matgrp._check_r.cache_clear()
-    gf.multiplicative_order.cache_clear()
-    calls = []
-    is_prime, prime_factors = matgrp.is_prime, gf.prime_factors
-    monkeypatch.setattr(matgrp, "is_prime", lambda n: calls.append(("is_prime", n)) or is_prime(n))
+def count_trial_searches(monkeypatch) -> list:
+    """The integers gf's trial search is run on from now, through a fresh
+    cache, so that no answer cached earlier in the process counts."""
+    searched = []
+    search = gf._least_factor.__wrapped__
     monkeypatch.setattr(
-        gf, "prime_factors", lambda n: calls.append(("prime_factors", n)) or prime_factors(n)
+        gf, "_least_factor", lru_cache(maxsize=None)(lambda n, limit: searched.append(n) or search(n, limit))
     )
+    return searched
+
+
+def test_classify_gl_tests_r_once_and_factors_it_once(monkeypatch, capsys):
+    # r is tested in each of three matgrp functions and factored for the
+    # order of s mod r in two: the trial search runs on it once
+    r = 1000003
+    searched = count_trial_searches(monkeypatch)
     code, rep = run_json(capsys, "classify-gl", "--alpha", "2", "--s", "4", "--r", str(r))
     assert code == 0 and rep["results"]["order_of_s_mod_r"] == gf.multiplicative_order(4, r)
-    assert calls.count(("is_prime", r)) == 1
-    assert calls.count(("prime_factors", r)) == 1
+    assert searched.count(r) == 1
+
+
+def test_construct_primitive_searches_a_twelve_digit_r_once(monkeypatch, capsys):
+    # is_prime(r), then prime_factors(r) for the order of q mod r: one search
+    r = 999999999989
+    searched = count_trial_searches(monkeypatch)
+    code = cli.main(["construct-primitive", "--q", "2", "--r", str(r)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: DegreeLimit: degree 2^{r - 1} exceeds the limit 16\n"
+    assert searched.count(r) == 1
 
 
 def test_check_bounds_leaves_out_an_exact_value_too_long_to_print(capsys):
