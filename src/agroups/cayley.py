@@ -18,7 +18,9 @@ computes its element orders and fingerprint once and caches them.
 Construction validates every table: rows and columns are permutations of
 the indices, the identity is an index that acts as one, and Light's test
 checks associativity on a generating set, for each generator g comparing
-the rows at column g with each row gathered at the entries of row g. The
+the rows at column g with each row gathered at the entries of row g. A row
+is bytes up to order 256, so a gather is one bytes.translate; translate
+maps bytes only, so above 256 a row is a tuple gathered by itemgetter. The
 abelianisation's element orders are read off the cosets of the derived
 subgroup, with no quotient table.
 """
@@ -40,7 +42,14 @@ TABLE_LIMIT = 400
 class CayleyGroup:
     """Finite group given by its n x n multiplication table of indices."""
 
-    def __init__(self, table: tuple[tuple[int, ...], ...], identity: int):
+    def __init__(self, table, identity: int):
+        # a bytes row is kept; any other is read entry by entry into the row
+        # type, which refuses an entry that is no integer (or, as bytes, no byte)
+        typ = _row_type(len(table))
+        try:
+            table = tuple(r if type(r) is bytes else typ(map(operator.index, r)) for r in table)
+        except (TypeError, ValueError):
+            raise InvalidParams("table rows must be permutations of the indices") from None
         self.table, self.identity = table, identity
         self.__post_init__()
 
@@ -56,32 +65,35 @@ class CayleyGroup:
     def __post_init__(self):
         t, e = self.table, self.identity
         n = len(t)
-        idx = set(range(n))
-        if any(map(n.__ne__, map(len, t))) or not all(map(idx.__eq__, map(set, t))):
+        rows = _row_type(n)
+        ident = rows(range(n))
+        idx = set(ident)
+
+        def is_perm(row):  # a byte row holds every index when deleting it empties ident
+            return len(row) == n and (
+                not ident.translate(None, row) if rows is bytes else set(row) == idx
+            )
+
+        if not all(map(is_perm, t)):
             raise InvalidParams("table rows must be permutations of the indices")
-        if not all(map(idx.__eq__, map(set, zip(*t)))):
+        flat = _joined(t, rows)
+        columns = [flat[c::n] for c in range(n)]
+        if not all(map(is_perm, columns)):
             raise InvalidParams("table columns must be permutations of the indices")
-        ident = tuple(range(n))
-        if (
-            not isinstance(e, int)
-            or e not in idx
-            or t[e] != ident
-            or tuple(map(operator.itemgetter(e), t)) != ident
-        ):
+        if not isinstance(e, int) or not 0 <= e < n or t[e] != ident or columns[e] != ident:
             raise InvalidParams("identity index does not act as identity")
         # Light's test: the g with (x g) y = x (g y) for all x, y are closed
         # under products, so a generating set read off the table suffices
         # (coset extension only ever multiplies elements already reached).
         # Inverses exist already: every row is a permutation, so it holds e.
         # Row x (g y) over all y gathers row x at the entries of row g; the
-        # rows (x g) y are the rows at column g. A table of order 1 has no
-        # generators, and itemgetter needs two indices to return a tuple.
-        for g in self.generators if n > 1 else ():
-            gather = operator.itemgetter(*t[g])
-            xg_rows = map(t.__getitem__, map(operator.itemgetter(g), t))
-            if not all(map(operator.eq, xg_rows, map(gather, t))):
-                x = next(x for x, row in enumerate(t) if t[row[g]] != gather(row))
-                left, right = t[t[x][g]], gather(t[x])
+        # rows (x g) y are the rows at column g.
+        keys = list(map(_key, t))
+        for g in self.generators:
+            gather, column = _gather(t[g]), columns[g]
+            if not all(map(operator.eq, map(t.__getitem__, column), map(gather, keys))):
+                x = next(x for x in range(n) if t[column[x]] != gather(keys[x]))
+                left, right = t[column[x]], gather(keys[x])
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise InvalidParams(f"associativity fails at ({x}, {g}, {y})")
 
@@ -163,6 +175,28 @@ class CayleyGroup:
         }
 
 
+def _row_type(n: int) -> type:
+    """The type of every row of a table of order n: bytes while every entry
+    fits in one, gathered by bytes.translate (_key), and tuples above."""
+    return bytes if n <= 256 else tuple
+
+
+def _joined(parts, rows: type):
+    """The parts, each of the row type rows, concatenated into one of it."""
+    return b"".join(parts) if rows is bytes else tuple(itertools.chain.from_iterable(parts))
+
+
+def _key(row):
+    """row as the key of a gather: bytes padded to translate's 256 bytes."""
+    return row + bytes(256 - len(row)) if type(row) is bytes else row
+
+
+def _gather(row):
+    """key -> key[row[y]] over y, for the _key of a row of row's table: that
+    row gathered at the entries of row, as a row of the same type."""
+    return row.translate if type(row) is bytes else operator.itemgetter(*row)
+
+
 def elementary_abelian_table(u: int, dim: int) -> CayleyGroup:
     """(C_u)^dim with elements ordered by their base-u digit vectors."""
     return CayleyGroup(_vector_sums(u, dim), 0)
@@ -209,24 +243,22 @@ def table_group(G, elems, gens) -> CayleyGroup:
     gather, row(a g) = row(a) gathered at the entries of row(g), since
     a g b = a (g b). The table is validated like any other."""
     index = {x: i for i, x in enumerate(elems)}
-    mul = G.mul
-    gathers = [
-        (index[g], operator.itemgetter(*[index[mul(g, b)] for b in elems])) for g in gens
-    ]
+    mul, rows = G.mul, _row_type(len(elems))
+    gathers = [(index[g], _gather(rows([index[mul(g, b)] for b in elems]))) for g in gens]
     e = index[G.identity]
-    rows: list = [None] * len(elems)
-    rows[e] = tuple(range(len(elems)))
+    table: list = [None] * len(elems)
+    table[e] = rows(range(len(elems)))
     reached = [e]
     for a in reached:  # reached grows by each newly chained row
-        row = rows[a]
+        row, key = table[a], _key(table[a])
         for g, gather in gathers:
             ag = row[g]
-            if rows[ag] is None:
-                rows[ag] = gather(row)
+            if table[ag] is None:
+                table[ag] = gather(key)
                 reached.append(ag)
     if len(reached) != len(elems):
         raise InvalidParams("the generators do not generate the element list")
-    return CayleyGroup(tuple(rows), e)
+    return CayleyGroup(tuple(table), e)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ variety, M, F(G) and the point stabiliser off that table.
 
 from __future__ import annotations
 
-import itertools
-
 from .cayley import (
     TABLE_LIMIT,
     CayleyGroup,
     _linear_points,
+    _joined,
     _power,
+    _row_type,
     _vector_sums,
     fitting_subgroup,
     in_variety,
@@ -244,16 +244,13 @@ def semidirect_product(
     # row (v1, h1) is, for each w in order, the block of the pairs
     # (vsum[v1][moved[h1][w]], h1 h2) over h2; block i of h1 holds the
     # indices i |H| + h over the h in h1's row
+    rows = _row_type(order)
     blocks = [
-        [tuple(map((i * h_count).__add__, h_row)) for i in range(len(vsum))]
+        [rows(map((i * h_count).__add__, h_row)) for i in range(len(vsum))]
         for h_row in acting.table
     ]
     table = tuple(
-        tuple(
-            itertools.chain.from_iterable(
-                map(blocks[h1].__getitem__, map(v_row.__getitem__, moved[h1]))
-            )
-        )
+        _joined(map(blocks[h1].__getitem__, map(v_row.__getitem__, moved[h1])), rows)
         for v_row in vsum
         for h1 in range(h_count)
     )

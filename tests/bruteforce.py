@@ -17,7 +17,8 @@ takes the engine's modulus of GF(s^alpha) over GF(s) and its remainder on
 index tables, and does the rest in its own polynomial ring. FieldElem takes
 only a field's modulus from the engine and does its arithmetic on integers
 mod t. FractionLogBound takes the fixed-point log2 enclosure and the print
-limit from agroups.bounds and does the rest on Fractions.
+limit from agroups.bounds and does the rest on Fractions. validate_report
+checks a report against the published agroups.report.REPORT_SCHEMA.
 """
 
 import functools
@@ -26,6 +27,7 @@ import math
 import operator
 from fractions import Fraction
 
+from agroups.report import REPORT_SCHEMA
 from agroups.selftest import naive_is_primitive  # noqa: F401
 
 
@@ -1128,3 +1130,52 @@ class FractionLogBound:
         if exact is not None and printable(exact):
             out["exact"] = exact
         return out
+
+
+# -- reports ----------------------------------------------------------------
+
+
+def validate_report(report: dict) -> list[str]:
+    """Minimal structural validator of a report against the published
+    agroups.report.REPORT_SCHEMA, for the subset of JSON schema it uses.
+
+    Returns a list of problems; empty means valid.
+    """
+    problems = []
+
+    def check(value, spec, where):
+        kinds = spec.get("type")
+        if kinds is not None:
+            kinds = [kinds] if isinstance(kinds, str) else kinds
+            ok = False
+            for kind in kinds:
+                if kind == "object" and isinstance(value, dict):
+                    ok = True
+                elif kind == "array" and isinstance(value, list):
+                    ok = True
+                elif kind == "string" and isinstance(value, str):
+                    ok = True
+                elif kind == "integer" and isinstance(value, int) and not isinstance(value, bool):
+                    ok = True
+                elif kind == "number" and isinstance(value, (int, float)) and not isinstance(value, bool):
+                    ok = True
+                elif kind == "null" and value is None:
+                    ok = True
+            if not ok:
+                problems.append(f"{where}: expected {kinds}, got {type(value).__name__}")
+                return
+        if "enum" in spec and value not in spec["enum"]:
+            problems.append(f"{where}: {value!r} not in enum")
+        if isinstance(value, dict):
+            for req in spec.get("required", []):
+                if req not in value:
+                    problems.append(f"{where}: missing required key {req!r}")
+            for key, sub in spec.get("properties", {}).items():
+                if key in value:
+                    check(value[key], sub, f"{where}.{key}")
+        if isinstance(value, list) and "items" in spec:
+            for i, item in enumerate(value):
+                check(item, spec["items"], f"{where}[{i}]")
+
+    check(report, REPORT_SCHEMA, "$")
+    return problems

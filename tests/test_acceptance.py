@@ -8,7 +8,9 @@ search) against the engine's primary implementations.
 
 import json
 
-from agroups import cli, report, selftest
+from agroups import cli, selftest
+
+from bruteforce import validate_report
 
 
 def _report(outcome):
@@ -64,4 +66,4 @@ def test_selftest_cli_quick_exit_zero(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["all_passed"] is True
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []

@@ -108,6 +108,29 @@ def test_rejects_switched_intercalate_at_order_256():
         CayleyGroup(tuple(tuple(r) for r in rows), 0)
 
 
+def test_rejects_switched_intercalate_at_order_258():
+    # the twin above 256, where rows are tuples: C258 with the 2 x 2
+    # subsquare at rows 1, 130 and columns 2, 131 switched away from the group
+    rows = [list(row) for row in cyclic_table(258).table]
+    for i in (1, 130):
+        rows[i][2], rows[i][131] = rows[i][131], rows[i][2]
+    with pytest.raises(InvalidParams, match="associativity"):
+        CayleyGroup(tuple(map(tuple, rows)), 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 256, 257])
+def test_rows_given_as_tuples_lists_or_bytes_make_one_table(n):
+    # one table whatever its rows are given as, with one wire format: the
+    # integer entries (bytes rows exist up to order 256 only)
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    given = [tuple(map(tuple, rows)), rows] + ([tuple(map(bytes, rows))] if n <= 256 else [])
+    first, *others = [CayleyGroup(table, 0) for table in given]
+    for other in others:
+        assert other == first and hash(other) == hash(first)
+        assert other.to_json() == first.to_json()
+    assert first.to_json() == {"order": n, "identity": 0, "table": rows}
+
+
 def test_rejects_loop_whose_first_generator_associates():
     # Q x C2 for the order-5 non-associative loop Q, element (q, c) at index
     # 2q + c: index 1 = (e, 1) is in the nucleus, so the defect only shows
@@ -503,7 +526,7 @@ def test_vector_sums_and_linear_points_match_digit_vectors(u, k, stride):
         tuple(index[tuple((a + b) % u for a, b in zip(v, w))] for w in vectors) for v in vectors
     )
     assert cayley._vector_sums(u, k) == expected
-    assert elementary_abelian_table(u, k).table == expected
+    assert tuple(map(tuple, elementary_abelian_table(u, k).table)) == expected
     if k:
         for M in matgrp.gl_elements(k, field_make(u, 1))[::stride]:
             image = [

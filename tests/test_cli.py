@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from agroups import census, cli, gf, matgrp, report, selftest
 from agroups.cayley import VarietyParams
 
+from bruteforce import validate_report
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,7 +44,7 @@ def test_census_report(capsys):
     assert rep["bounds"][0]["verdict"] == "LE"
     assert rep["claims"][0]["status"] == "verified"
     assert rep["timing"] is None
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []
 
 
 def test_census_at_order_one_is_out_of_scope(capsys):
@@ -53,7 +55,7 @@ def test_census_at_order_one_is_out_of_scope(capsys):
     [claim] = rep["claims"]
     assert claim["claim"] == "census-count-bound" and claim["status"] == "out_of_scope"
     assert "n = 1" in claim["notes"] and "witness" not in claim
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []
     # one prime factor is enough to bring the claim back into scope
     code, rep = run_json(capsys, "census", "--p", "2", "--q", "3", "--r", "5", "--beta", "1")
     assert code == 0 and rep["bounds"][0]["verdict"] == "LE"
@@ -213,7 +215,7 @@ def test_construct_primitive(capsys):
         "n": 8,
     }
     assert rep["results"]["verification"]["all_passed"]
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []
 
 
 @pytest.mark.parametrize(
@@ -251,7 +253,7 @@ def test_classify_gl_discrepancy_exit_zero(capsys):
         c for c in rep["claims"] if c["claim"] == "gl-nonexistence-when-dimension-indivisible"
     )
     assert "witness" in violated
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []
 
 
 def test_classify_gl_regular_case(capsys):
@@ -533,7 +535,7 @@ def test_check_bounds_leaves_out_n_too_long_to_print(capsys):
     )
     assert code == 0
     assert "n" not in rep["parameters"] and rep["parameters"]["alpha"] == 3000
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []
     code, rep = run_json(
         capsys, "check-bounds", "--formula", "theorem-a",
         "--p", "97", "--q", "3", "--r", "5", "--alpha", "2",
@@ -607,7 +609,7 @@ def test_check_bounds_leaves_out_an_exact_value_too_long_to_print(capsys):
     )
     assert code == 0
     assert "exact" not in rep["results"]["bound"]
-    assert report.validate_report(rep) == []
+    assert validate_report(rep) == []
 
 
 def test_text_format(capsys):

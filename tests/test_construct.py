@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from agroups import cayley, census, cli, construct, perm
-from agroups.cayley import CayleyGroup, are_isomorphic
+from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic
 from agroups.construct import (
     CASE_AFFINE,
     CASE_CYCLIC_Q,
@@ -332,7 +332,7 @@ def test_semidirect_product_matches_the_naive_table_on_every_census_action(monke
 
     def checked(u, dim, action, H):
         G = semidirect_product(u, dim, action, H)
-        assert G.table == bf.naive_semidirect_table(u, dim, action, H)
+        assert tuple(map(tuple, G.table)) == bf.naive_semidirect_table(u, dim, action, H)
         built.append(G)
         return G
 
@@ -340,3 +340,19 @@ def test_semidirect_product_matches_the_naive_table_on_every_census_action(monke
     for params in bf.census_split_params():
         census.enumerate_variety_groups(params)
     assert len(built) == 21
+
+
+def test_semidirect_product_matches_the_naive_table_above_256(monkeypatch):
+    # the P-layer actions of (2,7,3;1,2,1), order 294, where rows are tuples
+    built = []
+
+    def checked(u, dim, action, H):
+        G = semidirect_product(u, dim, action, H)
+        if G.order > 256:
+            assert G.table == bf.naive_semidirect_table(u, dim, action, H)
+            built.append(G.order)
+        return G
+
+    monkeypatch.setattr(census, "semidirect_product", checked)
+    census.enumerate_variety_groups(VarietyParams(2, 7, 3, 1, 2, 1))
+    assert built == [294] * 4

@@ -82,6 +82,15 @@ def vars_of(obj) -> dict:
     return {name: getattr(obj, name) for name in type(obj).__slots__}
 
 
+def cyclic_300(cells=(), identity=0):
+    """C_300's table with the (row, column, entry) cells set, above the
+    orders whose rows are bytes."""
+    rows = [[(i + j) % 300 for j in range(300)] for i in range(300)]
+    for i, j, entry in cells:
+        rows[i][j] = entry
+    return CayleyGroup(tuple(map(tuple, rows)), identity)
+
+
 def equal_pairs():
     """Two equal but separately built instances of every compared type, and
     one instance that differs from them."""
@@ -142,6 +151,24 @@ def test_equal_field_specs_share_the_cached_matrix_ops():
         (lambda: CayleyGroup(((0, 1), (1, 0)), 2), "identity index does not act as identity"),
         (lambda: CayleyGroup(((0,),), -1), "identity index does not act as identity"),
         (lambda: CayleyGroup((), 0), "identity index does not act as identity"),
+        (lambda: CayleyGroup(((0, 300), (1, 0)), 0), "table rows must be permutations of the indices"),
+        (lambda: CayleyGroup(((0, -1), (1, 0)), 0), "table rows must be permutations of the indices"),
+        (lambda: CayleyGroup(((0, 1.0), (1.0, 0)), 0), "table rows must be permutations of the indices"),
+        (lambda: CayleyGroup((1,), 0), "table rows must be permutations of the indices"),
+        (lambda: cyclic_300([(0, 1, 300)]), "table rows must be permutations of the indices"),
+        (lambda: cyclic_300([(0, 1, -1)]), "table rows must be permutations of the indices"),
+        (lambda: cyclic_300([(0, 1, 1.0)]), "table rows must be permutations of the indices"),
+        (
+            # row 1 repeats row 0
+            lambda: cyclic_300([(1, j, j) for j in range(300)]),
+            "table columns must be permutations of the indices",
+        ),
+        (lambda: cyclic_300(identity=1), "identity index does not act as identity"),
+        (
+            # the 2 x 2 subsquare at rows 1, 151 and columns 2, 152 switched
+            lambda: cyclic_300([(1, 2, 153), (1, 152, 3), (151, 2, 3), (151, 152, 153)]),
+            "associativity fails at (1, 1, 1)",
+        ),
         (lambda: VarietyParams(2, 4, 5, 1, 1, 1), "4 is not prime"),
         (lambda: VarietyParams(2, 3, 3, 1, 1, 1), "p, q, r must be pairwise distinct"),
         (lambda: VarietyParams(2, 3, 5, 1, -1, 1), "exponents must be nonnegative"),
@@ -156,6 +183,16 @@ def test_equal_field_specs_share_the_cached_matrix_ops():
         "identity-past-order-2",
         "identity-negative",
         "order-0",
+        "entry-past-order-2",
+        "entry-negative-order-2",
+        "entry-float-order-2",
+        "row-an-integer",
+        "entry-past-order-300",
+        "entry-negative-order-300",
+        "entry-float-order-300",
+        "columns-order-300",
+        "identity-order-300",
+        "associativity-order-300",
         "not-prime",
         "equal-primes",
         "negative",
