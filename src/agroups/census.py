@@ -3,11 +3,12 @@
 The transitive inventories of small symmetric groups are produced by closing
 sets of prime-order generators upward through the subgroup lattice up to
 S_n-conjugacy, pruned only by facts that cannot exclude a target (order
-divisibility, the soluble order bound). The generators are built from their
-cycle types, as products of disjoint p-cycles, so no scan walks the n!
-permutations. One representative per class is extended, its class is its
-orbit under the generators (1 2 ... n) and (1 2), and the filters, all
-invariant under conjugation, read representatives only. The primitive
+divisibility, the soluble order bound). The prime-order generators are
+the S_n-classes of products of disjoint p-cycles, each the conjugation
+orbit of one such product, so no scan walks the n! permutations. One
+representative per class is extended, its class is its orbit under the
+generators (1 2 ... n) and (1 2), and the filters, all invariant under
+conjugation, read representatives only. The primitive
 inventories, two-prime and single-prime, run no scan of S_n: a primitive
 soluble group is affine, so at every degree they go through the normalizer
 of one regular elementary abelian subgroup T, the translations of GF(u)^k,
@@ -29,7 +30,6 @@ the exhaustive subgroup scan of small GL.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -61,7 +61,6 @@ from .matgrp import (
 from .perm import (
     PermGroup,
     extend_set,
-    greedy_generators,
     group_from_set,
     perm_ops,
     permgroup_to_json,
@@ -153,29 +152,16 @@ def _sn_generators(n) -> tuple:
 
 def _prime_order_codes(n, primes) -> list[tuple[int, ...]]:
     """Every code of S_n whose order is one of the primes, in lexicographic
-    order. An element of prime order p is a product of one or more disjoint
-    p-cycles. Each is written once: the least free point is either fixed or
-    leads a cycle through p - 1 further free points, in every order."""
-    out, code = [], list(range(n))
-
-    def place(p, free, cycles):
-        if not free:
-            if cycles:
-                out.append(tuple(code))
-            return
-        lead, rest = free[0], free[1:]
-        place(p, rest, cycles)  # lead is fixed
-        for others in itertools.permutations(rest, p - 1):
-            cycle = (lead, *others)
-            for x, y in zip(cycle, (*others, lead)):
-                code[x] = y
-            place(p, [x for x in rest if x not in others], cycles + 1)
-            for x in cycle:
-                code[x] = x
-
-    for p in primes:
-        place(p, list(range(n)), 0)
-    return sorted(out)
+    order. An element of prime order p is a product of k disjoint p-cycles,
+    1 <= k <= n / p, and those of one k are an S_n-class: the conjugation
+    orbit of (1 2 ... p)(p+1 ... 2p)... under (1 2 ... n) and (1 2)."""
+    products = [
+        tuple(x if x >= k * p else x + 1 - p * ((x + 1) % p == 0) for x in range(n))
+        for p in primes
+        for k in range(1, n // p + 1)
+    ]
+    ops, sn_gens = perm_ops(n), _sn_generators(n)
+    return sorted(g for x in products for (g,) in conjugation_orbit(ops, (x,), sn_gens))
 
 
 @lru_cache(maxsize=64)
@@ -283,16 +269,16 @@ def _affine_setup(u: int, k: int) -> tuple:
     generators and its table, for the degree u^k; trivial at k = 0. T is the
     rows of GF(u)^k's addition table. An element of N(T)_0 induces an
     automorphism of T, a linear map M as u is prime, and it is the point map
-    v -> v M: so N(T)_0 is GL(k, u), not a search of the points' images."""
+    v -> v M: so N(T)_0 is GL(k, u), not a search of the points' images, and
+    its generators are the point maps of GL's (gl_generators)."""
     n = u**k
     rows = _vector_sums(u, k)
     t_gens = tuple(rows[u**j] for j in range(k))
+    stab, stab_gens = ((0,),), ()
     if k:
         field = field_make(u, 1)
         stab = tuple(sorted(_linear_points(u, k, M) for M in gl_elements(k, field)))
-    else:
-        stab = ((0,),)
-    stab_gens = tuple(greedy_generators(n, stab))
+        stab_gens = tuple(_linear_points(u, k, M) for M in gl_generators(k, field))
     return frozenset(rows), t_gens, stab, stab_gens, table_group(perm_ops(n), stab, stab_gens)
 
 

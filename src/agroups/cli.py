@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from . import bounds as bnd
 from . import census, construct, matgrp, report
 from .cayley import VarietyParams
-from .errors import EngineError, LimitExceeded
+from .errors import EngineError, InvalidParams, LimitExceeded
 from .gf import FIELD_TABLE_LIMIT, PRINTED_DIGITS, field_make, multiplicative_order, prime_factors
 from .perm import PermGroup, parse_cycles, permgroup_from_json, permgroup_to_json
 
@@ -217,18 +217,29 @@ def _cmd_census(args) -> dict:
     )
 
 
-_FORMULAS = ("theorem-a", "gl-classes", "transitive-count", "gl-order", "soluble-order")
+# the flags each formula reads: a missing one is refused by name (the
+# formulas' other flags, theorem A's exponents, default to 0)
+_FORMULAS = {
+    "theorem-a": ("--p", "--q", "--r"),
+    "gl-classes": ("--s", "--alpha"),
+    "transitive-count": ("--n",),
+    "gl-order": ("--alpha", "--q", "--r", "--s"),
+    "soluble-order": ("--n",),
+}
 
 
 def _cmd_check_bounds(args) -> dict:
     name = args.formula
+    missing = [flag for flag in _FORMULAS[name] if getattr(args, flag[2:]) is None]
+    if missing:
+        raise InvalidParams(f"formula {name} needs {', '.join(missing)}")
     if name == "theorem-a":
-        params = VarietyParams(args.p, args.q, args.r, args.alpha, args.beta, args.gamma)
+        params = VarietyParams(args.p, args.q, args.r, args.alpha or 0, args.beta, args.gamma)
         # n is a term base of the bound when beta + gamma > 0: one too long
         # to print is refused from its bit-lengths, before it is formed
         if params.beta + params.gamma and params.printable_n() is None:
             raise LimitExceeded(
-                f"a term base of the bound, n = {args.p}^{args.alpha}*{args.q}^{args.beta}"
+                f"a term base of the bound, n = {args.p}^{params.alpha}*{args.q}^{args.beta}"
                 f"*{args.r}^{args.gamma}, has over PRINTED_DIGITS = {PRINTED_DIGITS} decimal digits"
             )
         bound = bnd.theorem_a_bound(params)
@@ -242,11 +253,9 @@ def _cmd_check_bounds(args) -> dict:
     elif name == "gl-order":
         bound = bnd.prop41_bound(args.alpha, args.q, args.r, args.s)
         parameters = {"alpha": args.alpha, "q": args.q, "r": args.r, "s": args.s}
-    elif name == "soluble-order":
+    else:  # soluble-order
         bound = bnd.soluble_sn_bound(args.n)
         parameters = {"n": args.n}
-    else:
-        raise EngineError(f"unknown formula {name!r}")
     parameters["formula"] = name
 
     results = {"bound": bound.to_json()}
@@ -352,11 +361,12 @@ _COMMANDS = {
         ("--emit-tables", {**_FLAG, "help": "include full multiplication tables"}),
     )),
     "check-bounds": (_cmd_check_bounds, "evaluate a bound formula, optionally against a count", (
-        ("--formula", {"choices": _FORMULAS, "required": True}),
+        ("--formula", {"choices": tuple(_FORMULAS), "required": True}),
         ("--count", _INT),
-        *((flag, _INT_OR_ZERO) for flag in ("--p", "--q", "--r", "--alpha", "--beta", "--gamma")),
-        ("--s", _INT_OR_ZERO),
-        ("--n", _INT_OR_ZERO),
+        *((flag, _INT) for flag in ("--p", "--q", "--r", "--alpha")),
+        *((flag, _INT_OR_ZERO) for flag in ("--beta", "--gamma")),
+        ("--s", _INT),
+        ("--n", _INT),
     )),
     "selftest": (_cmd_selftest, "run the acceptance suite", (
         ("--scale", {"choices": ("quick", "full"), "default": "quick"}),

@@ -10,12 +10,11 @@ subgroup lattice under GL's generators: one subgroup per GL-class is
 extended, tested for maximality and made a MatGroup. Every product of two
 matrices runs through one function per dimension and field, straight-line
 source compiled on first use against the field's index tables.
-GL(alpha, s) is enumerated row by row, each row outside the span of the
-rows above it, so listing it costs work in proportion to |GL|, not
-s^(alpha^2) determinants. A Singer generator is the regular representation
-of a generator of GF(s^alpha)*, built row by row through the companion
-matrix of gf's least irreducible polynomial of degree alpha over GF(s) and
-tested by its powers. Irreducibility is decided by spinning every line;
+GL(alpha, s) is listed as the kernel's closure of three written-down
+generators, checked against |GL|. A Singer generator is the regular
+representation of a generator of GF(s^alpha)*, built row by row through the
+companion matrix of gf's least irreducible polynomial of degree alpha over
+GF(s) and tested by its powers. Irreducibility is decided by spinning every line;
 conjugate_in_gl, the independent conjugacy check, runs the kernel's
 conjugator scan over all of GL(alpha, s) in entry order. Limits guard each
 entry point so a bad input fails fast instead of grinding.
@@ -34,7 +33,6 @@ from .cayley import (
     _power,
     canonical_generators,
     first_conjugator,
-    greedy_generators,
     subgroup_closure,
     subgroup_lattice,
 )
@@ -202,16 +200,10 @@ def _greedy_gens(ops, codes) -> tuple:
     return tuple(sorted(canonical_generators(ops, codes))) or (ops.identity,)
 
 
-def _span_with(span: set, vec, tab) -> set:
-    """The subspace spanned by a subspace (its set of vectors) and a vector."""
-    multiples = [tuple(row[x] for x in vec) for row in tab.mul]
-    return {tuple(tab.add[x][y] for x, y in zip(u, m)) for u in span for m in multiples}
-
-
 def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tuple[tuple, ...]:
-    """All of GL(alpha, s) as matrix codes in entry order, enumerated row by
-    row: no determinants, work in proportion to |GL|. The limit is checked on
-    every call; the list is cached once per (alpha, field)."""
+    """All of GL(alpha, s) as matrix codes in entry order, the closure of
+    gl_generators. The limit is checked on every call; the list is cached
+    once per (alpha, field)."""
     order = gl_order(alpha, spec)
     if order > limit:
         shown = f" = {order}" if printable(order) else ""
@@ -221,29 +213,34 @@ def gl_elements(alpha: int, spec: FieldSpec, limit: int = GL_BRUTE_LIMIT) -> tup
 
 @lru_cache(maxsize=32)
 def _gl_elements(alpha: int, spec: FieldSpec) -> tuple[tuple, ...]:
-    tab = spec.tables
-    vectors = list(itertools.product(range(spec.s), repeat=alpha))
-    # prefixes of linearly independent rows with their spans, in increasing
-    # order; each extends by the vectors outside its span, in increasing
-    # order, so every level stays sorted (vectors[0] is the zero vector)
-    level = [((), {vectors[0]})]
-    for depth in range(alpha):
-        last = depth == alpha - 1
-        level = [
-            (rows + v, None if last else _span_with(span, v, tab))
-            for rows, span in level
-            for v in vectors
-            if v not in span
-        ]
-    return tuple(rows for rows, _ in level)
+    elems = subgroup_closure(mat_ops(alpha, spec), gl_generators(alpha, spec))
+    if len(elems) != gl_order(alpha, spec):  # generation, proved on every listing
+        raise AssertionError("gl_generators do not generate GL; unreachable")
+    return tuple(sorted(elems))
 
 
 @lru_cache(maxsize=32)
 def gl_generators(alpha: int, spec: FieldSpec) -> tuple:
-    """Greedy generators of GL(alpha, s) as matrix codes, in entry order:
-    orbits under conjugation by GL are orbits under these (cached). Callers
-    check their limit with gl_elements first."""
-    return tuple(greedy_generators(mat_ops(alpha, spec), _gl_elements(alpha, spec)))
+    """Generators of GL(alpha, s) as matrix codes, written down without
+    listing GL (cached): D = diag(w, 1, ..., 1), w the first element of order
+    s - 1 (left out at s = 2, where D = I); X = I + E_12; and the cyclic
+    permutation matrix P, row i's 1 in column i + 1 mod alpha. At alpha = 1,
+    w alone. Proof: conjugating X by the powers of D gives I + t E_12 for
+    every t != 0, and those by the powers of P every I + t E_(i,i+1), indices
+    mod alpha. For i, j, k distinct [I + a E_ij, I + b E_jk] = I + ab E_ik, so
+    walking from i to k gives every elementary transvection I + t E_ik; these
+    generate SL (E. Artin, Geometric Algebra, 1957, ch. IV), and det D = w
+    generates GF(s)*."""
+    if alpha < 1:
+        raise DegreeMismatch("alpha must be at least 1")
+    w = singer_generator(1, spec)
+    if alpha == 1:
+        return (w,)
+    ident = _identity_entries(alpha)
+    diag = w + ident[1:]
+    transvection = ident[:1] + (1,) + ident[2:]
+    cycle = tuple(int(j == (i + 1) % alpha) for i in range(alpha) for j in range(alpha))
+    return (diag,) * (spec.s > 2) + (transvection, cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ regular_scan also runs with the engine's lattice scan up to S_n-conjugacy
 to find the least regular elementary abelian subgroup. table_of builds the
 tests' table fixtures with a group's own product. poly_singer_generator
 takes the engine's modulus of GF(s^alpha) over GF(s) and its remainder on
-index tables, and does the rest in its own polynomial ring. FieldElem takes
+index tables, and does the rest in its own polynomial ring. row_by_row_gl
+lists GL(alpha, s) on the field's index tables without generators, the
+oracle of the engine's closure of gl_generators. FieldElem takes
 only a field's modulus from the engine and does its arithmetic on integers
 mod t. FractionLogBound takes the fixed-point log2 enclosure and the print
 limit from agroups.bounds and does the rest on Fractions. validate_report
@@ -401,6 +403,32 @@ def naive_det(a):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = total - term if inversions % 2 else total + term
     return total
+
+
+def row_by_row_gl(alpha, spec):
+    """GL(alpha, s) as matrix codes in entry order, listed row by row: each
+    row outside the span of the rows above it, spans kept as vector sets on
+    the field's index tables. No generators and no closure."""
+    tab = spec.tables
+
+    def span_with(span, vec):
+        multiples = [tuple(row[x] for x in vec) for row in tab.mul]
+        return {tuple(tab.add[x][y] for x, y in zip(u, m)) for u in span for m in multiples}
+
+    vectors = list(itertools.product(range(spec.s), repeat=alpha))
+    # prefixes of independent rows with their spans, in increasing order;
+    # each extends by the vectors outside its span, in increasing order, so
+    # every level stays sorted (vectors[0] is the zero vector)
+    level = [((), {vectors[0]})]
+    for depth in range(alpha):
+        last = depth == alpha - 1
+        level = [
+            (rows + v, None if last else span_with(span, v))
+            for rows, span in level
+            for v in vectors
+            if v not in span
+        ]
+    return [rows for rows, _ in level]
 
 
 # -- Singer generators in GF(s)[x]/(f), polynomials of element indices ---------------

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from agroups import cayley, census, perm
+from agroups import cayley, census, matgrp, perm
 from agroups.cayley import CayleyGroup, VarietyParams, are_isomorphic, elementary_abelian_table, in_variety
 from agroups.census import (
     enumerate_primitive_ar_classes,
@@ -300,8 +300,9 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
 
 def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
     # each candidate T.S is tested for blocks on the generators it was built
-    # from: canonical generators are taken for N(T)_0 and for the reported
-    # representatives only (T's basis is written down with T)
+    # from: canonical generators are taken for the reported representatives
+    # only (T's basis is written down with T, and N(T)_0's generators are
+    # the point maps of GL's written-down generators)
     calls = []
     real = cayley.canonical_generators
 
@@ -316,15 +317,15 @@ def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
     inventory = enumerate_primitive_classes(8, 2, 7)
     census._scan_cached.cache_clear()
     reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
-    assert inventory.count and len(calls) == 1 + inventory.count
-    assert sorted(calls[1:], key=perm.set_key) == sorted(reps, key=perm.set_key)
+    assert inventory.count and len(calls) == inventory.count
+    assert sorted(calls, key=perm.set_key) == sorted(reps, key=perm.set_key)
 
 
 def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
     # below degree 7 too, and in the single-prime inventories, each
     # candidate T.S is tested for blocks on the generators it was built
-    # from: canonical generators are taken for N(T)_0 and for the reported
-    # representatives only, and for nothing at a degree that is no prime
+    # from: canonical generators are taken for the reported representatives
+    # only, not for N(T)_0, and for nothing at a degree that is no prime
     # power
     calls = []
     real = cayley.canonical_generators
@@ -344,7 +345,8 @@ def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
         calls.clear()
         census._affine_setup.cache_clear()  # N(T)_0's generators are counted
         inventory = inventory_of(*args)
-        assert len(calls) == 1 + inventory.count, args
+        reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
+        assert sorted(calls, key=perm.set_key) == sorted(reps, key=perm.set_key), args
     calls.clear()
     assert enumerate_primitive_classes(6, 2, 3).count == 0 and not calls
 
@@ -406,11 +408,17 @@ def test_translations_are_the_least_regular_member_of_the_scan():
 
 @pytest.mark.parametrize("n", [4, 7, 8])
 def test_normalizer_stabilizer_table_matches_all_pairs(n):
-    # N(T)_0's table, chained from its generators' rows, against every
-    # product of two of its elements with the brute-force product
+    # N(T)_0's generators are the point maps of GL(k, u)'s written-down
+    # generators, and they generate N(T)_0 under the brute-force product;
+    # its table, chained from their rows, against every product of two of
+    # its elements
     u, k = next(iter(census.prime_factors(n).items()))
     _, _, stab, stab_gens, table = census._affine_setup(u, k)
-    assert list(stab_gens) == perm.greedy_generators(n, stab)
+    field = field_make(u, 1)
+    assert list(stab_gens) == [
+        cayley._linear_points(u, k, M) for M in matgrp.gl_generators(k, field)
+    ]
+    assert bf.naive_closure(n, [bf.images(g) for g in stab_gens]) == {bf.images(g) for g in stab}
     assert table == all_pairs_table(stab)
 
 

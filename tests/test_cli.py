@@ -406,6 +406,46 @@ def test_check_bounds_refuses_a_field_size_that_is_no_prime_power(capsys, formul
         assert err == f"error: InvalidParams: s = {s} is not a prime power"
 
 
+# the flags each check-bounds formula reads
+FORMULA_FLAGS = {
+    "theorem-a": ["--p", "--q", "--r"],
+    "gl-classes": ["--s", "--alpha"],
+    "transitive-count": ["--n"],
+    "gl-order": ["--alpha", "--q", "--r", "--s"],
+    "soluble-order": ["--n"],
+}
+
+
+@pytest.mark.parametrize(
+    "formula, given, missing",
+    [
+        ("theorem-a", ["--p", "2", "--alpha", "1"], "--q, --r"),
+        ("gl-classes", ["--alpha", "2"], "--s"),
+        ("transitive-count", [], "--n"),
+        ("gl-order", ["--s", "4", "--alpha", "2"], "--q, --r"),
+        ("soluble-order", ["--count", "3"], "--n"),
+    ],
+)
+def test_check_bounds_names_the_missing_flags(capsys, formula, given, missing):
+    # each formula refuses the flags it reads when they are not given, by
+    # name, rather than reading them as 0; given all, as 0, it refuses the
+    # value instead
+    err = one_error_line(capsys, "check-bounds", "--formula", formula, *given)
+    assert err == f"error: InvalidParams: formula {formula} needs {missing}"
+    flags = FORMULA_FLAGS[formula]
+    err = one_error_line(capsys, "check-bounds", "--formula", formula)
+    assert err == f"error: InvalidParams: formula {formula} needs {', '.join(flags)}"
+    zeros = [x for flag in flags for x in (flag, "0")]
+    assert "needs" not in one_error_line(capsys, "check-bounds", "--formula", formula, *zeros)
+
+
+def test_check_bounds_keeps_the_message_of_an_explicit_zero(capsys):
+    err = one_error_line(
+        capsys, "check-bounds", "--formula", "gl-order", "--s", "4", "--alpha", "2", "--q", "0", "--r", "3"
+    )
+    assert err == "error: InvalidParams: 0 is not prime"
+
+
 def test_verify_primitive_rejects_degree_one(capsys):
     err = one_error_line(capsys, "verify-primitive", "--q", "2", "--r", "3", "--gens", "()")
     assert err.startswith("error: NotPrimitive: degree 1")

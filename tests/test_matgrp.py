@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroups import matgrp
-from agroups.cayley import _element_orders, _power
+from agroups.cayley import _element_orders, _linear_points, _power
 from agroups.errors import (
     CharacteristicConflict,
     DegreeMismatch,
@@ -17,8 +17,9 @@ from agroups.errors import (
     NotPrime,
     SingularGenerator,
 )
-from agroups.gf import field_make, is_prime
+from agroups.gf import field_make, is_prime, prime_factors
 from agroups.matgrp import closure, gl_elements, gl_order, mat_ops
+from agroups.perm import PermGroup
 
 import bruteforce as bf
 from bruteforce import code_rows, naive_det, naive_mat_mul, rows_code
@@ -179,6 +180,59 @@ def test_row_enumeration_is_sorted_gl(alpha, t, k):
     assert len(elems) == gl_order(alpha, spec)
     assert all(x < y for x, y in zip(elems, elems[1:]))
     assert all(ops.mul(c, ops.inv(c)) == ops.identity for c in elems)
+
+
+# every (alpha, s) with |GL(alpha, s)| <= 20,160, except that alpha = 1 stops
+# at s = 256 and adds s = 1024: a field's tables cost s^2 to build
+SMALL_GL = [
+    (alpha, t, k)
+    for s in range(2, 1025)
+    if (s <= 256 or s == 1024) and len(factors := prime_factors(s)) == 1
+    for (t, k), in [factors.items()]
+    for alpha in range(1, 5)
+    if math.prod(s**alpha - s**i for i in range(alpha)) <= 20_160
+]
+
+
+@pytest.mark.parametrize("alpha, t, k", SMALL_GL)
+def test_gl_closure_matches_the_row_by_row_listing(alpha, t, k):
+    # the kernel's closure of the written-down generators, against GL listed
+    # row by row without generators
+    spec = field_make(t, k)
+    assert list(gl_elements(alpha, spec)) == bf.row_by_row_gl(alpha, spec)
+
+
+GL_POINT_CASES = [(u, d) for u in range(2, 128) if is_prime(u) for d in range(1, 8) if u**d <= 128]
+
+
+@pytest.mark.parametrize("u, d", GL_POINT_CASES + [(2, 8)])
+def test_gl_generators_generate_gl_past_the_listing(u, d):
+    # GL(d, u) acts faithfully on the u^d points of GF(u)^d, so the
+    # Schreier-Sims order of the generators' point maps proves generation
+    # without listing GL: GL(7, 2) and GL(8, 2) lie far past GL_BRUTE_LIMIT
+    spec = field_make(u, 1)
+    points = [_linear_points(u, d, M) for M in matgrp.gl_generators(d, spec)]
+    assert PermGroup(u**d, points).order == gl_order(d, spec)
+
+
+def test_gl_generators_list_nothing(monkeypatch):
+    # the generators are written down: no listing of GL runs for them, so
+    # GL(5, 2) and GL(8, 2), past the brute-force limit, have theirs, while
+    # listing GL(5, 2) is still refused
+    def refuse(*_):
+        raise AssertionError("GL was listed")
+
+    monkeypatch.setattr(matgrp, "_gl_elements", refuse)
+    matgrp.gl_generators.cache_clear()
+    for d, count in [(5, 2), (8, 2)]:
+        gens = matgrp.gl_generators(d, GF2)
+        assert len(gens) == count and all(len(g) == d * d for g in gens)
+    assert len(matgrp.gl_generators(3, field_make(2, 2))) == 3  # D, X and P over GF(4)
+    with pytest.raises(LimitExceeded):
+        gl_elements(5, GF2)
+    with pytest.raises(DegreeMismatch):
+        matgrp.gl_generators(0, GF2)
+    matgrp.gl_generators.cache_clear()
 
 
 @pytest.mark.parametrize("t, k", [(2, 2), (5, 1)])
