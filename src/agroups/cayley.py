@@ -661,10 +661,6 @@ def in_variety_exhaustive(G: CayleyGroup, chain) -> bool:
 # isomorphism and homomorphism search
 
 
-def minimal_generating_sequence(G: CayleyGroup) -> list[int]:
-    return canonical_generators(G, range(G.order))
-
-
 def _hom_search(G, gens, candidates_per_gen, mul, identity_image, injective, find_all):
     """Homomorphisms f from G = <gens> with f(gens[k]) in candidates_per_gen[k]
     (injective ones only, with injective), depth first in candidate order;
@@ -739,7 +735,7 @@ def _embeds(G: CayleyGroup, H: CayleyGroup) -> bool:
     h_by_order: dict[int, list[int]] = {}
     for a, o in enumerate(H.element_orders):
         h_by_order.setdefault(o, []).append(a)
-    gens = minimal_generating_sequence(G)
+    gens = canonical_generators(G, range(G.order))
     candidates = [h_by_order.get(G.element_orders[g], []) for g in gens]
     if gens:
         candidates[0] = list(_class_reps(H, candidates[0], H.generators))
@@ -758,7 +754,7 @@ def homomorphisms_to_mats(G: CayleyGroup, ops, codes, conjugators) -> list[list]
     class, and that generator tries only those images (_class_reps)."""
     codes = list(codes)
     orders = _element_orders(ops, codes)
-    gens = minimal_generating_sequence(G)
+    gens = canonical_generators(G, range(G.order))
     by_div = [
         [c for c, o in zip(codes, orders) if G.element_orders[g] % o == 0] for g in gens
     ]

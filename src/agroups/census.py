@@ -1,22 +1,18 @@
 """The S_n subgroup inventories and the three-prime variety census.
 
-The transitive inventories of small symmetric groups are produced by closing
-sets of prime-order generators upward through the subgroup lattice up to
-S_n-conjugacy, pruned only by facts that cannot exclude a target (order
-divisibility, the soluble order bound). The prime-order generators are
-the S_n-classes of products of disjoint p-cycles, each the conjugation
-orbit of one such product, so no scan walks the n! permutations. One
-representative per class is extended, its class is its orbit under the
-generators (1 2 ... n) and (1 2), and the filters, all invariant under
-conjugation, read representatives only. The primitive
-inventories, two-prime and single-prime, run no scan of S_n: a primitive
-soluble group is affine, so at every degree they go through the normalizer
-of one regular elementary abelian subgroup T, the translations of GF(u)^k,
-which is the least of its S_n-class. The targets are the T.S for the
-subgroups S of the normalizer's point stabiliser N(T)_0 whose orders use
-the variety's primes, taken up to conjugacy there. N(T)_0 is GL(k, u), each
-matrix read off as a permutation of the points, and its lattice runs on its
-multiplication table.
+No inventory scans S_n. A primitive soluble group is affine, so the
+primitive inventories, two-prime and single-prime, go at every degree
+through the normalizer of one regular elementary abelian subgroup T, the
+translations of GF(u)^k, which is the least of its S_n-class. The targets
+are the T.S for the subgroups S of the normalizer's point stabiliser N(T)_0
+whose orders use the variety's primes, taken up to conjugacy there. N(T)_0
+is GL(k, u), the closure of its generators read off as permutations of the
+points, and its lattice runs on its multiplication table. A transitive
+group is primitive, or it lies in the stabiliser S_a wr S_(n/a) of a block
+system, so the transitive inventories add to the primitive targets the
+transitive subgroups found by a lattice scan of each such wreath product.
+Each class is the conjugation orbit of its first member under the
+generators (1 2 ... n) and (1 2) of S_n.
 
 The variety census builds every group of order p^a q^b r^c in the three-prime
 variety as an iterated split extension P x| (Q x| R) with elementary abelian
@@ -30,12 +26,12 @@ the exhaustive subgroup scan of small GL.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .cayley import (
     CayleyGroup,
     VarietyParams,
+    _element_orders,
     _linear_points,
     _vector_sums,
     are_isomorphic,
@@ -44,6 +40,7 @@ from .cayley import (
     fitting_subgroup,
     homomorphisms_to_mats,
     in_variety,
+    subgroup_closure,
     subgroup_lattice,
     table_group,
 )
@@ -55,6 +52,7 @@ from .matgrp import (
     _greedy_gens,
     gl_elements,
     gl_generators,
+    gl_order,
     is_irreducible,
     mat_ops,
 )
@@ -68,7 +66,7 @@ from .perm import (
     set_key,
 )
 
-TRANSITIVE_DEGREE_LIMIT = 6
+TRANSITIVE_DEGREE_LIMIT = 7
 PRIMITIVE_DEGREE_LIMIT = 8
 CENSUS_ORDER_LIMIT = 400
 
@@ -135,7 +133,8 @@ def _divides_primes(order: int, primes) -> bool:
 
 
 def _scan_keep(primes):
-    """The keep of the inventories' lattice scans, of S_n and of N(T)_0: the
+    """The keep of the inventories' lattice scans, of N(T)_0 and of the
+    wreath products: the
     subgroups of primes-smooth order. Its rejection is upward-closed, as
     subgroup_lattice requires: by Lagrange, an overgroup of a subgroup whose
     order is not primes-smooth is not either; and it is invariant under
@@ -148,39 +147,6 @@ def _sn_generators(n) -> tuple:
     if n < 2:
         return ()
     return tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))
-
-
-def _prime_order_codes(n, primes) -> list[tuple[int, ...]]:
-    """Every code of S_n whose order is one of the primes, in lexicographic
-    order. An element of prime order p is a product of k disjoint p-cycles,
-    1 <= k <= n / p, and those of one k are an S_n-class: the conjugation
-    orbit of (1 2 ... p)(p+1 ... 2p)... under (1 2 ... n) and (1 2)."""
-    products = [
-        tuple(x if x >= k * p else x + 1 - p * ((x + 1) % p == 0) for x in range(n))
-        for p in primes
-        for k in range(1, n // p + 1)
-    ]
-    ops, sn_gens = perm_ops(n), _sn_generators(n)
-    return sorted(g for x in products for (g,) in conjugation_orbit(ops, (x,), sn_gens))
-
-
-@lru_cache(maxsize=64)
-def _scan_cached(n, primes, order_cap):
-    """The S_n-classes of subgroups of S_n generated by elements of the given
-    prime orders, of primes-smooth order at most order_cap (_scan_keep).
-    Returns a tuple of (representative, (generators, class)) pairs, code
-    frozensets. The universe is built from cycle types (_prime_order_codes),
-    not by testing the n! codes, in the lexicographic order that the scan's
-    discovery order and generators depend on."""
-    universe = _prime_order_codes(n, primes)
-    keep = _scan_keep(primes)
-    classes = subgroup_lattice(perm_ops(n), universe, order_cap, keep, _sn_generators(n))
-    return tuple(classes.items())
-
-
-def _subgroup_scan(n, primes, cap=None):
-    """Dict view of the cached lattice scan; see _scan_cached."""
-    return dict(_scan_cached(n, tuple(sorted(set(primes))), cap))
 
 
 def _signature(order: int, q: int, r: int) -> tuple[int, int]:
@@ -208,26 +174,44 @@ def _build_inventory(n, q, r, classes, filter_desc) -> ClassInventory:
     return ClassInventory(f"S{n}", n, filter_desc, tuple(entries))
 
 
+def _wreath_generators(a: int, b: int) -> tuple:
+    """Generators of S_a wr S_b on the n = a b points, as codes: S_a's on the
+    block 0, ..., a - 1 and S_b's permuting the blocks i a, ..., i a + a - 1
+    as wholes. The block moves carry S_a to every block, so they generate
+    the stabiliser of the block system, of order (a!)^b b!."""
+    n = a * b
+    on_block = [g + tuple(range(a, n)) for g in _sn_generators(a)]
+    of_blocks = [tuple(g[x // a] * a + x % a for x in range(n)) for g in _sn_generators(b)]
+    return tuple(dict.fromkeys(on_block + of_blocks))
+
+
 def enumerate_transitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of transitive two-prime-variety subgroups of S_n,
-    from the class scan of S_n: a class size is the length of the S_n-class.
-    A transitive group's order is divisible by n, and the scan keeps only
-    {q, r}-smooth orders: unless n is {q, r}-smooth there is none to scan
-    for."""
+    each sized by the length of its S_n-class (A. Hulpke, J. Symbolic
+    Comput. 39, 2005). A transitive group is primitive, so a target of
+    _affine_primitive_groups, or it has blocks of some size a, 1 < a < n, and
+    is conjugate into S_a wr S_(n/a) (Krasner-Kaloujnine). A group in the
+    variety is N x| R with N and R elementary abelian (Schur-Zassenhaus), so
+    it is generated by its elements of order q and r, the universe of each
+    wreath product's scan. Its order is divisible by n: unless n is
+    {q, r}-smooth there is none."""
     _check_pair(q, r)
     _check_degree(n, TRANSITIVE_DEGREE_LIMIT, "transitive")
-    classes = []
-    if _divides_primes(n, (q, r)):
-        # the soluble order bound: order^2 <= 6^(n-1) iff order <= isqrt(6^(n-1))
-        cap = math.isqrt(6 ** (n - 1))
-        ops = perm_ops(n)
-        classes = [
-            cls
-            for elems, (gens, cls) in _subgroup_scan(n, (q, r), cap).items()
-            if len(elems) % n == 0  # transitive needs n | order
-            and len({g[0] for g in elems}) == n  # the orbit of point 0
-            and in_variety(ops, [q, r], gens)
-        ]
+    chain, ops, sn_gens = (q, r), perm_ops(n), _sn_generators(n)
+    targets, _ = _affine_primitive_groups(n, chain)
+    classes = [conjugation_orbit(ops, g, sn_gens) for g in targets]
+    found = {g for cls in classes for g in cls}
+    block_sizes = [a for a in range(2, n) if n % a == 0] if _divides_primes(n, chain) else []
+    for a in block_sizes:
+        wreath = _wreath_generators(a, n // a)
+        elems = sorted(subgroup_closure(ops, wreath))
+        universe = [g for g, o in zip(elems, _element_orders(ops, elems)) if o in chain]
+        lattice = subgroup_lattice(ops, universe, keep=_scan_keep(chain), conjugators=wreath)
+        for sub, (gens, _) in lattice.items():
+            # transitive when the orbit of point 0 is every point
+            if sub not in found and len({g[0] for g in sub}) == n and in_variety(ops, chain, gens):
+                classes.append(conjugation_orbit(ops, sub, sn_gens))
+                found.update(classes[-1])
     return _build_inventory(n, q, r, classes, f"transitive, variety [{q}, {r}]")
 
 
@@ -270,15 +254,18 @@ def _affine_setup(u: int, k: int) -> tuple:
     rows of GF(u)^k's addition table. An element of N(T)_0 induces an
     automorphism of T, a linear map M as u is prime, and it is the point map
     v -> v M: so N(T)_0 is GL(k, u), not a search of the points' images, and
-    its generators are the point maps of GL's (gl_generators)."""
+    its generators are the point maps of GL's (gl_generators), and N(T)_0 is
+    their closure, with no matrix listing of GL."""
     n = u**k
     rows = _vector_sums(u, k)
     t_gens = tuple(rows[u**j] for j in range(k))
     stab, stab_gens = ((0,),), ()
     if k:
         field = field_make(u, 1)
-        stab = tuple(sorted(_linear_points(u, k, M) for M in gl_elements(k, field)))
         stab_gens = tuple(_linear_points(u, k, M) for M in gl_generators(k, field))
+        stab = tuple(sorted(subgroup_closure(perm_ops(n), stab_gens)))
+        if len(stab) != gl_order(k, field):  # generation, proved on every setup
+            raise AssertionError("gl_generators do not generate GL; unreachable")
     return frozenset(rows), t_gens, stab, stab_gens, table_group(perm_ops(n), stab, stab_gens)
 
 

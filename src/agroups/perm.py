@@ -16,8 +16,8 @@ Schreier-Sims on codes, which gives exact orders, membership and the element
 list; orbits and blocks need its generators only, so the primitive route
 tests its candidates for blocks without a chain. A subgroup stays a code set
 on the subgroup kernel (closures, extensions, generators, normal closures,
-the S_n lattice scans, conjugacy) unless a listed group becomes a table
-(cayley.table_group), as N(T)_0 in the primitive route and the group under
+the wreath products' lattice scans, conjugacy) unless a listed group becomes
+a table (cayley.table_group), as N(T)_0 in the affine route and the group under
 the Theorem B checks do, so the kernel runs on its indices; the normal
 structure (minimal normal subgroups, the Fitting subgroup) is read off such
 a table by exhaustive element scans. An exhaustive closure cross-check of
@@ -327,14 +327,9 @@ def extend_set(
     return cayley.extend_subgroup(perm_ops(degree), elems, gens, new_gen, cap)
 
 
-def greedy_generators(degree: int, elems) -> list[tuple]:
-    """The canonical generators of a subgroup given as a code set."""
-    return cayley.canonical_generators(perm_ops(degree), elems)
-
-
 def group_from_set(degree: int, elems) -> PermGroup:
-    """The PermGroup of a code set, on its greedy generators."""
-    return PermGroup(degree, greedy_generators(degree, elems))
+    """The PermGroup of a code set, on its canonical generators."""
+    return PermGroup(degree, cayley.canonical_generators(perm_ops(degree), elems))
 
 
 def set_key(elems) -> tuple:

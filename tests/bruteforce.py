@@ -11,7 +11,11 @@ builds the S_n inventories from every subgroup with the engine's lattice scan
 (no conjugators) and filters; its single-prime members come from the
 fixed-point-free scan under the oracle's own keep (regular_keep), which
 regular_scan also runs with the engine's lattice scan up to S_n-conjugacy
-to find the least regular elementary abelian subgroup. table_of builds the
+to find the least regular elementary abelian subgroup. sn_class_scan is the
+lattice scan of S_n up to S_n-conjugacy on its prime-order elements
+(prime_order_codes), the route the transitive inventory took before the
+affine normaliser and the wreath products; sn_scan_transitive_inventory
+and generic_primitive_inventory read their classes off it. table_of builds the
 tests' table fixtures with a group's own product. poly_singer_generator
 takes the engine's modulus of GF(s^alpha) over GF(s) and its remainder on
 index tables, and does the rest in its own polynomial ring. row_by_row_gl
@@ -743,11 +747,7 @@ def unreduced_census(params, traversal="forward"):
     """The three-prime census from every action homomorphism (no orbit
     reduction), each table compared with every kept one (no invariant
     buckets), in the traversal order enumerate_variety_groups documents."""
-    from agroups.cayley import (
-        CayleyGroup,
-        elementary_abelian_table,
-        minimal_generating_sequence,
-    )
+    from agroups.cayley import CayleyGroup, canonical_generators, elementary_abelian_table
     from agroups.census import VarietyCensus
     from agroups.gf import field_make
     from agroups.matgrp import gl_elements
@@ -760,7 +760,8 @@ def unreduced_census(params, traversal="forward"):
             return [H]
         field = field_make(u, 1)
         gl = gl_elements(dim, field)
-        homs = allpairs_homomorphisms_to_mats(H, minimal_generating_sequence(H), field, gl)
+        gens = canonical_generators(H, range(H.order))
+        homs = allpairs_homomorphisms_to_mats(H, gens, field, gl)
         actions = maybe_reverse([[m[i] for i in range(len(H.table))] for m in homs])
         return [
             CayleyGroup(naive_semidirect_table(u, dim, action, H), H.identity) for action in actions
@@ -877,13 +878,13 @@ def regular_scan(n, r):
     that can be transitive: transitive abelian groups are regular), by the
     lattice scan under regular_keep, as a dict from each class
     representative to (its generators, its class), code sets. The universe
-    is the engine's prime-order codes, which the tests check against the n!
-    codes filtered up to degree 8, with the fixed points dropped here."""
+    is prime_order_codes, which the tests check against the n! codes
+    filtered up to degree 8, with the fixed points dropped here."""
     from agroups import census
     from agroups.cayley import subgroup_lattice
     from agroups.perm import perm_ops
 
-    universe = [g for g in census._prime_order_codes(n, (r,)) if fixed_point_free(g)]
+    universe = [g for g in prime_order_codes(n, (r,)) if fixed_point_free(g)]
     keep = regular_keep(n, (r,))
     return subgroup_lattice(perm_ops(n), universe, n, keep, census._sn_generators(n))
 
@@ -923,8 +924,8 @@ def regular_normal_candidates(n):
     T the least regular elementary abelian subgroup (all of them checked
     conjugate), S every subgroup of the point stabiliser of N(T), found from
     a scan of all of S_n and the stabiliser's multiplication table."""
-    from agroups.cayley import all_subgroups, conjugation_orbit
-    from agroups.perm import extend_set, greedy_generators, perm_ops, set_key
+    from agroups.cayley import all_subgroups, canonical_generators, conjugation_orbit
+    from agroups.perm import extend_set, perm_ops, set_key
 
     u = min(p for p in range(2, n + 1) if n % p == 0)
     regulars = [elems for elems, _ in full_sn_scan(n, (u,), n, True) if len(elems) == n]
@@ -932,7 +933,7 @@ def regular_normal_candidates(n):
     ops = perm_ops(n)
     sn_gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
     assert set(conjugation_orbit(ops, T, sn_gens)) == set(regulars)
-    t_gens = greedy_generators(n, T)
+    t_gens = canonical_generators(ops, T)
     stab_codes = naive_normalizer(n, T, fixing=(0,))
     out = []
     for sub in all_subgroups(codes_table(stab_codes, ops)):
@@ -945,23 +946,83 @@ def regular_normal_candidates(n):
     return u, out
 
 
-def generic_primitive_inventory(n, q, r):
-    """The primitive inventory from the S_n class scan, at any degree (the
-    engine's transitive inventory stops at degree 6): the transitive classes
-    in the variety, each tested for blocks on the generators the scan built
-    its first member from, and sized by the length of its S_n-class."""
+def prime_order_codes(n, primes):
+    """Every code of S_n whose order is one of the primes, in lexicographic
+    order, without walking S_n. An element of prime order p is a product of
+    k disjoint p-cycles, 1 <= k <= n / p, and those of one k are an
+    S_n-class: the conjugation orbit of (1 2 ... p)(p+1 ... 2p)... under
+    (1 2 ... n) and (1 2)."""
+    from agroups import census
+    from agroups.cayley import conjugation_orbit
+    from agroups.perm import perm_ops
+
+    products = [
+        tuple(x if x >= k * p else x + 1 - p * ((x + 1) % p == 0) for x in range(n))
+        for p in primes
+        for k in range(1, n // p + 1)
+    ]
+    ops, sn_gens = perm_ops(n), census._sn_generators(n)
+    return sorted(g for x in products for (g,) in conjugation_orbit(ops, (x,), sn_gens))
+
+
+@functools.lru_cache(maxsize=None)
+def sn_class_scan(n, primes, cap=None):
+    """The S_n-classes of subgroups of S_n generated by elements of the given
+    prime orders (prime_order_codes), of primes-smooth order
+    (census._scan_keep) at most cap, by the lattice scan of S_n up to
+    conjugacy under (1 2 ... n) and (1 2): a dict from each class
+    representative to (its generators, its class), code sets. Cached; the
+    callers only read it."""
+    from agroups import census
+    from agroups.cayley import subgroup_lattice
+    from agroups.perm import perm_ops
+
+    universe = prime_order_codes(n, primes)
+    keep = census._scan_keep(primes)
+    return subgroup_lattice(perm_ops(n), universe, cap, keep, census._sn_generators(n))
+
+
+def sn_scan_transitive_classes(n, q, r):
+    """(generators, class) of every S_n-class of transitive subgroups of S_n
+    in the [q, r] variety, from sn_class_scan under the soluble order bound
+    (order^2 <= 6^(n-1) iff order <= isqrt(6^(n-1))), with n | order and the
+    orbit of point 0 as the transitivity test; none unless n is {q, r}-smooth."""
     from agroups import census
     from agroups.cayley import in_variety
-    from agroups.perm import PermGroup, perm_ops
+    from agroups.perm import perm_ops
 
+    if not census._divides_primes(n, (q, r)):
+        return []
     ops = perm_ops(n)
-    classes = [
-        cls
-        for elems, (gens, cls) in census._subgroup_scan(n, (q, r), math.isqrt(6 ** (n - 1))).items()
+    return [
+        (gens, cls)
+        for elems, (gens, cls) in sn_class_scan(n, (q, r), math.isqrt(6 ** (n - 1))).items()
         if len(elems) % n == 0
-        and len({g[0] for g in elems}) == n  # the orbit of point 0
+        and len({g[0] for g in elems}) == n
         and in_variety(ops, [q, r], gens)
-        and PermGroup(n, gens).is_primitive()
+    ]
+
+
+def sn_scan_transitive_inventory(n, q, r):
+    """The transitive inventory at any degree from the S_n class scan: the
+    route enumerate_transitive_classes took before it went through the
+    affine normaliser and the wreath products."""
+    from agroups import census
+
+    classes = [cls for _, cls in sn_scan_transitive_classes(n, q, r)]
+    return census._build_inventory(n, q, r, classes, f"transitive, variety [{q}, {r}]")
+
+
+def generic_primitive_inventory(n, q, r):
+    """The primitive inventory from the S_n class scan, at any degree: the
+    transitive classes in the variety, each tested for blocks on the
+    generators the scan built its first member from, and sized by the
+    length of its S_n-class."""
+    from agroups import census
+    from agroups.perm import PermGroup
+
+    classes = [
+        cls for gens, cls in sn_scan_transitive_classes(n, q, r) if PermGroup(n, gens).is_primitive()
     ]
     return census._build_inventory(n, q, r, classes, f"primitive, variety [{q}, {r}]")
 

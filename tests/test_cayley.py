@@ -290,14 +290,14 @@ def test_are_isomorphic_finds_relabelled_copies():
 
 
 def test_homomorphisms_to_mats_match_the_allpairs_search():
-    from agroups.cayley import homomorphisms_to_mats, minimal_generating_sequence
+    from agroups.cayley import canonical_generators, homomorphisms_to_mats
 
     V4 = elementary_abelian_table(2, 2)
     for u in (2, 3):
         field = field_make(u, 1)
         codes = matgrp.gl_elements(2, field)
         for G in (cyclic_table(2), cyclic_table(3), V4, S3):
-            gens = minimal_generating_sequence(G)
+            gens = canonical_generators(G, range(G.order))
             expected = bf.allpairs_homomorphisms_to_mats(G, gens, field, codes)
             found = homomorphisms_to_mats(G, matgrp.mat_ops(2, field), codes, ())
             assert found == [[f[x] for x in range(G.order)] for f in expected]

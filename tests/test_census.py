@@ -101,7 +101,7 @@ def test_transitive_excludes_non_variety_groups():
 
 def test_transitive_degree_limit():
     with pytest.raises(DegreeLimit):
-        enumerate_transitive_classes(7, 2, 3)
+        enumerate_transitive_classes(8, 2, 3)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -134,6 +134,58 @@ def test_inventories_match_pairwise_oracle(n):
         ):
             expected = bf.pairwise_inventory(kind, n, q, r).to_json()
             assert fn(n, q, r).to_json() == expected, (kind, q, r)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_transitive_inventories_match_the_sn_scan_oracle(n):
+    # the affine targets and the wreath products' lattices against the class
+    # scan of all of S_n on its prime-order elements, the route they replaced
+    for q, r in itertools.permutations((2, 3, 5, 7), 2):
+        expected = bf.sn_scan_transitive_inventory(n, q, r).to_json()
+        assert enumerate_transitive_classes(n, q, r).to_json() == expected, (q, r)
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
+def test_wreath_generators_generate_the_block_stabiliser(a, b):
+    # S_a wr S_b preserves the blocks i a, ..., i a + a - 1, and its order
+    # (a!)^b b! is the order of the whole stabiliser of that block system
+    n = a * b
+    gens = census._wreath_generators(a, b)
+    blocks = {frozenset(range(i * a, i * a + a)) for i in range(b)}
+    assert all(frozenset(g[x] for x in block) in blocks for g in gens for block in blocks)
+    closure = bf.naive_closure(n, [bf.images(g) for g in gens])
+    assert len(closure) == math.factorial(a) ** b * math.factorial(b)
+
+
+def test_transitive_inventories_scan_no_sn(monkeypatch):
+    # the transitive inventories scan N(T)_0's table and the wreath products
+    # S_a wr S_(n/a), each up to conjugacy under its own generators, never S_n
+    lattices = []
+    real = census.subgroup_lattice
+
+    def spy(G, universe, cap=None, keep=None, conjugators=()):
+        lattices.append((G, tuple(conjugators)))
+        return real(G, universe, cap, keep, conjugators)
+
+    monkeypatch.setattr(census, "subgroup_lattice", spy)
+    for n in range(1, 8):
+        wreaths = {census._wreath_generators(a, n // a) for a in range(2, n) if n % a == 0}
+        for q, r in itertools.permutations((2, 3, 5, 7), 2):
+            lattices.clear()
+            enumerate_transitive_classes(n, q, r)
+            for G, conjugators in lattices:
+                assert isinstance(G, CayleyGroup) or conjugators in wreaths, (n, q, r)
+
+
+def test_cold_degree_8_primitive_lists_no_gl(monkeypatch):
+    # N(T)_0 is the closure of the point maps of GL's generators, so a cold
+    # degree-8 inventory lists no GL(3, 2) as matrices
+    def refuse(alpha, spec):
+        raise AssertionError(f"GL({alpha}, {spec.s}) listed")
+
+    monkeypatch.setattr(matgrp, "_gl_elements", refuse)
+    census._affine_setup.cache_clear()
+    assert enumerate_primitive_classes(8, 2, 7).count == 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -198,7 +250,7 @@ def test_sn_class_length_is_the_index_times_the_class_size(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_prime_order_universe_matches_the_filtered_sn(n):
     for p in (2, 3, 5, 7):
-        built = census._prime_order_codes(n, (p,))
+        built = bf.prime_order_codes(n, (p,))
         assert built == bf.naive_prime_order_codes(n, (p,), False), p
         if p > n:
             assert built == [], p
@@ -207,7 +259,7 @@ def test_prime_order_universe_matches_the_filtered_sn(n):
             n, (p,), True
         ), p
     for primes in ((2, 3), (2, 5, 7)):
-        assert census._prime_order_codes(n, primes) == bf.naive_prime_order_codes(
+        assert bf.prime_order_codes(n, primes) == bf.naive_prime_order_codes(
             n, primes, False
         )
 
@@ -255,7 +307,7 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
     # automorphisms of T, and N(T)_0's lattice runs on the indices of its table, on the
     # {q, r}-elements under the {q, r}-order keep
     q, r = 2, 7
-    counts = {"_prime_order_codes": 0, "_divides_primes": 0}
+    counts = {"_divides_primes": 0}
     lattice_calls, stabs = [], []
 
     def counting(name, fn):
@@ -279,12 +331,9 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
         monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
     monkeypatch.setattr(census, "subgroup_lattice", lattice_spy)
     monkeypatch.setattr(census, "_affine_setup", setup_spy)
-    census._scan_cached.cache_clear()
     inventory = enumerate_primitive_classes(8, q, r)
-    census._scan_cached.cache_clear()
     assert inventory.count
     assert all(c < 40320 // 20 for c in counts.values()), counts
-    assert counts["_prime_order_codes"] == 0, counts  # no universe of S_8
     sn_gens = list(census._sn_generators(8))
     assert all(c[2] != sn_gens for c in lattice_calls)  # no scan of S_8 remains
     (universe, keep, conjugators), = lattice_calls
@@ -312,10 +361,8 @@ def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
         return real(G, elems)
 
     monkeypatch.setattr(cayley, "canonical_generators", spy)
-    census._scan_cached.cache_clear()
     census._affine_setup.cache_clear()  # N(T)_0's generators are counted
     inventory = enumerate_primitive_classes(8, 2, 7)
-    census._scan_cached.cache_clear()
     reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
     assert inventory.count and len(calls) == inventory.count
     assert sorted(calls, key=perm.set_key) == sorted(reps, key=perm.set_key)
@@ -372,7 +419,6 @@ def test_primitive_inventories_build_chains_for_representatives_only(monkeypatch
 def test_primitive_inventories_scan_no_sn(monkeypatch):
     # every primitive inventory, two-prime or single-prime, at every degree,
     # runs one lattice: N(T)_0's, on its table; no class scan of S_n runs
-    # and the S_n scans' cache stays empty
     lattices = []
     real = census.subgroup_lattice
 
@@ -381,13 +427,11 @@ def test_primitive_inventories_scan_no_sn(monkeypatch):
         return real(G, universe, cap, keep, conjugators)
 
     monkeypatch.setattr(census, "subgroup_lattice", spy)
-    census._scan_cached.cache_clear()
     for n in range(1, 9):
         for q, r in itertools.permutations((2, 3, 5, 7), 2):
             enumerate_primitive_classes(n, q, r)
         for r in (2, 3, 5, 7):
             enumerate_primitive_ar_classes(n, r)
-    assert census._scan_cached.cache_info().currsize == 0
     assert lattices and all(isinstance(G, CayleyGroup) for G in lattices)
 
 
@@ -403,7 +447,7 @@ def test_translations_are_the_least_regular_member_of_the_scan():
         regulars = [cls for elems, (_, cls) in bf.regular_scan(n, u).items() if len(elems) == n]
         assert len(regulars) == 1, n
         assert tuple(T) == min(map(perm.set_key, regulars[0])), n
-        assert list(basis) == perm.greedy_generators(n, T), n
+        assert list(basis) == cayley.canonical_generators(perm.perm_ops(n), T), n
 
 
 @pytest.mark.parametrize("n", [4, 7, 8])
@@ -434,7 +478,7 @@ def test_degree_precut_drops_no_transitive_subgroup():
             if census._divides_primes(n, (q, r)):
                 continue
             cut += 1
-            scan = census._subgroup_scan(n, (q, r), math.isqrt(6 ** (n - 1)))
+            scan = bf.sn_class_scan(n, (q, r), math.isqrt(6 ** (n - 1)))
             assert all(len(elems) % n for _, cls in scan.values() for elems in cls), (n, q, r)
             assert enumerate_transitive_classes(n, q, r).count == 0
             assert enumerate_primitive_classes(n, q, r).count == 0
