@@ -5,10 +5,11 @@ kernel here (closure by coset extension, greedy and canonical generators,
 normal closure, verbal subgroups, lattice scan, conjugation orbits,
 conjugator scan, minimal normal subgroups, Fitting subgroup) runs on any
 group given by a product, an identity and an inverse, so the permutation and
-matrix layers bind it to their codes instead of keeping copies. A group whose
-elements are already listed becomes a table (table_group) where the kernel
-then runs on its indices: the generators' rows are code products, and every
-other row is a row gather.
+matrix layers bind it to their codes instead of keeping copies. table_group
+builds every table but GF(u)^k's addition table from a product on the
+element numbering and the generators: a listed permutation group on its
+sorted codes, a split extension on its pair indices, a quotient on its coset
+indices. Generator rows are products; every other row is a row gather.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
 into GL, on matrix codes, for the census oracle. Each backtracking level
@@ -32,6 +33,7 @@ import itertools
 import math
 import operator
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 from .errors import InvalidParams, LimitExceeded, NotNormal
 from .gf import is_prime, prime_factors, printable_product
@@ -76,7 +78,7 @@ class CayleyGroup:
 
         if not all(map(is_perm, t)):
             raise InvalidParams("table rows must be permutations of the indices")
-        flat = _joined(t, rows)
+        flat = b"".join(t) if rows is bytes else tuple(itertools.chain.from_iterable(t))
         columns = [flat[c::n] for c in range(n)]
         if not all(map(is_perm, columns)):
             raise InvalidParams("table columns must be permutations of the indices")
@@ -181,11 +183,6 @@ def _row_type(n: int) -> type:
     return bytes if n <= 256 else tuple
 
 
-def _joined(parts, rows: type):
-    """The parts, each of the row type rows, concatenated into one of it."""
-    return b"".join(parts) if rows is bytes else tuple(itertools.chain.from_iterable(parts))
-
-
 def _key(row):
     """row as the key of a gather: bytes padded to translate's 256 bytes."""
     return row + bytes(256 - len(row)) if type(row) is bytes else row
@@ -237,11 +234,12 @@ def _linear_points(u: int, k: int, code) -> tuple[int, ...]:
 
 def table_group(G, elems, gens) -> CayleyGroup:
     """The table of the group elems = <gens>, a sorted element list of a
-    group given by G.mul and G.identity (permutation or matrix codes), on the
-    indices of elems. Only the generators' rows are products, |elems| each;
-    every other row is chained from them along the Cayley graph as a C-level
-    gather, row(a g) = row(a) gathered at the entries of row(g), since
-    a g b = a (g b). The table is validated like any other."""
+    group given by G.mul and G.identity (permutation codes, or the indices of
+    a split extension's pairs or a quotient's cosets), on the indices of
+    elems. Only the generators' rows are products, |elems| each; every other
+    row is chained from them along the Cayley graph as a C-level gather,
+    row(a g) = row(a) gathered at the entries of row(g), since a g b =
+    a (g b). The table is validated like any other."""
     index = {x: i for i, x in enumerate(elems)}
     mul, rows = G.mul, _row_type(len(elems))
     gathers = [(index[g], _gather(rows([index[mul(g, b)] for b in elems]))) for g in gens]
@@ -350,8 +348,9 @@ def greedy_generators(G, elems, key=None) -> list:
 
 def canonical_generators(G, elems) -> list:
     """The greedy generators of the subgroup elems taken by decreasing
-    element order, then by element: the generators every permutation,
-    matrix and table group is reported and searched by."""
+    element order, then by element: the generators a permutation or matrix
+    group built from a code set is reported by, and the ones the isomorphism
+    and homomorphism searches map."""
     elems = list(elems)
     order = dict(zip(elems, _element_orders(G, elems)))
     return greedy_generators(G, elems, key=lambda x: (-order[x], x))
@@ -601,22 +600,18 @@ def quotient(G: CayleyGroup, N: frozenset[int]) -> CayleyGroup:
     """Coset multiplication table; cosets ordered by least member."""
     if not is_normal(G, N):
         raise NotNormal("subgroup is not normal")
-    # scanning indices in increasing order makes each rep the least member
+    # the least index not yet covered is the least member of its coset
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for a in range(G.order):
-        if a in coset_of:
-            continue
-        members = sorted(G.mul(n, a) for n in N)
-        rep_index = len(reps)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = rep_index
-    table = tuple(
-        tuple(coset_of[G.mul(reps[i], reps[j])] for j in range(len(reps)))
-        for i in range(len(reps))
+        if a not in coset_of:
+            coset_of.update(dict.fromkeys([G.mul(n, a) for n in N], len(reps)))
+            reps.append(a)
+    cosets = SimpleNamespace(
+        mul=lambda i, j: coset_of[G.mul(reps[i], reps[j])], identity=coset_of[G.identity]
     )
-    return CayleyGroup(table, coset_of[G.identity])
+    gens = dict.fromkeys(coset_of[g] for g in G.generators)
+    return table_group(cosets, range(len(reps)), gens)
 
 
 def _quotient_orders(G: CayleyGroup, N: frozenset[int]) -> tuple[int, ...]:

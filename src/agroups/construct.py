@@ -6,18 +6,19 @@ group of translations of F_q^beta extended by one linear map of order r (a
 power of the Singer generator). verify_theorem_b re-derives the structural
 facts from the built group and reports each check separately; it lists the
 group's elements once, makes their multiplication table, and reads the
-variety, M, F(G) and the point stabiliser off that table.
+variety, M, F(G) and the point stabiliser off that table. semidirect_product
+builds a split extension's table by cayley.table_group from the pair product.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from .cayley import (
     TABLE_LIMIT,
     CayleyGroup,
     _linear_points,
-    _joined,
     _power,
-    _row_type,
     _vector_sums,
     fitting_subgroup,
     in_variety,
@@ -213,7 +214,8 @@ def semidirect_product(
     Elements are pairs (vector, h) ordered by (vector index, h index), the
     vectors numbered as in GF(u)^dim's addition table (cayley._vector_sums).
     Vectors are rows, h acts on the kernel by conjugation, h^-1 v h = v M(h),
-    so the product is (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2).
+    so the product is (v1, h1)(v2, h2) = (v1 + v2 M(h1^-1), h1 h2), on the
+    pair indices v |H| + h.
     """
     u, dim = kernel_prime, kernel_dim
     ops = mat_ops(dim, field_make(u, 1))
@@ -236,22 +238,18 @@ def semidirect_product(
         raise LimitExceeded(f"product order {order} exceeds the table limit")
 
     vsum = _vector_sums(u, dim)
-    h_count = acting.order
-    # products need v -> v M(h^-1), read off once per h rather than once per
-    # table cell
-    moved = [_linear_points(u, dim, codes[acting.inv(h)]) for h in range(h_count)]
+    h_count, h_table = acting.order, acting.table
+    # table_group multiplies only generator rows, whose h is e or generates H
+    moved = {
+        h: _linear_points(u, dim, codes[acting.inv(h)])
+        for h in (acting.identity, *acting.generators)
+    }
 
-    # row (v1, h1) is, for each w in order, the block of the pairs
-    # (vsum[v1][moved[h1][w]], h1 h2) over h2; block i of h1 holds the
-    # indices i |H| + h over the h in h1's row
-    rows = _row_type(order)
-    blocks = [
-        [rows(map((i * h_count).__add__, h_row)) for i in range(len(vsum))]
-        for h_row in acting.table
-    ]
-    table = tuple(
-        _joined(map(blocks[h1].__getitem__, map(v_row.__getitem__, moved[h1])), rows)
-        for v_row in vsum
-        for h1 in range(h_count)
-    )
-    return CayleyGroup(table, acting.identity)
+    def pair_mul(a, b):
+        (v1, h1), (v2, h2) = divmod(a, h_count), divmod(b, h_count)
+        return vsum[v1][moved[h1][v2]] * h_count + h_table[h1][h2]
+
+    # the translations by the unit vectors, then (0, g) for H's generators
+    gens = [u**j * h_count + acting.identity for j in range(dim)] + list(acting.generators)
+    pairs = SimpleNamespace(mul=pair_mul, identity=acting.identity)
+    return table_group(pairs, range(order), gens)

@@ -4,21 +4,22 @@ A permutation of the points 1..n is its code: the tuple of its 0-based point
 images, multiplied by one C-level map and hashed and compared as a plain
 tuple. perm_ops binds the subgroup kernel in cayley to codes. Products
 compose left to right: mul(a, b) sends x to b[a[x]], so x^(ab) = (x^a)^b.
-Points are 1-based only at the edges: cycle notation, orbits, blocks and
-the JSON wire format. A code sorts exactly as its 1-based images do, so every
+Points are 1-based only at the edges: cycle notation, blocks and the JSON
+wire format. A code sorts exactly as its 1-based images do, so every
 canonical order is the same in both forms. The input formats refuse a degree
 above TABLE_LIMIT before any code is built.
 
 A PermGroup is a group that arrives as generators: an input, a construction,
 an inventory representative. It keeps its generators as codes and carries a
 base and strong generating set built with a deterministic incremental
-Schreier-Sims on codes, which gives exact orders, membership and the element
-list; orbits and blocks need its generators only, so the primitive route
-tests its candidates for blocks without a chain. A subgroup stays a code set
-on the subgroup kernel (closures, extensions, generators, normal closures,
-the wreath products' lattice scans, conjugacy) unless a listed group becomes
-a table (cayley.table_group), as N(T)_0 in the affine route and the group under
-the Theorem B checks do, so the kernel runs on its indices; the normal
+Schreier-Sims on codes, which gives exact orders and membership; its element
+list is the kernel's closure of the generators, and blocks need its
+generators only, so the primitive route tests its candidates for blocks
+without a chain. A subgroup stays a code set on the subgroup kernel
+(closures, extensions, generators, normal closures, the wreath products'
+lattice scans, conjugacy) unless a listed group becomes a table
+(cayley.table_group), as N(T)_0 in the affine route and the group under the
+Theorem B checks do, so the kernel runs on its indices; the normal
 structure (minimal normal subgroups, the Fitting subgroup) is read off such
 a table by exhaustive element scans. An exhaustive closure cross-check of
 the chain order is part of the test suite, not of construction.
@@ -194,37 +195,16 @@ class PermGroup:
         ops = perm_ops(self.degree)
         return _sift(ops, tuple(code), self._base, self._transversals)[0] == ops.identity
 
-    def __contains__(self, code) -> bool:
-        return self.contains(code)
-
     def codes(self) -> list[tuple[int, ...]]:
-        """All elements as codes, canonically sorted: the products of one
-        transversal map per level, deepest level first."""
+        """All elements as codes, sorted: the kernel's closure of the
+        generators."""
         if self._codes is None:
             if self.order > EXHAUSTIVE_ORDER_LIMIT:
                 raise LimitExceeded(
                     f"order {self.order} exceeds exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"
                 )
-            ops = perm_ops(self.degree)
-            codes = [ops.identity]
-            for trans in reversed(self._transversals):
-                codes = [ops.mul(a, u) for a in codes for u in trans.values()]
-            self._codes = sorted(codes)
+            self._codes = sorted(cayley.subgroup_closure(self.ops, self.generators))
         return list(self._codes)
-
-    # -- orbits, blocks ----------------------------------------------------
-
-    def orbits(self) -> list[tuple[int, ...]]:
-        seen, out = set(), []
-        for start in range(self.degree):
-            if start not in seen:
-                orbit = _orbit(start, self.generators)
-                seen.update(orbit)
-                out.append(tuple(sorted(p + 1 for p in orbit)))
-        return out
-
-    def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
 
     def primitivity_block(self) -> frozenset[int] | None:
         """A nontrivial minimal block containing point 1, or None if primitive."""

@@ -73,6 +73,22 @@ def naive_closure(degree, gens):
     return elems
 
 
+def naive_orbit(gens, point):
+    """The 0-based points that words in the codes gens send point to, grown
+    until no generator adds one."""
+    orbit = {point}
+    while True:
+        grown = orbit | {g[x] for g in gens for x in orbit}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
+def is_transitive(degree, gens):
+    """Whether the codes gens on the points 0..degree-1 send 0 to every point."""
+    return len(naive_orbit(gens, 0)) == degree
+
+
 def table_of(group):
     """The multiplication table of a PermGroup or MatGroup over its sorted
     element codes, multiplied by its ops: the tests' table fixtures."""
@@ -736,6 +752,22 @@ def naive_semidirect_table(u, dim, action_codes, acting):
     )
 
 
+def naive_quotient_table(G, N):
+    """G/N's table by the definition: the cosets of N as sets ordered by
+    least member, and each cell the index of the coset that is the set
+    product of its row's and its column's cosets."""
+    cosets = []
+    for a in range(len(G.table)):
+        coset = frozenset(G.table[a][n] for n in N)
+        if coset not in cosets:
+            cosets.append(coset)
+    cosets.sort(key=min)
+    return tuple(
+        tuple(cosets.index(frozenset(G.table[a][b] for a in A for b in B)) for B in cosets)
+        for A in cosets
+    )
+
+
 def naive_is_homomorphism(table, images, mul):
     """Whether images (by element index of the table) is a homomorphism:
     every pair of elements, none of the Cayley-graph argument."""
@@ -1042,7 +1074,7 @@ def pairwise_inventory(kind, n, q, r):
 
     def primitive(elems):
         grp = group_from_set(n, elems)
-        return grp.is_transitive() and grp.is_primitive()
+        return is_transitive(n, grp.generators) and grp.is_primitive()
 
     if kind == "primitive_ar":
         scan = full_sn_scan(n, (q,), n, True)
@@ -1067,7 +1099,7 @@ def pairwise_inventory(kind, n, q, r):
             elems
             for elems, gens in scan
             if len(elems) % n == 0
-            and group_from_set(n, elems).is_transitive()
+            and is_transitive(n, group_from_set(n, elems).generators)
             and in_variety(ops, [q, r], gens)
             and (kind == "transitive" or primitive(elems))
         ]

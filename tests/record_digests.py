@@ -17,7 +17,7 @@ refusals included; census --emit-tables on every ordering of {2, 3, 5} with
 alpha, beta, gamma <= 2 and order at most 200, and five larger inputs;
 selftest --scale full; construct-primitive on the 12 ordered pairs of
 {2, 3, 5, 7}; every primitive two-prime inventory (degree <= 8),
-transitive inventory (degree <= 6) and single-prime inventory (degree <= 8)
+transitive inventory (degree <= 7) and single-prime inventory (degree <= 8)
 over those primes. No input prints help, usage or --timing, which differ
 across Python versions.
 """
@@ -38,7 +38,7 @@ GL_PRIMES = (2, 3, 5, 7, 13)
 CENSUS_EXTRA = [(2, 7, 3, 4, 1, 1), (2, 7, 3, 1, 2, 1), (3, 2, 7, 1, 3, 1), (2, 3, 5, 4, 1, 1), (2, 3, 5, 1, 4, 0)]
 INVENTORIES = {
     "enumerate_primitive_classes": 8,
-    "enumerate_transitive_classes": 6,
+    "enumerate_transitive_classes": 7,
     "enumerate_primitive_ar_classes": 8,
 }
 

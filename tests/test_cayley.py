@@ -36,6 +36,8 @@ def pgroup(degree, *texts):
 S3 = bf.table_of(pgroup(3, "(1 2 3)", "(1 2)"))
 A4 = bf.table_of(pgroup(4, "(1 2 3)", "(2 3 4)"))
 C6 = cyclic_table(6)
+D4 = bf.table_of(pgroup(4, "(1 2 3 4)", "(1 3)"))
+Q8 = bf.table_of(pgroup(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"))
 
 
 # -- construction and validation ------------------------------------------------
@@ -192,7 +194,6 @@ def test_fingerprint_fields():
 
 
 def test_center_matches_all_pairs_definition():
-    D4 = bf.table_of(pgroup(4, "(1 2 3 4)", "(1 3)"))
     C2xA4 = direct_product_table(cyclic_table(2), A4)
     for G in (S3, A4, C6, D4, C2xA4, direct_product_table(cyclic_table(4), S3)):
         n = G.order
@@ -229,14 +230,20 @@ def test_isomorphism_large_elementary_abelian():
     assert not are_isomorphic(a, c)
 
 
-def small_tables():
-    """Tables of order <= 24: the census groups of the selftest cases and
-    direct products, with several isomorphic pairs under different labels."""
+def census_tables():
+    """The census groups of the selftest cases of order <= 24."""
     from agroups.census import enumerate_variety_groups
     from agroups.selftest import CENSUS_CASES
 
-    D4 = bf.table_of(pgroup(4, "(1 2 3 4)", "(1 3)"))
-    Q8 = bf.table_of(pgroup(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"))
+    return [
+        t for params, _ in CENSUS_CASES for t in enumerate_variety_groups(params).groups
+        if t.order <= 24
+    ]
+
+
+def small_tables():
+    """Tables of order <= 24: the census groups of the selftest cases and
+    direct products, with several isomorphic pairs under different labels."""
     C, X = cyclic_table, direct_product_table
     # C4 x| C4, b inverting a: <a> is normal and <b> is not, so its elements
     # of order 4 fall into several automorphism classes
@@ -248,11 +255,7 @@ def small_tables():
         ),
         0,
     )
-    tables = [
-        t for params, _ in CENSUS_CASES for t in enumerate_variety_groups(params).groups
-        if t.order <= 24
-    ]
-    return tables + [
+    return census_tables() + [
         X(C(2), C(3)), X(C(3), C(2)), X(C(2), S3), X(S3, C(2)), X(C(3), S3), X(C(2), A4),
         X(C(4), C(6)), X(C(2), C(12)), X(C(4), S3), X(elementary_abelian_table(2, 3), C(3)),
         X(D4, C(2)), X(Q8, C(2)), X(C(4), C(4)), X(C(2), C(8)), X(D4, C(3)), X(Q8, C(3)),
@@ -456,6 +459,19 @@ def test_quotient_examples():
     assert are_isomorphic(quotient(S3, frozenset({S3.identity})), S3)
     sub2 = subgroup_closure(C6, {3})  # element of order 2 in C6
     assert are_isomorphic(quotient(C6, sub2), cyclic_table(3))
+
+
+def test_quotient_matches_the_naive_coset_table():
+    S4 = bf.table_of(pgroup(4, "(1 2 3 4)", "(1 2)"))
+    groups = [S3, A4, D4, Q8, direct_product_table(cyclic_table(2), C6), S4] + census_tables()
+    checked = 0
+    for G in groups:
+        for N in all_subgroups(G):
+            if cayley.is_normal(G, N):
+                Q = quotient(G, N)
+                assert tuple(map(tuple, Q.table)) == bf.naive_quotient_table(G, N)
+                checked += 1
+    assert checked > len(groups)
 
 
 def test_abelianisation_orders_match_the_quotient_table(monkeypatch):

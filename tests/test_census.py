@@ -67,7 +67,7 @@ def test_transitive_4_2_3():
     orders = sorted(e.order for e in inv.classes)
     assert orders == [4, 12]  # V4 regular and A4
     v4 = next(e for e in inv.classes if e.order == 4)
-    assert v4.representative.is_transitive()
+    assert bf.is_transitive(4, v4.representative.generators)
     a4 = next(e for e in inv.classes if e.order == 12)
     assert subgroup_conjugate(a4.representative, pgroup(4, "(1 2 3)", "(2 3 4)")) is not None
 
@@ -571,7 +571,7 @@ def test_primitive_ar_regular_v4_is_imprimitive():
     regular = [s for _, cls in subs.values() for s in cls if len(s) == 4]
     assert len(regular) == 1
     grp = perm.group_from_set(4, regular[0])
-    assert grp.is_transitive() and not grp.is_primitive()
+    assert bf.is_transitive(4, grp.generators) and not grp.is_primitive()
     assert enumerate_primitive_ar_classes(4, 2).count == 0
 
 

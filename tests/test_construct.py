@@ -60,7 +60,7 @@ def test_affine_2_7_order_56():
     spec, G = primitive_aqar_group(2, 7)
     assert spec.beta == 3 and spec.n == 8
     assert G.degree == 8 and G.order == 56
-    assert G.is_transitive() and G.is_primitive()
+    assert bf.is_transitive(8, G.generators) and G.is_primitive()
 
 
 def test_cyclic_cases():
@@ -195,6 +195,26 @@ def test_semidirect_kernel_is_normal_elementary_abelian():
         for b in kernel:
             assert G.mul(a, b) == G.mul(b, a)
         assert G.mul(a, a) == G.identity or G.element_orders[a] == 1
+
+
+def test_semidirect_product_reads_one_point_map_per_generator_row(monkeypatch):
+    # table_group multiplies only the generators' rows, so M(h^-1) is read
+    # for h = e and for each generator of H, not for every h
+    calls, counts = [], []
+    real = construct._linear_points
+    monkeypatch.setattr(construct, "_linear_points", lambda *a: calls.append(a) or real(*a))
+
+    def counted(u, dim, action, H):
+        calls.clear()
+        G = semidirect_product(u, dim, action, H)
+        counts.append((len(calls), 1 + len(H.generators), H.order))
+        return G
+
+    monkeypatch.setattr(census, "semidirect_product", counted)
+    for params in bf.census_split_params():
+        census.enumerate_variety_groups(params)
+    assert len(counts) == 21 and all(read == expected for read, expected, _ in counts)
+    assert any(expected < order for _, expected, order in counts)
 
 
 def test_verify_builds_one_table(monkeypatch):

@@ -40,7 +40,7 @@ def _in_subset(kind, call) -> bool:
 
 def test_the_corpus_lists_every_input_once_in_order():
     calls = [" ".join(map(str, call)) for _, call in inputs()]
-    assert list(_recorded()) == calls and len(set(calls)) == len(calls) == 466
+    assert list(_recorded()) == calls and len(set(calls)) == len(calls) == 478
 
 
 @pytest.mark.parametrize(
