@@ -408,8 +408,10 @@ def enumerate_variety_groups(
     different kept H are never isomorphic: each is compared only with the
     tables kept over its H, and the first of each class in its block stands
     for the class. traversal="reverse" walks the blocks backwards and the
-    actions within each forwards (at d = 0 a block is H alone); the census
-    must not change.
+    actions within each forwards (at d = 0 a block is H alone): each block
+    keeps the same tables, so the census holds the same groups, and the
+    final stable sort by sorted element orders leaves tables that tie in it
+    in traversal order (at (2,7,3; 1,2,1) reverse swaps the first two).
     """
     if traversal not in ("forward", "reverse"):
         raise ValueError("traversal must be 'forward' or 'reverse'")

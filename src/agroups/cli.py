@@ -217,20 +217,22 @@ def _cmd_census(args) -> dict:
     )
 
 
-# the flags each formula reads: a missing one is refused by name (the
-# formulas' other flags, theorem A's exponents, default to 0)
+# each formula's bound function and the flags it reads, in its argument order
+# (theorem A's go to VarietyParams, whose exponents default to 0)
 _FORMULAS = {
-    "theorem-a": ("--p", "--q", "--r"),
-    "gl-classes": ("--s", "--alpha"),
-    "transitive-count": ("--n",),
-    "gl-order": ("--alpha", "--q", "--r", "--s"),
-    "soluble-order": ("--n",),
+    "theorem-a": (bnd.theorem_a_bound, ("--p", "--q", "--r")),
+    "gl-classes": (bnd.remark43_gl_bound, ("--s", "--alpha")),
+    "transitive-count": (bnd.remark43_transitive_bound, ("--n",)),
+    "gl-order": (bnd.prop41_bound, ("--alpha", "--q", "--r", "--s")),
+    "soluble-order": (bnd.soluble_sn_bound, ("--n",)),
 }
 
 
 def _cmd_check_bounds(args) -> dict:
     name = args.formula
-    missing = [flag for flag in _FORMULAS[name] if getattr(args, flag[2:]) is None]
+    formula, flags = _FORMULAS[name]
+    values = [getattr(args, flag[2:]) for flag in flags]
+    missing = [flag for flag, value in zip(flags, values) if value is None]
     if missing:
         raise InvalidParams(f"formula {name} needs {', '.join(missing)}")
     if name == "theorem-a":
@@ -242,20 +244,11 @@ def _cmd_check_bounds(args) -> dict:
                 f"a term base of the bound, n = {args.p}^{params.alpha}*{args.q}^{args.beta}"
                 f"*{args.r}^{args.gamma}, has over PRINTED_DIGITS = {PRINTED_DIGITS} decimal digits"
             )
-        bound = bnd.theorem_a_bound(params)
+        bound = formula(params)
         parameters = params.to_json()
-    elif name == "gl-classes":
-        bound = bnd.remark43_gl_bound(args.s, args.alpha)
-        parameters = {"s": args.s, "alpha": args.alpha}
-    elif name == "transitive-count":
-        bound = bnd.remark43_transitive_bound(args.n)
-        parameters = {"n": args.n}
-    elif name == "gl-order":
-        bound = bnd.prop41_bound(args.alpha, args.q, args.r, args.s)
-        parameters = {"alpha": args.alpha, "q": args.q, "r": args.r, "s": args.s}
-    else:  # soluble-order
-        bound = bnd.soluble_sn_bound(args.n)
-        parameters = {"n": args.n}
+    else:
+        bound = formula(*values)
+        parameters = {flag[2:]: value for flag, value in zip(flags, values)}
     parameters["formula"] = name
 
     results = {"bound": bound.to_json()}

@@ -117,11 +117,11 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
     if G.degree < 2:
         raise NotPrimitive(f"degree {G.degree} is below 2: no minimal normal subgroup")
     try:
-        primitive = G.is_primitive()
+        block = G.primitivity_block()
     except NotTransitive:
         raise NotPrimitive("group is not transitive")
-    if not primitive:
-        raise NotPrimitive(f"group has a nontrivial block: {sorted(G.primitivity_block())}")
+    if block is not None:
+        raise NotPrimitive(f"group has a nontrivial block: {sorted(block)}")
     # the limit bounds G's multiplication table, which the checks below run
     # on: |G| code products per generator, every other row a gather
     if G.order > TABLE_LIMIT:
@@ -161,15 +161,10 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
             " statement's strict k > 1 does not hold here"
         )
 
-    if a == 0:
-        case = CASE_CYCLIC_R
+    if a == 0 or b == 0:
+        case, name, prime = (CASE_CYCLIC_R, "r", r) if a == 0 else (CASE_CYCLIC_Q, "q", q)
         check("order-is-n", order == n, f"|G| = {order}, n = {n}")
-        check("degree-is-r", n == r, f"n = {n}, r = {r}")
-        check("cyclic", order in orders, "cyclic of prime order")
-    elif b == 0:
-        case = CASE_CYCLIC_Q
-        check("order-is-n", order == n, f"|G| = {order}, n = {n}")
-        check("degree-is-q", n == q, f"n = {n}, q = {q}")
+        check(f"degree-is-{name}", n == prime, f"n = {n}, {name} = {prime}")
         check("cyclic", order in orders, "cyclic of prime order")
     else:
         case = CASE_AFFINE

@@ -27,7 +27,6 @@ import math
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
-from .bounds import printable
 from .cayley import (
     _abelian_of_exponent,
     _power,
@@ -45,7 +44,9 @@ from .errors import (
     NotPrime,
     SingularGenerator,
 )
-from .gf import FieldSpec, _least_irreducible, is_prime, multiplicative_order, prime_factors
+from .gf import (
+    FieldSpec, _least_irreducible, is_prime, multiplicative_order, prime_factors, printable
+)
 
 GL_BRUTE_LIMIT = 1_000_000
 SPIN_LIMIT = 10_000

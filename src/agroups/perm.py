@@ -218,17 +218,6 @@ class PermGroup:
 # blocks on generators alone
 
 
-def _orbit(point: int, gens) -> list[int]:
-    """The orbit of a 0-based point under the codes gens, breadth first."""
-    orbit, seen = [point], {point}
-    for x in orbit:  # orbit grows by each newly reached point
-        for g in gens:
-            if g[x] not in seen:
-                seen.add(g[x])
-                orbit.append(g[x])
-    return orbit
-
-
 def minimal_block(degree: int, gens, a: int, b: int) -> frozenset[int]:
     """Smallest block of a <gens>-invariant partition of the points 1..degree
     containing {a, b}: the union-find closure of the pair under gens."""
@@ -255,8 +244,8 @@ def minimal_block(degree: int, gens, a: int, b: int) -> frozenset[int]:
 def primitivity_block(degree: int, gens) -> frozenset[int] | None:
     """A nontrivial minimal block containing point 1 of the transitive group
     <gens>, or None if it is primitive. It needs the generator codes only,
-    no stabiliser chain."""
-    if len(_orbit(0, gens)) != degree:
+    no stabiliser chain: point 1's orbit transversal shows transitivity."""
+    if len(_orbit_transversal(perm_ops(degree), 0, gens)) != degree:
         raise NotTransitive("primitivity is defined for transitive groups only")
     for b in range(2, degree + 1):
         block = minimal_block(degree, gens, 1, b)

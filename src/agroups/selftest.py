@@ -15,7 +15,7 @@ import time
 
 from . import bounds as bnd
 from . import census, construct, matgrp
-from .cayley import VarietyParams, in_variety, in_variety_exhaustive, subgroup_closure
+from .cayley import VarietyParams, are_isomorphic, in_variety, in_variety_exhaustive, subgroup_closure
 from .errors import LimitExceeded
 from .gf import field_make
 from .perm import PermGroup, perm_ops, subgroup_conjugate
@@ -90,14 +90,11 @@ def criterion_primitive_classification(full: bool = True) -> CriterionOutcome:
                         out.fail(f"S{n} ({q},{r}): affine class order {entry.order}")
                     if subgroup_conjugate(entry.representative, built) is None:
                         out.fail(f"S{n} ({q},{r}): affine class not conjugate to construction")
-                elif b == 0:
-                    _, built = construct.primitive_aqar_group(q, r, construct.CASE_CYCLIC_Q)
-                    if entry.order != n or subgroup_conjugate(entry.representative, built) is None:
-                        out.fail(f"S{n} ({q},{r}): cyclic q-class mismatch")
                 else:
-                    _, built = construct.primitive_aqar_group(q, r, construct.CASE_CYCLIC_R)
+                    case, name = (construct.CASE_CYCLIC_Q, "q") if b == 0 else (construct.CASE_CYCLIC_R, "r")
+                    _, built = construct.primitive_aqar_group(q, r, case)
                     if entry.order != n or subgroup_conjugate(entry.representative, built) is None:
-                        out.fail(f"S{n} ({q},{r}): cyclic r-class mismatch")
+                        out.fail(f"S{n} ({q},{r}): cyclic {name}-class mismatch")
             expected_degrees = {q, r, q ** construct.multiplicative_order(q, r)}
             if inv.count and n not in expected_degrees:
                 out.fail(f"S{n} ({q},{r}): unexpected nonempty inventory")
@@ -313,19 +310,13 @@ def criterion_engine_properties() -> CriterionOutcome:
 
     # (b) primitivity equals brute-force block enumeration on transitive groups
     checked = 0
-    for n in range(2, 7):
-        inv = census.enumerate_transitive_classes(n, 2, 3)
-        for entry in inv.classes:
+    cases = [(n, 2, 3, f"S{n}") for n in range(2, 7)]
+    cases += [(5, q, r, f"S5 ({q},{r})") for q, r in [(5, 2), (3, 2)]]
+    for n, q, r, label in cases:
+        for entry in census.enumerate_transitive_classes(n, q, r).classes:
             G = entry.representative
             if G.is_primitive() != naive_is_primitive(G.degree, G.generators):
-                out.fail(f"S{n}: primitivity mismatch on order-{G.order} group")
-            checked += 1
-    for q, r in [(5, 2), (3, 2)]:
-        inv = census.enumerate_transitive_classes(5, q, r)
-        for entry in inv.classes:
-            G = entry.representative
-            if G.is_primitive() != naive_is_primitive(G.degree, G.generators):
-                out.fail(f"S5 ({q},{r}): primitivity mismatch on order-{G.order} group")
+                out.fail(f"{label}: primitivity mismatch on order-{G.order} group")
             checked += 1
     out.note(f"primitivity cross-checked against block enumeration on {checked} transitive groups")
 
@@ -348,8 +339,6 @@ def criterion_engine_properties() -> CriterionOutcome:
         rev = census.enumerate_variety_groups(params, "reverse")
         if fwd.count != rev.count:
             out.fail(f"census n={params.n}: traversal changed the count")
-        from .cayley import are_isomorphic
-
         for i, t in enumerate(fwd.groups):
             for u in fwd.groups[i + 1 :]:
                 if are_isomorphic(t, u):

@@ -18,8 +18,12 @@ alpha, beta, gamma <= 2 and order at most 200, and five larger inputs;
 selftest --scale full; construct-primitive on the 12 ordered pairs of
 {2, 3, 5, 7}; every primitive two-prime inventory (degree <= 8),
 transitive inventory (degree <= 7) and single-prime inventory (degree <= 8)
-over those primes. No input prints help, usage or --timing, which differ
-across Python versions.
+over those primes; check-bounds on a fixed grid of flag sets for each
+formula (valid and refused values, an explicit --q 0), each with no count
+and counts 0, 3 and 10^20, in JSON and text, then each formula's missing-flag
+refusals (one flag dropped, and every flag for a formula of several) and
+theorem A's refusal of an n too long to print. No input prints help, usage
+or --timing, which differ across Python versions.
 """
 
 import contextlib
@@ -41,6 +45,59 @@ INVENTORIES = {
     "enumerate_transitive_classes": 7,
     "enumerate_primitive_ar_classes": 8,
 }
+# check-bounds flag sets, by formula: each runs with every count and format;
+# the first set of each formula gives exactly the flags it reads
+BOUND_CASES = {
+    "theorem-a": (
+        "--p 2 --q 3 --r 5",
+        "--p 2 --q 3 --r 5 --alpha 1 --beta 1 --gamma 1",
+        "--p 3 --q 2 --r 7 --alpha 2 --gamma 1",
+        "--p 5 --q 3 --r 2 --alpha 4 --beta 3 --gamma 2",
+        "--p 7 --q 2 --r 3 --alpha 0 --beta 9",
+        "--p 97 --q 3 --r 5 --alpha 3000",
+        "--p 2 --q 2 --r 5 --alpha 1",
+        "--p 4 --q 3 --r 5",
+        "--p 2 --q 0 --r 5",
+    ),
+    "gl-classes": (
+        "--s 2 --alpha 1",
+        "--s 4 --alpha 3",
+        "--s 9 --alpha 2",
+        "--s 7 --alpha 5",
+        "--s 1000000 --alpha 2",
+        "--s 1 --alpha 2",
+        "--s 3 --alpha 0",
+    ),
+    "transitive-count": ("--n 1", "--n 2", "--n 9", "--n 1000000"),
+    "gl-order": (
+        "--alpha 1 --q 2 --r 3 --s 5",
+        "--alpha 2 --q 3 --r 2 --s 7",
+        "--alpha 4 --q 2 --r 5 --s 3",
+        "--alpha 3 --q 2 --r 3 --s 9",
+        "--alpha 1 --q 5 --r 7 --s 1000000",
+        "--alpha 2 --q 3 --r 3 --s 4",
+        "--alpha 2 --q 4 --r 3 --s 5",
+        "--alpha 0 --q 2 --r 3 --s 5",
+        "--alpha 2 --q 0 --r 3 --s 4",
+    ),
+    "soluble-order": ("--n 0", "--n 1", "--n 9", "--n 1000000"),
+}
+BOUND_COUNTS = ("", "--count 0", "--count 3", f"--count {10**20}")
+BOUND_FORMATS = ("", "--format text")
+BOUND_TOO_LONG = "--formula theorem-a --p 97 --q 3 --r 5 --alpha 3000 --beta 1"
+
+
+def check_bounds_argvs():
+    """The check-bounds command lines, in corpus order."""
+    for formula, cases in BOUND_CASES.items():
+        for case, count, fmt in itertools.product(cases, BOUND_COUNTS, BOUND_FORMATS):
+            yield f"{fmt} check-bounds --formula {formula} {case} {count}".split()
+    for formula, cases in BOUND_CASES.items():
+        pairs = list(zip(cases[0].split()[::2], cases[0].split()[1::2]))
+        dropped = [pairs[:i] + pairs[i + 1 :] for i in range(len(pairs))]
+        for kept in dropped + ([[]] if len(pairs) > 1 else []):
+            yield ["check-bounds", "--formula", formula, *(x for pair in kept for x in pair)]
+    yield ["check-bounds", *BOUND_TOO_LONG.split()]
 
 
 def census_argv(p, q, r, alpha, beta, gamma):
@@ -69,6 +126,7 @@ def inputs():
                 yield from (("api", [name, n, r]) for r in PRIMES)
             else:
                 yield from (("api", [name, n, q, r]) for q, r in itertools.permutations(PRIMES, 2))
+    yield from (("cli", argv) for argv in check_bounds_argvs())
 
 
 def sha(text: str) -> str:

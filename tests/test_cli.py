@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -437,6 +438,18 @@ def test_check_bounds_names_the_missing_flags(capsys, formula, given, missing):
     assert err == f"error: InvalidParams: formula {formula} needs {', '.join(flags)}"
     zeros = [x for flag in flags for x in (flag, "0")]
     assert "needs" not in one_error_line(capsys, "check-bounds", "--formula", formula, *zeros)
+
+
+def test_each_formula_reads_its_flags_in_argument_order():
+    # check-bounds passes the flags' values positionally: a swapped pair
+    # would print a wrong bound instead of failing; theorem A's flags are
+    # the first arguments of VarietyParams, which its bound function takes
+    for name, (formula, flags) in cli._FORMULAS.items():
+        if name == "theorem-a":
+            arguments = list(inspect.signature(VarietyParams).parameters)[: len(flags)]
+        else:
+            arguments = list(inspect.signature(formula).parameters)
+        assert [flag[2:] for flag in flags] == arguments, name
 
 
 def test_check_bounds_keeps_the_message_of_an_explicit_zero(capsys):

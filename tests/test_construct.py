@@ -347,7 +347,8 @@ def test_verify_primitive_refuses_a_degree_above_the_table_limit(capsys, tmp_pat
 
 def test_semidirect_product_matches_the_naive_table_on_every_census_action(monkeypatch):
     # every action census._action_orbit_reps gives the census-split inputs,
-    # in both layers: the rows chained from blocks are the definitional table
+    # in both layers: the table table_group builds from the pair product is
+    # the definitional table
     built = []
 
     def checked(u, dim, action, H):
