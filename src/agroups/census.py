@@ -409,9 +409,11 @@ def enumerate_variety_groups(
     tables kept over its H, and the first of each class in its block stands
     for the class. traversal="reverse" walks the blocks backwards and the
     actions within each forwards (at d = 0 a block is H alone): each block
-    keeps the same tables, so the census holds the same groups, and the
-    final stable sort by sorted element orders leaves tables that tie in it
-    in traversal order (at (2,7,3; 1,2,1) reverse swaps the first two).
+    keeps the same tables, so the census holds the same groups. Each layer
+    lists its blocks by H's forward index, whatever the traversal, so the
+    final stable sort by sorted element orders breaks ties by forward
+    position (the forward index of H, then the index within its block), and
+    both traversals give the same census in the same order.
     """
     if traversal not in ("forward", "reverse"):
         raise ValueError("traversal must be 'forward' or 'reverse'")
@@ -424,16 +426,15 @@ def enumerate_variety_groups(
 
     reps = [elementary_abelian_table(r, g)]
     for u, dim in ((q, b), (p, a)):  # the Q layer on R, then the P layer
-        layer = []
-        for H in reps[::-1] if traversal == "reverse" else reps:
+        blocks: list[list[CayleyGroup]] = [[] for _ in reps]
+        walk = list(zip(reps, blocks))
+        for H, block in walk[::-1] if traversal == "reverse" else walk:
             # each table is built when the comparison reaches it, so a layer
             # holds its kept tables and the candidate at hand
-            block: list[CayleyGroup] = []
             for action in _action_orbit_reps(H, dim, u):
                 G = semidirect_product(u, dim, action, H) if dim else H
                 if not any(are_isomorphic(G, K) for K in block):
                     block.append(G)
-            layer += block
-        reps = layer
+        reps = [G for block in blocks for G in block]
     reps.sort(key=lambda t: sorted(t.element_orders))
     return VarietyCensus(params, tuple(reps))

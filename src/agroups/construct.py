@@ -123,16 +123,15 @@ def verify_theorem_b(G: PermGroup, q: int, r: int) -> dict:
     if block is not None:
         raise NotPrimitive(f"group has a nontrivial block: {sorted(block)}")
     # the limit bounds G's multiplication table, which the checks below run
-    # on: |G| code products per generator, every other row a gather
-    if G.order > TABLE_LIMIT:
-        raise LimitExceeded(f"order {G.order} exceeds table limit {TABLE_LIMIT}")
-    elems = G.codes()
+    # on: |G| code products per generator, every other row a gather; the
+    # closure stops as soon as it passes the limit
+    elems = G.codes(TABLE_LIMIT)
     table = table_group(perm_ops(G.degree), elems, G.generators)
     if not in_variety(table, [q, r]):
         raise NotInVariety(f"group is not in the [{q}, {r}] variety")
 
     n = G.degree
-    order = G.order
+    order = len(elems)
     orders = table.element_orders
     factors = prime_factors(order)
     a = factors.get(q, 0)

@@ -9,20 +9,23 @@ wire format. A code sorts exactly as its 1-based images do, so every
 canonical order is the same in both forms. The input formats refuse a degree
 above TABLE_LIMIT before any code is built.
 
-A PermGroup is a group that arrives as generators: an input, a construction,
-an inventory representative. It keeps its generators as codes and carries a
-base and strong generating set built with a deterministic incremental
-Schreier-Sims on codes, which gives exact orders and membership; its element
-list is the kernel's closure of the generators, and blocks need its
-generators only, so the primitive route tests its candidates for blocks
-without a chain. A subgroup stays a code set on the subgroup kernel
-(closures, extensions, generators, normal closures, the wreath products'
-lattice scans, conjugacy) unless a listed group becomes a table
-(cayley.table_group), as N(T)_0 in the affine route and the group under the
-Theorem B checks do, so the kernel runs on its indices; the normal
-structure (minimal normal subgroups, the Fitting subgroup) is read off such
-a table by exhaustive element scans. An exhaustive closure cross-check of
-the chain order is part of the test suite, not of construction.
+A PermGroup is a code set, as a MatGroup is: its degree, its sorted
+generators and its sorted element codes, with its order their number. A
+group that arrives as generators (an input, a construction) is closed by
+the subgroup kernel on first use, and the closure is refused as soon as it
+passes its cap: the table limit where the Theorem B checks build a table,
+the exhaustive limit elsewhere. A group made from a code set
+(group_from_set, the inventory representatives) keeps that set and is never
+closed again. Blocks need the generators only, so the primitive route tests
+its candidates for blocks before any closure, and an imprimitive input is
+refused as such whatever its order. A subgroup stays a code set on the
+subgroup kernel (closures, extensions, generators, normal closures, the
+wreath products' lattice scans, conjugacy) unless a listed group becomes a
+table (cayley.table_group), as N(T)_0 in the affine route and the group
+under the Theorem B checks do, so the kernel runs on its indices; the
+normal structure (minimal normal subgroups, the Fitting subgroup) is read
+off such a table by exhaustive element scans. A stabiliser chain, the
+oracle for exact orders past the exhaustive limit, lives in the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import cayley
-from .cayley import TABLE_LIMIT
+from .cayley import TABLE_LIMIT, subgroup_closure
 from .errors import DegreeMismatch, LimitExceeded, NotTransitive
 
 EXHAUSTIVE_ORDER_LIMIT = 20160
@@ -83,128 +86,47 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# stabiliser chains on codes
-
-
-def _orbit_transversal(ops, point, gens):
-    """BFS orbit of a point; transversal[q] maps point -> q. Deterministic."""
-    trans = {point: ops.identity}
-    queue = [point]
-    for pt in queue:  # queue grows by each newly reached point
-        for s in gens:
-            q = s[pt]
-            if q not in trans:
-                trans[q] = ops.mul(trans[pt], s)
-                queue.append(q)
-    return trans
-
-
-def _sift(ops, h, base, transversals, start=0):
-    """Sift h through the chain from level start. Returns the residue and the
-    level where sifting stopped; h is in the chain's group iff the residue is
-    the identity."""
-    for j in range(start, len(base)):
-        if h == ops.identity:
-            return h, j
-        t = transversals[j].get(h[base[j]])
-        if t is None:
-            return h, j
-        h = ops.mul(h, ops.inv(t))
-    return h, len(base)
-
-
-def _schreier_sims(degree, gens):
-    """Deterministic incremental Schreier-Sims on codes.
-
-    Returns (base, transversals) where transversals[i] is the orbit
-    transversal of base[i] under strong[i], the strong generators fixing
-    base[:i]. Invariant on return: <strong[i+1]> is the stabiliser of base[i]
-    in <strong[i]> (every Schreier generator sifts to the identity).
-    """
-    ops = perm_ops(degree)
-    mul, inv, ident = ops.mul, ops.inv, ops.identity
-    gens = [g for g in dict.fromkeys(gens) if g != ident]
-    base = []
-    for g in gens:
-        if all(g[b] == b for b in base):
-            base.append(next(p for p, q in enumerate(g) if p != q))
-    strong = [[g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))]
-    transversals = [_orbit_transversal(ops, base[i], strong[i]) for i in range(len(base))]
-
-    def unsifted(i):
-        """The residue and stopping level of the first Schreier generator of
-        level i that does not sift to the identity, or None."""
-        trans = transversals[i]
-        for pt in sorted(trans):
-            for s in strong[i]:
-                schreier = mul(mul(trans[pt], s), inv(trans[s[pt]]))
-                h, j = _sift(ops, schreier, base, transversals, i + 1)
-                if h != ident:
-                    return h, j
-        return None
-
-    i = len(base) - 1
-    while i >= 0:
-        found = unsifted(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        if j == len(base):
-            base.append(next(p for p, q in enumerate(h) if p != q))
-            strong.append([])
-            transversals.append({})
-        for level in range(i + 1, j + 1):
-            strong[level].append(h)
-            transversals[level] = _orbit_transversal(ops, base[level], strong[level])
-        i = j
-    return base, transversals
+# groups as code sets
 
 
 class PermGroup:
-    """Permutation group with exact order and membership via its chain.
+    """Permutation group as a code set: its generators, sorted, without the
+    identity or repeats, and its sorted element codes. Without codes, the
+    elements are the kernel's closure of the generators, taken on first use
+    and kept once complete."""
 
-    Generators are codes; the group keeps them sorted, without the identity
-    or repeats."""
-
-    def __init__(self, degree: int, generators):
-        codes = [tuple(g) for g in generators]
-        for c in codes:
+    def __init__(self, degree: int, generators, codes=None):
+        gens = [tuple(g) for g in generators]
+        for c in gens:
             if len(c) != degree:
                 raise DegreeMismatch(f"generator degree {len(c)} != {degree}")
         self.degree = degree
         identity = perm_ops(degree).identity
-        self.generators = tuple(sorted({c for c in codes if c != identity}))
-        self._base, self._transversals = _schreier_sims(degree, self.generators)
-        self._codes: list[tuple[int, ...]] | None = None
+        self.generators = tuple(sorted({c for c in gens if c != identity}))
+        self._codes = None if codes is None else tuple(sorted(codes))
+
+    def _closure(self, cap: int) -> tuple:
+        if self._codes is None:
+            elems = subgroup_closure(self.ops, self.generators, cap)
+            if elems is not None:
+                self._codes = tuple(sorted(elems))
+        if self._codes is None or len(self._codes) > cap:
+            limit = "table" if cap == TABLE_LIMIT else "exhaustive"
+            raise LimitExceeded(f"order above the {limit} limit {cap}")
+        return self._codes
 
     @property
     def order(self) -> int:
-        n = 1
-        for t in self._transversals:
-            n *= len(t)
-        return n
+        return len(self._closure(EXHAUSTIVE_ORDER_LIMIT))
 
     @property
     def ops(self) -> SimpleNamespace:
         return perm_ops(self.degree)
 
-    def contains(self, code) -> bool:
-        if len(code) != self.degree:
-            return False
-        ops = perm_ops(self.degree)
-        return _sift(ops, tuple(code), self._base, self._transversals)[0] == ops.identity
-
-    def codes(self) -> list[tuple[int, ...]]:
-        """All elements as codes, sorted: the kernel's closure of the
-        generators."""
-        if self._codes is None:
-            if self.order > EXHAUSTIVE_ORDER_LIMIT:
-                raise LimitExceeded(
-                    f"order {self.order} exceeds exhaustive limit {EXHAUSTIVE_ORDER_LIMIT}"
-                )
-            self._codes = sorted(cayley.subgroup_closure(self.ops, self.generators))
-        return list(self._codes)
+    def codes(self, cap: int = EXHAUSTIVE_ORDER_LIMIT) -> list:
+        """All elements as codes, sorted; LimitExceeded once the closure
+        passes cap, TABLE_LIMIT or EXHAUSTIVE_ORDER_LIMIT."""
+        return list(self._closure(cap))
 
     def primitivity_block(self) -> frozenset[int] | None:
         """A nontrivial minimal block containing point 1, or None if primitive."""
@@ -243,9 +165,16 @@ def minimal_block(degree: int, gens, a: int, b: int) -> frozenset[int]:
 
 def primitivity_block(degree: int, gens) -> frozenset[int] | None:
     """A nontrivial minimal block containing point 1 of the transitive group
-    <gens>, or None if it is primitive. It needs the generator codes only,
-    no stabiliser chain: point 1's orbit transversal shows transitivity."""
-    if len(_orbit_transversal(perm_ops(degree), 0, gens)) != degree:
+    <gens>, or None if it is primitive. It needs the generator codes only:
+    the orbit of point 1 shows transitivity."""
+    orbit = {0}
+    queue = [0]
+    for pt in queue:  # queue grows by each newly reached point
+        for g in gens:
+            if g[pt] not in orbit:
+                orbit.add(g[pt])
+                queue.append(g[pt])
+    if len(orbit) != degree:
         raise NotTransitive("primitivity is defined for transitive groups only")
     for b in range(2, degree + 1):
         block = minimal_block(degree, gens, 1, b)
@@ -297,8 +226,9 @@ def extend_set(
 
 
 def group_from_set(degree: int, elems) -> PermGroup:
-    """The PermGroup of a code set, on its canonical generators."""
-    return PermGroup(degree, cayley.canonical_generators(perm_ops(degree), elems))
+    """The PermGroup of a code set, on its canonical generators; the set is
+    kept, so it is never closed again."""
+    return PermGroup(degree, cayley.canonical_generators(perm_ops(degree), elems), elems)
 
 
 def set_key(elems) -> tuple:

@@ -25,6 +25,10 @@ only a field's modulus from the engine and does its arithmetic on integers
 mod t. FractionLogBound takes the fixed-point log2 enclosure and the print
 limit from agroups.bounds and does the rest on Fractions. validate_report
 checks a report against the published agroups.report.REPORT_SCHEMA.
+Chain is a deterministic Schreier-Sims stabiliser chain on codes, with its
+own code arithmetic: exact order and membership for groups too large to
+list, checked against sympy and naive closures, and the proof that GL's
+generators generate GL past the listing.
 """
 
 import functools
@@ -87,6 +91,115 @@ def naive_orbit(gens, point):
 def is_transitive(degree, gens):
     """Whether the codes gens on the points 0..degree-1 send 0 to every point."""
     return len(naive_orbit(gens, 0)) == degree
+
+
+# -- stabiliser chains on codes: exact orders past the exhaustive limit ---------
+
+
+def _code_mul(a, b):
+    """a then b, on 0-based codes."""
+    return tuple(b[x] for x in a)
+
+
+def _code_inv(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def _orbit_transversal(degree, point, gens):
+    """BFS orbit of a point; transversal[q] maps point -> q. Deterministic."""
+    trans = {point: tuple(range(degree))}
+    queue = [point]
+    for pt in queue:  # queue grows by each newly reached point
+        for s in gens:
+            q = s[pt]
+            if q not in trans:
+                trans[q] = _code_mul(trans[pt], s)
+                queue.append(q)
+    return trans
+
+
+def sift(h, base, transversals, start=0):
+    """Sift h through the chain from level start. Returns the residue and the
+    level where sifting stopped; h is in the chain's group iff the residue is
+    the identity."""
+    ident = tuple(range(len(h)))
+    for j in range(start, len(base)):
+        if h == ident:
+            return h, j
+        t = transversals[j].get(h[base[j]])
+        if t is None:
+            return h, j
+        h = _code_mul(h, _code_inv(t))
+    return h, len(base)
+
+
+def schreier_sims(degree, gens):
+    """Deterministic incremental Schreier-Sims on codes.
+
+    Returns (base, transversals) where transversals[i] is the orbit
+    transversal of base[i] under strong[i], the strong generators fixing
+    base[:i]. Invariant on return: <strong[i+1]> is the stabiliser of base[i]
+    in <strong[i]> (every Schreier generator sifts to the identity).
+    """
+    ident = tuple(range(degree))
+    gens = [g for g in dict.fromkeys(map(tuple, gens)) if g != ident]
+    base = []
+    for g in gens:
+        if all(g[b] == b for b in base):
+            base.append(next(p for p, q in enumerate(g) if p != q))
+    strong = [[g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))]
+    transversals = [_orbit_transversal(degree, base[i], strong[i]) for i in range(len(base))]
+
+    def unsifted(i):
+        """The residue and stopping level of the first Schreier generator of
+        level i that does not sift to the identity, or None."""
+        trans = transversals[i]
+        for pt in sorted(trans):
+            for s in strong[i]:
+                schreier = _code_mul(_code_mul(trans[pt], s), _code_inv(trans[s[pt]]))
+                h, j = sift(schreier, base, transversals, i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
+    i = len(base) - 1
+    while i >= 0:
+        found = unsifted(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(next(p for p, q in enumerate(h) if p != q))
+            strong.append([])
+            transversals.append({})
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            transversals[level] = _orbit_transversal(degree, base[level], strong[level])
+        i = j
+    return base, transversals
+
+
+class Chain:
+    """The stabiliser chain of <gens> on the points 0..degree-1: exact order
+    and membership without listing the group."""
+
+    def __init__(self, degree, gens):
+        self.degree = degree
+        self.base, self.transversals = schreier_sims(degree, gens)
+
+    @property
+    def order(self):
+        return math.prod(len(t) for t in self.transversals)
+
+    def contains(self, code):
+        code = tuple(code)
+        if len(code) != self.degree:
+            return False
+        return sift(code, self.base, self.transversals)[0] == tuple(range(self.degree))
 
 
 def table_of(group):
@@ -778,7 +891,9 @@ def naive_is_homomorphism(table, images, mul):
 def unreduced_census(params, traversal="forward"):
     """The three-prime census from every action homomorphism (no orbit
     reduction), each table compared with every kept one (no invariant
-    buckets), in the traversal order enumerate_variety_groups documents."""
+    buckets), in the traversal order enumerate_variety_groups documents:
+    each class is represented by its first table in traversal order, and
+    tables with equal sorted element orders stay in forward order."""
     from agroups.cayley import CayleyGroup, canonical_generators, elementary_abelian_table
     from agroups.census import VarietyCensus
     from agroups.gf import field_make
@@ -812,9 +927,13 @@ def unreduced_census(params, traversal="forward"):
     R = elementary_abelian_table(r, params.gamma) if params.gamma else cyclic_table(1)
     h_reps = dedup(maybe_reverse(extensions(R, q, params.beta)))
     candidates = [G for H in h_reps for G in extensions(H, p, params.alpha)]
+    forward = {id(G): i for i, G in enumerate(candidates)}
     reps = dedup(maybe_reverse(candidates))
     reps.sort(
-        key=lambda t: sorted(naive_element_order(t.table, t.identity, x) for x in range(len(t.table)))
+        key=lambda t: (
+            sorted(naive_element_order(t.table, t.identity, x) for x in range(len(t.table))),
+            forward[id(t)],
+        )
     )
     return VarietyCensus(params, tuple(reps))
 

@@ -53,10 +53,11 @@ def test_criterion_5_order_bounds():
 
 
 def test_criterion_6_engine_property_suites():
-    # (a) chain order == closure size on 30 seeded random subgroups of S6
+    # (a) closure size == orbit-stabiliser order on 30 seeded random subgroups of S6
     # (b) primitivity == brute-force block enumeration at n <= 6
     # (c) verbal variety test == exhaustive witness search on census groups
-    # (d) censuses duplicate-free and traversal-invariant
+    # (d) censuses duplicate-free, and the same tables in the same order in
+    #     either traversal
     _report(selftest.criterion_engine_properties())
 
 

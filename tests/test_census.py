@@ -398,22 +398,24 @@ def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
     assert enumerate_primitive_classes(6, 2, 3).count == 0 and not calls
 
 
-def test_primitive_inventories_build_chains_for_representatives_only(monkeypatch):
-    # a candidate T.S is tested for blocks on its generators alone, so a
-    # Schreier-Sims chain is built for each reported representative only
-    chains = 0
-    real = perm._schreier_sims
+def test_primitive_inventories_close_no_group(monkeypatch):
+    # a candidate T.S is tested for blocks on its generators alone, and each
+    # reported representative keeps the code set it is made from: no
+    # PermGroup is closed, not even to read an order
+    closures = 0
+    real = perm.subgroup_closure
 
-    def spy(degree, gens):
-        nonlocal chains
-        chains += 1
-        return real(degree, gens)
+    def spy(G, seed, cap=None):
+        nonlocal closures
+        closures += 1
+        return real(G, seed, cap)
 
-    monkeypatch.setattr(perm, "_schreier_sims", spy)
+    monkeypatch.setattr(perm, "subgroup_closure", spy)
     for args in [(8, 2, 7), (7, 7, 2), (7, 7, 3), (5, 5, 2), (4, 2, 3)]:
-        chains = 0
+        closures = 0
         inventory = enumerate_primitive_classes(*args)
-        assert inventory.count and chains == inventory.count, (args, chains)
+        json.dumps(inventory.to_json())
+        assert inventory.count and closures == 0, (args, closures)
 
 
 def test_primitive_inventories_scan_no_sn(monkeypatch):
@@ -697,6 +699,17 @@ def test_census_traversal_invariance():
         # same census up to isomorphism
         for t in fwd.groups:
             assert any(are_isomorphic(t, u) for u in rev.groups)
+
+
+def test_census_reverse_equals_forward_where_tables_tie():
+    # at (2,7,3;1,2,1), order 294, the first two tables have equal sorted
+    # element orders; they tie in the final sort, which keeps forward order
+    params = VarietyParams(2, 7, 3, 1, 2, 1)
+    fwd = enumerate_variety_groups(params, "forward")
+    rev = enumerate_variety_groups(params, "reverse")
+    assert sorted(fwd.groups[0].element_orders) == sorted(fwd.groups[1].element_orders)
+    assert [t.table for t in rev.groups] == [t.table for t in fwd.groups]
+    assert rev.to_json() == fwd.to_json()
 
 
 # the five selftest cases and the four census-split benchmark inputs

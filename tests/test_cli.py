@@ -519,6 +519,21 @@ def test_refusals_need_no_huge_integer(argv, err):
     assert done.stderr.decode().startswith("error: " + err)
 
 
+@pytest.mark.parametrize("n", [40, 400])
+def test_verify_primitive_refuses_s_n_within_its_table_limit(n):
+    # S_n on (1 2 ... n) and (1 2) is primitive and inside the degree limit;
+    # its closure stops as soon as it passes 400 elements (a stabiliser
+    # chain built first took 11 s at n = 40 and over 10 minutes at n = 400)
+    gens = "(" + " ".join(map(str, range(1, n + 1))) + ");(1 2)"
+    done = subprocess.run(
+        [sys.executable, "-m", "agroups", "verify-primitive", "--q", "2", "--r", "3",
+         "--gens", gens, "--degree", str(n)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"error: LimitExceeded: order above the table limit 400\n"
+
+
 def test_classify_gl_reports_a_twelve_digit_r():
     # 999999999989, the largest prime below 10^12, passes the trial budget;
     # the order of 4 mod r is computed from r - 1, not by r - 1 products

@@ -309,20 +309,43 @@ def test_affine_translations_are_rows_of_the_addition_table(q, r):
     assert len(G.generators) == spec.beta + 1
 
 
-def test_construct_primitive_builds_one_chain(monkeypatch, capsys):
-    # the construction is the only group built from generators: the
-    # verification reads M, F(G) and the point stabiliser off its element list
-    chains = []
-    real = perm._schreier_sims
+def test_construct_primitive_closes_one_group(monkeypatch, capsys):
+    # the construction is the only group built from generators, and it is
+    # closed once: the verification reads M, F(G) and the point stabiliser
+    # off its element list, and the report reads its order off the same list
+    closures = []
+    real = perm.subgroup_closure
 
-    def spy(degree, *args):
-        chains.append(degree)
-        return real(degree, *args)
+    def spy(G, seed, cap=None):
+        closures.append(len(G.identity))
+        return real(G, seed, cap)
 
-    monkeypatch.setattr(perm, "_schreier_sims", spy)
+    monkeypatch.setattr(perm, "subgroup_closure", spy)
     assert cli.main(["construct-primitive", "--q", "2", "--r", "7"]) == 0
     assert '"status": "verified"' in capsys.readouterr().out
-    assert chains == [8]
+    assert closures == [8]
+
+
+def test_verify_refuses_blocks_before_the_order(monkeypatch):
+    # S_4 wr S_2 on 8 points, order 1152 > 400, has the blocks {1..4} and
+    # {5..8}: found on its generators, before any closure; S_6 has none, and
+    # its closure stops past the table limit
+    closures = []
+    real = perm.subgroup_closure
+
+    def spy(G, seed, cap=None):
+        closures.append(cap)
+        return real(G, seed, cap)
+
+    monkeypatch.setattr(perm, "subgroup_closure", spy)
+    wreath = PermGroup(8, census._wreath_generators(4, 2))
+    with pytest.raises(NotPrimitive, match=r"block: \[1, 2, 3, 4\]"):
+        verify_theorem_b(wreath, 2, 3)
+    assert closures == []
+    assert wreath.order == 1152
+    with pytest.raises(LimitExceeded, match="^order above the table limit 400$"):
+        verify_theorem_b(pgroup(6, "(1 2 3 4 5 6)", "(1 2)"), 2, 3)
+    assert closures == [20160, 400]
 
 
 def test_verify_primitive_refuses_a_degree_above_the_table_limit(capsys, tmp_path):

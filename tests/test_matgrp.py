@@ -19,7 +19,6 @@ from agroups.errors import (
 )
 from agroups.gf import field_make, is_prime, prime_factors
 from agroups.matgrp import closure, gl_elements, gl_order, mat_ops
-from agroups.perm import PermGroup
 
 import bruteforce as bf
 from bruteforce import code_rows, naive_det, naive_mat_mul, rows_code
@@ -208,11 +207,12 @@ GL_POINT_CASES = [(u, d) for u in range(2, 128) if is_prime(u) for d in range(1,
 @pytest.mark.parametrize("u, d", GL_POINT_CASES + [(2, 8)])
 def test_gl_generators_generate_gl_past_the_listing(u, d):
     # GL(d, u) acts faithfully on the u^d points of GF(u)^d, so the
-    # Schreier-Sims order of the generators' point maps proves generation
-    # without listing GL: GL(7, 2) and GL(8, 2) lie far past GL_BRUTE_LIMIT
+    # Schreier-Sims order of the generators' point maps (the oracle chain)
+    # proves generation without listing GL: GL(7, 2) and GL(8, 2) lie far
+    # past GL_BRUTE_LIMIT
     spec = field_make(u, 1)
     points = [_linear_points(u, d, M) for M in matgrp.gl_generators(d, spec)]
-    assert PermGroup(u**d, points).order == gl_order(d, spec)
+    assert bf.Chain(u**d, points).order == gl_order(d, spec)
 
 
 def test_gl_generators_list_nothing(monkeypatch):

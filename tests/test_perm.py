@@ -125,7 +125,7 @@ def test_bsgs_order_matches_closure_on_standard_groups():
     for degree, texts in cases:
         G = group(degree, *texts)
         closure = bf.naive_closure(degree, [bf.images(P(t, degree)) for t in texts])
-        assert G.order == len(closure)
+        assert G.order == bf.Chain(degree, G.generators).order == len(closure)
 
 
 def test_bsgs_order_matches_closure_random_s6():
@@ -139,7 +139,7 @@ def test_bsgs_order_matches_closure_random_s6():
             rng.shuffle(images)
             gens.append(tuple(images))
         G = PermGroup(6, [code(g) for g in gens])
-        assert G.order == len(bf.naive_closure(6, gens))
+        assert G.order == bf.Chain(6, G.generators).order == len(bf.naive_closure(6, gens))
 
 
 def test_bsgs_order_matches_closure_random_s7():
@@ -152,14 +152,15 @@ def test_bsgs_order_matches_closure_random_s7():
             rng.shuffle(images)
             gens.append(tuple(images))
         G = PermGroup(7, [code(g) for g in gens])
-        assert G.order == len(bf.naive_closure(7, gens))
+        assert G.order == bf.Chain(7, G.generators).order == len(bf.naive_closure(7, gens))
 
 
 def test_membership_exact():
     G = group(4, "(1 2)(3 4)", "(1 3)(2 4)", "(2 3 4)")  # A4
     closure = bf.naive_closure(4, [bf.images(g) for g in G.generators])
+    chain = bf.Chain(4, G.generators)
     for images in itertools.permutations(range(1, 5)):
-        assert G.contains(code(images)) == (images in closure)
+        assert chain.contains(code(images)) == (images in closure)
 
 
 def test_elements_sorted_and_complete():
@@ -177,9 +178,11 @@ def test_degree_mismatch():
 
 def test_elements_limit():
     G = group(8, "(1 2 3 4 5 6 7 8)", "(1 2)")
-    assert G.order == 40320
+    assert bf.Chain(8, G.generators).order == 40320
     with pytest.raises(LimitExceeded):
         G.codes()
+    with pytest.raises(LimitExceeded, match="^order above the exhaustive limit 20160$"):
+        G.order
 
 
 # -- orbits and transitivity ---------------------------------------------------
@@ -280,9 +283,9 @@ def test_conjugate_three_cycles():
     ]:
         x = perm.subgroup_conjugate(A, B)
         assert x is not None
-        ops = A.ops
+        ops, chain = A.ops, bf.Chain(B.degree, B.generators)
         for g in A.codes():
-            assert B.contains(ops.mul(ops.mul(ops.inv(x), g), x))
+            assert chain.contains(ops.mul(ops.mul(ops.inv(x), g), x))
 
 
 def test_conjugate_none_for_different_cycle_types():
