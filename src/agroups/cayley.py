@@ -7,9 +7,9 @@ conjugator scan, minimal normal subgroups, Fitting subgroup) runs on any
 group given by a product, an identity and an inverse, so the permutation and
 matrix layers bind it to their codes instead of keeping copies. table_group
 builds every table but GF(u)^k's addition table from a product on the
-element numbering and the generators: a listed permutation group on its
-sorted codes, a split extension on its pair indices, a quotient on its coset
-indices. Generator rows are products; every other row is a row gather.
+element numbering and the generators: the group under the Theorem B checks
+on its sorted codes, a split extension on its pair indices, a quotient on
+its coset indices. Generator rows are products; every other row is a row gather.
 Isomorphism testing is fingerprint comparison followed by generator-image
 backtracking, and the same backtracking engine enumerates homomorphisms
 into GL, on matrix codes, for the census oracle. Each backtracking level

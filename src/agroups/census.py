@@ -3,14 +3,14 @@
 No inventory scans S_n. A primitive soluble group is affine, so the
 primitive inventories, two-prime and single-prime, go at every degree
 through the normalizer of one regular elementary abelian subgroup T, the
-translations of GF(u)^k, which is the least of its S_n-class. The targets
-are the T.S for the subgroups S of the normalizer's point stabiliser N(T)_0
-whose orders use the variety's primes, taken up to conjugacy there. N(T)_0
-is GL(k, u), the closure of its generators read off as permutations of the
-points, and its lattice runs on its multiplication table. A transitive
-group is primitive, or it lies in the stabiliser S_a wr S_(n/a) of a block
-system, so the transitive inventories add to the primitive targets the
-transitive subgroups found by a lattice scan of each such wreath product.
+translations of GF(u)^k, which is the least of its S_n-class. Its point
+stabiliser N(T)_0 is GL(k, u), and the targets are written down: T itself
+at prime degree, and T.E for one E per GL-class of irreducible elementary
+abelian r-subgroups of GL(k, q), the class scan classify-gl runs. A
+transitive group is primitive, or it lies in the stabiliser S_a wr S_(n/a)
+of a block system, so the transitive inventories add to the primitive
+targets the transitive subgroups found by a lattice scan of each such
+wreath product.
 Each class is the conjugation orbit of its first member under the
 generators (1 2 ... n) and (1 2) of S_n.
 
@@ -42,7 +42,6 @@ from .cayley import (
     in_variety,
     subgroup_closure,
     subgroup_lattice,
-    table_group,
 )
 from .construct import _check_pair, semidirect_product
 from .errors import DegreeLimit, InvalidParams, LimitExceeded, NotPrime
@@ -52,7 +51,7 @@ from .matgrp import (
     _greedy_gens,
     gl_elements,
     gl_generators,
-    gl_order,
+    irreducible_elem_abelian_r_classes,
     is_irreducible,
     mat_ops,
 )
@@ -62,7 +61,6 @@ from .perm import (
     group_from_set,
     perm_ops,
     permgroup_to_json,
-    primitivity_block,
     set_key,
 )
 
@@ -133,12 +131,11 @@ def _divides_primes(order: int, primes) -> bool:
 
 
 def _scan_keep(primes):
-    """The keep of the inventories' lattice scans, of N(T)_0 and of the
-    wreath products: the
-    subgroups of primes-smooth order. Its rejection is upward-closed, as
-    subgroup_lattice requires: by Lagrange, an overgroup of a subgroup whose
-    order is not primes-smooth is not either; and it is invariant under
-    conjugation."""
+    """The keep of the transitive inventories' lattice scans of the wreath
+    products: the subgroups of primes-smooth order. Its rejection is
+    upward-closed, as subgroup_lattice requires: by Lagrange, an overgroup
+    of a subgroup whose order is not primes-smooth is not either; and it is
+    invariant under conjugation."""
     return lambda sub: _divides_primes(len(sub), primes)
 
 
@@ -219,9 +216,9 @@ def enumerate_primitive_classes(n: int, q: int, r: int) -> ClassInventory:
     """Conjugacy classes of primitive two-prime-variety subgroups of S_n.
 
     Every degree runs the affine route (_affine_primitive_groups). Up to
-    degree 6 a class is the whole S_n-class of a target T.S, and its size is
+    degree 6 a class is the whole S_n-class of a target T.E, and its size is
     that class's length. At degrees 7 and 8 a class is the N(T)_0-class of
-    T.S, and its size counts the members of the S_n-class that contain T:
+    T.E, and its size counts the members of the S_n-class that contain T:
     n!/(n |Aut T|) times fewer, since the S_n-class holds one N(T)_0-class
     per conjugate of T.
     """
@@ -247,31 +244,9 @@ def enumerate_primitive_ar_classes(n: int, r: int) -> ClassInventory:
     return _build_inventory(n, 1, r, classes, f"primitive, variety [{r}]")
 
 
-@lru_cache(maxsize=None)
-def _affine_setup(u: int, k: int) -> tuple:
-    """T as a code set, its unit-vector basis, N(T)_0 as sorted codes, its
-    generators and its table, for the degree u^k; trivial at k = 0. T is the
-    rows of GF(u)^k's addition table. An element of N(T)_0 induces an
-    automorphism of T, a linear map M as u is prime, and it is the point map
-    v -> v M: so N(T)_0 is GL(k, u), not a search of the points' images, and
-    its generators are the point maps of GL's (gl_generators), and N(T)_0 is
-    their closure, with no matrix listing of GL."""
-    n = u**k
-    rows = _vector_sums(u, k)
-    t_gens = tuple(rows[u**j] for j in range(k))
-    stab, stab_gens = ((0,),), ()
-    if k:
-        field = field_make(u, 1)
-        stab_gens = tuple(_linear_points(u, k, M) for M in gl_generators(k, field))
-        stab = tuple(sorted(subgroup_closure(perm_ops(n), stab_gens)))
-        if len(stab) != gl_order(k, field):  # generation, proved on every setup
-            raise AssertionError("gl_generators do not generate GL; unreachable")
-    return frozenset(rows), t_gens, stab, stab_gens, table_group(perm_ops(n), stab, stab_gens)
-
-
 def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], tuple]:
     """The primitive subgroups of S_n in the variety of the chain ([q, r] or
-    [r]), one T.S per N(T)_0-class, as code sets, with generators of N(T)_0.
+    [r]), one T.E per N(T)_0-class, as code sets, with generators of N(T)_0.
 
     A group in the variety is soluble, and a primitive soluble group is
     affine: its one minimal normal subgroup T is regular elementary abelian
@@ -280,43 +255,43 @@ def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], tuple]:
     group of degree 1 is the case k = 0, with T trivial. All regular copies
     of (C_u)^k are conjugate in S_n; fix their least member T by set_key,
     and every target is conjugate to T.S for a subgroup S of N(T)_0, the
-    point stabiliser of the normalizer.
+    point stabiliser of the normalizer. An element of N(T)_0 induces an
+    automorphism of T, a linear map M as u is prime, and it is the point map
+    v -> v M: so N(T)_0 is GL(k, u), generated by the point maps of GL's
+    generators (gl_generators).
 
     T is the translations of GF(u)^k, the points numbered by their base-u
-    digits (_affine_setup). A regular T holds one element t_i taking 0 to
-    each point i, so its sorted codes are the rows t_i = (x -> x * i) of the
-    Cayley table of a group law on the points with 0 as identity, and the
-    least T is the least such table, row by row. Entry by entry the least
-    choice is forced: row 1 makes 0, 1, ..., u - 1 the powers of t_1 and each
-    run of u points from a multiple of u a coset of them; row u then makes u
-    a new generator and each run of u^2 points a coset of <t_1, t_u>; and so
-    on for u^2, ..., u^(k-1). That is digitwise addition. The tests check it
-    against the least regular member of the class scan at every prime power
-    up to 9.
+    digits: the rows of its addition table (_vector_sums). A regular T holds
+    one element t_i taking 0 to each point i, so its sorted codes are the
+    rows t_i = (x -> x * i) of the Cayley table of a group law on the points
+    with 0 as identity, and the least T is the least such table, row by
+    row. Entry by entry the least choice is forced: row 1 makes 0, 1, ...,
+    u - 1 the powers of t_1 and each run of u points from a multiple of u a
+    coset of them; row u then makes u a new generator and each run of u^2
+    points a coset of <t_1, t_u>; and so on for u^2, ..., u^(k-1). That is
+    digitwise addition. The tests check it against the least regular member
+    of the class scan at every prime power up to 9.
 
-    S is taken up to N(T)_0-conjugacy: g in N(T)_0 maps T.S to T.S^g, and S
-    is the point stabiliser of T.S, so each N(T)_0-class of S gives a class
-    of targets T.S of the same length. No two such classes are conjugate in
-    S_n: T is the only minimal normal subgroup of a primitive T.S (another
+    The targets are written down. A target G = T.S in the variety has a
+    normal subgroup N of exponent q with G/N elementary abelian of exponent
+    r (N trivial for the chain [r]). If N is trivial, G is abelian, so
+    regular of prime degree: G = T with k <= 1. Otherwise N is normal in a
+    primitive group, so transitive, and abelian, so regular: N = T, u = q,
+    and S = G/T is elementary abelian of exponent r, acting faithfully and
+    irreducibly on T (an invariant subspace would give blocks). Conversely
+    every such T.E is primitive and in the variety. So the targets are T at
+    k <= 1 and, when u = q, T.E for one E per GL(k, q)-class of nontrivial
+    irreducible elementary abelian r-subgroups (the class scan of
+    classify-gl, irreducible_elem_abelian_r_classes), E's generators read
+    off as point maps.
+
+    E is taken up to N(T)_0-conjugacy: g in N(T)_0 maps T.E to T.E^g, and E
+    is the point stabiliser of T.E, so each GL-class of E gives a class of
+    targets T.E of the same length. No two such classes are conjugate in
+    S_n: T is the only minimal normal subgroup of a primitive T.E (another
     would centralise T, which is its own centraliser), so a conjugation
-    between targets fixes T, lies in N(T) = T.N(T)_0 and conjugates the S
+    between targets fixes T, lies in N(T) = T.N(T)_0 and conjugates the E
     in N(T)_0.
-
-    N(T)_0 is GL(k, u) (_affine_setup), and its lattice runs on its
-    multiplication table, on indices in the order of its sorted
-    codes, so the scan finds the classes in the same order from the same
-    generators as on codes (a class, and so the first member found of it,
-    does not depend on which generators of N(T)_0 conjugate). Codes come
-    back for the generators of each S, which build T.S. The lattice is
-    scanned on the elements of smooth order for the chain's primes, keeping
-    the subgroups of smooth order, and the cut is exact: |T.S| = n |S| with
-    n a power of u, so T.S is a smooth group exactly when S is, and every
-    element of such an S has smooth order. The cut is upward-closed and
-    invariant under N(T)_0, as the scan requires, and it only drops
-    subgroups, so the kept ones are found in the same order from the same
-    generators. Each candidate T.S is tested for blocks and the variety on
-    the generators it is built from, and only the targets are built as code
-    sets.
     """
     factors = prime_factors(n) if n > 1 else {chain[0]: 0}
     if len(factors) != 1:
@@ -324,20 +299,20 @@ def _affine_primitive_groups(n: int, chain) -> tuple[list[frozenset], tuple]:
     ((u, k),) = factors.items()
     if u not in chain:
         return [], ()
-    T, t_gens, stab, stab_gens, table = _affine_setup(u, k)
-    ops = perm_ops(n)
-
-    smooth = [i for i, o in enumerate(table.element_orders) if _divides_primes(o, chain)]
-    lattice = subgroup_lattice(table, smooth, keep=_scan_keep(chain), conjugators=table.generators)
-    targets = []
-    for s_gens, _ in lattice.values():
-        gens = [*t_gens, *(stab[i] for i in s_gens)]
-        if primitivity_block(n, gens) is not None or not in_variety(ops, chain, gens):
-            continue
-        g_elems = T  # grows to T.S
-        for i in range(len(t_gens), len(gens)):
-            g_elems = extend_set(n, g_elems, gens[:i], gens[i])
-        targets.append(g_elems)
+    rows = _vector_sums(u, k)
+    targets = [frozenset(rows)] if k <= 1 else []
+    if not k:
+        return targets, ()
+    field = field_make(u, 1)
+    stab_gens = tuple(_linear_points(u, k, M) for M in gl_generators(k, field))
+    if len(chain) == 2 and u == chain[0]:
+        t_gens = [rows[u**j] for j in range(k)]
+        for E in irreducible_elem_abelian_r_classes(k, field, chain[1]):
+            gens, g_elems = list(t_gens), frozenset(rows)  # grows to T.E
+            for x in (_linear_points(u, k, M) for M in E.generators):
+                g_elems = extend_set(n, g_elems, gens, x)
+                gens.append(x)
+            targets.append(g_elems)
     return targets, stab_gens
 
 
@@ -393,9 +368,7 @@ def _action_orbit_reps(group: CayleyGroup, dim: int, u: int):
     return homomorphisms_to_mats(group, ops, gl, gl_generators(dim, field))
 
 
-def enumerate_variety_groups(
-    params: VarietyParams, traversal: str = "forward"
-) -> VarietyCensus:
+def enumerate_variety_groups(params: VarietyParams) -> VarietyCensus:
     """Exact census of the three-prime variety at order n.
 
     Every member splits as P x| (Q x| R) with elementary abelian layers of
@@ -407,16 +380,9 @@ def enumerate_variety_groups(
     Sylow u-subgroup (u does not divide |H|), so G/V is H, and tables over
     different kept H are never isomorphic: each is compared only with the
     tables kept over its H, and the first of each class in its block stands
-    for the class. traversal="reverse" walks the blocks backwards and the
-    actions within each forwards (at d = 0 a block is H alone): each block
-    keeps the same tables, so the census holds the same groups. Each layer
-    lists its blocks by H's forward index, whatever the traversal, so the
-    final stable sort by sorted element orders breaks ties by forward
-    position (the forward index of H, then the index within its block), and
-    both traversals give the same census in the same order.
+    for the class. The final sort by sorted element orders is stable, so
+    ties keep the order they were built in: by H, then within its block.
     """
-    if traversal not in ("forward", "reverse"):
-        raise ValueError("traversal must be 'forward' or 'reverse'")
     p, q, r = params.p, params.q, params.r
     a, b, g = params.alpha, params.beta, params.gamma
     n = params.printable_n()
@@ -426,15 +392,16 @@ def enumerate_variety_groups(
 
     reps = [elementary_abelian_table(r, g)]
     for u, dim in ((q, b), (p, a)):  # the Q layer on R, then the P layer
-        blocks: list[list[CayleyGroup]] = [[] for _ in reps]
-        walk = list(zip(reps, blocks))
-        for H, block in walk[::-1] if traversal == "reverse" else walk:
+        layer: list[CayleyGroup] = []
+        for H in reps:
+            block: list[CayleyGroup] = []  # the tables kept over H
             # each table is built when the comparison reaches it, so a layer
             # holds its kept tables and the candidate at hand
             for action in _action_orbit_reps(H, dim, u):
                 G = semidirect_product(u, dim, action, H) if dim else H
                 if not any(are_isomorphic(G, K) for K in block):
                     block.append(G)
-        reps = [G for block in blocks for G in block]
+            layer += block
+        reps = layer
     reps.sort(key=lambda t: sorted(t.element_orders))
     return VarietyCensus(params, tuple(reps))

@@ -181,7 +181,7 @@ def _cmd_classify_gl(args) -> dict:
 
 def _cmd_census(args) -> dict:
     params = VarietyParams(args.p, args.q, args.r, args.alpha, args.beta, args.gamma)
-    cen = census.enumerate_variety_groups(params, "forward")
+    cen = census.enumerate_variety_groups(params)
     bound = bnd.theorem_a_bound(params)
     verdict = bnd.compare_count(cen.count, bound)
     if params.n == 1:

@@ -16,15 +16,14 @@ the subgroup kernel on first use, and the closure is refused as soon as it
 passes its cap: the table limit where the Theorem B checks build a table,
 the exhaustive limit elsewhere. A group made from a code set
 (group_from_set, the inventory representatives) keeps that set and is never
-closed again. Blocks need the generators only, so the primitive route tests
-its candidates for blocks before any closure, and an imprimitive input is
-refused as such whatever its order. A subgroup stays a code set on the
-subgroup kernel (closures, extensions, generators, normal closures, the
-wreath products' lattice scans, conjugacy) unless a listed group becomes a
-table (cayley.table_group), as N(T)_0 in the affine route and the group
-under the Theorem B checks do, so the kernel runs on its indices; the
-normal structure (minimal normal subgroups, the Fitting subgroup) is read
-off such a table by exhaustive element scans. A stabiliser chain, the
+closed again. Blocks need the generators only, so an imprimitive input is
+refused as such before any closure, whatever its order. A subgroup stays a
+code set on the subgroup kernel (closures, extensions, generators, normal
+closures, the wreath products' lattice scans, conjugacy) unless a listed
+group becomes a table (cayley.table_group), as the group under the Theorem
+B checks does, so the kernel runs on its indices; the normal structure
+(minimal normal subgroups, the Fitting subgroup) is read off such a table
+by exhaustive element scans. A stabiliser chain, the
 oracle for exact orders past the exhaustive limit, lives in the tests.
 """
 

@@ -15,7 +15,12 @@ to find the least regular elementary abelian subgroup. sn_class_scan is the
 lattice scan of S_n up to S_n-conjugacy on its prime-order elements
 (prime_order_codes), the route the transitive inventory took before the
 affine normaliser and the wreath products; sn_scan_transitive_inventory
-and generic_primitive_inventory read their classes off it. table_of builds the
+and generic_primitive_inventory read their classes off it.
+smooth_normalizer_primitive_classes is the primitive route before the
+targets were written down, on this module's kernel: N(T)_0 as the n! codes
+filtered, its smooth subgroups by naive_subgroup_lattice on its all-pairs
+table, and the targets kept by naive_is_primitive and naive_in_variety, the
+variety's definition tested word by word. table_of builds the
 tests' table fixtures with a group's own product. poly_singer_generator
 takes the engine's modulus of GF(s^alpha) over GF(s) and its remainder on
 index tables, and does the rest in its own polynomial ring. row_by_row_gl
@@ -98,7 +103,7 @@ def is_transitive(degree, gens):
 
 def _code_mul(a, b):
     """a then b, on 0-based codes."""
-    return tuple(b[x] for x in a)
+    return tuple(map(b.__getitem__, a))
 
 
 def _code_inv(a):
@@ -888,19 +893,16 @@ def naive_is_homomorphism(table, images, mul):
     return all(images[table[x][y]] == mul(images[x], images[y]) for x in range(n) for y in range(n))
 
 
-def unreduced_census(params, traversal="forward"):
+def unreduced_census(params):
     """The three-prime census from every action homomorphism (no orbit
     reduction), each table compared with every kept one (no invariant
-    buckets), in the traversal order enumerate_variety_groups documents:
-    each class is represented by its first table in traversal order, and
-    tables with equal sorted element orders stay in forward order."""
+    buckets), in the order enumerate_variety_groups documents: each class is
+    represented by its first table, and tables with equal sorted element
+    orders stay in the order they were built."""
     from agroups.cayley import CayleyGroup, canonical_generators, elementary_abelian_table
     from agroups.census import VarietyCensus
     from agroups.gf import field_make
     from agroups.matgrp import gl_elements
-
-    def maybe_reverse(xs):
-        return xs[::-1] if traversal == "reverse" else list(xs)
 
     def extensions(H, u, dim):
         if dim == 0:
@@ -909,7 +911,7 @@ def unreduced_census(params, traversal="forward"):
         gl = gl_elements(dim, field)
         gens = canonical_generators(H, range(H.order))
         homs = allpairs_homomorphisms_to_mats(H, gens, field, gl)
-        actions = maybe_reverse([[m[i] for i in range(len(H.table))] for m in homs])
+        actions = [[m[i] for i in range(len(H.table))] for m in homs]
         return [
             CayleyGroup(naive_semidirect_table(u, dim, action, H), H.identity) for action in actions
         ]
@@ -925,15 +927,10 @@ def unreduced_census(params, traversal="forward"):
 
     p, q, r = params.p, params.q, params.r
     R = elementary_abelian_table(r, params.gamma) if params.gamma else cyclic_table(1)
-    h_reps = dedup(maybe_reverse(extensions(R, q, params.beta)))
-    candidates = [G for H in h_reps for G in extensions(H, p, params.alpha)]
-    forward = {id(G): i for i, G in enumerate(candidates)}
-    reps = dedup(maybe_reverse(candidates))
+    h_reps = dedup(extensions(R, q, params.beta))
+    reps = dedup([G for H in h_reps for G in extensions(H, p, params.alpha)])
     reps.sort(
-        key=lambda t: (
-            sorted(naive_element_order(t.table, t.identity, x) for x in range(len(t.table))),
-            forward[id(t)],
-        )
+        key=lambda t: sorted(naive_element_order(t.table, t.identity, x) for x in range(len(t.table)))
     )
     return VarietyCensus(params, tuple(reps))
 
@@ -1052,6 +1049,113 @@ def naive_normalizer(n, T, fixing=()):
         if all(tuple(g[h[y]] for y in gi) in T for h in T):
             out.append(g)
     return out
+
+
+def translations(u, k):
+    """The degree, the elements and the unit-vector basis of the regular
+    (C_u)^k on the points 0 .. u^k - 1 read as base-u digit vectors."""
+    n = u**k
+
+    def add(x, v):
+        return sum((x // u**j + v // u**j) % u * u**j for j in range(k))
+
+    def code(v):
+        return tuple(add(x, v) for x in range(n))
+
+    return n, [code(v) for v in range(n)], [code(u**j) for j in range(k)]
+
+
+def _smooth(order, primes):
+    """Whether every prime factor of order is one of the primes."""
+    for p in primes:
+        while order % p == 0:
+            order //= p
+    return order == 1
+
+
+def naive_in_variety(elems, chain):
+    """Whether the group of a code set lies in the product variety of the
+    chain, by its definition: for [r], the group is abelian of exponent
+    dividing r; for [q, r], the subgroup generated by its commutators and
+    r-th powers is. A set of words generates an abelian group of exponent
+    dividing u exactly when their orders divide u and they commute
+    pairwise, so each word is tested as it comes, against the distinct ones
+    before it, and never closed."""
+    *head, r = chain
+    elems = [images(g) for g in elems]
+    words = iter(elems)
+    if head:
+        words = itertools.chain(
+            (functools.reduce(mul, [x] * r) for x in elems),
+            (mul(mul(inv(x), inv(y)), mul(x, y)) for x in elems for y in elems),
+        )
+    u = head[0] if head else r
+    seen = set()
+    for w in words:
+        if w in seen:
+            continue
+        if u % perm_order(w) or any(mul(w, v) != mul(v, w) for v in seen):
+            return False
+        seen.add(w)
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def naive_normalizer_stabilizer(u, k):
+    """T, the translations of GF(u)^k, and N(T)_0, the n! codes filtered
+    (naive_normalizer); cached, the callers only read them."""
+    n, T, _ = translations(u, k)
+    return frozenset(T), naive_normalizer(n, T, fixing=(0,))
+
+
+@functools.lru_cache(maxsize=None)
+def smooth_normalizer_subgroups(u, k, primes):
+    """Every subgroup of N(T)_0 (naive_normalizer_stabilizer) generated by
+    its elements of primes-smooth order that has primes-smooth order, as
+    code sets, by naive_subgroup_lattice on the indices of N(T)_0's table of
+    every pairwise product; cached, the callers only read it."""
+    from types import SimpleNamespace
+
+    _, stab = naive_normalizer_stabilizer(u, k)
+    index = {g: i for i, g in enumerate(stab)}
+    table = [[index[_code_mul(a, b)] for b in stab] for a in stab]
+    G = SimpleNamespace(mul=lambda a, b: table[a][b], identity=index[tuple(range(u**k))])
+    universe = [i for i, g in enumerate(stab) if _smooth(code_order(g), primes)]
+    lattice = naive_subgroup_lattice(G, universe, keep=lambda sub: _smooth(len(sub), primes))
+    return tuple(frozenset(stab[i] for i in sub) for sub in lattice)
+
+
+def smooth_normalizer_primitive_classes(n, chain):
+    """The N(T)_0-classes of the primitive subgroups of S_n in the variety of
+    the chain ([q, r] or [r]), as a set of frozensets of code sets: the
+    route census took before it wrote its targets down. At a prime power
+    n = u^k, whether or not u is one of the chain's primes, T.S for every
+    subgroup S of N(T)_0 of smooth order for the chain's primes
+    (smooth_normalizer_subgroups), as the products t s, kept
+    when naive_is_primitive and naive_in_variety hold, each with its
+    conjugates under every element of N(T)_0; none at any other degree."""
+    u = min(p for p in range(2, n + 1) if n % p == 0) if n > 1 else chain[0]
+    k = next(e for e in range(n) if n % u ** (e + 1))
+    if u**k != n:
+        return set()  # no regular elementary abelian subgroup
+    T, stab = naive_normalizer_stabilizer(u, k)
+    # the chain's primes that divide |N(T)_0| decide which subgroups are
+    # smooth, so chains that differ in the others share one scan
+    primes = tuple(p for p in sorted(chain) if len(stab) % p == 0)
+    subgroups = smooth_normalizer_subgroups(u, k, primes)
+    classes, found = set(), set()
+    for S in subgroups:
+        G = frozenset(_code_mul(t, s) for t in T for s in S)
+        if G in found or not naive_is_primitive(n, sorted(T | S)):
+            continue
+        if not naive_in_variety(G, chain):
+            continue
+        cls = frozenset(
+            frozenset(_code_mul(_code_mul(_code_inv(g), h), g) for h in G) for g in stab
+        )
+        classes.add(cls)
+        found |= cls
+    return classes
 
 
 @functools.lru_cache(maxsize=None)

@@ -57,7 +57,7 @@ def test_criterion_6_engine_property_suites():
     # (b) primitivity == brute-force block enumeration at n <= 6
     # (c) verbal variety test == exhaustive witness search on census groups
     # (d) censuses duplicate-free, and the same tables in the same order in
-    #     either traversal
+    #     a second run
     _report(selftest.criterion_engine_properties())
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import weakref
 
 import pytest
@@ -158,8 +159,8 @@ def test_wreath_generators_generate_the_block_stabiliser(a, b):
 
 
 def test_transitive_inventories_scan_no_sn(monkeypatch):
-    # the transitive inventories scan N(T)_0's table and the wreath products
-    # S_a wr S_(n/a), each up to conjugacy under its own generators, never S_n
+    # the transitive inventories scan the wreath products S_a wr S_(n/a),
+    # each up to conjugacy under its own generators, never S_n
     lattices = []
     real = census.subgroup_lattice
 
@@ -174,18 +175,37 @@ def test_transitive_inventories_scan_no_sn(monkeypatch):
             lattices.clear()
             enumerate_transitive_classes(n, q, r)
             for G, conjugators in lattices:
-                assert isinstance(G, CayleyGroup) or conjugators in wreaths, (n, q, r)
+                assert conjugators in wreaths, (n, q, r)
 
 
-def test_cold_degree_8_primitive_lists_no_gl(monkeypatch):
-    # N(T)_0 is the closure of the point maps of GL's generators, so a cold
-    # degree-8 inventory lists no GL(3, 2) as matrices
-    def refuse(alpha, spec):
-        raise AssertionError(f"GL({alpha}, {spec.s}) listed")
+def cold_gl_scans():
+    """Empty the caches of GL's listing and of its class scans, so that the
+    next inventory lists and scans afresh."""
+    matgrp._gl_elements.cache_clear()
+    matgrp._elem_abelian_r_classes.cache_clear()
 
-    monkeypatch.setattr(matgrp, "_gl_elements", refuse)
-    census._affine_setup.cache_clear()
+
+def test_cold_degree_8_primitive_lists_gl_once(monkeypatch):
+    # E comes from the class scan of GL(3, 2), which lists GL(3, 2) once as
+    # matrices, the closure of its written-down generators; no permutation
+    # group is closed, N(T)_0 included
+    listings = []
+    real = matgrp.subgroup_closure
+
+    def spy(G, seed, cap=None):
+        elems = real(G, seed, cap)
+        listings.append((len(G.identity), len(elems)))
+        return elems
+
+    def refuse(*args):
+        raise AssertionError("a permutation group was closed")
+
+    monkeypatch.setattr(matgrp, "subgroup_closure", spy)
+    monkeypatch.setattr(census, "subgroup_closure", refuse)
+    monkeypatch.setattr(perm, "subgroup_closure", refuse)
+    cold_gl_scans()
     assert enumerate_primitive_classes(8, 2, 7).count == 1
+    assert listings == [(9, 168)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -264,51 +284,54 @@ def test_prime_order_universe_matches_the_filtered_sn(n):
         )
 
 
-def translations(u, k):
-    """The degree, the elements and the unit-vector basis of the regular
-    (C_u)^k on the points 0 .. u^k - 1 read as base-u digit vectors."""
-    n = u**k
-
-    def add(x, v):
-        return sum((x // u**j + v // u**j) % u * u**j for j in range(k))
-
-    def code(v):
-        return tuple(add(x, v) for x in range(n))
-
-    return n, [code(v) for v in range(n)], [code(u**j) for j in range(k)]
-
-
-def all_pairs_table(codes):
-    """The table of a sorted list of codes from every pairwise product, by
-    the brute-force product on 1-based images."""
-    elems = [bf.images(c) for c in codes]
-    index = {e: i for i, e in enumerate(elems)}
-    table = tuple(tuple(index[bf.mul(a, b)] for b in elems) for a in elems)
-    return CayleyGroup(table, 0)
-
-
 @pytest.mark.parametrize("u, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
-    # N(T)_0 read off GL(k, u), each automorphism of T a matrix; degree 9
-    # (u = 3, k = 2) is the one case with odd u and k > 1; it lies past
-    # PRIMITIVE_DEGREE_LIMIT, so the setup is called directly
-    n, T, basis = translations(u, k)
-    setup_T, setup_basis, stab, _, _ = census._affine_setup(u, k)
-    assert setup_T == frozenset(T) and list(setup_basis) == basis
-    assert list(stab) == sorted(set(stab))
-    assert set(stab) == set(bf.naive_normalizer(n, T, fixing=(0,)))
+    # N(T)_0 read off GL(k, u), each automorphism of T a matrix: the
+    # route's conjugators are the point maps of GL(k, u)'s written-down
+    # generators, and their closure under the brute-force product is N(T)_0,
+    # the n! codes filtered; degree 9 (u = 3, k = 2) is the one case with
+    # odd u and k > 1; it lies past PRIMITIVE_DEGREE_LIMIT, so the route is
+    # called directly
+    n, T, _ = bf.translations(u, k)
+    assert frozenset(cayley._vector_sums(u, k)) == frozenset(T)
+    targets, stab_gens = census._affine_primitive_groups(n, (u,))
+    assert targets == ([frozenset(T)] if k == 1 else [])
+    field = field_make(u, 1)
+    assert list(stab_gens) == [
+        cayley._linear_points(u, k, M) for M in matgrp.gl_generators(k, field)
+    ]
+    stab = bf.naive_closure(n, [bf.images(g) for g in stab_gens])
+    assert stab == {bf.images(g) for g in bf.naive_normalizer(n, T, fixing=(0,))}
     gl_order = math.prod(u**k - u**i for i in range(k))
     assert len(stab) == gl_order
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_primitive_targets_match_the_smooth_normalizer_oracle(n):
+    # the targets T.E with their N(T)_0-classes, against the route they
+    # replaced, run on the naive kernel: T.S for every subgroup S of N(T)_0
+    # of smooth order, kept when primitive and in the variety, each with
+    # its conjugates under all of N(T)_0; at every ordered pair of
+    # {2, 3, 5, 7} and every single prime. Degree 9 (GL(2, 3)) lies past
+    # PRIMITIVE_DEGREE_LIMIT, so the route is called directly. Every target
+    # is checked primitive and in the variety by brute force
+    ops = perm.perm_ops(n)
+    for chain in [*itertools.permutations((2, 3, 5, 7), 2), *((r,) for r in (2, 3, 5, 7))]:
+        targets, stab_gens = census._affine_primitive_groups(n, chain)
+        classes = {frozenset(cayley.conjugation_orbit(ops, g, stab_gens)) for g in targets}
+        assert classes == bf.smooth_normalizer_primitive_classes(n, chain), chain
+        for g in targets:
+            assert bf.naive_is_primitive(n, sorted(g)) and bf.naive_in_variety(g, chain), chain
+
+
 def test_degree_8_scan_walks_no_sn(monkeypatch):
     # the degree-8 route tests no n! codes and makes no scan of S_8: T is
-    # written down as translations, N(T)_0 comes from GL(3, 2), the
-    # automorphisms of T, and N(T)_0's lattice runs on the indices of its table, on the
-    # {q, r}-elements under the {q, r}-order keep
+    # written down as translations, and E comes from the one lattice scan,
+    # of GL(3, 2)'s elementary abelian 7-subgroups on its elements of order
+    # 7, as matrix codes, up to conjugacy under GL's generators
     q, r = 2, 7
     counts = {"_divides_primes": 0}
-    lattice_calls, stabs = [], []
+    lattice_calls = []
 
     def counting(name, fn):
         def spy(*args):
@@ -318,40 +341,41 @@ def test_degree_8_scan_walks_no_sn(monkeypatch):
         return spy
 
     def lattice_spy(G, universe, cap=None, keep=None, conjugators=()):
-        lattice_calls.append((list(universe), keep, list(conjugators)))
+        lattice_calls.append((G, list(universe), keep, list(conjugators)))
         return real_lattice(G, universe, cap, keep, conjugators)
 
-    def setup_spy(*args):
-        setup = real_setup(*args)
-        stabs.append(setup[2])
-        return setup
-
-    real_lattice, real_setup = census.subgroup_lattice, census._affine_setup
+    real_lattice = matgrp.subgroup_lattice
     for name in counts:
         monkeypatch.setattr(census, name, counting(name, getattr(census, name)))
     monkeypatch.setattr(census, "subgroup_lattice", lattice_spy)
-    monkeypatch.setattr(census, "_affine_setup", setup_spy)
+    monkeypatch.setattr(matgrp, "subgroup_lattice", lattice_spy)
+    cold_gl_scans()
     inventory = enumerate_primitive_classes(8, q, r)
     assert inventory.count
     assert all(c < 40320 // 20 for c in counts.values()), counts
-    sn_gens = list(census._sn_generators(8))
-    assert all(c[2] != sn_gens for c in lattice_calls)  # no scan of S_8 remains
-    (universe, keep, conjugators), = lattice_calls
-    [stab] = stabs
-    assert all(isinstance(i, int) for i in universe + conjugators)
-    assert all(stab[i][0] == 0 for i in universe + conjugators)  # N(T)_0 fixes point 0
+    (G, universe, keep, conjugators), = lattice_calls  # no scan of S_8 remains
+    field = field_make(q, 1)
+    assert G is mat_ops(3, field) and conjugators == list(matgrp.gl_generators(3, field))
+    assert all(len(x) == 9 and set(x) <= {0, 1} for x in universe + conjugators)
     assert keep is not None
-    assert universe and all(
-        census._divides_primes(bf.code_order(stab[i]), (q, r)) for i in universe
-    )
-    assert len(universe) == 168 - 56  # GL(3, 2) without its elements of order 3
+    ident = G.identity
+    assert all(x != ident and cayley._power(G, x, r) == ident for x in universe)
+    assert len(universe) == 48  # the elements of order 7 of GL(3, 2)
 
 
-def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
-    # each candidate T.S is tested for blocks on the generators it was built
-    # from: canonical generators are taken for the reported representatives
-    # only (T's basis is written down with T, and N(T)_0's generators are
-    # the point maps of GL's written-down generators)
+def refuse_block_tests(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block system was searched")
+
+    monkeypatch.setattr(perm, "primitivity_block", refuse)
+
+
+def test_degree_8_takes_canonical_generators_of_representatives_only(monkeypatch):
+    # no candidate is tested for blocks: every T.E is a target, built from
+    # T's basis and E's generators as point maps, so canonical generators
+    # of a permutation group are taken for the reported representatives
+    # only (N(T)_0's generators are the point maps of GL's written-down
+    # generators)
     calls = []
     real = cayley.canonical_generators
 
@@ -361,19 +385,18 @@ def test_degree_8_block_tests_take_no_canonical_generators(monkeypatch):
         return real(G, elems)
 
     monkeypatch.setattr(cayley, "canonical_generators", spy)
-    census._affine_setup.cache_clear()  # N(T)_0's generators are counted
+    refuse_block_tests(monkeypatch)
     inventory = enumerate_primitive_classes(8, 2, 7)
     reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
     assert inventory.count and len(calls) == inventory.count
     assert sorted(calls, key=perm.set_key) == sorted(reps, key=perm.set_key)
 
 
-def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
-    # below degree 7 too, and in the single-prime inventories, each
-    # candidate T.S is tested for blocks on the generators it was built
-    # from: canonical generators are taken for the reported representatives
-    # only, not for N(T)_0, and for nothing at a degree that is no prime
-    # power
+def test_affine_route_takes_canonical_generators_of_representatives_only(monkeypatch):
+    # below degree 7 too, and in the single-prime inventories, no candidate
+    # is tested for blocks: canonical generators of a permutation group are
+    # taken for the reported representatives only, not for N(T)_0, and for
+    # nothing at a degree that is no prime power
     calls = []
     real = cayley.canonical_generators
 
@@ -382,6 +405,7 @@ def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
         return real(G, elems)
 
     monkeypatch.setattr(cayley, "canonical_generators", spy)
+    refuse_block_tests(monkeypatch)
     for inventory_of, args in [
         (enumerate_primitive_classes, (5, 5, 2)),
         (enumerate_primitive_classes, (4, 2, 3)),
@@ -390,7 +414,6 @@ def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
         (enumerate_primitive_ar_classes, (4, 2)),
     ]:
         calls.clear()
-        census._affine_setup.cache_clear()  # N(T)_0's generators are counted
         inventory = inventory_of(*args)
         reps = [frozenset(entry.representative.codes()) for entry in inventory.classes]
         assert sorted(calls, key=perm.set_key) == sorted(reps, key=perm.set_key), args
@@ -399,7 +422,7 @@ def test_affine_block_tests_take_no_canonical_generators(monkeypatch):
 
 
 def test_primitive_inventories_close_no_group(monkeypatch):
-    # a candidate T.S is tested for blocks on its generators alone, and each
+    # each target T.E is built by extensions from its generators, and each
     # reported representative keeps the code set it is made from: no
     # PermGroup is closed, not even to read an order
     closures = 0
@@ -420,21 +443,28 @@ def test_primitive_inventories_close_no_group(monkeypatch):
 
 def test_primitive_inventories_scan_no_sn(monkeypatch):
     # every primitive inventory, two-prime or single-prime, at every degree,
-    # runs one lattice: N(T)_0's, on its table; no class scan of S_n runs
-    lattices = []
-    real = census.subgroup_lattice
+    # runs no lattice scan but the elementary abelian class scan of GL(k, q),
+    # on matrix codes; no class scan of S_n runs
+    scans = []
+    real = matgrp.subgroup_lattice
 
     def spy(G, universe, cap=None, keep=None, conjugators=()):
-        lattices.append(G)
+        scans.append((sys._getframe(1).f_code.co_name, G, list(universe)))
         return real(G, universe, cap, keep, conjugators)
 
+    monkeypatch.setattr(matgrp, "subgroup_lattice", spy)
     monkeypatch.setattr(census, "subgroup_lattice", spy)
+    monkeypatch.setattr(cayley, "subgroup_lattice", spy)
+    cold_gl_scans()
     for n in range(1, 9):
         for q, r in itertools.permutations((2, 3, 5, 7), 2):
             enumerate_primitive_classes(n, q, r)
         for r in (2, 3, 5, 7):
             enumerate_primitive_ar_classes(n, r)
-    assert lattices and all(isinstance(G, CayleyGroup) for G in lattices)
+    assert scans
+    for caller, G, universe in scans:
+        assert caller == "_elem_abelian_r_classes"
+        assert all(len(x) == len(G.identity) for x in universe)  # k x k matrix codes
 
 
 def test_translations_are_the_least_regular_member_of_the_scan():
@@ -443,29 +473,13 @@ def test_translations_are_the_least_regular_member_of_the_scan():
     # the oracle's fixed-point-free scan finds, at every prime power n <= 9
     # (the rows of GF(u)^k's addition table, in code order)
     for n, u, k in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)]:
-        T, basis = census._affine_setup(u, k)[:2]
-        T = sorted(T)
-        assert tuple(T) == cayley._vector_sums(u, k), n
+        T = cayley._vector_sums(u, k)
+        basis = [T[u**j] for j in range(k)]
+        assert list(T) == sorted(T), n
         regulars = [cls for elems, (_, cls) in bf.regular_scan(n, u).items() if len(elems) == n]
         assert len(regulars) == 1, n
-        assert tuple(T) == min(map(perm.set_key, regulars[0])), n
+        assert T == min(map(perm.set_key, regulars[0])), n
         assert list(basis) == cayley.canonical_generators(perm.perm_ops(n), T), n
-
-
-@pytest.mark.parametrize("n", [4, 7, 8])
-def test_normalizer_stabilizer_table_matches_all_pairs(n):
-    # N(T)_0's generators are the point maps of GL(k, u)'s written-down
-    # generators, and they generate N(T)_0 under the brute-force product;
-    # its table, chained from their rows, against every product of two of
-    # its elements
-    u, k = next(iter(census.prime_factors(n).items()))
-    _, _, stab, stab_gens, table = census._affine_setup(u, k)
-    field = field_make(u, 1)
-    assert list(stab_gens) == [
-        cayley._linear_points(u, k, M) for M in matgrp.gl_generators(k, field)
-    ]
-    assert bf.naive_closure(n, [bf.images(g) for g in stab_gens]) == {bf.images(g) for g in stab}
-    assert table == all_pairs_table(stab)
 
 
 # -- primitive inventories ---------------------------------------------------------
@@ -687,40 +701,34 @@ def test_census_members_in_variety_and_distinct():
                 assert not are_isomorphic(t, u)
 
 
-def test_census_traversal_invariance():
-    for params in [
-        VarietyParams(3, 2, 5, 1, 1, 0),
-        VarietyParams(2, 3, 5, 2, 1, 0),
-        VarietyParams(2, 3, 5, 2, 1, 1),
-    ]:
-        fwd = enumerate_variety_groups(params, "forward")
-        rev = enumerate_variety_groups(params, "reverse")
-        assert fwd.count == rev.count
-        # same census up to isomorphism
-        for t in fwd.groups:
-            assert any(are_isomorphic(t, u) for u in rev.groups)
-
-
-def test_census_reverse_equals_forward_where_tables_tie():
+def test_census_keeps_build_order_where_tables_tie(monkeypatch):
     # at (2,7,3;1,2,1), order 294, the first two tables have equal sorted
-    # element orders; they tie in the final sort, which keeps forward order
-    params = VarietyParams(2, 7, 3, 1, 2, 1)
-    fwd = enumerate_variety_groups(params, "forward")
-    rev = enumerate_variety_groups(params, "reverse")
-    assert sorted(fwd.groups[0].element_orders) == sorted(fwd.groups[1].element_orders)
-    assert [t.table for t in rev.groups] == [t.table for t in fwd.groups]
-    assert rev.to_json() == fwd.to_json()
+    # element orders; they tie in the final sort, which keeps the order they
+    # were built in (the unreduced oracle takes minutes at this order, so
+    # the build order is read off the split extensions as they are built)
+    built = []
+    real = census.semidirect_product
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(census, "semidirect_product", spy)
+    found = enumerate_variety_groups(VarietyParams(2, 7, 3, 1, 2, 1)).groups
+    position = [next(i for i, G in enumerate(built) if G is t) for t in found]
+    assert sorted(found[0].element_orders) == sorted(found[1].element_orders)
+    assert position[0] < position[1]
+    assert position == sorted(sorted(position), key=lambda i: sorted(built[i].element_orders))
 
 
 # the five selftest cases and the four census-split benchmark inputs
 ORACLE_CENSUS_PARAMS = [params for params, _ in CENSUS_CASES] + bf.census_split_params()
 
 
-@pytest.mark.parametrize("traversal", ["forward", "reverse"])
 @pytest.mark.parametrize("params", ORACLE_CENSUS_PARAMS, ids=lambda p: "-".join(map(str, p.to_json().values())))
-def test_census_matches_unreduced_oracle(params, traversal):
-    expected = bf.unreduced_census(params, traversal).to_json()
-    assert enumerate_variety_groups(params, traversal).to_json() == expected
+def test_census_matches_unreduced_oracle(params):
+    expected = bf.unreduced_census(params).to_json()
+    assert enumerate_variety_groups(params).to_json() == expected
 
 
 # one acting layer, H = C_r^gamma, and r | u - 1: the census count is the
@@ -768,8 +776,7 @@ def test_census_split_builds_each_table_once_and_no_quotient(monkeypatch):
     assert built == 25
 
 
-@pytest.mark.parametrize("traversal", ["forward", "reverse"])
-def test_census_layer_holds_its_kept_tables_and_one_candidate(monkeypatch, traversal):
+def test_census_layer_holds_its_kept_tables_and_one_candidate(monkeypatch):
     # (3,2,7;1,3,1), order 168: 12 split extensions fall to 3 groups. Each is
     # built when the comparison reaches it, so while one is built the live
     # tables are the groups kept so far, in every layer, and at most one
@@ -793,7 +800,7 @@ def test_census_layer_holds_its_kept_tables_and_one_candidate(monkeypatch, trave
 
     monkeypatch.setattr(census, "semidirect_product", extension_spy)
     monkeypatch.setattr(census, "are_isomorphic", isomorphic_spy)
-    census_168 = enumerate_variety_groups(VarietyParams(3, 2, 7, 1, 3, 1), traversal)
+    census_168 = enumerate_variety_groups(VarietyParams(3, 2, 7, 1, 3, 1))
     kept = len(refs) - len(dropped)
     assert (len(refs), census_168.count) == (12, 3)
     assert max(live) <= kept + 1, (live, kept)
@@ -820,24 +827,6 @@ def test_census_compares_tables_only_over_the_same_acting_group(monkeypatch):
     monkeypatch.setattr(census, "are_isomorphic", isomorphic_spy)
     enumerate_variety_groups(VarietyParams(2, 7, 3, 1, 2, 1))
     assert pairs and all(H is K for H, K in pairs)
-
-
-def test_affine_setup_is_built_once_per_degree(monkeypatch):
-    # T, N(T)_0 and its table depend on the degree alone: the degree-8
-    # inventories of several pairs build N(T)_0's table once between them
-    tables = []
-    real = census.table_group
-
-    def spy(*args):
-        tables.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(census, "table_group", spy)
-    census._affine_setup.cache_clear()
-    for q, r in [(2, 7), (2, 3), (7, 2), (3, 2), (2, 5)]:
-        enumerate_primitive_classes(8, q, r)
-    enumerate_primitive_ar_classes(8, 2)
-    assert len(tables) == 1
 
 
 def test_action_orbit_reps_are_the_gl_classes():
