@@ -306,22 +306,27 @@ def test_normalizer_stabilizer_from_automorphisms_matches_the_filtered_sn(u, k):
     assert len(stab) == gl_order
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_primitive_targets_match_the_smooth_normalizer_oracle(n):
+@pytest.mark.parametrize(
+    "chain",
+    [*itertools.permutations((2, 3, 5, 7), 2), *((r,) for r in (2, 3, 5, 7))],
+    ids=lambda chain: "-".join(map(str, chain)),
+)
+def test_primitive_targets_match_the_smooth_normalizer_oracle(chain):
     # the targets T.E with their N(T)_0-classes, against the route they
     # replaced, run on the naive kernel: T.S for every subgroup S of N(T)_0
     # of smooth order, kept when primitive and in the variety, each with
     # its conjugates under all of N(T)_0; at every ordered pair of
-    # {2, 3, 5, 7} and every single prime. Degree 9 (GL(2, 3)) lies past
-    # PRIMITIVE_DEGREE_LIMIT, so the route is called directly. Every target
-    # is checked primitive and in the variety by brute force
-    ops = perm.perm_ops(n)
-    for chain in [*itertools.permutations((2, 3, 5, 7), 2), *((r,) for r in (2, 3, 5, 7))]:
+    # {2, 3, 5, 7} and every single prime, at every degree n <= 9. Degree 9
+    # (GL(2, 3)) lies past PRIMITIVE_DEGREE_LIMIT, so the route is called
+    # directly. Every target is checked primitive and in the variety by
+    # brute force
+    for n in range(1, 10):
+        ops = perm.perm_ops(n)
         targets, stab_gens = census._affine_primitive_groups(n, chain)
         classes = {frozenset(cayley.conjugation_orbit(ops, g, stab_gens)) for g in targets}
-        assert classes == bf.smooth_normalizer_primitive_classes(n, chain), chain
+        assert classes == bf.smooth_normalizer_primitive_classes(n, chain), n
         for g in targets:
-            assert bf.naive_is_primitive(n, sorted(g)) and bf.naive_in_variety(g, chain), chain
+            assert bf.naive_is_primitive(n, sorted(g)) and bf.naive_in_variety(g, chain), n
 
 
 def test_degree_8_scan_walks_no_sn(monkeypatch):
